@@ -1,7 +1,8 @@
 # Tier-1 verification and benchmarking entry points.
 #
 #   make ci          - build + vet + test + fuzz smoke (what the roadmap calls tier-1)
-#   make race        - race detector on the determinism + corner + service + ECO suites
+#   make race        - race detector on the determinism + corner + service + ECO + what-if suites
+#   make perfbench-test - vet + unit tests of the benchmark module (perfbench/, its own go.mod)
 #   make fuzz        - 10s fuzz smoke per parser target (DEF, LEF)
 #   make golden      - golden-metrics regression suite (make golden-update re-pins)
 #   make staticcheck - pinned staticcheck over the whole tree (fetches the tool)
@@ -27,7 +28,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test vet ci race fuzz golden golden-update staticcheck vulncheck smoke bench report load chaos cluster metrics persist corners scale eco
+.PHONY: all build test vet ci race perfbench-test fuzz golden golden-update staticcheck vulncheck smoke bench report load chaos cluster metrics persist corners scale eco
 
 all: ci
 
@@ -49,6 +50,12 @@ race:
 	$(GO) test -race -count=1 ./internal/serve/
 	$(GO) test -race -count=1 ./internal/corner/
 	$(GO) test -race -count=1 ./internal/core/ ./internal/partition/ ./internal/eco/
+	$(GO) test -race -count=1 ./internal/eval/ ./internal/refine/
+
+# The benchmark is its own module, so the root `go test ./...` never
+# compiles it; this keeps its calls into the engine building.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzParseDEF -fuzztime 10s ./internal/def

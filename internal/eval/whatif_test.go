@@ -70,7 +70,7 @@ func TestWhatIfMatchesEvaluate(t *testing.T) {
 	sc := w.NewScratch()
 
 	const tol = 1e-9
-	lat, skew := w.Eval(-1, sc, nil)
+	lat, skew := w.Eval(nil)
 	if math.Abs(lat-ref.Latency) > tol || math.Abs(skew-ref.Skew) > tol {
 		t.Fatalf("base state: whatif (%v, %v) vs evaluate (%v, %v)", lat, skew, ref.Latency, ref.Skew)
 	}
@@ -81,7 +81,7 @@ func TestWhatIfMatchesEvaluate(t *testing.T) {
 		if slot < 0 {
 			t.Fatalf("centroid %d has no slot", cid)
 		}
-		tlat, tskew := w.Eval(slot, sc, nil)
+		tlat, tskew := w.Trial(slot, sc)
 		tr.Nodes[cid].BufferAtNode = true
 		m, err := ev.Evaluate(tr)
 		tr.Nodes[cid].BufferAtNode = false
@@ -97,7 +97,7 @@ func TestWhatIfMatchesEvaluate(t *testing.T) {
 	cid := tr.Centroids()[1]
 	w.Commit(w.SlotOf(cid))
 	dst := make([]float64, len(ref.SinkDelays))
-	clat, cskew := w.Eval(-1, sc, dst)
+	clat, cskew := w.Eval(dst)
 	tr.Nodes[cid].BufferAtNode = true
 	m, err := ev.Evaluate(tr)
 	if err != nil {

@@ -96,8 +96,16 @@ type Report struct {
 // Refine runs skew refinement on the tree in place.
 //
 // The accept/reject loop evaluates candidates against a WhatIf view of the
-// RC network (built once) instead of re-running a full Evaluate per
-// attempt. Trials are speculatively evaluated in parallel batches of up to
+// RC network (built once, committed state kept evaluated) instead of
+// re-running a full Evaluate per attempt. A trial costs O(affected
+// subtree), not O(network): it re-sums loads from the candidate up to the
+// nearest buffer above it and re-times only that buffer's subtree. It still
+// returns exactly the full pass's (latency, skew): subtrees are contiguous
+// pre-order id ranges, a buffer shields its parent from any load change
+// below it, and max/min are exact (see eval.WhatIf). So the decisions, the
+// tree and every metric are those of a full re-evaluation per trial.
+//
+// Trials are speculatively evaluated in parallel batches of up to
 // Params.Workers candidates: every candidate in a batch is judged against
 // the same accepted state, the batch is then consumed in rank order, and
 // the first acceptance discards the stale remainder — which is exactly the
@@ -152,7 +160,7 @@ func RefineContext(ctx context.Context, t *ctree.Tree, tc *tech.Tech, p Params) 
 	// Seed the loop state from the WhatIf model itself (not the reference
 	// Evaluate, which sums in a different order and agrees only to ~1e-9)
 	// so every accept/reject comparison is internally consistent.
-	curLat, curSkew := w.Eval(-1, scratches[0], sinkDelay)
+	curLat, curSkew := w.Eval(sinkDelay)
 	delaysStale := false
 
 	// Rank centroids by the delay of their slowest sink (descending).
@@ -203,7 +211,7 @@ func RefineContext(ctx context.Context, t *ctree.Tree, tc *tech.Tech, p Params) 
 		if delaysStale {
 			// Ranking reads per-sink delays; refresh them once per pass
 			// rather than on every accept.
-			w.Eval(-1, scratches[0], sinkDelay)
+			w.Eval(sinkDelay)
 			delaysStale = false
 		}
 		eps := rank(slowFirst)
@@ -229,7 +237,7 @@ func RefineContext(ctx context.Context, t *ctree.Tree, tc *tech.Tech, p Params) 
 			// Speculate: judge the next `batch` candidates against the
 			// same accepted state, each on its own scratch.
 			par.ForEach(workers, batch, func(b int) {
-				lats[b], skews[b] = w.Eval(eps[i+b].slot, scratches[b], nil)
+				lats[b], skews[b] = w.Trial(eps[i+b].slot, scratches[b])
 			})
 			accepted := false
 			for b := 0; b < batch && !accepted; b++ {

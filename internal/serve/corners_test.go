@@ -293,3 +293,51 @@ func TestCornerProgressEvents(t *testing.T) {
 		t.Fatalf("corner progress events: phase %v, %d point events", sawPhase, sawPoints)
 	}
 }
+
+// TestFinishedRecordDropsSinkDelays: a finished job's retained record holds
+// only its response view, so a job that did not ask for sink delays keeps
+// no per-sink delay map, top-level or per corner, alive after the cache
+// lets the result go. The cache keeps the full result: a later hit that
+// asks for delays still gets them.
+func TestFinishedRecordDropsSinkDelays(t *testing.T) {
+	q := NewQueue(Config{MaxRunning: 1, Workers: 1})
+	defer q.Close()
+	corners := []string{"slow", "typ"}
+	job, err := q.Submit(&Request{Design: "C4", Seed: 1, Corners: corners}, KindSynthesize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-job.Done()
+	job.mu.Lock()
+	res := job.result
+	job.mu.Unlock()
+	if res == nil || res.Metrics == nil || res.Corners == nil {
+		t.Fatalf("job ended %s without a cornered result", job.Info().State)
+	}
+	if res.Metrics.SinkDelays != nil {
+		t.Error("record holds the top-level sink delays")
+	}
+	for _, cr := range res.Corners.Results {
+		if cr.Metrics.SinkDelays != nil {
+			t.Errorf("record holds corner %s's sink delays", cr.Corner.Name)
+		}
+	}
+
+	hit, err := q.Submit(&Request{Design: "C4", Seed: 1, Corners: corners, IncludeSinkDelays: true}, KindSynthesize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-hit.Done()
+	info := hit.Info()
+	if !info.CacheHit {
+		t.Fatal("same request with include_sink_delays missed the cache")
+	}
+	if len(info.Result.Metrics.SinkDelays) != 1056 {
+		t.Errorf("cache hit carries %d sink delays, want 1056", len(info.Result.Metrics.SinkDelays))
+	}
+	for _, cr := range info.Result.Corners.Results {
+		if len(cr.Metrics.SinkDelays) != 1056 {
+			t.Errorf("cache hit carries %d sink delays for corner %s, want 1056", len(cr.Metrics.SinkDelays), cr.Corner.Name)
+		}
+	}
+}

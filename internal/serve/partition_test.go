@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -64,6 +65,59 @@ func TestSizeAdmissionControl(t *testing.T) {
 	}
 	if _, err := srv.Queue().Submit(&Request{Design: "C4"}, KindSynthesize); err != nil {
 		t.Fatalf("C4 submit: %v", err)
+	}
+}
+
+// TestBodyBoundedBeforeDecode: a request body larger than the sink budget
+// allows is refused with 413 while it is still being read — no size
+// estimate, since nothing was decoded — and counted as too large, not as a
+// submission. Requests within the budget are unaffected.
+func TestBodyBoundedBeforeDecode(t *testing.T) {
+	const maxSinks = 5000 // admits C1 (4380 sinks)
+	srv := NewServer(Config{MaxRunning: 1, Workers: 1, MaxJobSinks: maxSinks})
+	t.Cleanup(srv.Close)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	var body strings.Builder
+	body.WriteString(`{"root":{"x":0,"y":0},"sinks":[`)
+	for i := 0; body.Len() <= maxSinks*bodyBytesPerSink+bodyAllowance; i++ {
+		if i > 0 {
+			body.WriteByte(',')
+		}
+		fmt.Fprintf(&body, `{"x":%.10f,"y":%.10f}`, 1000+float64(i)/7, 2000+float64(i)/3)
+	}
+	body.WriteString(`]}`)
+	resp, err := http.Post(ts.URL+"/synthesize", "application/json", strings.NewReader(body.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var got struct {
+		Error          string `json:"error"`
+		EstimatedSinks int    `json:"estimated_sinks"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || got.EstimatedSinks != 0 ||
+		!strings.Contains(got.Error, "request body exceeds") {
+		t.Fatalf("over-limit body: status %d, body %+v; want 413 from the body bound", resp.StatusCode, got)
+	}
+	if st := srv.Queue().Stats(); st.Jobs.RejectedLarge != 1 || st.Jobs.Submitted != 0 {
+		t.Fatalf("stats after the over-limit body: %+v", st.Jobs)
+	}
+
+	client := NewClient(ts.URL)
+	ctx := context.Background()
+	for _, req := range []*Request{
+		{Design: "C1"},
+		{Root: &XY{0, 0}, Sinks: []XY{{10, 10}, {20, 5}}},
+	} {
+		info, err := client.Synthesize(ctx, req)
+		if err != nil || info.State != StateDone {
+			t.Fatalf("request within budget: %+v, %v", info, err)
+		}
 	}
 }
 

@@ -263,8 +263,8 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 // call at any time, from any goroutine, repeatedly.
 func (j *Job) Cancel() { j.cancel() }
 
-// Info snapshots the job. The result view honors the request's
-// IncludeSinkDelays.
+// Info snapshots the job. The result view, stored by finish, honors the
+// request's IncludeSinkDelays.
 func (j *Job) Info() JobInfo {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -272,7 +272,7 @@ func (j *Job) Info() JobInfo {
 		ID: j.id, Kind: j.kind, State: j.state, CacheHit: j.cacheHit,
 		Design: j.design, Sinks: j.sinks,
 		Created: j.created, Error: j.errMsg,
-		Result:   j.result.view(j.req.IncludeSinkDelays),
+		Result:   j.result,
 		TimedOut: j.timedOut, Panicked: j.panicked,
 	}
 	if !j.started.IsZero() {
@@ -391,14 +391,14 @@ func (j *Job) finish(state JobState, res *Result, err error) bool {
 	}
 	j.state = state
 	j.finished = time.Now()
-	j.result = res
-	ev := Event{Event: string(state), JobID: j.id}
+	// The record keeps only the response view: the cache owns the full
+	// result, and a retained record must not pin its per-sink delay maps
+	// after the cache evicts it.
+	j.result = res.view(j.req.IncludeSinkDelays)
+	ev := Event{Event: string(state), JobID: j.id, Result: j.result}
 	if err != nil {
 		j.errMsg = err.Error()
 		ev.Error = j.errMsg
-	}
-	if res != nil {
-		ev.Result = res.view(j.req.IncludeSinkDelays)
 	}
 	j.log = append(j.log, ev)
 	j.cond.Broadcast()

@@ -136,11 +136,30 @@ func (s *Server) Close() {
 	s.queue.Close()
 }
 
+// A request body is bounded before it is decoded, so the sink budget holds
+// before the body is in memory: a sink costs at most bodyBytesPerSink of
+// JSON (generous for a placement point plus an ECO move and remove of the
+// same sink), and bodyAllowance covers the rest of the request.
+const (
+	bodyBytesPerSink = 256
+	bodyAllowance    = 64 << 10
+)
+
 func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind string) {
+	if m := s.queue.cfg.MaxJobSinks; m > 0 { // negative disables the size check
+		r.Body = http.MaxBytesReader(w, r.Body, int64(m)*bodyBytesPerSink+bodyAllowance)
+	}
 	var req Request
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			s.queue.rejectedLarge.Add(1)
+			s.writeErr(w, r, http.StatusRequestEntityTooLarge,
+				fmt.Errorf("request body exceeds %d bytes (max_job_sinks %d)", tooBig.Limit, s.queue.cfg.MaxJobSinks))
+			return
+		}
 		s.writeErr(w, r, http.StatusBadRequest, fmt.Errorf("invalid JSON body: %w", err))
 		return
 	}
