@@ -51,6 +51,7 @@ race:
 	$(GO) test -race -count=1 ./internal/corner/
 	$(GO) test -race -count=1 ./internal/core/ ./internal/partition/ ./internal/eco/
 	$(GO) test -race -count=1 ./internal/eval/ ./internal/refine/
+	$(GO) test -race -count=1 ./internal/cluster/
 
 # The benchmark is its own module, so the root `go test ./...` never
 # compiles it; this keeps its calls into the engine building.
@@ -136,5 +137,7 @@ eco:
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkSubstrates|BenchmarkParallelSynthesize|BenchmarkPartitionSynthesize' -benchmem .
 
+# Pinned to GOMAXPROCS=1: CI's allocs-gate re-measures at GOMAXPROCS=1,
+# and `cismoke allocs` refuses reports recorded at different gomaxprocs.
 report:
-	$(GO) run ./cmd/benchgen -bench -bench-out BENCH_parallel.json
+	GOMAXPROCS=1 $(GO) run ./cmd/benchgen -bench -bench-out BENCH_parallel.json

@@ -5,9 +5,11 @@ package main
 // BENCH_parallel.json and fails when any stage's allocs_per_op or
 // bytes_per_op grew by more than the threshold. Unlike wall-clock, Go's
 // allocation accounting is machine-transferable — the same binary allocates
-// the same amounts on any host — which is exactly why the generic
-// `benchgen -compare` ratio gate leaves these columns alone and this
-// subcommand gates them instead.
+// the same amounts on any host at the same GOMAXPROCS — which is exactly
+// why the generic `benchgen -compare` ratio gate leaves these columns alone
+// and this subcommand gates them instead. The *-workersN stages run at
+// GOMAXPROCS workers, so the two reports must have been recorded at the
+// same gomaxprocs; the gate refuses to compare them otherwise.
 
 import (
 	"encoding/json"
@@ -33,7 +35,8 @@ func decodeFile(path string, v any) error {
 
 // parallelAllocView mirrors the BENCH_parallel.json fields this gate reads.
 type parallelAllocView struct {
-	Stages map[string]struct {
+	GOMAXPROCS int `json:"gomaxprocs"`
+	Stages     map[string]struct {
 		BytesPerOp  int64 `json:"bytes_per_op"`
 		AllocsPerOp int64 `json:"allocs_per_op"`
 	} `json:"stages"`
@@ -60,6 +63,11 @@ func cmdAllocs(args []string) error {
 	}
 	if len(base.Stages) == 0 || len(cur.Stages) == 0 {
 		return fmt.Errorf("empty stage table (baseline %d, new %d)", len(base.Stages), len(cur.Stages))
+	}
+	if base.GOMAXPROCS != cur.GOMAXPROCS {
+		return fmt.Errorf("gomaxprocs differs: baseline %s was recorded at %d, new %s at %d; "+
+			"the *-workersN stages allocate per worker, so rerun benchgen with GOMAXPROCS=%d",
+			fs.Arg(0), base.GOMAXPROCS, fs.Arg(1), cur.GOMAXPROCS, base.GOMAXPROCS)
 	}
 
 	names := make([]string, 0, len(base.Stages))

@@ -27,6 +27,9 @@ type Dual struct {
 	// LowSinks maps each flattened low-centroid index to the ORIGINAL sink
 	// indices it contains.
 	LowSinks [][]int
+	// Work sums the Lloyd effort of the high-level run, the low-level runs
+	// and the cap-aware splits.
+	Work Work
 }
 
 // DualOptions configures DualLevel.
@@ -41,9 +44,10 @@ type DualOptions struct {
 	// CPUs. Per-cluster seeds depend only on the high-cluster index, so
 	// the hierarchy is identical for every worker count.
 	Workers int
-	// Brute forces the reference O(n·k) nearest-centroid scan instead of
-	// the spatial grid. The grid is exact, so this exists only for
-	// benchmarking the accelerator against its baseline.
+	// Brute runs every k-means on the reference path (Options.Brute): a
+	// full O(n·k) scan each pass, with neither the spatial grid nor the
+	// bounds. Both are exact, so this exists only for benchmarking and
+	// cross-checking the accelerators against their baseline.
 	Brute bool
 
 	// CapOf, when set, gives the load a sink contributes to a leaf net
@@ -110,10 +114,12 @@ func DualLevel(sinks []geom.Point, opt DualOptions) (*Dual, error) {
 		})
 		home.sub.Put(sb)
 	})
+	d.Work = high.Work
 	for h, err := range lowErr {
 		if err != nil {
 			return nil, fmt.Errorf("cluster: low level %d: %w", h, err)
 		}
+		d.Work.add(d.Low[h].Work)
 	}
 
 	// The cap-aware flattening stays sequential: its recursive split seeds
@@ -147,10 +153,11 @@ func (d *Dual) appendCapAware(sinks []geom.Point, orig []int, centroid geom.Poin
 			// This pass is sequential by design (its seeds depend on the
 			// global append order), so the bipartitions run
 			// single-threaded to honor the Workers bound.
-			s := bisect(sinks, orig, Options{
+			s, work := bisect(sinks, orig, Options{
 				MaxIter: opt.MaxIter, Seed: opt.Seed + int64(len(d.LowSinks)) + 17,
 				Workers: 1, Brute: opt.Brute, Arena: opt.Arena,
 			}, home)
+			d.Work.add(work)
 			n := len(orig)
 			cnt0 := 0
 			for _, a := range s.assign[:n] {

@@ -15,10 +15,12 @@ import (
 // The search is exact and breaks distance ties by the lowest centroid
 // index, so it returns precisely the centroid the brute-force scan of
 // bruteNearest would return — the grid is a pure accelerator, never a
-// heuristic. It lives inside kmScratch and reuses its CSR buffers across
-// Lloyd iterations and across KMeans invocations; the hot ring walk is
-// written as straight loops over the flat centroid lanes (the closure-based
-// row/cell scanners it replaced were ~20% of clustering CPU).
+// heuristic. It serves only the bounded Lloyd path, which also takes the
+// walk's runner-up as a point's lower bound. It lives inside kmScratch and
+// reuses its CSR buffers across Lloyd iterations and across KMeans
+// invocations; the hot ring walk is written as straight loops over the
+// flat centroid lanes (the closure-based row/cell scanners it replaced
+// were ~20% of clustering CPU).
 type centGrid struct {
 	minX, minY float64
 	cell       float64 // cell edge length, µm
@@ -123,33 +125,40 @@ func (g *centGrid) build(cxs, cys []float64) {
 	}
 }
 
-// nearest returns the index of the exact nearest centroid to (px,py) (ties
-// broken by lowest index, matching bruteNearest). Distances are compared
-// squared: the ordering is identical and the hot loop avoids math.Hypot.
+// nearest returns the exact nearest centroid to (px,py) — ties broken by
+// lowest index, matching bruteNearest — with its squared distance, and a
+// squared lower bound on the distance to every other centroid. Distances
+// are compared squared: the ordering is identical and the hot loop avoids
+// math.Hypot.
 //
-// seed (when >= 0) primes the walk with a known candidate — the point's
-// previous assignment — whose distance upper-bounds the answer, so rings
-// beyond it terminate immediately. This is a pure accelerator: the
-// termination bound is strict (lb² > bestD2), so every centroid at distance
-// <= the current best is still scanned and the lowest-index tie-break is
-// applied to exactly the same candidate set as the unseeded walk.
-func (g *centGrid) nearest(px, py float64, cxs, cys []float64, seed int) int {
+// seed is the point's current centroid and seedD2 its squared distance
+// (computed as in the scan). The seed primes the walk, so rings beyond it
+// terminate immediately. This is a pure accelerator: the termination bound
+// is strict (lb² > bestD2), so every centroid at distance <= the current
+// best is still scanned and the lowest-index tie-break is applied to
+// exactly the candidate set a walk without the seed would see.
+//
+// The lower bound is the smaller of the runner-up among the scanned
+// centroids and the ring bound at which the walk stopped, since every
+// centroid it did not scan lies at least that far away. At a tie the
+// runner-up equals the best distance.
+func (g *centGrid) nearest(px, py float64, seed int, seedD2 float64) (best int, bestD2, otherD2 float64) {
 	qx := clampInt(int((px-g.minX)*g.inv), 0, g.nx-1)
 	qy := clampInt(int((py-g.minY)*g.inv), 0, g.ny-1)
-	best := -1
-	bestD2 := math.Inf(1)
-	if seed >= 0 {
-		dx, dy := px-cxs[seed], py-cys[seed]
-		best, bestD2 = seed, dx*dx+dy*dy
-	}
+	best, bestD2, otherD2 = seed, seedD2, math.Inf(1)
 	// scan streams one contiguous CSR range [lo,hi) through the packed
 	// coordinate lanes. Ring rows cover several adjacent cells in one range,
-	// so the common case is a single linear walk per row.
+	// so the common case is a single linear walk per row. The seed is met
+	// again in its own cell; while it is still the best, it must not count
+	// as its own runner-up.
 	scan := func(lo, hi int32) {
 		for t := lo; t < hi; t++ {
 			dx, dy := px-g.px[t], py-g.py[t]
-			if d2 := dx*dx + dy*dy; d2 < bestD2 || (d2 == bestD2 && int(g.items[t]) < best) {
-				best, bestD2 = int(g.items[t]), d2
+			c := int(g.items[t])
+			if d2 := dx*dx + dy*dy; d2 < bestD2 || (d2 == bestD2 && c < best) {
+				best, bestD2, otherD2 = c, d2, bestD2
+			} else if d2 < otherD2 && c != best {
+				otherD2 = d2
 			}
 		}
 	}
@@ -159,10 +168,10 @@ func (g *centGrid) nearest(px, py float64, cxs, cys []float64, seed int) int {
 		// lower-bounds true distance. Once that bound strictly exceeds
 		// the best distance (ties at exactly bestD2 could still have a
 		// lower index), no further ring can improve the answer.
-		if best >= 0 && r >= 1 {
+		if r >= 1 {
 			lb := float64(r-1) * g.cell
-			if lb*lb > bestD2 {
-				return best
+			if lb2 := lb * lb; lb2 > bestD2 {
+				return best, bestD2, min(otherD2, lb2)
 			}
 		}
 		visited := false
@@ -210,11 +219,10 @@ func (g *centGrid) nearest(px, py float64, cxs, cys []float64, seed int) int {
 				}
 			}
 		}
-		if !visited && best >= 0 {
-			return best // ring fully outside the grid; nothing further out
-		}
-		if !visited && r > g.nx+g.ny {
-			return best // unreachable guard: empty grid
+		if !visited {
+			// The ring lies wholly outside the grid, and so does every
+			// larger one: all centroids have been scanned.
+			return best, bestD2, otherD2
 		}
 	}
 }

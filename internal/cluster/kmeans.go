@@ -6,20 +6,40 @@
 // hierarchical DME step and for skew-refinement buffer sites.
 //
 // The Lloyd assignment step — the hot loop of the whole synthesis flow — is
-// accelerated three ways, none of which changes the result:
+// accelerated five ways, none of which changes the result:
 //
 //   - a spatial grid over the centroids answers exact nearest-centroid
 //     queries by ring search instead of the naive O(k) scan (see grid.go);
+//   - Hamerly-style bounds skip most of those queries. Every point keeps an
+//     upper bound u on the distance to its own centroid and a lower bound l
+//     on the distance to every other centroid; after each centroid update u
+//     grows by its centroid's drift and l shrinks by the largest drift
+//     (triangle inequality). A point whose u stays below l keeps its
+//     centroid without a search; otherwise u is tightened to the exact
+//     distance and tested again before the search runs. The test demands a
+//     strict win by a margin (see settled) far above any rounding in the
+//     bounds or in the squared-distance comparison, so a skipped point's
+//     centroid is strictly nearest and the lowest-index tie rule never
+//     applies to it: a point at a tie always takes the search;
+//   - the first pass takes its assignment and both bounds from the
+//     k-means++ seeding, which has already computed every point's squared
+//     distance to every seed with the search's expression and its
+//     strict-< (lowest index wins) tie rule;
 //   - the per-point assignment loop is sharded across a worker pool
 //     (Options.Workers). Assignments are pure per-point functions of the
-//     centroid set and centroid updates are accumulated sequentially, so any
-//     worker count produces bit-identical clusterings;
+//     centroid set and the point's own bounds, and centroid updates are
+//     accumulated sequentially, so any worker count produces bit-identical
+//     clusterings;
 //   - all inner loops run over flat struct-of-arrays x/y float64 slices held
 //     in a reusable scratch arena (kmScratch) instead of []geom.Point, so a
 //     whole Lloyd run allocates nothing after the first invocation warms the
 //     scratch. The scratch comes from the job arena (Options.Arena) when one
 //     is attached, or from a package-level pool otherwise — repeated calls
 //     reuse buffers either way.
+//
+// Options.Brute keeps the reference path — a full O(k) scan for every point
+// in every pass, with no grid, no bounds and no seed-derived first pass —
+// so the accelerated path can be checked against it.
 //
 // Iterations also stop as soon as the centroid set reaches a fixed point
 // (exact equality), which skips the trailing no-op assignment passes of a
@@ -45,6 +65,29 @@ type Result struct {
 	Centroids []geom.Point
 	// Members lists the point indices of each cluster.
 	Members [][]int
+	// Work counts the Lloyd effort behind the solution.
+	Work Work
+}
+
+// Work counts the effort of the Lloyd runs behind a clustering. Every count
+// is a function of the input and the options other than Workers, so it
+// repeats exactly on any host and at any worker count.
+type Work struct {
+	// Iterations is the number of Lloyd assignment passes.
+	Iterations int
+	// Assignments is the number of point assignments those passes made: n
+	// per pass.
+	Assignments int
+	// Searches is the number of nearest-centroid searches (grid ring walk
+	// or brute scan) among those assignments. The rest were settled by the
+	// bounds or taken from the seeding; Brute runs search every one.
+	Searches int
+}
+
+func (w *Work) add(o Work) {
+	w.Iterations += o.Iterations
+	w.Assignments += o.Assignments
+	w.Searches += o.Searches
 }
 
 // K returns the number of clusters.
@@ -77,9 +120,10 @@ type Options struct {
 	// Workers shards the assignment loop; <= 0 means all CPUs. The result
 	// is identical for every worker count.
 	Workers int
-	// Brute disables the spatial-grid nearest-centroid accelerator and
-	// forces the reference O(n·k) scan. The grid is exact, so this only
-	// exists for benchmarking and cross-checking (see grid.go).
+	// Brute runs the reference path: every pass scans all k centroids for
+	// every point, with neither the spatial grid nor the bounds nor the
+	// seed-derived first pass. Those accelerators are exact, so this only
+	// exists for benchmarking and cross-checking them.
 	Brute bool
 	// Arena, when set, sources all Lloyd scratch from the job's arena so
 	// recycled jobs cluster allocation-free. A nil Arena falls back to a
@@ -99,7 +143,14 @@ type kmScratch struct {
 	cnt      []int
 	d2       []float64 // k-means++ distance field
 	assign   []int
-	changed  []bool // per-chunk assignment-change flags
+	chunks   []chunkStat
+	// Bounded runs only (see settled): per point, an upper bound on the
+	// distance to its own centroid and a lower bound on the distance to
+	// every other one; per centroid, how far the last update moved it.
+	ub, lb   []float64
+	drift    []float64
+	maxDrift float64
+	slack    float64 // absolute margin of the bound test
 	remap    []int
 	members  []int // balance: counting-sorted member index backing
 	moff     []int
@@ -163,19 +214,21 @@ func KMeans(pts []geom.Point, opt Options) (*Result, error) {
 		s.xs[i] = p.X
 		s.ys[i] = p.Y
 	}
-	lloyd(s, n, k, opt)
+	work := lloyd(s, n, k, opt)
 	if opt.Balance {
 		balance(s, n, k, opt.TargetSize)
 		recompute(s, n, k)
 	}
-	return buildResult(s, n, k), nil
+	res := buildResult(s, n, k)
+	res.Work = work
+	return res, nil
 }
 
 // lloyd runs the k-means++ seeding and the Lloyd iteration loop entirely in
 // scratch, leaving the final assignment in s.assign[:n] and the centroids in
 // s.cxs/s.cys[:k]. It is shared by KMeans and the allocation-free bisect
 // entry of the cap-aware splitter.
-func lloyd(s *kmScratch, n, k int, opt Options) {
+func lloyd(s *kmScratch, n, k int, opt Options) Work {
 	s.cxs = arena.Grow(s.cxs, k)
 	s.cys = arena.Grow(s.cys, k)
 	s.pxs = arena.Grow(s.pxs, k)
@@ -184,20 +237,36 @@ func lloyd(s *kmScratch, n, k int, opt Options) {
 	s.sys = arena.Grow(s.sys, k)
 	s.cnt = arena.Grow(s.cnt, k)
 	s.assign = arena.GrowZero(s.assign, n)
-	s.changed = arena.Grow(s.changed, (n+assignChunk-1)/assignChunk)
+	s.chunks = arena.Grow(s.chunks, (n+assignChunk-1)/assignChunk)
+	bounded := !opt.Brute && s.boundsExact(n, opt.MaxIter)
+	if bounded {
+		s.ub = arena.Grow(s.ub, n)
+		s.lb = arena.Grow(s.lb, n)
+		s.drift = arena.Grow(s.drift, k)
+	}
 
 	// PCG seeding is effectively free, which matters because the
 	// cap-aware splitting of the dual-level hierarchy re-enters KMeans
 	// hundreds of times on small point sets.
 	rng := rand.New(rand.NewPCG(uint64(opt.Seed), 0x9e3779b97f4a7c15))
-	seedPlusPlus(s, n, k, rng)
+	seedPlusPlus(s, n, k, rng, bounded)
 	workers := par.N(opt.Workers)
-	useGrid := !opt.Brute && s.grid.size(s.cxs, s.cys)
+	useGrid := bounded && s.grid.size(s.cxs, s.cys)
+	var work Work
 	for iter := 0; iter < opt.MaxIter; iter++ {
-		if useGrid {
-			s.grid.build(s.cxs, s.cys)
+		work.Iterations++
+		work.Assignments += n
+		// A bounded run's first assignment came with the seeding. Whether
+		// the first pass changed anything is never read.
+		changed := false
+		if iter > 0 || !bounded {
+			if useGrid {
+				s.grid.build(s.cxs, s.cys)
+			}
+			var searches int
+			changed, searches = assignNearest(s, bounded, useGrid, workers)
+			work.Searches += searches
 		}
-		changed := assignNearest(s, useGrid, workers)
 		copy(s.pxs, s.cxs)
 		copy(s.pys, s.cys)
 		recompute(s, n, k)
@@ -210,7 +279,11 @@ func lloyd(s *kmScratch, n, k int, opt Options) {
 		if centsEqual(s, k) {
 			break
 		}
+		if bounded {
+			s.measureDrift(k)
+		}
 	}
+	return work
 }
 
 // bisect is the allocation-free twin of KMeans for the cap-aware recursive
@@ -221,7 +294,7 @@ func lloyd(s *kmScratch, n, k int, opt Options) {
 // materializes point subsets. The computation — seeding, iteration, early
 // exits — is byte-for-byte the KMeans code path, so the split hierarchy is
 // bit-identical to the one the full KMeans entry produced.
-func bisect(sinks []geom.Point, idx []int, opt Options, home *clusterScratch) *kmScratch {
+func bisect(sinks []geom.Point, idx []int, opt Options, home *clusterScratch) (*kmScratch, Work) {
 	n := len(idx)
 	if opt.MaxIter <= 0 {
 		opt.MaxIter = 50
@@ -236,8 +309,7 @@ func bisect(sinks []geom.Point, idx []int, opt Options, home *clusterScratch) *k
 		s.xs[i] = sinks[id].X
 		s.ys[i] = sinks[id].Y
 	}
-	lloyd(s, n, 2, opt)
-	return s
+	return s, lloyd(s, n, 2, opt)
 }
 
 func centsEqual(s *kmScratch, k int) bool {
@@ -251,12 +323,16 @@ func centsEqual(s *kmScratch, k int) bool {
 
 // seedPlusPlus is the k-means++ seeding: spread initial centroids with
 // probability proportional to squared distance from the nearest chosen seed.
-// It writes the k seeds into s.cxs/s.cys.
-func seedPlusPlus(s *kmScratch, n, k int, rng *rand.Rand) {
+// It writes the k seeds into s.cxs/s.cys. A bounded run also gets the first
+// pass's assignment and bounds from it: the distance field already holds
+// every point's squared distance to its nearest seed, computed with the
+// search's expression and kept under its strict-< rule, so the lowest index
+// wins ties exactly as in a search over the k seeds.
+func seedPlusPlus(s *kmScratch, n, k int, rng *rand.Rand, bounded bool) {
 	first := rng.IntN(n)
 	s.cxs[0] = s.xs[first]
 	s.cys[0] = s.ys[first]
-	if k == 1 {
+	if k == 1 && !bounded {
 		// The distance field below only steers the CHOICE of later seeds;
 		// with a single centroid it is dead work (the rng is not consulted
 		// again), so skipping it cannot change any result.
@@ -269,6 +345,13 @@ func seedPlusPlus(s *kmScratch, n, k int, rng *rand.Rand) {
 		dx, dy := s.xs[i]-s.cxs[0], s.ys[i]-s.cys[0]
 		d2[i] = dx*dx + dy*dy
 		total += d2[i]
+	}
+	if bounded {
+		// s.lb holds the squared runner-up distance until the end.
+		for i := 0; i < n; i++ {
+			s.assign[i] = 0
+			s.lb[i] = math.Inf(1)
+		}
 	}
 	for kc := 1; kc < k; kc++ {
 		var next int
@@ -292,12 +375,87 @@ func seedPlusPlus(s *kmScratch, n, k int, rng *rand.Rand) {
 		// Tighten the distance field and rebuild its sum in one pass
 		// (recomputing rather than decrementing keeps the sum exact).
 		total = 0
+		if bounded {
+			xs, ys, assign, second := s.xs[:n], s.ys[:n], s.assign[:n], s.lb[:n]
+			for i, v := range d2 {
+				dx, dy := xs[i]-cx, ys[i]-cy
+				if w := dx*dx + dy*dy; w < v {
+					second[i] = v
+					d2[i] = w
+					assign[i] = kc
+				} else if w < second[i] {
+					second[i] = w
+				}
+				total += d2[i]
+			}
+			continue
+		}
 		for i := 0; i < n; i++ {
 			dx, dy := s.xs[i]-cx, s.ys[i]-cy
 			if v := dx*dx + dy*dy; v < d2[i] {
 				d2[i] = v
 			}
 			total += d2[i]
+		}
+	}
+	if bounded {
+		for i := 0; i < n; i++ {
+			s.ub[i] = math.Sqrt(d2[i])
+			s.lb[i] = math.Sqrt(s.lb[i])
+		}
+	}
+}
+
+// boundRel is the relative margin of the bound test; the absolute margin is
+// boundRel times the largest coordinate magnitude.
+const boundRel = 0x1p-30
+
+// boundMaxIter caps the passes of a bounded run. Each pass adds at most a
+// few ulps of the point set's extent to a bound's rounding error, so 2^16
+// passes stay far inside the 2^-30 margin (about 2^23 ulps).
+const boundMaxIter = 1 << 16
+
+// boundsExact sets the bound test's absolute margin and reports whether
+// the bounded path reproduces the reference exactly for these points;
+// lloyd runs the reference path for any input that fails. It does
+// whenever the run has at most boundMaxIter passes and the largest
+// coordinate magnitude m lies in [2^-400, 2^400]:
+// every squared distance then stays clear of overflow, and any gap the
+// margin admits (at least 2^-430) squares well above the subnormal range,
+// so the rounding of each squared distance stays relative. A NaN
+// coordinate makes m NaN and fails the check.
+func (s *kmScratch) boundsExact(n, maxIter int) bool {
+	m := 0.0
+	for i := 0; i < n; i++ {
+		m = max(m, math.Abs(s.xs[i]), math.Abs(s.ys[i]))
+	}
+	s.slack = boundRel * m
+	return m >= 0x1p-400 && m <= 0x1p400 && maxIter <= boundMaxIter
+}
+
+// settled reports whether the bounds prove a point's centroid strictly
+// nearest: u, an upper bound on its distance, beats l, a lower bound on the
+// distance to every other centroid, by more than the rounding that the
+// bounds' updates, the square roots and the ring bound can hide. The
+// relative term covers the distances themselves, and the absolute slack
+// (kmScratch.slack) the sums and differences, whose rounding scales with
+// the coordinates. A strict win by that margin survives the rounding of
+// the squared distances the search would compare, so the search would
+// return the same centroid.
+func settled(u, l, slack float64) bool {
+	return u+u*boundRel+slack < l
+}
+
+// measureDrift records how far each centroid moved in the last update (from
+// s.pxs/s.pys to s.cxs/s.cys) and the largest such move.
+func (s *kmScratch) measureDrift(k int) {
+	s.maxDrift = 0
+	for c := 0; c < k; c++ {
+		dx, dy := s.cxs[c]-s.pxs[c], s.cys[c]-s.pys[c]
+		d := math.Sqrt(dx*dx + dy*dy)
+		s.drift[c] = d
+		if d > s.maxDrift {
+			s.maxDrift = d
 		}
 	}
 }
@@ -309,83 +467,89 @@ func seedPlusPlus(s *kmScratch, n, k int, rng *rand.Rand) {
 // the centroid lanes stream through.
 const assignChunk = 2048
 
-// assignNearest writes the index of the exact nearest centroid (lowest
-// index on ties) for every point, using the grid accelerator when one is
-// available and sharding across workers. Each point's assignment is an
-// independent pure function, so the output is schedule-independent.
-func assignNearest(s *kmScratch, useGrid bool, workers int) bool {
+// chunkStat is one assignment chunk's outcome, written only by the worker
+// that runs the chunk.
+type chunkStat struct {
+	changed  bool
+	searches int
+}
+
+// assignNearest moves every point to its exact nearest centroid (lowest
+// index on ties), sharding the chunks across workers, and reports whether
+// any assignment changed and how many searches ran. Each point's outcome
+// is a pure function of the centroids and its own bounds, so the output is
+// schedule-independent.
+func assignNearest(s *kmScratch, bounded, useGrid bool, workers int) (changed bool, searches int) {
 	n := len(s.xs)
-	for i := range s.changed {
-		s.changed[i] = false
-	}
 	if workers <= 1 {
 		// Inline chunk walk: same chunk boundaries and per-point work as
-		// the pooled path, minus the escaping closures (which used to cost
+		// the pooled path, minus the escaping closure (which used to cost
 		// two heap allocations per Lloyd pass — thousands per clustering
 		// once the cap-aware splitter re-enters KMeans per low cluster).
 		for lo := 0; lo < n; lo += assignChunk {
-			hi := lo + assignChunk
-			if hi > n {
-				hi = n
-			}
-			chunkChanged := false
-			if useGrid {
-				for i := lo; i < hi; i++ {
-					best := s.grid.nearest(s.xs[i], s.ys[i], s.cxs, s.cys, s.assign[i])
-					if s.assign[i] != best {
-						s.assign[i] = best
-						chunkChanged = true
-					}
-				}
-			} else {
-				for i := lo; i < hi; i++ {
-					best := bruteNearest(s.xs[i], s.ys[i], s.cxs, s.cys)
-					if s.assign[i] != best {
-						s.assign[i] = best
-						chunkChanged = true
-					}
-				}
-			}
-			if chunkChanged {
-				s.changed[lo/assignChunk] = true
-			}
+			s.chunks[lo/assignChunk] = s.assignRange(lo, min(lo+assignChunk, n), bounded, useGrid)
 		}
-		for _, c := range s.changed {
-			if c {
-				return true
-			}
-		}
-		return false
+	} else {
+		par.Chunks(workers, n, assignChunk, func(lo, hi int) {
+			s.chunks[lo/assignChunk] = s.assignRange(lo, hi, bounded, useGrid)
+		})
 	}
-	par.Chunks(workers, n, assignChunk, func(lo, hi int) {
-		chunkChanged := false
-		if useGrid {
-			for i := lo; i < hi; i++ {
-				best := s.grid.nearest(s.xs[i], s.ys[i], s.cxs, s.cys, s.assign[i])
-				if s.assign[i] != best {
-					s.assign[i] = best
-					chunkChanged = true
-				}
-			}
-		} else {
-			for i := lo; i < hi; i++ {
-				best := bruteNearest(s.xs[i], s.ys[i], s.cxs, s.cys)
-				if s.assign[i] != best {
-					s.assign[i] = best
-					chunkChanged = true
-				}
-			}
-		}
-		if chunkChanged {
-			s.changed[lo/assignChunk] = true
-		}
-	})
-	for _, c := range s.changed {
-		if c {
-			return true
-		}
+	for _, c := range s.chunks {
+		changed = changed || c.changed
+		searches += c.searches
 	}
-	return false
+	return changed, searches
+}
+
+// assignRange assigns the points [lo,hi). The reference path scans every
+// centroid for every point. The bounded path first moves the point's bounds
+// by the last update's drifts; only if they no longer settle it, and still
+// do not once u is tightened to the exact distance, does it search, and the
+// search resets both bounds.
+func (s *kmScratch) assignRange(lo, hi int, bounded, useGrid bool) chunkStat {
+	var st chunkStat
+	if !bounded {
+		for i := lo; i < hi; i++ {
+			if best := bruteNearest(s.xs[i], s.ys[i], s.cxs, s.cys); s.assign[i] != best {
+				s.assign[i] = best
+				st.changed = true
+			}
+		}
+		st.searches = hi - lo
+		return st
+	}
+	// Locals keep the loop-invariant fields in registers across the lane
+	// stores.
+	assign, xs, ys := s.assign[lo:hi], s.xs[lo:hi], s.ys[lo:hi]
+	ub, lb := s.ub[lo:hi], s.lb[lo:hi]
+	cxs, cys, drift := s.cxs, s.cys, s.drift
+	maxDrift, slack := s.maxDrift, s.slack
+	for i, a := range assign {
+		u, l := ub[i]+drift[a], lb[i]-maxDrift
+		if !settled(u, l, slack) {
+			px, py := xs[i], ys[i]
+			dx, dy := px-cxs[a], py-cys[a]
+			d2 := dx*dx + dy*dy
+			u = math.Sqrt(d2)
+			if !settled(u, l, slack) {
+				var best int
+				var l2 float64
+				if useGrid {
+					best, d2, l2 = s.grid.nearest(px, py, a, d2)
+				} else {
+					best, d2, l2 = bruteNearest2(px, py, cxs, cys)
+				}
+				st.searches++
+				u, l = math.Sqrt(d2), math.Sqrt(l2)
+				if best != a {
+					assign[i] = best
+					st.changed = true
+				}
+			}
+		}
+		ub[i], lb[i] = u, l
+	}
+	return st
 }
 
 // bruteNearest is the reference O(k) scan; first minimum wins, which equals
@@ -400,6 +564,22 @@ func bruteNearest(px, py float64, cxs, cys []float64) int {
 		}
 	}
 	return best
+}
+
+// bruteNearest2 is bruteNearest that also returns the winner's squared
+// distance and the runner-up's, the bounded path's two bounds squared. At a
+// tie the runner-up equals the winner, so the tied point is never settled.
+func bruteNearest2(px, py float64, cxs, cys []float64) (best int, bestD2, secondD2 float64) {
+	bestD2, secondD2 = math.Inf(1), math.Inf(1)
+	for c := range cxs {
+		dx, dy := px-cxs[c], py-cys[c]
+		if d2 := dx*dx + dy*dy; d2 < bestD2 {
+			best, bestD2, secondD2 = c, d2, bestD2
+		} else if d2 < secondD2 {
+			secondD2 = d2
+		}
+	}
+	return best, bestD2, secondD2
 }
 
 // recompute rebuilds the centroid set from the current assignment, in place

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -156,5 +157,36 @@ func TestIdempotencyRingFallthrough(t *testing.T) {
 	}
 	if st.Jobs.Submitted != 3 {
 		t.Errorf("submitted = %d, want 3", st.Jobs.Submitted)
+	}
+}
+
+// TestSyncResponseSeesJobRetired: a job wakes its waiters only after it is
+// counted and retired, so right after a sync response the queue already
+// counts the job as done and, with a one-slot retention ring, has already
+// forgotten the previous job's record.
+func TestSyncResponseSeesJobRetired(t *testing.T) {
+	s, client := newTestServer(t, Config{
+		MaxRunning: 1, MaxQueued: 4, Workers: 1, RetainJobs: 1,
+	})
+	ctx := context.Background()
+	prev := ""
+	// Fresh seeds run on a runner; the repeats are served from the cache.
+	for i, seed := range []int64{1, 2, 3, 1, 4, 2} {
+		info, err := client.Synthesize(ctx, &Request{Design: "C4", Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.State != StateDone {
+			t.Fatalf("job %d (%s) ended %s", i, info.ID, info.State)
+		}
+		if done := s.Queue().Stats().Jobs.Done; done != int64(i+1) {
+			t.Errorf("after response %d (%s, hit %v): done = %d, want %d", i, info.ID, info.CacheHit, done, i+1)
+		}
+		if prev != "" {
+			if _, err := s.Queue().Job(prev); !errors.Is(err, ErrNotFound) {
+				t.Errorf("after response %d (%s): previous job %s still retained (lookup error %v)", i, info.ID, prev, err)
+			}
+		}
+		prev = info.ID
 	}
 }

@@ -380,9 +380,8 @@ func (j *Job) setPanicked() {
 }
 
 // finish moves the job to a terminal state exactly once, reporting whether
-// THIS call did the transition. Late finishers — an abandoned body returning
-// after the watchdog already failed the job — get false and must not touch
-// the queue counters again.
+// THIS call did the transition. It leaves done open: only Queue.settle, the
+// one caller, closes it, after counting and retiring the job.
 func (j *Job) finish(state JobState, res *Result, err error) bool {
 	j.mu.Lock()
 	if j.state.terminal() {
@@ -404,7 +403,6 @@ func (j *Job) finish(state JobState, res *Result, err error) bool {
 	j.cond.Broadcast()
 	j.mu.Unlock()
 	j.cancel() // release the context's resources
-	close(j.done)
 	return true
 }
 
@@ -836,14 +834,11 @@ func (q *Queue) sweepStuck(now time.Time) {
 				q.cfg.WatchdogGrace, j.timeout)
 			j.setTimedOut()
 		}
-		if j.finish(state, nil, err) {
-			q.watchdogCt.Add(1)
-			if timedOut {
-				q.failedCt.Add(1)
-				q.timeoutCt.Add(1)
-			} else {
-				q.cancelCt.Add(1)
-			}
+		counters := []*atomic.Int64{&q.watchdogCt, &q.cancelCt}
+		if timedOut {
+			counters = []*atomic.Int64{&q.watchdogCt, &q.failedCt, &q.timeoutCt}
+		}
+		if q.settle(j, state, nil, err, counters...) {
 			q.log.Warn("watchdog abandoned stuck job",
 				"job", j.id, "kind", j.kind, "timed_out", timedOut,
 				"grace", q.cfg.WatchdogGrace, "request_id", j.reqID)
@@ -959,13 +954,10 @@ func (q *Queue) submitNew(req *Request, kind string) (*Job, error) {
 		if err := q.admit(job, false); err != nil {
 			return nil, err
 		}
-		if job.finish(StateDone, res, nil) {
-			q.doneCt.Add(1)
-		}
+		q.settle(job, StateDone, res, nil, &q.doneCt)
 		q.log.Debug("job served from cache",
 			"job", job.id, "kind", kind, "design", design, "sinks", sinks,
 			"request_id", job.reqID)
-		q.retire(job)
 		return job, nil
 	}
 	if err := q.admit(job, true); err != nil {
@@ -1154,10 +1146,7 @@ func (q *Queue) Close() {
 		}
 		// Drain jobs the runners never picked up.
 		for _, job := range q.sched.drain() {
-			if job.finish(StateCancelled, nil, context.Canceled) {
-				q.cancelCt.Add(1)
-			}
-			q.retire(job)
+			q.settle(job, StateCancelled, nil, context.Canceled, &q.cancelCt)
 		}
 	})
 }
@@ -1179,9 +1168,27 @@ func (q *Queue) RetryAfter() time.Duration {
 	return d
 }
 
+// settle is the one funnel of every terminal transition. The call that wins
+// the transition bumps the given counters, retires the job, and only then
+// closes done, so a client woken by done finds the job counted and its
+// record in the retention ring. A late finisher — an abandoned body
+// returning after the watchdog already failed the job — changes nothing
+// and gets false.
+func (q *Queue) settle(job *Job, state JobState, res *Result, err error, counters ...*atomic.Int64) bool {
+	if !job.finish(state, res, err) {
+		return false
+	}
+	for _, c := range counters {
+		c.Add(1)
+	}
+	q.retire(job)
+	close(job.done)
+	return true
+}
+
 // retire records a finished job in the retention ring, forgetting the
-// oldest finished jobs beyond the cap. Every job passes through exactly
-// once, already terminal, which makes it the one funnel for the latency
+// oldest finished jobs beyond the cap. settle calls it exactly once per
+// job, already terminal, which makes it the one funnel for the latency
 // histograms and the per-job log line.
 func (q *Queue) retire(job *Job) {
 	q.metrics.observeRetired(job)
@@ -1228,11 +1235,8 @@ func (q *Queue) run(job *Job) {
 	// on — also after a watchdog abandon, where the stuck body lingers
 	// but its slot is already being reused.
 	defer q.sched.release(job)
-	defer q.retire(job)
 	if job.ctx.Err() != nil { // cancelled while queued
-		if job.finish(StateCancelled, nil, job.ctx.Err()) {
-			q.cancelCt.Add(1)
-		}
+		q.settle(job, StateCancelled, nil, job.ctx.Err(), &q.cancelCt)
 		return
 	}
 	runCtx, cancelRun := job.ctx, context.CancelFunc(func() {})
@@ -1264,17 +1268,15 @@ func (q *Queue) run(job *Job) {
 
 // execute is the job body: recover any panic into a structured failure,
 // apply the serve.job injection point, dispatch by kind and classify the
-// terminal state. Runs in its own goroutine; all counter updates are gated
-// on finish() returning true so a late-returning abandoned body cannot
+// terminal state. Runs in its own goroutine; all terminal counters move
+// inside settle, which a late-returning abandoned body loses, so it cannot
 // double-count.
 func (q *Queue) execute(job *Job, ctx context.Context) {
 	defer func() {
 		if r := recover(); r != nil {
 			q.recordPanic(job.id, r, debug.Stack())
 			job.setPanicked()
-			if job.finish(StateFailed, nil, fmt.Errorf("serve: job panicked: %v", r)) {
-				q.failedCt.Add(1)
-			}
+			q.settle(job, StateFailed, nil, fmt.Errorf("serve: job panicked: %v", r), &q.failedCt)
 			q.panicCt.Add(1)
 			q.log.Warn("job panicked (recovered)",
 				"job", job.id, "kind", job.kind, "panic", fmt.Sprint(r),
@@ -1379,23 +1381,15 @@ func (q *Queue) finishJob(job *Job, runCtx context.Context, res *Result, err err
 		if q.cache.Put(job.key, res) {
 			q.persistResult(job.key, res)
 		}
-		if job.finish(StateDone, res, nil) {
-			q.doneCt.Add(1)
-		}
+		q.settle(job, StateDone, res, nil, &q.doneCt)
 	case errors.Is(runCtx.Err(), context.DeadlineExceeded) && job.ctx.Err() == nil:
 		job.setTimedOut()
-		if job.finish(StateFailed, nil, fmt.Errorf("serve: deadline exceeded after %v: %w", job.timeout, err)) {
-			q.failedCt.Add(1)
-			q.timeoutCt.Add(1)
-		}
+		q.settle(job, StateFailed, nil, fmt.Errorf("serve: deadline exceeded after %v: %w", job.timeout, err),
+			&q.failedCt, &q.timeoutCt)
 	case job.ctx.Err() != nil:
-		if job.finish(StateCancelled, nil, err) {
-			q.cancelCt.Add(1)
-		}
+		q.settle(job, StateCancelled, nil, err, &q.cancelCt)
 	default:
-		if job.finish(StateFailed, nil, err) {
-			q.failedCt.Add(1)
-		}
+		q.settle(job, StateFailed, nil, err, &q.failedCt)
 	}
 }
 
