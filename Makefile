@@ -3,7 +3,7 @@
 #   make ci          - build + vet + test + fuzz smoke (what the roadmap calls tier-1)
 #   make race        - race detector on the determinism + corner + service + ECO + what-if suites
 #   make perfbench-test - vet + unit tests of the benchmark module (perfbench/, its own go.mod)
-#   make fuzz        - 10s fuzz smoke per parser target (DEF, LEF)
+#   make fuzz        - 10s fuzz smoke per fuzz target (DEF, LEF, request decoder)
 #   make golden      - golden-metrics regression suite (make golden-update re-pins)
 #   make staticcheck - pinned staticcheck over the whole tree (fetches the tool)
 #   make vulncheck   - pinned govulncheck over the whole tree (fetches the tool)
@@ -52,6 +52,7 @@ race:
 	$(GO) test -race -count=1 ./internal/core/ ./internal/partition/ ./internal/eco/
 	$(GO) test -race -count=1 ./internal/eval/ ./internal/refine/
 	$(GO) test -race -count=1 ./internal/cluster/
+	$(GO) test -race -count=1 ./internal/insert/ ./internal/arena/
 
 # The benchmark is its own module, so the root `go test ./...` never
 # compiles it; this keeps its calls into the engine building.
@@ -61,6 +62,7 @@ perfbench-test:
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzParseDEF -fuzztime 10s ./internal/def
 	$(GO) test -run xxx -fuzz FuzzParseLEF -fuzztime 10s ./internal/lef
+	$(GO) test -run xxx -fuzz FuzzRequestDecode -fuzztime 10s ./internal/serve
 
 golden:
 	$(GO) test -run TestGoldenMetrics .

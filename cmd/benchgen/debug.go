@@ -10,7 +10,7 @@ import (
 // serveDebug mounts net/http/pprof on its own listener for the lifetime of
 // the process, mirroring dsctsd's -debug-addr: the nightly heap soak runs a
 // long chaos load with this enabled and scrapes /debug/pprof/heap mid-soak
-// so the uploaded profile shows the steady-state arena/cache footprint, not
+// so the uploaded profile shows the steady-state scratch/cache footprint, not
 // an idle post-drain heap. A listen failure only disables profiling — the
 // soak itself must keep running — so it is reported and swallowed.
 func serveDebug(addr string) {

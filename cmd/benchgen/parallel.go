@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"testing"
 
-	"dscts/internal/arena"
 	"dscts/internal/bench"
 	"dscts/internal/cluster"
 	"dscts/internal/core"
@@ -25,37 +24,30 @@ type stageResult struct {
 	Iterations  int   `json:"iterations"`
 }
 
-// gcProfile is the GC cost of a fixed batch of synthesis runs, measured
-// cold (fresh scratch every run) and warm (one recycled arena). Pause totals
-// are wall-clock dependent and therefore deliberately not gated by the
-// bench comparator (suffix _ms); the collection counts are the structural
-// evidence that arena recycling removes GC pressure.
+// gcProfile is the GC cost of a fixed batch of back-to-back synthesis runs,
+// whose scratch the package pools recycle from one run to the next. The
+// pause total is wall-clock dependent and therefore deliberately not gated
+// by the bench comparator (suffix _ms).
 type gcProfile struct {
-	Runs             int     `json:"runs"`
-	ColdCollections  uint32  `json:"cold_collections"`
-	ColdPauseTotalMS float64 `json:"cold_pause_total_ms"`
-	WarmCollections  uint32  `json:"warm_collections"`
-	WarmPauseTotalMS float64 `json:"warm_pause_total_ms"`
+	Runs         int     `json:"runs"`
+	Collections  uint32  `json:"collections"`
+	PauseTotalMS float64 `json:"pause_total_ms"`
 }
 
 // benchReport is the machine-readable evidence file for the parallel,
 // allocation-lean synthesis engine: per-stage cost at one worker and at
 // GOMAXPROCS, plus the pre-accelerator clustering reference. The
-// *-arenawarm-* stages re-run a stage on one recycled arena.Job (warmed by a
-// single untimed run), so their bytes/allocs columns are the steady-state
-// cost of a recycled job; ArenaSavings summarizes the warm-vs-cold drop as
-// saved fractions (1 = everything saved). Those fractions feed the
-// `cismoke allocs` CI gate rather than the ratio comparator.
+// bytes/allocs columns feed the `cismoke allocs` CI gate rather than the
+// ratio comparator.
 type benchReport struct {
-	GOOS         string                 `json:"goos"`
-	GOARCH       string                 `json:"goarch"`
-	NumCPU       int                    `json:"num_cpu"`
-	GOMAXPROCS   int                    `json:"gomaxprocs"`
-	Stages       map[string]stageResult `json:"stages"`
-	Speedups     map[string]float64     `json:"speedups"`
-	ArenaSavings map[string]float64     `json:"arena_savings"`
-	GCSynthC3    gcProfile              `json:"gc_synthesize_C3"`
-	Notes        []string               `json:"notes"`
+	GOOS       string                 `json:"goos"`
+	GOARCH     string                 `json:"goarch"`
+	NumCPU     int                    `json:"num_cpu"`
+	GOMAXPROCS int                    `json:"gomaxprocs"`
+	Stages     map[string]stageResult `json:"stages"`
+	Speedups   map[string]float64     `json:"speedups"`
+	GCSynthC3  gcProfile              `json:"gc_synthesize_C3"`
+	Notes      []string               `json:"notes"`
 }
 
 func measure(fn func(b *testing.B)) stageResult {
@@ -114,16 +106,6 @@ func runBench(path string) error {
 	optPar := dualOpt
 	optPar.Workers = nCPU
 	stages["clustering-C3-grid-workersN"] = measure(clusterBench(optPar))
-	optWarm := dualOpt
-	optWarm.Arena = arena.NewJob(len(p3.Sinks))
-	stages["clustering-C3-arenawarm-workers1"] = measure(func(b *testing.B) {
-		if _, err := cluster.DualLevel(p3.Sinks, optWarm); err != nil {
-			b.Fatal(err) // untimed warm-up: every later iteration recycles
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		clusterBench(optWarm)(b)
-	})
 
 	dual, err := cluster.DualLevel(p3.Sinks, dualOpt)
 	if err != nil {
@@ -149,28 +131,20 @@ func runBench(path string) error {
 	stages["insertion-C3-workers1"] = measure(insertBench(1))
 	stages["insertion-C3-workersN"] = measure(insertBench(nCPU))
 
-	synthBench := func(p *bench.Placement, workers int, job *arena.Job) func(b *testing.B) {
+	synthBench := func(p *bench.Placement, workers int) func(b *testing.B) {
 		return func(b *testing.B) {
-			if job != nil {
-				if _, err := core.Synthesize(p.Root, p.Sinks, tc, core.Options{Workers: workers, Arena: job}); err != nil {
-					b.Fatal(err) // untimed warm-up: every later iteration recycles
-				}
-			}
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Synthesize(p.Root, p.Sinks, tc, core.Options{Workers: workers, Arena: job}); err != nil {
+				if _, err := core.Synthesize(p.Root, p.Sinks, tc, core.Options{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}
 	}
-	stages["synthesize-C3-workers1"] = measure(synthBench(p3, 1, nil))
-	stages["synthesize-C3-workersN"] = measure(synthBench(p3, nCPU, nil))
-	stages["synthesize-C5-workers1"] = measure(synthBench(p5, 1, nil))
-	stages["synthesize-C5-workersN"] = measure(synthBench(p5, nCPU, nil))
-	stages["synthesize-C3-arenawarm-workers1"] = measure(synthBench(p3, 1, arena.NewJob(len(p3.Sinks))))
-	stages["synthesize-C5-arenawarm-workers1"] = measure(synthBench(p5, 1, arena.NewJob(len(p5.Sinks))))
+	stages["synthesize-C3-workers1"] = measure(synthBench(p3, 1))
+	stages["synthesize-C3-workersN"] = measure(synthBench(p3, nCPU))
+	stages["synthesize-C5-workers1"] = measure(synthBench(p5, 1))
+	stages["synthesize-C5-workersN"] = measure(synthBench(p5, nCPU))
 
 	ratio := func(a, b string) float64 {
 		if stages[b].NsPerOp == 0 {
@@ -178,44 +152,19 @@ func runBench(path string) error {
 		}
 		return float64(stages[a].NsPerOp) / float64(stages[b].NsPerOp)
 	}
-	saved := func(cold, warm int64) float64 {
-		if cold == 0 {
-			return 0
-		}
-		return 1 - float64(warm)/float64(cold)
-	}
-	savings := map[string]float64{}
-	for _, pair := range [][2]string{
-		{"clustering-C3-grid-workers1", "clustering-C3-arenawarm-workers1"},
-		{"synthesize-C3-workers1", "synthesize-C3-arenawarm-workers1"},
-		{"synthesize-C5-workers1", "synthesize-C5-arenawarm-workers1"},
-	} {
-		cold, warm := stages[pair[0]], stages[pair[1]]
-		savings[pair[1]+"-bytes-saved"] = saved(cold.BytesPerOp, warm.BytesPerOp)
-		savings[pair[1]+"-allocs-saved"] = saved(cold.AllocsPerOp, warm.AllocsPerOp)
-	}
 
-	gcRuns := 20
-	gcCost := func(job *arena.Job) (uint32, float64) {
-		runtime.GC()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < gcRuns; i++ {
-			if _, err := core.Synthesize(p3.Root, p3.Sinks, tc, core.Options{Workers: 1, Arena: job}); err != nil {
-				panic(err) // the same call just benchmarked clean
-			}
+	gc := gcProfile{Runs: 20}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < gc.Runs; i++ {
+		if _, err := core.Synthesize(p3.Root, p3.Sinks, tc, core.Options{Workers: 1}); err != nil {
+			return err
 		}
-		runtime.ReadMemStats(&after)
-		return after.NumGC - before.NumGC,
-			float64(after.PauseTotalNs-before.PauseTotalNs) / 1e6
 	}
-	warmJob := arena.NewJob(len(p3.Sinks))
-	if _, err := core.Synthesize(p3.Root, p3.Sinks, tc, core.Options{Workers: 1, Arena: warmJob}); err != nil {
-		return err
-	}
-	gc := gcProfile{Runs: gcRuns}
-	gc.ColdCollections, gc.ColdPauseTotalMS = gcCost(nil)
-	gc.WarmCollections, gc.WarmPauseTotalMS = gcCost(warmJob)
+	runtime.ReadMemStats(&after)
+	gc.Collections = after.NumGC - before.NumGC
+	gc.PauseTotalMS = float64(after.PauseTotalNs-before.PauseTotalNs) / 1e6
 
 	rep := benchReport{
 		GOOS:       runtime.GOOS,
@@ -230,14 +179,13 @@ func runBench(path string) error {
 			"synthesize-C3-workersN-over-1": ratio("synthesize-C3-workers1", "synthesize-C3-workersN"),
 			"synthesize-C5-workersN-over-1": ratio("synthesize-C5-workers1", "synthesize-C5-workersN"),
 		},
-		ArenaSavings: savings,
-		GCSynthC3:    gc,
+		GCSynthC3: gc,
 		Notes: []string{
 			"all ratios are measured on this host in this run; the brute column is the pre-grid O(n*k) assignment scan (cluster.DualOptions.Brute), measured with the current allocation-lean code around it",
 			"workersN runs at GOMAXPROCS; on a single-core host the N and 1 columns coincide and the parallel engine is exercised for correctness only",
-			"arenawarm stages reuse ONE arena.Job across every iteration after a single untimed warm-up run, so their bytes/allocs columns are the steady-state cost of a recycled job; arena_savings holds the warm-vs-cold drop as saved fractions and `cismoke allocs` gates bytes/allocs against this file in CI",
+			"every stage draws its scratch from the per-phase package pools, so after the first iteration its bytes/allocs columns are the steady-state cost of a run on recycled scratch; `cismoke allocs` gates bytes/allocs against this file in CI",
 			"seed-commit reference timings (full pre-engine implementation) are recorded with host context in PERFORMANCE.md",
-			"all columns produce bit-identical Metrics for every worker count and for any Arena value (TestWorkersDeterminism, TestJobRecycleBitIdentical)",
+			"all columns produce bit-identical Metrics for every worker count and on warm or cold scratch (TestWorkersDeterminism, TestPackagePoolsAcrossSizes)",
 		},
 	}
 
@@ -253,10 +201,6 @@ func runBench(path string) error {
 	for _, k := range []string{"clustering-grid-over-brute", "clustering-workersN-over-1", "synthesize-C5-workersN-over-1"} {
 		fmt.Printf("  %-32s %.2fx\n", k, rep.Speedups[k])
 	}
-	for _, k := range []string{"synthesize-C3-arenawarm-workers1-bytes-saved", "synthesize-C3-arenawarm-workers1-allocs-saved"} {
-		fmt.Printf("  %-48s %.1f%%\n", k, 100*rep.ArenaSavings[k])
-	}
-	fmt.Printf("  gc over %d C3 runs: cold %d collections / %.1f ms paused, warm %d / %.1f ms\n",
-		gc.Runs, gc.ColdCollections, gc.ColdPauseTotalMS, gc.WarmCollections, gc.WarmPauseTotalMS)
+	fmt.Printf("  gc over %d C3 runs: %d collections / %.1f ms paused\n", gc.Runs, gc.Collections, gc.PauseTotalMS)
 	return nil
 }

@@ -35,10 +35,10 @@
 //
 // Independent of the worker count, the hot paths are algorithmically
 // accelerated: nearest-centroid queries use an exact spatial grid instead
-// of an O(n·k) scan, the DP prunes through typed sorting into reusable
-// per-worker arenas, and refinement judges candidate buffers against an
-// incremental what-if view of the RC network instead of re-evaluating the
-// whole tree per trial. Measured on the C3/C5 benchmarks this gives ~4.5x
+// of an O(n·k) scan, the DP prunes through typed sorting into per-worker
+// scratch recycled from a package pool, and refinement judges candidate
+// buffers against an incremental what-if view of the RC network instead of
+// re-evaluating the whole tree per trial. Measured on the C3/C5 benchmarks this gives ~4.5x
 // faster clustering, ~10x fewer insertion allocations and ~7x faster
 // end-to-end synthesis at one worker versus the original implementation;
 // see PERFORMANCE.md and BENCH_parallel.json for the numbers.

@@ -1,25 +1,22 @@
-// Package arena provides the per-job scratch-memory layer of the numeric
-// core: typed bump allocators (Slab), reusable free lists (Pool), growable
-// flat buffers (Grow/GrowZero) and a per-synthesis-job bundle (Job) that
-// carries phase-keyed scratch state through cluster → route → insert →
-// refine → eval.
+// Package arena provides the scratch-memory building blocks of the numeric
+// core: growable flat buffers (Grow/GrowZero) for struct-of-arrays lanes,
+// typed bump allocators (Slab) and concurrency-safe free lists (Pool).
 //
-// The contract, in one paragraph: arenas hold SCRATCH ONLY. Nothing reachable
-// from a phase's public result may alias arena-backed memory — results are
-// allocated fresh and escape to the caller, scratch dies (logically) at
-// Reset. Reset never shrinks and never frees; it only rewinds offsets, so a
-// recycled arena reaches a fixed point where steady-state jobs allocate
-// almost nothing. Because every value read out of scratch is (re)written
-// before use on each run, recycling cannot change any numeric result: the
-// golden C1..C5 and workers-1-vs-N determinism suites pin that, and
-// TestJobRecycleBitIdentical in this package's consumers re-checks it under
-// the race detector.
+// The contract, in one paragraph: these hold SCRATCH ONLY. Nothing reachable
+// from a phase's public result may alias scratch memory — results are
+// allocated fresh and escape to the caller. Each phase package keeps its
+// scratch in package-level Pools, shared by every job, size and concurrent
+// region; a checked-out scratch is used by one invocation at a time and
+// returned when it finishes. Reset never shrinks and never frees; it only rewinds
+// offsets, so a recycled scratch reaches a fixed point where steady-state
+// runs allocate almost nothing. Because every value read out of scratch is
+// (re)written before use on each run, recycling cannot change any numeric
+// result: the golden C1..C5 and workers-1-vs-N determinism suites pin that,
+// and TestPackagePoolsAcrossSizes in internal/core re-checks it under the
+// race detector.
 package arena
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Grow returns s with length n, reusing capacity when possible. Contents are
 // unspecified (stale values from a previous use may be visible); callers must
@@ -112,7 +109,7 @@ func (s *Slab[T]) Cap() int {
 
 // Pool is a concurrency-safe free list of *T scratch objects. Unlike
 // sync.Pool it never drops entries under GC pressure, which is what makes
-// the steady-state allocation counts of recycled jobs reproducible in
+// the steady-state allocation counts of recycled scratch reproducible in
 // benchmarks.
 type Pool[T any] struct {
 	mu   sync.Mutex
@@ -141,184 +138,4 @@ func (p *Pool[T]) Put(x *T) {
 	p.mu.Lock()
 	p.free = append(p.free, x)
 	p.mu.Unlock()
-}
-
-// Phase keys a Job scratch slot to the pipeline stage that owns it. Each
-// phase package defines its own scratch type and stores it in its slot; the
-// arena package never needs to know the concrete types (which would invert
-// the dependency direction).
-type Phase uint8
-
-const (
-	PhaseCluster Phase = iota
-	PhaseRoute
-	PhaseInsert
-	PhaseRefine
-	PhaseEval
-	numPhases
-)
-
-// Job is the scratch bundle owned by one synthesis job. It is recycled
-// across ECO iterations (core.ECOState retains it) and across queued serve
-// jobs (JobPool buckets it by size). A Job may be used by many goroutines of
-// ONE synthesis run at a time — slot access is synchronized and each slot
-// value pools its own per-worker scratch — but never by two runs at once;
-// TryAcquire enforces that for retained ECO bases shared through an LRU.
-type Job struct {
-	busy  atomic.Bool
-	hint  int
-	mu    sync.Mutex
-	slots [numPhases]any
-}
-
-// NewJob returns a Job sized (advisorily) for sinkHint sinks.
-func NewJob(sinkHint int) *Job {
-	return &Job{hint: sinkHint}
-}
-
-// SinkHint returns the advisory size the job was last used at.
-func (j *Job) SinkHint() int {
-	if j == nil {
-		return 0
-	}
-	return j.hint
-}
-
-// SetSinkHint records the size of the run about to use the job.
-func (j *Job) SetSinkHint(n int) {
-	if j != nil && n > j.hint {
-		j.hint = n
-	}
-}
-
-// TryAcquire claims exclusive use of the job for one synthesis run. It
-// returns false when another run holds the job — the caller then proceeds
-// with a nil arena (heap fallback) rather than blocking or racing. A nil job
-// is never acquirable.
-func (j *Job) TryAcquire() bool {
-	if j == nil {
-		return false
-	}
-	return j.busy.CompareAndSwap(false, true)
-}
-
-// Release returns the job after TryAcquire.
-func (j *Job) Release() {
-	if j != nil {
-		j.busy.Store(false)
-	}
-}
-
-// GobEncode implements gob.GobEncoder as a no-op. A Job is pure scratch —
-// nothing in it is part of any result — so a Job reachable from a persisted
-// graph (e.g. core.Options.Arena inside a retained ECO base) serializes as
-// nothing and decodes to an empty job that re-warms on first use. Without
-// this, gob would reject the containing type outright: Job intentionally
-// exports no fields.
-func (j *Job) GobEncode() ([]byte, error) { return nil, nil }
-
-// GobDecode implements gob.GobDecoder; see GobEncode.
-func (j *Job) GobDecode([]byte) error { return nil }
-
-// Slot returns the phase's scratch object, creating it with mk on first use.
-// The concrete type S is chosen by the owning phase package; mixing types in
-// one slot panics (it would be a phase-key collision, always a bug). A nil
-// job returns nil, letting call sites fall back to their package-level pool.
-func Slot[S any](j *Job, ph Phase, mk func() *S) *S {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if v := j.slots[ph]; v != nil {
-		return v.(*S)
-	}
-	s := mk()
-	j.slots[ph] = s
-	return s
-}
-
-// JobPool is the size-bucketed free list that recycles Jobs across queued
-// serve jobs. Buckets are powers of two over the sink-count hint, so a job
-// warmed on a 50k-sink run is not handed to a 16-sink request (whose scratch
-// would pin tens of MB) and vice versa.
-type JobPool struct {
-	mu      sync.Mutex
-	buckets map[int][]*Job
-	// perBucket caps retained jobs per bucket; beyond it Put drops the job
-	// for the GC, bounding steady-state memory at (buckets × perBucket)
-	// warm arenas.
-	perBucket int
-
-	gets, hits, puts uint64
-}
-
-// NewJobPool returns a pool keeping at most perBucket warm jobs per size
-// bucket (<=0 means a default of 4).
-func NewJobPool(perBucket int) *JobPool {
-	if perBucket <= 0 {
-		perBucket = 4
-	}
-	return &JobPool{buckets: map[int][]*Job{}, perBucket: perBucket}
-}
-
-func bucketOf(sinkHint int) int {
-	b := 0
-	for v := sinkHint; v > 0; v >>= 1 {
-		b++
-	}
-	return b
-}
-
-// Get returns an acquired Job warmed at roughly sinkHint sinks, creating one
-// when the bucket is empty. The returned job is exclusively owned by the
-// caller until Put.
-func (p *JobPool) Get(sinkHint int) *Job {
-	if p == nil {
-		return nil
-	}
-	b := bucketOf(sinkHint)
-	p.mu.Lock()
-	p.gets++
-	var j *Job
-	if free := p.buckets[b]; len(free) > 0 {
-		j = free[len(free)-1]
-		free[len(free)-1] = nil
-		p.buckets[b] = free[:len(free)-1]
-		p.hits++
-	}
-	p.mu.Unlock()
-	if j == nil {
-		j = NewJob(sinkHint)
-	}
-	j.SetSinkHint(sinkHint)
-	j.busy.Store(true)
-	return j
-}
-
-// Put releases the job back to its size bucket. Jobs that may be in an
-// inconsistent state (a panic unwound through a phase mid-Take) must be
-// dropped instead — just don't Put them.
-func (p *JobPool) Put(j *Job) {
-	if p == nil || j == nil {
-		return
-	}
-	j.Release()
-	b := bucketOf(j.hint)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.puts++
-	if len(p.buckets[b]) < p.perBucket {
-		p.buckets[b] = append(p.buckets[b], j)
-	}
-}
-
-// Stats reports (gets, hits, puts) counters for tests and metrics.
-func (p *JobPool) Stats() (gets, hits, puts uint64) {
-	if p == nil {
-		return 0, 0, 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.gets, p.hits, p.puts
 }

@@ -1,9 +1,6 @@
 package arena
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestGrowReusesCapacity(t *testing.T) {
 	s := make([]int, 0, 16)
@@ -116,115 +113,5 @@ func TestPoolGetPut(t *testing.T) {
 	}
 	if p.Get() != nil {
 		t.Fatalf("pool returned object twice")
-	}
-}
-
-func TestJobSlotLazyAndTyped(t *testing.T) {
-	type scratch struct{ n int }
-	j := NewJob(100)
-	if Slot[scratch](nil, PhaseCluster, func() *scratch { return &scratch{} }) != nil {
-		t.Fatalf("nil job must yield nil slot")
-	}
-	a := Slot(j, PhaseCluster, func() *scratch { return &scratch{n: 1} })
-	b := Slot(j, PhaseCluster, func() *scratch { return &scratch{n: 2} })
-	if a != b || a.n != 1 {
-		t.Fatalf("slot not cached: a=%v b=%v", a, b)
-	}
-	// Distinct phases get distinct slots.
-	c := Slot(j, PhaseEval, func() *scratch { return &scratch{n: 3} })
-	if c == a || c.n != 3 {
-		t.Fatalf("phase slots collide")
-	}
-}
-
-func TestJobTryAcquire(t *testing.T) {
-	j := NewJob(10)
-	if !j.TryAcquire() {
-		t.Fatalf("fresh job not acquirable")
-	}
-	if j.TryAcquire() {
-		t.Fatalf("double acquire succeeded")
-	}
-	j.Release()
-	if !j.TryAcquire() {
-		t.Fatalf("job not acquirable after release")
-	}
-	var nilJob *Job
-	if nilJob.TryAcquire() {
-		t.Fatalf("nil job acquirable")
-	}
-	nilJob.Release() // must not panic
-	if nilJob.SinkHint() != 0 {
-		t.Fatalf("nil job hint")
-	}
-}
-
-func TestJobPoolBucketsAndRecycle(t *testing.T) {
-	p := NewJobPool(2)
-	j1 := p.Get(50_000)
-	j2 := p.Get(100) // different bucket
-	p.Put(j1)
-	p.Put(j2)
-	// Same-size request gets the warm job back; the small bucket's job must
-	// not be handed to a large request.
-	j3 := p.Get(50_000)
-	if j3 != j1 {
-		t.Fatalf("pool did not recycle same-bucket job")
-	}
-	if j3.TryAcquire() {
-		t.Fatalf("pool handed out an unacquired job")
-	}
-	j4 := p.Get(60_000) // same power-of-two bucket as 50k
-	if j4 == j2 {
-		t.Fatalf("small-bucket job leaked into large bucket")
-	}
-	gets, hits, puts := p.Stats()
-	if gets != 4 || hits != 1 || puts != 2 {
-		t.Fatalf("stats gets=%d hits=%d puts=%d", gets, hits, puts)
-	}
-}
-
-func TestJobPoolPerBucketCap(t *testing.T) {
-	p := NewJobPool(1)
-	a, b := p.Get(1000), p.Get(1000)
-	p.Put(a)
-	p.Put(b) // over cap: dropped
-	if got := p.Get(1000); got != a {
-		t.Fatalf("expected the one retained job back")
-	}
-	if got := p.Get(1000); got == b {
-		t.Fatalf("over-cap job was retained")
-	}
-}
-
-func TestJobPoolConcurrent(t *testing.T) {
-	p := NewJobPool(4)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				j := p.Get(1 << uint(i%6))
-				j.SetSinkHint(1 << uint(i%6))
-				p.Put(j)
-			}
-		}()
-	}
-	wg.Wait()
-	gets, _, puts := p.Stats()
-	if gets != 1600 || puts != 1600 {
-		t.Fatalf("gets=%d puts=%d", gets, puts)
-	}
-}
-
-func TestNilJobPoolSafe(t *testing.T) {
-	var p *JobPool
-	if p.Get(10) != nil {
-		t.Fatalf("nil pool returned job")
-	}
-	p.Put(nil)
-	if g, h, u := p.Stats(); g != 0 || h != 0 || u != 0 {
-		t.Fatalf("nil pool stats")
 	}
 }

@@ -57,10 +57,6 @@ type DualOptions struct {
 	// of Sec. III-C2).
 	CapOf    func(sink, centroid geom.Point) float64
 	CapLimit float64
-
-	// Arena sources the k-means scratch from the owning job's arena; nil
-	// falls back to the package pool. Identical results either way.
-	Arena *arena.Job
 }
 
 // DefaultDualOptions returns the paper's empirical settings.
@@ -77,10 +73,9 @@ func DualLevel(sinks []geom.Point, opt DualOptions) (*Dual, error) {
 		return nil, fmt.Errorf("cluster: Lc=%d exceeds Hc=%d", opt.LowSize, opt.HighSize)
 	}
 	workers := par.N(opt.Workers)
-	home := scratchHome(opt.Arena)
 	high, err := KMeans(sinks, Options{
 		TargetSize: opt.HighSize, MaxIter: opt.MaxIter, Seed: opt.Seed, Balance: false,
-		Workers: workers, Brute: opt.Brute, Arena: opt.Arena,
+		Workers: workers, Brute: opt.Brute,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: high level: %w", err)
@@ -100,7 +95,7 @@ func DualLevel(sinks []geom.Point, opt DualOptions) (*Dual, error) {
 	}
 	lowErr := make([]error, high.K())
 	par.ForEach(workers, high.K(), func(h int) {
-		sb := home.sub.Get()
+		sb := subPool.Get()
 		if sb == nil {
 			sb = &subBuf{}
 		}
@@ -110,9 +105,9 @@ func DualLevel(sinks []geom.Point, opt DualOptions) (*Dual, error) {
 		}
 		d.Low[h], lowErr[h] = KMeans(sb.pts, Options{
 			TargetSize: opt.LowSize, MaxIter: opt.MaxIter, Seed: opt.Seed + int64(h) + 1, Balance: true,
-			Workers: inner, Brute: opt.Brute, Arena: opt.Arena,
+			Workers: inner, Brute: opt.Brute,
 		})
-		home.sub.Put(sb)
+		subPool.Put(sb)
 	})
 	d.Work = high.Work
 	for h, err := range lowErr {
@@ -132,7 +127,7 @@ func DualLevel(sinks []geom.Point, opt DualOptions) (*Dual, error) {
 			for i, li := range low.Members[lc] {
 				orig[i] = high.Members[h][li]
 			}
-			d.appendCapAware(sinks, orig, low.Centroids[lc], h, opt, home)
+			d.appendCapAware(sinks, orig, low.Centroids[lc], h, opt)
 		}
 	}
 	return d, nil
@@ -143,7 +138,7 @@ func DualLevel(sinks []geom.Point, opt DualOptions) (*Dual, error) {
 // lists into sinks — the splitter gathers coordinates through the indices
 // straight into k-means scratch (bisect), so recursion allocates nothing
 // beyond the member lists that escape into d.LowSinks.
-func (d *Dual) appendCapAware(sinks []geom.Point, orig []int, centroid geom.Point, h int, opt DualOptions, home *clusterScratch) {
+func (d *Dual) appendCapAware(sinks []geom.Point, orig []int, centroid geom.Point, h int, opt DualOptions) {
 	if opt.CapOf != nil && len(orig) > 1 {
 		total := 0.0
 		for _, id := range orig {
@@ -155,8 +150,8 @@ func (d *Dual) appendCapAware(sinks []geom.Point, orig []int, centroid geom.Poin
 			// single-threaded to honor the Workers bound.
 			s, work := bisect(sinks, orig, Options{
 				MaxIter: opt.MaxIter, Seed: opt.Seed + int64(len(d.LowSinks)) + 17,
-				Workers: 1, Brute: opt.Brute, Arena: opt.Arena,
-			}, home)
+				Workers: 1, Brute: opt.Brute,
+			})
 			d.Work.add(work)
 			n := len(orig)
 			cnt0 := 0
@@ -179,12 +174,12 @@ func (d *Dual) appendCapAware(sinks []geom.Point, orig []int, centroid geom.Poin
 				}
 				c0 := geom.Point{X: s.cxs[0], Y: s.cys[0]}
 				c1 := geom.Point{X: s.cxs[1], Y: s.cys[1]}
-				home.km.Put(s)
-				d.appendCapAware(sinks, sub0, c0, h, opt, home)
-				d.appendCapAware(sinks, sub1, c1, h, opt, home)
+				kmPool.Put(s)
+				d.appendCapAware(sinks, sub0, c0, h, opt)
+				d.appendCapAware(sinks, sub1, c1, h, opt)
 				return
 			}
-			home.km.Put(s)
+			kmPool.Put(s)
 			// Degenerate split (identical points): fall through and keep.
 		}
 	}

@@ -31,11 +31,10 @@
 //     accumulated sequentially, so any worker count produces bit-identical
 //     clusterings;
 //   - all inner loops run over flat struct-of-arrays x/y float64 slices held
-//     in a reusable scratch arena (kmScratch) instead of []geom.Point, so a
-//     whole Lloyd run allocates nothing after the first invocation warms the
-//     scratch. The scratch comes from the job arena (Options.Arena) when one
-//     is attached, or from a package-level pool otherwise — repeated calls
-//     reuse buffers either way.
+//     in reusable scratch (kmScratch) instead of []geom.Point, so a whole
+//     Lloyd run allocates nothing after the first invocation warms the
+//     scratch. The scratch comes from one package-level pool shared by
+//     every call, whatever its size or caller.
 //
 // Options.Brute keeps the reference path — a full O(k) scan for every point
 // in every pass, with no grid, no bounds and no seed-derived first pass —
@@ -125,16 +124,12 @@ type Options struct {
 	// seed-derived first pass. Those accelerators are exact, so this only
 	// exists for benchmarking and cross-checking them.
 	Brute bool
-	// Arena, when set, sources all Lloyd scratch from the job's arena so
-	// recycled jobs cluster allocation-free. A nil Arena falls back to a
-	// package-level scratch pool; results are bit-identical either way.
-	Arena *arena.Job
 }
 
 // kmScratch holds every transient buffer of one KMeans invocation in flat
-// struct-of-arrays form. It is reused across invocations via clusterScratch
-// pools; every field is fully (re)written before it is read, so reuse cannot
-// affect results.
+// struct-of-arrays form. It is reused across invocations via kmPool; every
+// field is fully (re)written before it is read, so reuse cannot affect
+// results.
 type kmScratch struct {
 	xs, ys   []float64 // flattened input points
 	cxs, cys []float64 // centroids
@@ -157,29 +152,16 @@ type kmScratch struct {
 	grid     centGrid
 }
 
-// clusterScratch is the cluster phase's slot in the job arena: pools of
-// per-invocation scratch (nested and concurrent KMeans calls each check out
-// their own).
-type clusterScratch struct {
-	km  arena.Pool[kmScratch]
-	sub arena.Pool[subBuf]
-}
+// kmPool and subPool recycle the cluster phase's scratch across every call;
+// nested and concurrent KMeans calls each check out their own.
+var (
+	kmPool  arena.Pool[kmScratch]
+	subPool arena.Pool[subBuf]
+)
 
 // subBuf stages the point subset handed to a nested KMeans call.
 type subBuf struct {
 	pts []geom.Point
-}
-
-// fallbackScratch serves callers with no job arena attached, so even the
-// plain KMeans/DualLevel entry points stop re-making their scratch on every
-// invocation.
-var fallbackScratch clusterScratch
-
-func scratchHome(j *arena.Job) *clusterScratch {
-	if s := arena.Slot(j, arena.PhaseCluster, func() *clusterScratch { return &clusterScratch{} }); s != nil {
-		return s
-	}
-	return &fallbackScratch
 }
 
 // KMeans clusters pts into ceil(len(pts)/TargetSize) groups.
@@ -201,12 +183,11 @@ func KMeans(pts []geom.Point, opt Options) (*Result, error) {
 	if k > n {
 		k = n
 	}
-	home := scratchHome(opt.Arena)
-	s := home.km.Get()
+	s := kmPool.Get()
 	if s == nil {
 		s = &kmScratch{}
 	}
-	defer home.km.Put(s)
+	defer kmPool.Put(s)
 
 	s.xs = arena.Grow(s.xs, n)
 	s.ys = arena.Grow(s.ys, n)
@@ -289,17 +270,17 @@ func lloyd(s *kmScratch, n, k int, opt Options) Work {
 // bisect is the allocation-free twin of KMeans for the cap-aware recursive
 // bipartition: TargetSize=(n+1)/2 always yields k=2 for n >= 2, Balance is
 // off, and the caller consumes the assignment/centroids straight from the
-// returned scratch (which it must hand back to home.km). The points are
+// returned scratch (which it must hand back to kmPool). The points are
 // gathered from sinks through the index list, so the split recursion never
 // materializes point subsets. The computation — seeding, iteration, early
 // exits — is byte-for-byte the KMeans code path, so the split hierarchy is
 // bit-identical to the one the full KMeans entry produced.
-func bisect(sinks []geom.Point, idx []int, opt Options, home *clusterScratch) (*kmScratch, Work) {
+func bisect(sinks []geom.Point, idx []int, opt Options) (*kmScratch, Work) {
 	n := len(idx)
 	if opt.MaxIter <= 0 {
 		opt.MaxIter = 50
 	}
-	s := home.km.Get()
+	s := kmPool.Get()
 	if s == nil {
 		s = &kmScratch{}
 	}

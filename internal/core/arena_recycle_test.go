@@ -1,19 +1,20 @@
 package core
 
-// Determinism tests for arena recycling (DESIGN.md §8): a synthesis run on a
-// warm recycled arena must be bit-identical to one on a fresh arena, and to
-// one with no arena at all (package-pool fallback). Run under -race in CI,
-// these also prove the pooled scratch is properly confined.
+// Determinism tests for scratch recycling (DESIGN.md §8): every phase draws
+// its scratch from one package pool shared by all jobs, sizes and concurrent
+// regions, so a run on scratch another job warmed must be bit-identical to
+// the same run on cold scratch. Run under -race in CI, these also prove the
+// pooled scratch is properly confined.
 
 import (
 	"reflect"
 	"testing"
 
-	"dscts/internal/arena"
+	"dscts/internal/bench"
 	"dscts/internal/tech"
 )
 
-// sameOutcome pins the result identity that arena recycling must preserve:
+// sameOutcome pins the result identity that scratch recycling must preserve:
 // the full node array of the tree and every metric, exactly.
 func sameOutcome(t *testing.T, label string, a, b *Outcome) {
 	t.Helper()
@@ -30,71 +31,35 @@ func sameOutcome(t *testing.T, label string, a, b *Outcome) {
 	}
 }
 
-// TestJobRecycleBitIdentical runs the monolithic flow three ways — no arena,
-// fresh job, and the SAME job again (recycled, every lane warm) — and
-// requires bit-identical outcomes.
-func TestJobRecycleBitIdentical(t *testing.T) {
+// TestPackagePoolsAcrossSizes runs jobs of very different sizes and shapes
+// in one process, so each phase's package pool hands scratch warmed by one
+// job to the next: C1 (the reference), partitioned C4 (concurrent regions),
+// C5, then C1 twice. Both later C1 runs must equal the reference exactly.
+// C1 never triggers skew refinement while C4's regions do, so a closing
+// partitioned C4 run, checked against the first, covers the refinement
+// pools too.
+func TestPackagePoolsAcrossSizes(t *testing.T) {
 	tc := tech.ASAP7()
-	p := c4Placement(t)
-
-	ref, err := Synthesize(p.Root, p.Sinks, tc, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	job := arena.NewJob(len(p.Sinks))
-	fresh, err := Synthesize(p.Root, p.Sinks, tc, Options{Arena: job})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := Synthesize(p.Root, p.Sinks, tc, Options{Arena: job})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameOutcome(t, "fresh job vs no arena", fresh, ref)
-	sameOutcome(t, "recycled job vs no arena", warm, ref)
-}
-
-// TestECOChainRecycleBitIdentical chains two deltas through SynthesizeECO
-// twice: once with the retained arena recycled across the chain (the
-// default), once with the retained arena stripped before every hop (pool
-// fallback). Both chains must produce bit-identical outcomes at every hop.
-func TestECOChainRecycleBitIdentical(t *testing.T) {
-	tc := tech.ASAP7()
-	p := ecoPlacement(t, "C4")
-	opt := Options{RetainECO: true}
-
-	base, err := Synthesize(p.Root, p.Sinks, tc, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base2, err := Synthesize(p.Root, p.Sinks, tc, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base2.Retained.arena = nil // force the no-arena fallback chain
-
-	prevA, prevB := base, base2
-	for hop := 0; hop < 2; hop++ {
-		d := localizedDelta(prevA.Retained.Sinks, 17+hop, 40)
-		a, err := SynthesizeECO(prevA, d, Options{RetainECO: true})
+	run := func(p *bench.Placement, opt Options) *Outcome {
+		t.Helper()
+		out, err := Synthesize(p.Root, p.Sinks, tc, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if prevB.Retained.arena != nil {
-			t.Fatal("fallback chain grew an arena before the hop")
-		}
-		b, err := SynthesizeECO(prevB, d, Options{RetainECO: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameOutcome(t, "eco hop", a, b)
-		prevA = a
-		prevB = b
-		prevB.Retained.arena = nil
+		return out
 	}
-	if prevA.Retained.arena == nil {
-		t.Fatal("recycled chain lost its retained arena")
+	c1, c4 := ecoPlacement(t, "C1"), ecoPlacement(t, "C4")
+	part := Options{}
+	part.Partition.MaxSinks = 300
+	ref := run(c1, Options{})
+	refPart := run(c4, part)
+	if len(refPart.Regions) < 2 {
+		t.Fatalf("expected a partitioned C4 run, got %d regions", len(refPart.Regions))
 	}
+	run(ecoPlacement(t, "C5"), Options{})
+	sameOutcome(t, "C1 after partitioned C4 and C5", run(c1, Options{}), ref)
+	sameOutcome(t, "C1 run again", run(c1, Options{}), ref)
+	sameOutcome(t, "partitioned C4 after C5 and C1", run(c4, part), refPart)
 }
 
 // TestPartitionedRegionPoolBitIdentical runs the partitioned pipeline twice

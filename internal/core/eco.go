@@ -23,7 +23,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dscts/internal/arena"
 	"dscts/internal/ctree"
 	"dscts/internal/eco"
 	"dscts/internal/eval"
@@ -54,15 +53,6 @@ type ECOState struct {
 	Regions []partition.Region
 	Trees   []*ctree.Tree
 	Sums    []*eval.RegionEval
-
-	// arena is the retained job's scratch arena, recycled by chained ECO
-	// re-synthesis so steady-state deltas run against warm buffers. Guarded
-	// by TryAcquire: when two ECO runs share this state concurrently (an LRU
-	// of retained bases), the loser proceeds with a nil arena — package-pool
-	// fallback — instead of sharing hot scratch mid-run. Unexported on
-	// purpose: scratch never persists, so gob snapshots skip it and a
-	// warm-started base simply re-warms on its first delta.
-	arena *arena.Job
 }
 
 // ECOStats summarizes an incremental run on its Outcome.
@@ -86,26 +76,11 @@ type ECOStats struct {
 // own anyway.
 func retainedOptions(opt Options) Options {
 	opt.Progress = nil
-	// The run's arena must not ride along either: the retained copy lives on
-	// ECOState.Arena behind the TryAcquire guard, while a job pointer buried
-	// in Opt would be re-threaded into chained runs unguarded.
-	opt.Arena = nil
 	// Nor the region executor: retained options seed chained ECO re-runs
 	// (and gob snapshots), and a cluster-mode executor must be re-installed
 	// per job by the daemon that owns the peers, never revived from state.
 	opt.RegionExec = nil
 	return opt
-}
-
-// chainedArena picks the arena a chained ECO's retained state carries
-// forward: the prior state's when it has one, else a fresh job (a base
-// decoded from a persistence snapshot arrives arena-less, since scratch is
-// never serialized — its first retaining delta re-mints one here).
-func chainedArena(st *ECOState, sinks int) *arena.Job {
-	if st.arena != nil {
-		return st.arena
-	}
-	return arena.NewJob(sinks)
 }
 
 // SynthesizeECO is SynthesizeECOContext with a background context.
@@ -144,17 +119,6 @@ func SynthesizeECOContext(ctx context.Context, prev *Outcome, d eco.Delta, opt O
 	if len(d.SetCorners) > 0 {
 		knobs.Corners = d.SetCorners
 	}
-	// Recycle the retained job's arena: a chained delta re-runs its dirty
-	// scopes against the warm scratch of the run that produced the base.
-	// TryAcquire arbitrates concurrent deltas on one retained state — the
-	// loser runs from the package pools, bit-identically, rather than
-	// blocking or sharing.
-	aj := st.arena
-	if !aj.TryAcquire() {
-		aj = nil
-	}
-	defer aj.Release()
-	knobs.Arena = aj
 	// The ECO injection point guards the whole splice path, including the
 	// tech-change full re-synthesis below.
 	if err := knobs.Faults.Check(ctx, fault.PointECO); err != nil {
@@ -281,18 +245,12 @@ func ecoPartitioned(ctx context.Context, st *ECOState, d eco.Delta, newSinks []g
 			local[j] = newSinks[si]
 		}
 		t0 := time.Now()
-		// Dirty regions run concurrently, so each draws its own right-sized
-		// job from the shared pool instead of the run-level knobs.Arena.
-		job := regionJobs.Get(len(r.Sinks))
-		defer regionJobs.Put(job)
-		kn := knobs
-		kn.Arena = job
-		stg, err := runStages(ctx, r.Anchor, local, st.Tech, kn, inner, nil)
+		stg, err := runStages(ctx, r.Anchor, local, st.Tech, knobs, inner, nil)
 		if err != nil {
 			runs[k].err = fmt.Errorf("region %d: %w", r.ID, err)
 			return
 		}
-		sum, err := eval.New(st.Tech, eval.Elmore).SummarizeRegionIn(stg.tree, job)
+		sum, err := eval.New(st.Tech, eval.Elmore).SummarizeRegion(stg.tree)
 		if err != nil {
 			runs[k].err = fmt.Errorf("region %d: %w", r.ID, err)
 			return
@@ -357,7 +315,6 @@ func ecoPartitioned(ctx context.Context, st *ECOState, d eco.Delta, newSinks []g
 		out.Retained = &ECOState{
 			Root: st.Root, Sinks: newSinks, Tech: st.Tech, Opt: retainedOptions(knobs),
 			Regions: plan.Regions, Trees: trees, Sums: sums,
-			arena: chainedArena(st, len(newSinks)),
 		}
 	}
 	return out, nil
@@ -429,13 +386,7 @@ func ecoMonolithic(ctx context.Context, prevTree *ctree.Tree, st *ECOState, d ec
 			local[j] = newSinks[si]
 		}
 		root := prevTree.Nodes[centroidNode[plan.Clusters[k]]].Pos
-		// Mini scopes run concurrently; like partitioned regions they draw
-		// per-scope jobs from the shared pool, not the run-level arena.
-		job := regionJobs.Get(len(members))
-		defer regionJobs.Put(job)
-		mopt := mini
-		mopt.Arena = job
-		stg, err := runStages(ctx, root, local, st.Tech, mopt, inner, nil)
+		stg, err := runStages(ctx, root, local, st.Tech, mini, inner, nil)
 		if err != nil {
 			errs[k] = fmt.Errorf("cluster %d: %w", plan.Clusters[k], err)
 			return
@@ -481,7 +432,7 @@ func ecoMonolithic(ctx context.Context, prevTree *ctree.Tree, st *ECOState, d ec
 
 	emit(PhaseEval, false, 0)
 	t3 := time.Now()
-	m, err := eval.New(st.Tech, eval.Elmore).EvaluateWhatIfIn(tree, len(newSinks), knobs.Arena)
+	m, err := eval.New(st.Tech, eval.Elmore).EvaluateWhatIf(tree, len(newSinks))
 	if err != nil {
 		return nil, fmt.Errorf("core: evaluation: %w", err)
 	}
@@ -504,7 +455,6 @@ func ecoMonolithic(ctx context.Context, prevTree *ctree.Tree, st *ECOState, d ec
 	if knobs.RetainECO {
 		out.Retained = &ECOState{
 			Root: st.Root, Sinks: newSinks, Tech: st.Tech, Opt: retainedOptions(knobs),
-			arena: chainedArena(st, len(newSinks)),
 		}
 	}
 	return &out, nil

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"time"
 
-	"dscts/internal/arena"
 	"dscts/internal/cluster"
 	"dscts/internal/corner"
 	"dscts/internal/ctree"
@@ -176,13 +175,6 @@ type Options struct {
 	// the monolithic flow and by ECO re-synthesis. Like Progress, it is a
 	// scheduling hook, never part of the result identity.
 	RegionExec RegionExecFunc
-	// Arena is the job-owned scratch arena every phase draws its working
-	// memory from (clustering lanes, DP generation buffers, RC networks).
-	// nil falls back to per-package pools. Partitioned runs ignore it for
-	// the per-region stacks — concurrent regions draw right-sized jobs
-	// from an internal size-bucketed pool instead. Purely a memory-reuse
-	// hook: results are bit-identical with any value, including nil.
-	Arena *arena.Job
 }
 
 // Outcome is the result of a synthesis run.
@@ -289,7 +281,7 @@ func SynthesizeContext(ctx context.Context, rootPos geom.Point, sinks []geom.Poi
 		m := st.refine.After
 		out.Metrics = &m
 	} else {
-		m, err := eval.New(tc, eval.Elmore).EvaluateIn(out.Tree, opt.Arena)
+		m, err := eval.New(tc, eval.Elmore).Evaluate(out.Tree)
 		if err != nil {
 			return nil, fmt.Errorf("core: evaluation: %w", err)
 		}
@@ -321,20 +313,8 @@ func SynthesizeContext(ctx context.Context, rootPos geom.Point, sinks []geom.Poi
 	if opt.RetainECO {
 		out.Retained = &ECOState{
 			Root: rootPos, Sinks: sinks, Tech: tc, Opt: retainedOptions(opt),
-			arena: retainedArena(opt, len(sinks)),
 		}
 	}
 	out.TotalTime = time.Since(start)
 	return out, nil
-}
-
-// retainedArena picks the scratch arena an ECOState carries forward: the
-// run's own job when it had one, else a fresh job the first chained ECO will
-// warm up. Retaining an arena only extends scratch lifetimes; it never
-// aliases result memory (see the arena package contract).
-func retainedArena(opt Options, sinks int) *arena.Job {
-	if opt.Arena != nil {
-		return opt.Arena
-	}
-	return arena.NewJob(sinks)
 }

@@ -28,7 +28,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dscts/internal/arena"
 	"dscts/internal/cluster"
 	"dscts/internal/corner"
 	"dscts/internal/ctree"
@@ -63,15 +62,6 @@ type RegionStat struct {
 	Time time.Duration
 }
 
-// regionJobs recycles right-sized scratch arenas across the concurrent
-// region stacks of the partitioned pipeline and the dirty scopes of ECO
-// re-synthesis. Regions run concurrently, so they never share the caller's
-// Options.Arena; each checks a job out of this size-bucketed pool instead,
-// which makes repeated partitioned runs (and chained ECOs) warm-start their
-// per-region working sets. Purely a memory-reuse layer — results are
-// bit-identical with or without a warm hit.
-var regionJobs = arena.NewJobPool(0)
-
 // stages bundles the routed, inserted and refined tree of one synthesis
 // scope — the whole net for the monolithic flow, or one region.
 type stages struct {
@@ -101,7 +91,6 @@ func runStages(ctx context.Context, rootPos geom.Point, sinks []geom.Point, tc *
 		d.MaxIter = 40
 	}
 	d.Workers = workers
-	d.Arena = opt.Arena
 	front := tc.Front()
 	if d.CapOf == nil {
 		d.CapOf = func(s, c geom.Point) float64 { return tc.SinkCap + front.UnitCap*s.Dist(c) }
@@ -157,7 +146,6 @@ func runStages(ctx context.Context, rootPos geom.Point, sinks []geom.Point, tc *
 	cfg.DiversePruning = opt.DiversePruning
 	cfg.MaxPerSide = opt.MaxPerSide
 	cfg.Workers = workers
-	cfg.Arena = opt.Arena
 	switch {
 	case opt.Mode == SingleSide:
 		cfg.ModeOf = func(treeID, fanout int) insert.Mode { return insert.ModeIntra }
@@ -193,7 +181,6 @@ func runStages(ctx context.Context, rootPos geom.Point, sinks []geom.Point, tc *
 			rp = refine.DefaultParams()
 		}
 		rp.Workers = workers
-		rp.Arena = opt.Arena
 		rr, err := refine.RefineContext(ctx, tree, tc, rp)
 		if err != nil {
 			return nil, fmt.Errorf("core: refinement: %w", err)
@@ -340,7 +327,6 @@ func synthesizeRegions(ctx context.Context, rootPos geom.Point, sinks []geom.Poi
 		out.Retained = &ECOState{
 			Root: rootPos, Sinks: sinks, Tech: tc, Opt: retainedOptions(opt),
 			Regions: regions, Trees: trees, Sums: sums,
-			arena: retainedArena(opt, len(sinks)),
 		}
 	}
 	return out, nil

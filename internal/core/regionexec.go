@@ -57,27 +57,23 @@ type RegionOut struct {
 type RegionExecFunc func(ctx context.Context, w RegionWork) (*RegionOut, error)
 
 // RunRegion executes one region locally: the exact per-region body of the
-// partitioned pipeline (scratch job from the shared region pool, the full
-// route→insert→refine stack, then the hierarchical region summary).
-// workers bounds the region's inner parallelism; results are bit-identical
-// in it. opt's scheduling hooks (Arena, Progress, RegionExec) are ignored
-// — the region draws its own pooled arena — while opt.Faults is honored,
-// so fault injection fires on whichever node actually executes.
+// partitioned pipeline (the full route→insert→refine stack, then the
+// hierarchical region summary). workers bounds the region's inner
+// parallelism; results are bit-identical in it. opt's scheduling hooks
+// (Progress, RegionExec) are ignored, while opt.Faults is honored, so fault
+// injection fires on whichever node actually executes.
 func RunRegion(ctx context.Context, w RegionWork, tc *tech.Tech, opt Options, workers int) (*RegionOut, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	job := regionJobs.Get(len(w.Sinks))
-	defer regionJobs.Put(job)
 	ropt := opt
-	ropt.Arena = job
 	ropt.Progress = nil
 	ropt.RegionExec = nil
 	st, err := runStages(ctx, w.Anchor, w.Sinks, tc, ropt, workers, nil)
 	if err != nil {
 		return nil, err
 	}
-	sum, err := eval.New(tc, eval.Elmore).SummarizeRegionIn(st.tree, job)
+	sum, err := eval.New(tc, eval.Elmore).SummarizeRegion(st.tree)
 	if err != nil {
 		return nil, err
 	}

@@ -66,9 +66,8 @@ type sinkPair struct {
 
 // evalScratch is the per-evaluation working set: the RC network, the
 // tree-vertex → network-node map and the delay/slew result lanes. It lives
-// in the owning job's PhaseEval slot (or the package fallback pool) and is
-// fully rewound per evaluation, so steady-state Evaluate calls allocate only
-// the Metrics that escape to the caller.
+// in evalPool and is fully rewound per evaluation, so steady-state Evaluate
+// calls allocate only the Metrics that escape to the caller.
 type evalScratch struct {
 	net    timing.Network
 	netOf  []int
@@ -77,26 +76,16 @@ type evalScratch struct {
 	slews  []float64
 }
 
-// evalHome is the pool the scratch checks in and out of; one per arena job
-// (multiple evaluations inside one job may overlap, e.g. refine workers).
-// The wi pool recycles WhatIf models the same way (see NewWhatIfIn).
-type evalHome struct {
-	pool arena.Pool[evalScratch]
-	wi   arena.Pool[WhatIf]
-}
+// evalPool and whatIfPool recycle evaluation scratch and WhatIf models
+// across every evaluation; overlapping evaluations (refine workers,
+// concurrent regions and jobs) each check out their own.
+var (
+	evalPool   arena.Pool[evalScratch]
+	whatIfPool arena.Pool[WhatIf]
+)
 
-// fallbackEval serves callers without an arena job.
-var fallbackEval evalHome
-
-func evalHomeOf(j *arena.Job) *evalHome {
-	if h := arena.Slot(j, arena.PhaseEval, func() *evalHome { return &evalHome{} }); h != nil {
-		return h
-	}
-	return &fallbackEval
-}
-
-func (h *evalHome) get() *evalScratch {
-	if s := h.pool.Get(); s != nil {
+func getEvalScratch() *evalScratch {
+	if s := evalPool.Get(); s != nil {
 		return s
 	}
 	return &evalScratch{}
@@ -104,21 +93,11 @@ func (h *evalHome) get() *evalScratch {
 
 // Evaluate computes the metrics of the annotated tree.
 func (e *Evaluator) Evaluate(t *ctree.Tree) (*Metrics, error) {
-	return e.EvaluateIn(t, nil)
-}
-
-// EvaluateIn is Evaluate sourcing its working memory from the job's eval
-// arena; nil falls back to the package pool. Results are bit-identical
-// either way: the network lowering order, every FP operation and the
-// min/max reductions (order-independent for non-NaN operands) are
-// unchanged — only where the intermediate lanes live differs.
-func (e *Evaluator) EvaluateIn(t *ctree.Tree, j *arena.Job) (*Metrics, error) {
 	if err := t.Validate(); err != nil {
 		return nil, fmt.Errorf("eval: %w", err)
 	}
-	home := evalHomeOf(j)
-	s := home.get()
-	defer home.pool.Put(s)
+	s := getEvalScratch()
+	defer evalPool.Put(s)
 	s.lower(t, e.tc)
 	var delays []float64
 	if e.mode == NLDM {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"dscts/internal/arena"
 	"dscts/internal/ctree"
 	"dscts/internal/timing"
 )
@@ -51,19 +50,11 @@ type RegionEval struct {
 // the merged tree once at stitch time, and a full structural walk per region
 // would double the evaluation cost at mega scale.
 func (e *Evaluator) SummarizeRegion(t *ctree.Tree) (*RegionEval, error) {
-	return e.SummarizeRegionIn(t, nil)
-}
-
-// SummarizeRegionIn is SummarizeRegion sourcing its working memory from the
-// job's eval arena; nil falls back to the package pool. Bit-identical either
-// way (see EvaluateIn).
-func (e *Evaluator) SummarizeRegionIn(t *ctree.Tree, j *arena.Job) (*RegionEval, error) {
 	if e.mode != Elmore {
 		return nil, fmt.Errorf("eval: hierarchical summaries require Elmore mode")
 	}
-	home := evalHomeOf(j)
-	s := home.get()
-	defer home.pool.Put(s)
+	s := getEvalScratch()
+	defer evalPool.Put(s)
 	s.lower(t, e.tc)
 	if len(s.pairs) == 0 {
 		return nil, fmt.Errorf("eval: region tree has no sinks")

@@ -68,7 +68,7 @@ type WhatIf struct {
 	csc      WhatIfScratch // Commit's re-timing workspace
 
 	netOf   []int32                   // lowering scratch, reused across builds
-	sinkDst []float64                 // per-sink delay scratch (EvaluateWhatIfIn)
+	sinkDst []float64                 // per-sink delay scratch (EvaluateWhatIf)
 	spool   arena.Pool[WhatIfScratch] // idle trial workspaces
 }
 
@@ -122,16 +122,11 @@ func (w *WhatIf) PutScratch(s *WhatIfScratch) { w.spool.Put(s) }
 // NewWhatIf lowers the annotated tree once, mirroring BuildNetwork's RC
 // rules, and plants a toggleable buffer slot at every centroid that does
 // not already carry a node buffer. The tree must already be valid (the
-// caller's initial Evaluate checks that).
+// caller's initial Evaluate checks that). The model (lanes, slot map and
+// idle scratches) is recycled from a package pool; hand it back with
+// ReleaseWhatIf when done.
 func NewWhatIf(t *ctree.Tree, tc *tech.Tech) *WhatIf {
-	return NewWhatIfIn(t, tc, nil)
-}
-
-// NewWhatIfIn is NewWhatIf recycling a model (lanes, slot map and idle
-// scratches) from the job's eval arena; nil falls back to the package pool.
-// Release with ReleaseWhatIf when done. Bit-identical results either way.
-func NewWhatIfIn(t *ctree.Tree, tc *tech.Tech, j *arena.Job) *WhatIf {
-	w := evalHomeOf(j).wi.Get()
+	w := whatIfPool.Get()
 	if w == nil {
 		w = &WhatIf{slotOf: make(map[int]int32)}
 	}
@@ -139,10 +134,9 @@ func NewWhatIfIn(t *ctree.Tree, tc *tech.Tech, j *arena.Job) *WhatIf {
 	return w
 }
 
-// ReleaseWhatIf returns a model obtained from NewWhatIfIn to its pool. The
-// caller must pass the same job (or nil) it acquired with and must not use
-// w afterwards.
-func ReleaseWhatIf(j *arena.Job, w *WhatIf) { evalHomeOf(j).wi.Put(w) }
+// ReleaseWhatIf returns a model obtained from NewWhatIf to its pool. The
+// caller must not use w afterwards.
+func ReleaseWhatIf(w *WhatIf) { whatIfPool.Put(w) }
 
 // build (re)lowers the tree into the model, rewinding every lane.
 func (w *WhatIf) build(t *ctree.Tree, tc *tech.Tech) {
@@ -298,18 +292,11 @@ func (w *WhatIf) CommittedTreeNodes() []int {
 // sink index space of the tree. Elmore mode only; agrees with Evaluate to
 // 1e-9 relative (TestWhatIfMatchesEvaluate).
 func (e *Evaluator) EvaluateWhatIf(t *ctree.Tree, nSinks int) (*Metrics, error) {
-	return e.EvaluateWhatIfIn(t, nSinks, nil)
-}
-
-// EvaluateWhatIfIn is EvaluateWhatIf recycling the model and its lanes from
-// the job's eval arena; nil falls back to the package pool. Bit-identical
-// results either way.
-func (e *Evaluator) EvaluateWhatIfIn(t *ctree.Tree, nSinks int, j *arena.Job) (*Metrics, error) {
 	if e.mode != Elmore {
 		return nil, fmt.Errorf("eval: what-if evaluation requires Elmore mode")
 	}
-	w := NewWhatIfIn(t, e.tc, j)
-	defer ReleaseWhatIf(j, w)
+	w := NewWhatIf(t, e.tc)
+	defer ReleaseWhatIf(w)
 	if len(w.sinkIdx) == 0 {
 		return nil, fmt.Errorf("eval: tree has no sinks")
 	}

@@ -72,11 +72,11 @@ type Config struct {
 	// pure function of its children, so any worker count produces
 	// identical solution sets (and therefore identical trees).
 	Workers int
-	// Arena sources the per-worker generation scratch (and the slab the
-	// per-node solution sets land in) from the owning job's arena; nil
-	// falls back to the package pool. Identical results either way.
-	Arena *arena.Job
 }
+
+// DefaultMaxPerSide is the per-side solution cap Run applies when
+// Config.MaxPerSide is <= 0.
+const DefaultMaxPerSide = 48
 
 // DefaultConfig returns the paper's experimental settings (α,β,γ = 1,10,1).
 func DefaultConfig(tc *tech.Tech) Config {
@@ -139,7 +139,7 @@ func RunContext(ctx context.Context, t *ctree.Tree, cfg Config) (*Result, error)
 		return nil, fmt.Errorf("insert: %w", err)
 	}
 	if cfg.MaxPerSide <= 0 {
-		cfg.MaxPerSide = 48
+		cfg.MaxPerSide = DefaultMaxPerSide
 	}
 	fanout := t.SinkCounts()
 
@@ -157,11 +157,10 @@ func RunContext(ctx context.Context, t *ctree.Tree, cfg Config) (*Result, error)
 	// plain postorder loop. The checked-out scratches own the slab memory
 	// every dp.sols points into, so they return to their pool only after
 	// the retrace below is done reading the solution sets.
-	home := insHomeOf(cfg.Arena)
-	scratches, err := generateAll(ctx, t, nodes, cfg, res, home)
+	scratches, err := generateAll(ctx, t, nodes, cfg, res)
 	defer func() {
 		for _, sc := range scratches {
-			home.pool.Put(sc)
+			genPool.Put(sc)
 		}
 	}()
 	if err != nil {
@@ -292,23 +291,12 @@ func (sc *genScratch) takeSols(src []Solution) []Solution {
 	return dst
 }
 
-// insHome pools generation scratches per arena job.
-type insHome struct {
-	pool arena.Pool[genScratch]
-}
+// genPool recycles generation scratches across every DP run: jobs, sizes
+// and concurrent regions all draw from it.
+var genPool arena.Pool[genScratch]
 
-// fallbackIns serves callers without an arena job.
-var fallbackIns insHome
-
-func insHomeOf(j *arena.Job) *insHome {
-	if h := arena.Slot(j, arena.PhaseInsert, func() *insHome { return &insHome{} }); h != nil {
-		return h
-	}
-	return &fallbackIns
-}
-
-func (h *insHome) get() *genScratch {
-	if sc := h.pool.Get(); sc != nil {
+func getGenScratch() *genScratch {
+	if sc := genPool.Get(); sc != nil {
 		sc.sols.Reset()
 		return sc
 	}
@@ -320,13 +308,13 @@ func (h *insHome) get() *genScratch {
 // solution set is a pure function of its children's sets. Cancellation via
 // ctx aborts the pass between nodes; the success path never consults the
 // context's state beyond a cheap Err poll, so results stay deterministic.
-func generateAll(ctx context.Context, t *ctree.Tree, nodes []dpNode, cfg Config, res *Result, home *insHome) ([]*genScratch, error) {
+func generateAll(ctx context.Context, t *ctree.Tree, nodes []dpNode, cfg Config, res *Result) ([]*genScratch, error) {
 	workers := par.N(cfg.Workers)
 	if workers > len(nodes) {
 		workers = len(nodes)
 	}
 	if workers <= 1 {
-		sc := home.get()
+		sc := getGenScratch()
 		for i := range nodes {
 			if err := ctx.Err(); err != nil {
 				return []*genScratch{sc}, fmt.Errorf("insert: %w", err)
@@ -366,7 +354,7 @@ func generateAll(ctx context.Context, t *ctree.Tree, nodes []dpNode, cfg Config,
 	}
 	scratches := make([]*genScratch, workers)
 	for w := range scratches {
-		scratches[w] = home.get()
+		scratches[w] = getGenScratch()
 	}
 	var wg sync.WaitGroup
 	wg.Add(workers)

@@ -22,7 +22,6 @@ import (
 	"math"
 	"sort"
 
-	"dscts/internal/arena"
 	"dscts/internal/ctree"
 	"dscts/internal/eval"
 	"dscts/internal/par"
@@ -47,10 +46,6 @@ type Params struct {
 	// makes exactly the same accept/reject decisions as the sequential
 	// pass.
 	Workers int
-	// Arena sources the evaluation working set (WhatIf model, trial
-	// scratches) from the owning job's arena; nil falls back to the
-	// package pools. Identical results either way.
-	Arena *arena.Job
 }
 
 // DefaultParams returns the paper's experimental settings.
@@ -123,7 +118,7 @@ func RefineContext(ctx context.Context, t *ctree.Tree, tc *tech.Tech, p Params) 
 		return nil, fmt.Errorf("refine: trigger percentage must be positive, got %v", p.TriggerPct)
 	}
 	ev := eval.New(tc, eval.Elmore)
-	before, err := ev.EvaluateIn(t, p.Arena)
+	before, err := ev.Evaluate(t)
 	if err != nil {
 		return nil, fmt.Errorf("refine: %w", err)
 	}
@@ -137,8 +132,8 @@ func RefineContext(ctx context.Context, t *ctree.Tree, tc *tech.Tech, p Params) 
 	n := Budget(len(before.SinkDelays), p)
 	workers := par.N(p.Workers)
 
-	w := eval.NewWhatIfIn(t, tc, p.Arena)
-	defer eval.ReleaseWhatIf(p.Arena, w)
+	w := eval.NewWhatIf(t, tc)
+	defer eval.ReleaseWhatIf(w)
 	scratches := make([]*eval.WhatIfScratch, workers)
 	for i := range scratches {
 		scratches[i] = w.NewScratch()
@@ -281,7 +276,7 @@ func RefineContext(ctx context.Context, t *ctree.Tree, tc *tech.Tech, p Params) 
 	for _, cid := range w.CommittedTreeNodes() {
 		t.Nodes[cid].BufferAtNode = true
 	}
-	after, err := ev.EvaluateIn(t, p.Arena)
+	after, err := ev.Evaluate(t)
 	if err != nil {
 		return nil, fmt.Errorf("refine: %w", err)
 	}

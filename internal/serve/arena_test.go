@@ -5,13 +5,13 @@ import (
 	"testing"
 )
 
-// TestServeArenaRecycleBitIdentical pins the queue's scratch-arena recycling:
-// a job that re-runs a design on a warm recycled arena (same size bucket)
-// must produce bit-identical metrics to the cold run. A 1-entry result cache
-// plus an interleaved C5 job forces the second C4 submission to actually
-// re-execute instead of hitting the cache.
+// TestServeArenaRecycleBitIdentical pins scratch recycling across queued
+// jobs: a job that re-runs a design on package-pool scratch warmed by jobs
+// of other sizes must produce bit-identical metrics to the first run. A
+// 1-entry result cache plus an interleaved C5 job forces the second C4
+// submission to actually re-execute instead of hitting the cache.
 func TestServeArenaRecycleBitIdentical(t *testing.T) {
-	s, client := newTestServer(t, Config{MaxRunning: 1, CacheEntries: 1})
+	_, client := newTestServer(t, Config{MaxRunning: 1, CacheEntries: 1})
 	ctx := context.Background()
 
 	req := &Request{Design: "C4", IncludeSinkDelays: true}
@@ -30,27 +30,14 @@ func TestServeArenaRecycleBitIdentical(t *testing.T) {
 		t.Fatal("second C4 run was a cache hit; the recycle path never ran")
 	}
 
-	st := s.Queue().Stats()
-	if st.Arenas.Gets < 3 {
-		t.Fatalf("expected >=3 arena checkouts, got %+v", st.Arenas)
-	}
-	// C4 and C5 land in different size buckets, so the warm C4 run must have
-	// recycled the cold C4 run's arena.
-	if st.Arenas.Hits < 1 {
-		t.Fatalf("expected a warm arena hit, got %+v", st.Arenas)
-	}
-	if st.Arenas.Puts != st.Arenas.Gets {
-		t.Fatalf("arena leak: %+v", st.Arenas)
-	}
-
 	cm, wm := cold.Result.Metrics, warm.Result.Metrics
 	if cm.Latency != wm.Latency || cm.Skew != wm.Skew || cm.WL != wm.WL ||
 		cm.Buffers != wm.Buffers || cm.NTSVs != wm.NTSVs {
-		t.Fatalf("recycled-arena run differs from cold run:\ncold %+v\nwarm %+v", cm, wm)
+		t.Fatalf("recycled-scratch run differs from cold run:\ncold %+v\nwarm %+v", cm, wm)
 	}
 	for idx, d := range cm.SinkDelays {
 		if wm.SinkDelays[idx] != d {
-			t.Fatalf("sink %d delay %v != %v on recycled arena", idx, wm.SinkDelays[idx], d)
+			t.Fatalf("sink %d delay %v != %v on recycled scratch", idx, wm.SinkDelays[idx], d)
 		}
 	}
 }

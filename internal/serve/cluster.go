@@ -359,7 +359,6 @@ func (c *clusterNode) execFor(techName string, tc *tech.Tech, opt core.Options) 
 	// Keep the knob fields bit-identical to the local path; strip only the
 	// node-local hooks. Faults are reapplied by whichever node executes,
 	// from its own registry, so chaos specs fire where the work runs.
-	opt.Arena = nil
 	opt.Progress = nil
 	opt.RegionExec = nil
 	opt.Faults = nil

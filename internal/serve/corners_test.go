@@ -42,17 +42,17 @@ func TestRequestKeyCorners(t *testing.T) {
 // MUST change whenever the encoding version bumps, and must NOT change
 // otherwise: an accidental encoding edit that silently remaps every cache
 // entry fails here, and so does adding a result-affecting field without
-// bumping requestKeyVersion (start from the recorded v4 values and
+// bumping requestKeyVersion (start from the recorded v5 values and
 // re-pin on every deliberate version bump).
 func TestRequestKeyPinned(t *testing.T) {
-	if requestKeyVersion != "dscts-request-v4" {
+	if requestKeyVersion != "dscts-request-v5" {
 		t.Fatalf("encoding version changed to %q: re-pin the hashes below", requestKeyVersion)
 	}
 	pins := map[string]*Request{
-		"c2c950a2aa40ee599e3fd5743bb84795e1ecf7dbf9b074cfa2a8936f5b585120": {Design: "C4", Seed: 1},
-		"1bef29523aa268296dc51b69e413320b619f6a75c627167bba9f4899041270de": {Design: "C4", Seed: 1, Corners: []string{"slow", "typ", "fast"}},
-		"85f74bd6d4dd9b737df44e0b9b6f13665ec189e14b1d74f9bc0c1196c88467fb": {Design: "C4", Seed: 1, Options: OptionsSpec{PartitionMaxSinks: 50000}},
-		"e6975a4041b1f7a27d23d4d7d0c25dbd8f593aa198542be0babda52665e9a649": {XLSinks: 1000000, Seed: 1, Options: OptionsSpec{PartitionMaxSinks: 50000}},
+		"c20a605ef9566bb235690c2d45365bada246176d403a740a55ae3c8793c89d57": {Design: "C4", Seed: 1},
+		"08ad7a67b2b76408b1f62cf14190cfe5237452e81b87ca853c17e39937ad38fb": {Design: "C4", Seed: 1, Corners: []string{"slow", "typ", "fast"}},
+		"b04c5d6d0aca269e844674e015df3220786e9c2305d65d6164b85f5b06a9634b": {Design: "C4", Seed: 1, Options: OptionsSpec{PartitionMaxSinks: 50000}},
+		"3ad885d6a74f53c4c0c1a33bb87f812db2672321773a1119c3bcc08f70a32f3d": {XLSinks: 1000000, Seed: 1, Options: OptionsSpec{PartitionMaxSinks: 50000}},
 	}
 	for want, req := range pins {
 		if got := req.Key(KindSynthesize); got != want {
@@ -66,7 +66,7 @@ func TestRequestKeyPinned(t *testing.T) {
 		Remove: []int{3},
 		Add:    []XY{{X: 10, Y: 20}},
 	}}
-	const wantECO = "ca239420a52aa1356ce891bbaad98222be9cd9309002bf132b94adf071176450"
+	const wantECO = "15585439ce0cfd2defc3c4950d839d94c5f2bc3c249d6a3b03e3c0224e2f06e8"
 	if got := ecoReq.Key(KindECO); got != wantECO {
 		t.Errorf("eco canonical encoding drifted without a version bump:\ngot  %s\nwant %s", got, wantECO)
 	}

@@ -117,14 +117,6 @@ func newMetrics(reg *obs.Registry, q *Queue) *metrics {
 		func() float64 { return float64(q.baseStats().Misses) })
 	reg.GaugeFunc("dscts_eco_base_entries", "ECO base outcomes currently retained.",
 		func() float64 { return float64(q.baseStats().Entries) })
-	reg.CounterFunc("dscts_arena_gets_total", "Scratch-arena checkouts by synthesis jobs.",
-		func() float64 { return float64(q.arenaStats().Gets) })
-	reg.CounterFunc("dscts_arena_hits_total",
-		"Scratch-arena checkouts served by a warm recycled arena.",
-		func() float64 { return float64(q.arenaStats().Hits) })
-	reg.CounterFunc("dscts_arena_puts_total",
-		"Scratch arenas returned to the pool (gets minus puts over a quiet queue = arenas dropped after panics).",
-		func() float64 { return float64(q.arenaStats().Puts) })
 
 	// QoS classes are fixed at startup, so per-class instruments register
 	// once, each closing over that class's scheduler state; the label set
@@ -340,12 +332,6 @@ func (q *Queue) baseStats() CacheStats {
 		return CacheStats{}
 	}
 	return q.bases.Stats()
-}
-
-// arenaStats snapshots the scratch-arena recycling pool.
-func (q *Queue) arenaStats() ArenaStats {
-	gets, hits, puts := q.arenas.Stats()
-	return ArenaStats{Gets: gets, Hits: hits, Puts: puts}
 }
 
 // httpMetrics instruments the HTTP layer: request counts by status code, a

@@ -63,9 +63,6 @@ func TestMetricFamiliesGolden(t *testing.T) {
 	}
 
 	want := []string{
-		"dscts_arena_gets_total",
-		"dscts_arena_hits_total",
-		"dscts_arena_puts_total",
 		"dscts_build_info",
 		"dscts_cache_corruptions_total",
 		"dscts_cache_encode_drops_total",

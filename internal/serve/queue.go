@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dscts/internal/arena"
 	"dscts/internal/core"
 	"dscts/internal/corner"
 	"dscts/internal/dse"
@@ -596,16 +595,6 @@ type QueueStats struct {
 	Deduped int64 `json:"deduped,omitempty"`
 }
 
-// ArenaStats is the scratch-arena recycling section of GET /stats: Gets
-// counts arena checkouts by synthesis jobs, Hits the checkouts served by a
-// warm recycled arena (same size bucket), Puts the arenas returned. Gets -
-// Puts over a quiet queue is the number of arenas dropped after panics.
-type ArenaStats struct {
-	Gets uint64 `json:"gets"`
-	Hits uint64 `json:"hits"`
-	Puts uint64 `json:"puts"`
-}
-
 // PanicRecord is one recovered job panic retained for GET /stats.
 type PanicRecord struct {
 	JobID string    `json:"job_id"`
@@ -626,8 +615,6 @@ type Stats struct {
 	Cache    CacheStats `json:"cache"`
 	// ECOBases is the base-outcome cache behind POST /eco.
 	ECOBases CacheStats `json:"eco_bases"`
-	// Arenas is the scratch-arena pool recycling snapshot.
-	Arenas ArenaStats `json:"arenas"`
 	// QoS is the per-class and per-tenant scheduling snapshot.
 	QoS QoSStats `json:"qos"`
 	// Store is the disk persistence tier's snapshot; nil when persistence
@@ -663,12 +650,6 @@ type Queue struct {
 	wdStop    chan struct{}
 	wdWG      sync.WaitGroup
 	closeOnce sync.Once
-
-	// arenas recycles synthesis scratch arenas across queued jobs, bucketed
-	// by sink count so a small request never pins a mega-run's working set.
-	// A job that panics mid-run drops its arena (possibly inconsistent)
-	// instead of returning it.
-	arenas *arena.JobPool
 
 	// sched is the pending set: class-weighted fair-share dispatch with
 	// per-tenant round-robin and admission quotas (see qos.go).
@@ -732,7 +713,6 @@ func NewQueue(cfg Config) *Queue {
 	q := &Queue{
 		cfg: cfg, cache: newCache(cfg.CacheEntries),
 		ctx: ctx, cancel: cancel,
-		arenas:       arena.NewJobPool(0),
 		sched:        newQoSScheduler(cfg.QoSClasses, cfg.MaxQueued, cfg.MaxRunning, cfg.TenantQuota),
 		tenants:      newTenantTable(),
 		jobs:         make(map[string]*Job),
@@ -1079,7 +1059,6 @@ func (q *Queue) Stats() Stats {
 		UptimeMS: ms(uptime), UptimeSeconds: uptime.Seconds(),
 		Version: build.Version, Revision: build.Revision,
 		ECOBases: q.baseStats(),
-		Arenas:   q.arenaStats(),
 		QoS: QoSStats{
 			DefaultClass: q.sched.defaultClass(),
 			TenantQuota:  q.cfg.TenantQuota,
@@ -1322,20 +1301,8 @@ func (q *Queue) execute(job *Job, ctx context.Context) {
 	var result *Result
 	switch job.kind {
 	case KindSynthesize:
-		// Recycle a size-bucketed scratch arena across queued jobs. A run
-		// that retains ECO state keeps its arena on the retained outcome
-		// instead (the base LRU owns it then), so only non-retaining runs
-		// borrow from the pool. Put happens only on a non-panicking return:
-		// a panic unwinds past this frame, dropping the (possibly
-		// inconsistent) arena for the GC — exactly what JobPool documents.
-		var aj *arena.Job
-		if !opt.RetainECO {
-			aj = q.arenas.Get(job.sinks)
-			opt.Arena = aj
-		}
 		var o *core.Outcome
 		o, err = core.SynthesizeContext(ctx, rv.root, rv.sinks, rv.tc, opt)
-		q.arenas.Put(aj)
 		if err == nil {
 			result = resultFromOutcome(KindSynthesize, job.design, job.sinks, o)
 		}

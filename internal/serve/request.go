@@ -24,6 +24,7 @@ import (
 	"dscts/internal/corner"
 	"dscts/internal/eco"
 	"dscts/internal/geom"
+	"dscts/internal/insert"
 	"dscts/internal/partition"
 	"dscts/internal/tech"
 )
@@ -374,8 +375,10 @@ func (r *Request) corners() ([]corner.Corner, error) {
 // evaluation-model tag; v2 appends both unconditionally; v3 appends the
 // XL-placement selector and the partition options unconditionally; v4
 // appends the ECO delta section (add/move/remove/corner-replace)
-// unconditionally, so a delta-carrying request can never alias its base.
-const requestKeyVersion = "dscts-request-v4"
+// unconditionally, so a delta-carrying request can never alias its base;
+// v5 hashes mode, MOES weights, MaxPerSide and FanoutThreshold as the
+// engine applies them, so spellings of one default share one entry.
+const requestKeyVersion = "dscts-request-v5"
 
 // evalModel names the delay model the engine evaluates results with. It
 // is part of the canonical encoding so that a future model switch (e.g.
@@ -447,7 +450,24 @@ func (r *Request) Key(kind string) string {
 			wf(s.Y)
 		}
 	}
+	// Options hash as the engine applies them, so requests that synthesize
+	// the same tree share one entry: mode "" is "double", all-zero weights
+	// are the paper's defaults, MaxPerSide <= 0 is the DP's default cap and
+	// FanoutThreshold <= 0 is full mode.
 	o := r.Options
+	if o.Mode == "" {
+		o.Mode = "double"
+	}
+	if o.FanoutThreshold < 0 {
+		o.FanoutThreshold = 0
+	}
+	if o.Alpha == 0 && o.Beta == 0 && o.Gamma == 0 {
+		def := insert.DefaultConfig(nil)
+		o.Alpha, o.Beta, o.Gamma = def.Alpha, def.Beta, def.Gamma
+	}
+	if o.MaxPerSide <= 0 {
+		o.MaxPerSide = insert.DefaultMaxPerSide
+	}
 	ws(o.Mode)
 	wi(int64(o.FanoutThreshold))
 	wf(o.Alpha)
