@@ -41,7 +41,6 @@ type clusterXLReport struct {
 	PartitionMaxSinks int     `json:"partition_max_sinks"`
 	DurationMS        float64 `json:"duration_ms"`
 	RegionsDispatched int64   `json:"regions_dispatched"`
-	RegionsStolen     int64   `json:"regions_stolen"`
 	RegionsServed     int64   `json:"regions_served_by_peers"`
 }
 
@@ -125,10 +124,10 @@ func (n *clusterBenchNode) kill() {
 }
 
 // runCluster boots an in-process N-node cluster (real loopback listeners,
-// consistent-hash routing, region dispatch, stealing) and measures three
-// phases: (A) routed load — conc clients spread over all nodes replaying
-// a shared distinct-request pool; (B) one partitioned XL job on a node
-// with zero local region executors, forcing remote dispatch/steal; (C)
+// consistent-hash routing, region dispatch) and measures three phases:
+// (A) routed load — conc clients spread over all nodes replaying a shared
+// distinct-request pool; (B) one partitioned XL job on a node with zero
+// local region executors, forcing remote dispatch; (C)
 // kill-one-node — traffic continues across the survivors while a node
 // dies, and every operation must still complete. With a chaos spec, phase
 // A instead soaks for -duration with the fault schedule armed on the LAST
@@ -175,12 +174,11 @@ func runCluster(path string, nodeCount, jobs, conc, distinct int, chaosSpec stri
 				NodeID: peers[i].ID, Peers: peers, Secret: "bench-secret",
 				ProbeInterval: 250 * time.Millisecond,
 				Cooldown:      time.Second,
-				StealInterval: 20 * time.Millisecond,
 			},
 		}
 		if i == 0 && !chaosMode {
 			// Phase B runs its XL job here: with no local executors every
-			// region must execute on a peer (dispatch or steal).
+			// region must execute on a peer.
 			cfg.Cluster.LocalExecutors = -1
 		}
 		if chaosMode && i == nodeCount-1 {
@@ -346,7 +344,6 @@ func runCluster(path string, nodeCount, jobs, conc, distinct int, chaosSpec stri
 		}
 		if cs := st0.Cluster; cs != nil {
 			xl.RegionsDispatched = cs.RegionsDispatched
-			xl.RegionsStolen = cs.StealsGiven
 		}
 		for _, n := range nodes[1:] {
 			st, err := serve.NewClient(n.base).Stats(context.Background())
@@ -358,8 +355,8 @@ func runCluster(path string, nodeCount, jobs, conc, distinct int, chaosSpec stri
 			}
 		}
 		rep.XL = xl
-		if xl.RegionsDispatched+xl.RegionsStolen == 0 {
-			return fmt.Errorf("cluster xl: no region was dispatched or stolen (remote execution never engaged)")
+		if xl.RegionsDispatched == 0 {
+			return fmt.Errorf("cluster xl: no region was dispatched (remote execution never engaged)")
 		}
 	}
 
@@ -460,7 +457,7 @@ func runCluster(path string, nodeCount, jobs, conc, distinct int, chaosSpec stri
 	}
 
 	rep.Notes = []string{
-		"in-process N-node dsctsd cluster over loopback: consistent-hash request routing with forward-on-miss, remote region dispatch (POST /internal/region), work stealing, and /readyz-fed circuit breakers",
+		"in-process N-node dsctsd cluster over loopback: consistent-hash request routing with forward-on-miss, remote region dispatch (POST /internal/region) bounded by a per-region timeout, and /readyz-fed circuit breakers",
 		"phase A replays the BENCH_serve request pool through all nodes; repeated invocations route to each key's single ring owner, so the aggregate throughput reflects the cluster-wide shared cache at steady state (the single-node baseline re-misses the same keys per node)",
 		"phase B pins remote execution: the submitting node runs zero regions itself, yet the stitched result is bit-identical to a local run (serve cluster test suite)",
 		"phase C kills one node mid-traffic: clients replay refused connections against survivors, and forwards to the dead node fall back to local execution — zero lost jobs is the contract",
@@ -477,8 +474,8 @@ func runCluster(path string, nodeCount, jobs, conc, distinct int, chaosSpec stri
 	fmt.Printf("  %d nodes, %d jobs x%d clients: %.1f jobs/s aggregate, %d forwarded, %d fallback\n",
 		nodeCount, rep.Jobs, conc, rep.AggregateThroughput, rep.Forwarded, rep.ForwardFallback)
 	if rep.XL != nil {
-		fmt.Printf("  xl dispatch: %d regions dispatched, %d stolen, %d served by peers\n",
-			rep.XL.RegionsDispatched, rep.XL.RegionsStolen, rep.XL.RegionsServed)
+		fmt.Printf("  xl dispatch: %d regions dispatched, %d served by peers\n",
+			rep.XL.RegionsDispatched, rep.XL.RegionsServed)
 	}
 	if rep.Kill != nil {
 		fmt.Printf("  kill %s: %d jobs, %d resubmitted, %d lost, %d unstructured\n",

@@ -26,7 +26,7 @@
 //
 // With -load -cluster N it boots an in-process N-node dsctsd cluster over
 // loopback (consistent-hash routing with forward-on-miss, remote region
-// dispatch, work stealing) and writes per-node throughput, forward/steal
+// dispatch) and writes per-node throughput, forward and region-dispatch
 // counters, an XL remote-dispatch section and a kill-one-node recovery
 // section to BENCH_cluster.json; combined with -chaos it instead soaks the
 // cluster with the fault schedule armed on one node only:
@@ -70,7 +70,7 @@ func main() {
 		benchOut   = flag.String("bench-out", "BENCH_parallel.json", "report path for -bench")
 		doLoad     = flag.Bool("load", false, "replay concurrent jobs against an in-process dsctsd and write a JSON report")
 		loadOut    = flag.String("load-out", "BENCH_serve.json", "report path for -load")
-		clusterN   = flag.Int("cluster", 0, "with -load: boot an in-process N-node cluster (consistent-hash routing, region dispatch, stealing) instead of one daemon and write BENCH_cluster.json")
+		clusterN   = flag.Int("cluster", 0, "with -load: boot an in-process N-node cluster (consistent-hash routing, region dispatch) instead of one daemon and write BENCH_cluster.json")
 		doCorner   = flag.String("corners-out", "", "measure multi-corner sign-off scaling and write the JSON report to this path (e.g. BENCH_corners.json)")
 		doScale    = flag.String("scale-out", "", "measure monolithic vs partition-parallel scaling over XL placements and write the JSON report to this path (e.g. BENCH_scale.json)")
 		scaleSize  = flag.String("scale-sizes", "100000,250000,500000,1000000", "comma-separated sink counts for -scale-out")

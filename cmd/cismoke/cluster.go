@@ -15,8 +15,6 @@ type clusterStatsView struct {
 	ForwardedIn       int64 `json:"forwarded_in"`
 	RegionsDispatched int64 `json:"regions_dispatched"`
 	RegionsServed     int64 `json:"regions_served"`
-	RegionsStolen     int64 `json:"regions_stolen"`
-	StealsGiven       int64 `json:"steals_given"`
 }
 
 // clusterView mirrors the BENCH_cluster.json fields the cluster gate
@@ -36,7 +34,6 @@ type clusterView struct {
 	} `json:"per_node"`
 	XL *struct {
 		RegionsDispatched int64 `json:"regions_dispatched"`
-		RegionsStolen     int64 `json:"regions_stolen"`
 		RegionsServed     int64 `json:"regions_served_by_peers"`
 	} `json:"xl_dispatch"`
 	Kill *struct {
@@ -101,7 +98,7 @@ func cmdCluster(args []string) error {
 	if r.ForwardedIn < r.Forwarded || (r.Chaos == nil && r.Forwarded != r.ForwardedIn) {
 		return fmt.Errorf("forward accounting broken: %d sent vs %d received", r.Forwarded, r.ForwardedIn)
 	}
-	var sumServed, sumDispatched, sumStolen, sumStealsGiven int64
+	var sumServed, sumDispatched int64
 	for _, n := range r.PerNode {
 		if n.Jobs == 0 {
 			return fmt.Errorf("node %s served zero phase-A jobs: load was not spread", n.NodeID)
@@ -111,18 +108,12 @@ func cmdCluster(args []string) error {
 		}
 		sumServed += n.Stats.Cluster.RegionsServed
 		sumDispatched += n.Stats.Cluster.RegionsDispatched
-		sumStolen += n.Stats.Cluster.RegionsStolen
-		sumStealsGiven += n.Stats.Cluster.StealsGiven
 	}
 	// A peer can execute a dispatched region and still have the RPC reply
 	// lost to a fault, so served may exceed applied dispatches under
-	// chaos; they match exactly on a healthy run. Applied steals can never
-	// exceed handed-out leases.
+	// chaos; they match exactly on a healthy run.
 	if sumServed < sumDispatched || (r.Chaos == nil && sumServed != sumDispatched) {
 		return fmt.Errorf("region accounting broken: %d served vs %d dispatched", sumServed, sumDispatched)
-	}
-	if sumStolen > sumStealsGiven {
-		return fmt.Errorf("steal accounting broken: %d stolen vs %d leases given", sumStolen, sumStealsGiven)
 	}
 
 	if r.Chaos != nil {
@@ -144,8 +135,8 @@ func cmdCluster(args []string) error {
 		if r.XL == nil {
 			return fmt.Errorf("no xl_dispatch section: remote region dispatch was not exercised")
 		}
-		if r.XL.RegionsDispatched+r.XL.RegionsStolen == 0 {
-			return fmt.Errorf("xl job ran with zero remote regions (dispatch and steal both idle)")
+		if r.XL.RegionsDispatched == 0 {
+			return fmt.Errorf("xl job dispatched zero regions to peers")
 		}
 		if r.Kill == nil || r.Kill.Jobs == 0 {
 			return fmt.Errorf("no kill-one-node section: recovery was not exercised")
@@ -186,7 +177,7 @@ func cmdCluster(args []string) error {
 	if ratio > 0 {
 		fmt.Printf(" (%.2fx baseline)", ratio)
 	}
-	fmt.Printf(", %d forwarded, %d regions remote", r.Forwarded, sumServed+sumStolen)
+	fmt.Printf(", %d forwarded, %d regions remote", r.Forwarded, sumServed)
 	if r.Kill != nil {
 		fmt.Printf(", kill %s: %d resubmitted / 0 lost", r.Kill.KilledNode, r.Kill.Resubmitted)
 	}

@@ -52,12 +52,14 @@
 // node included) and -node-id names which entry is us. Cache keys then
 // route over a consistent-hash ring — a sync request whose key hashes to a
 // peer is forwarded there, so repeated invocations hit exactly one node's
-// cache — oversized partitioned jobs dispatch regions to peers (POST
-// /internal/region), and idle peers steal queued regions. Every remote
-// path degrades to local execution when a peer is down (per-peer circuit
-// breakers fed by /readyz probes), and results are bit-identical to a
-// single-node run. -cluster-secret authenticates the /internal/* peer
-// endpoints; see DESIGN.md §9.
+// cache — and oversized partitioned jobs dispatch regions to peers (POST
+// /internal/region), each dispatch bounded by a region timeout of 60s per
+// 50k sinks. Every remote path degrades to local execution when a peer is
+// down, hung or answering garbage (per-peer circuit breakers fed by
+// /readyz probes and failed calls), and results are bit-identical to a
+// single-node run.
+// -cluster-secret authenticates the /internal/* peer endpoints; see
+// DESIGN.md §9.
 //
 // -fault-spec arms the deterministic fault-injection registry (see
 // internal/fault) for chaos testing a real deployment; leave it empty in

@@ -165,9 +165,10 @@ type Options struct {
 	Faults *fault.Registry
 	// RegionExec, when non-nil, executes the regions of a partitioned run
 	// instead of the built-in local path — the cluster-mode seam that lets
-	// a daemon dispatch regions to peers (or a steal queue) and splice the
-	// results into the local stitch. The executor must be result-equivalent
-	// to RunRegion for the same inputs; the engine consumes results in
+	// a daemon dispatch regions to peers and splice the results into the
+	// local stitch. The executor must be result-equivalent to RunRegion
+	// for the same inputs, and every result passes RegionOut.Validate
+	// before the stitch uses it; the engine consumes results in
 	// region-ID order regardless of completion order, so a conforming
 	// executor preserves bit-identical Metrics. With it set, the outer
 	// region fan-out is not capped at the core count (the executor owns

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"dscts/internal/ctree"
 	"dscts/internal/eval"
 	"dscts/internal/geom"
 	"dscts/internal/partition"
@@ -241,5 +243,63 @@ func TestPartitionProgressPhases(t *testing.T) {
 	}
 	if points < 2 {
 		t.Fatalf("want per-region partition points, got %d", points)
+	}
+}
+
+// TestRegionOutValidate pins the check every executor result passes
+// before the stitch: a real region passes, and each way a wire result can
+// be malformed is an error rather than a panic.
+func TestRegionOutValidate(t *testing.T) {
+	sinks := clusteredSinks(200, 5, 150)
+	ro, err := RunRegion(context.Background(), RegionWork{ID: 1, Anchor: geom.Pt(75, 75), Sinks: sinks},
+		tech.ASAP7(), Options{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ro.Validate(len(sinks)); err != nil {
+		t.Fatalf("real region: %v", err)
+	}
+	if err := ro.Validate(len(sinks) - 1); err == nil {
+		t.Fatal("wrong sink count accepted")
+	}
+	badChild := *ro
+	badChild.Tree = ro.Tree.Clone()
+	badChild.Tree.Nodes[0].Children = append(badChild.Tree.Nodes[0].Children, 999)
+	noMetrics := *ro
+	noMetrics.Sum = &eval.RegionEval{}
+	// withDelays and withSinkIdx copy ro with one sink delay map or one
+	// sink node's index changed.
+	withDelays := func(edit func(map[int]float64)) *RegionOut {
+		c, m := *ro, *ro.Sum.Metrics
+		m.SinkDelays = maps.Clone(m.SinkDelays)
+		edit(m.SinkDelays)
+		sum := *ro.Sum
+		sum.Metrics = &m
+		c.Sum = &sum
+		return &c
+	}
+	var sinkNodes []int
+	for i, n := range ro.Tree.Nodes {
+		if n.Kind == ctree.KindSink {
+			sinkNodes = append(sinkNodes, i)
+		}
+	}
+	withSinkIdx := func(idx int) *RegionOut {
+		c := *ro
+		c.Tree = ro.Tree.Clone()
+		c.Tree.Nodes[sinkNodes[0]].SinkIdx = idx
+		return &c
+	}
+	for name, bad := range map[string]*RegionOut{
+		"nil": nil, "no tree": {Sum: ro.Sum}, "no metrics": &noMetrics, "child 999": &badChild,
+		"extra delay":      withDelays(func(d map[int]float64) { d[len(sinks)] = 1 }),
+		"missing delay":    withDelays(func(d map[int]float64) { delete(d, 0) }),
+		"misplaced delay":  withDelays(func(d map[int]float64) { delete(d, 0); d[len(sinks)] = 1 }),
+		"sink index high":  withSinkIdx(len(sinks)),
+		"sink index twice": withSinkIdx(ro.Tree.Nodes[sinkNodes[1]].SinkIdx),
+	} {
+		if err := bad.Validate(len(sinks)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }

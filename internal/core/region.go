@@ -247,9 +247,9 @@ func synthesizeRegions(ctx context.Context, rootPos geom.Point, sinks []geom.Poi
 	}
 	if opt.RegionExec != nil && outer < len(regions) {
 		// An installed executor schedules the regions itself (peer
-		// dispatchers, a steal queue); capping the fan-out at the local
-		// core count would serialize its dispatch, so every region is
-		// offered at once — the extra goroutines just wait on results.
+		// dispatchers); capping the fan-out at the local core count
+		// would serialize its dispatch, so every region is offered at
+		// once — the extra goroutines just wait on results.
 		outer = len(regions)
 	}
 	inner := workers / len(regions)
@@ -276,7 +276,7 @@ func synthesizeRegions(ctx context.Context, rootPos geom.Point, sinks []geom.Poi
 		if opt.RegionExec != nil {
 			ro, err = opt.RegionExec(ctx, w)
 			if err == nil {
-				err = validateRegionOut(ro, len(r.Sinks))
+				err = ro.Validate(len(r.Sinks))
 			}
 		} else {
 			ro, err = RunRegion(ctx, w, tc, opt, inner)

@@ -90,14 +90,41 @@ func RunRegion(ctx context.Context, w RegionWork, tc *tech.Tech, opt Options, wo
 	return ro, nil
 }
 
-// validateRegionOut rejects a wire result that cannot be stitched — a
-// remote peer speaking a different build must not crash the local stitch.
-func validateRegionOut(ro *RegionOut, wantSinks int) error {
-	if ro == nil || ro.Tree == nil || ro.Sum == nil {
-		return fmt.Errorf("region executor returned incomplete result")
+// Validate rejects a result that cannot be stitched: a missing tree or
+// summary, a structurally broken tree, sink nodes other than exactly one
+// per region-local index in [0, wantSinks), or sink delays other than
+// exactly one per such index. A remote peer speaking a different build, or
+// a malformed reply, must be an error here rather than a panic or a failed
+// job in the stitch.
+func (ro *RegionOut) Validate(wantSinks int) error {
+	if ro == nil || ro.Tree == nil || ro.Sum == nil || ro.Sum.Metrics == nil {
+		return fmt.Errorf("region result incomplete")
 	}
-	if got := len(ro.Tree.Sinks()); got != wantSinks {
-		return fmt.Errorf("region executor returned %d sinks, want %d", got, wantSinks)
+	if err := ro.Tree.Validate(); err != nil {
+		return fmt.Errorf("region result: %w", err)
+	}
+	delays := ro.Sum.Metrics.SinkDelays
+	if len(delays) != wantSinks {
+		return fmt.Errorf("region result has %d sink delays, want %d", len(delays), wantSinks)
+	}
+	seen := make([]bool, wantSinks)
+	got := 0
+	for i := range ro.Tree.Nodes {
+		n := &ro.Tree.Nodes[i]
+		if n.Kind != ctree.KindSink {
+			continue
+		}
+		if n.SinkIdx < 0 || n.SinkIdx >= wantSinks || seen[n.SinkIdx] {
+			return fmt.Errorf("region result: sink node %d has index %d, want a distinct one in [0, %d)", i, n.SinkIdx, wantSinks)
+		}
+		if _, ok := delays[n.SinkIdx]; !ok {
+			return fmt.Errorf("region result has no delay for sink %d", n.SinkIdx)
+		}
+		seen[n.SinkIdx] = true
+		got++
+	}
+	if got != wantSinks {
+		return fmt.Errorf("region result has %d sinks, want %d", got, wantSinks)
 	}
 	return nil
 }

@@ -466,9 +466,6 @@ func (t *Tree) Validate() error {
 	var count int
 	var rec func(id int) error
 	rec = func(id int) error {
-		if id < 0 || id >= len(t.Nodes) {
-			return fmt.Errorf("ctree: node id %d out of range", id)
-		}
 		if seen[id] {
 			return fmt.Errorf("ctree: cycle or diamond through node %d", id)
 		}
@@ -479,6 +476,9 @@ func (t *Tree) Validate() error {
 			return fmt.Errorf("ctree: node %d has ID %d", id, n.ID)
 		}
 		for _, c := range n.Children {
+			if c < 0 || c >= len(t.Nodes) {
+				return fmt.Errorf("ctree: child %d of %d out of range", c, id)
+			}
 			if t.Nodes[c].Parent != id {
 				return fmt.Errorf("ctree: child %d of %d has parent %d", c, id, t.Nodes[c].Parent)
 			}

@@ -3,6 +3,7 @@ package ctree
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"dscts/internal/geom"
@@ -316,5 +317,13 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	tr.Nodes[2].Parent = 0 // child list of 1 still references 2
 	if err := tr.Validate(); err == nil {
 		t.Fatal("expected parent/child mismatch")
+	}
+	// A child id outside the node lane is an error, not an index panic.
+	for _, c := range []int{999, -1} {
+		bad := buildSmall()
+		bad.Nodes[0].Children = append(bad.Nodes[0].Children, c)
+		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Fatalf("child %d: got %v, want an out-of-range error", c, err)
+		}
 	}
 }

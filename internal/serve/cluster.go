@@ -3,14 +3,14 @@ package serve
 // Cluster mode (DESIGN.md §9): a peer-aware queue where cache keys route
 // over a consistent-hash ring (forward-on-miss, so any node answers any
 // request), partitioned jobs dispatch regions to peers over POST
-// /internal/region, idle peers steal queued regions from loaded ones, and
-// a static-membership liveness layer (periodic /readyz probes + per-peer
-// circuit breakers) degrades every remote path to local execution instead
-// of failing jobs when peers die. The determinism contract extends across
-// every remote seam: a region executes with core.RunRegion on whichever
-// node runs it, results travel as exact gob round-trips, and the engine
-// consumes them in region-ID order — so a clustered run's Metrics are
-// bit-identical to a single-node run of the same request.
+// /internal/region, and a static-membership liveness layer (periodic
+// /readyz probes + per-peer circuit breakers) takes dead, hung or
+// misbehaving peers out of rotation, so every remote path degrades to
+// local execution. The determinism contract extends across every remote
+// seam: a region executes with core.RunRegion on whichever node runs it,
+// results travel as exact gob round-trips, and the engine consumes them in
+// region-ID order — so a clustered run's Metrics are bit-identical to a
+// single-node run of the same request.
 
 import (
 	"bytes"
@@ -18,6 +18,7 @@ import (
 	"crypto/subtle"
 	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -64,20 +65,15 @@ type ClusterConfig struct {
 	// breaker for Cooldown (defaults 3 / 5s).
 	FailThreshold int
 	Cooldown      time.Duration
-	// StealInterval is the idle poll cadence of the work stealer (default
-	// 100ms); DisableSteal turns stealing off entirely.
-	StealInterval time.Duration
-	DisableSteal  bool
-	// DisableDispatch turns off proactive region dispatch to peers (the
-	// region board still runs locally and can still be stolen from).
-	DisableDispatch bool
-	// LeaseTimeout bounds a stolen region's execution; an expired lease is
-	// re-offered locally and its late completion rejected (default 60s).
-	LeaseTimeout time.Duration
+	// RegionTimeout bounds one region dispatch to a peer, request to
+	// validated reply, per regionTimeoutSinks sinks of the region; a
+	// dispatch that outlives its bound counts against the peer and the
+	// region is re-offered (default 60s).
+	RegionTimeout time.Duration
 	// LocalExecutors sets the local region-executor goroutines draining
 	// this node's board (0 = one per CPU). Negative runs none — the board
-	// drains only through peer dispatch and stealing — which tests and
-	// benchmarks use to force remote execution deterministically.
+	// drains only through peer dispatch — which tests and benchmarks use
+	// to force remote execution deterministically.
 	LocalExecutors int
 }
 
@@ -94,13 +90,21 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 	if c.Cooldown <= 0 {
 		c.Cooldown = 5 * time.Second
 	}
-	if c.StealInterval <= 0 {
-		c.StealInterval = 100 * time.Millisecond
-	}
-	if c.LeaseTimeout <= 0 {
-		c.LeaseTimeout = 60 * time.Second
+	if c.RegionTimeout <= 0 {
+		c.RegionTimeout = 60 * time.Second
 	}
 	return c
+}
+
+// regionTimeoutSinks is the region size one RegionTimeout covers. A larger
+// region gets one RegionTimeout per started regionTimeoutSinks, the way its
+// body and reply bounds grow with its sink count, so a large region on a
+// healthy peer does not trip the bound while a hung peer still does.
+const regionTimeoutSinks = 50_000
+
+// regionTimeout is the dispatch bound of a region with sinks sinks.
+func (c ClusterConfig) regionTimeout(sinks int) time.Duration {
+	return c.RegionTimeout * time.Duration(max(1, (sinks+regionTimeoutSinks-1)/regionTimeoutSinks))
 }
 
 // ClusterStats is the cluster section of GET /stats.
@@ -114,19 +118,13 @@ type ClusterStats struct {
 	ForwardFallback int64 `json:"forward_fallback_local"`
 	ForwardedIn     int64 `json:"forwarded_in"`
 	// RegionsDispatched counts regions this node pushed to peers (applied
-	// results); RegionDispatchErrors counts dispatch attempts that failed
-	// and were re-offered. RegionsServed counts regions this node executed
-	// for peers via POST /internal/region.
+	// results); RegionDispatchErrors counts dispatch attempts charged to a
+	// peer (transport error, bad or oversize reply, an expired bound), each
+	// re-offered unless its job has ended. RegionsServed counts regions
+	// this node executed for peers via POST /internal/region.
 	RegionsDispatched    int64 `json:"regions_dispatched"`
 	RegionDispatchErrors int64 `json:"region_dispatch_errors,omitempty"`
 	RegionsServed        int64 `json:"regions_served"`
-	// RegionsStolen counts regions this node stole from peers and
-	// completed; StealsGiven counts leases this node's board handed to
-	// stealing peers; StealRejects counts stale or duplicate steal
-	// completions this board refused (lease token reuse).
-	RegionsStolen int64 `json:"regions_stolen"`
-	StealsGiven   int64 `json:"steals_given"`
-	StealRejects  int64 `json:"steal_rejects,omitempty"`
 	// RegionsLocal counts board regions executed by the local executors.
 	RegionsLocal int64 `json:"regions_local"`
 	// BreakerOpens totals per-peer circuit-breaker openings.
@@ -134,7 +132,7 @@ type ClusterStats struct {
 }
 
 // clusterNode is a queue's cluster runtime: ring, peer liveness, the
-// region board and its executors/dispatchers/stealer, and the counters
+// region board and its executors and dispatchers, and the counters
 // behind ClusterStats and the dscts_cluster_* metric families.
 type clusterNode struct {
 	cfg   ClusterConfig
@@ -156,15 +154,12 @@ type clusterNode struct {
 	dispatched      atomic.Int64
 	dispatchErrs    atomic.Int64
 	served          atomic.Int64
-	stolen          atomic.Int64
-	stealsGiven     atomic.Int64
-	stealRejects    atomic.Int64
 	localRegions    atomic.Int64
 }
 
 // newClusterNode validates the config, builds the ring over the full
-// member list and starts the liveness prober, the board executors, the
-// per-peer dispatchers, the stealer and the lease reaper.
+// member list and starts the liveness prober, the board executors and the
+// per-peer dispatchers.
 func newClusterNode(cfg ClusterConfig, q *Queue) (*clusterNode, error) {
 	cfg = cfg.withDefaults()
 	self, others, err := clusterd.SplitSelf(cfg.Peers, cfg.NodeID)
@@ -187,7 +182,7 @@ func newClusterNode(cfg ClusterConfig, q *Queue) (*clusterNode, error) {
 			Cooldown:      cfg.Cooldown,
 			Client:        httpc,
 		}),
-		board: newRegionBoard(cfg.LeaseTimeout),
+		board: newRegionBoard(),
 		queue: q,
 		httpc: httpc,
 		log:   q.log.With("node", cfg.NodeID),
@@ -195,36 +190,19 @@ func newClusterNode(cfg ClusterConfig, q *Queue) (*clusterNode, error) {
 	}
 	c.peers.Start()
 	// Local board executors: one per core by default, mirroring the
-	// pre-cluster outer fan-out cap; each runs its region with a modest
-	// inner budget (the engine is deterministic in all of these,
-	// wall-clock only).
+	// pre-cluster outer fan-out cap.
 	execs := cfg.LocalExecutors
 	if execs == 0 {
 		execs = runtime.GOMAXPROCS(0)
 	}
-	if execs < 0 {
-		execs = 0
-	}
-	inner := runtime.GOMAXPROCS(0) / 2
-	if inner < 1 {
-		inner = 1
-	}
 	for i := 0; i < execs; i++ {
 		c.wg.Add(1)
-		go c.localExecutor(inner)
+		go c.localExecutor()
 	}
-	if !cfg.DisableDispatch {
-		for _, id := range c.peers.IDs() {
-			c.wg.Add(1)
-			go c.dispatcher(id)
-		}
-	}
-	if !cfg.DisableSteal {
+	for _, id := range c.peers.IDs() {
 		c.wg.Add(1)
-		go c.stealer(inner)
+		go c.dispatcher(id)
 	}
-	c.wg.Add(1)
-	go c.reaper()
 	return c, nil
 }
 
@@ -250,9 +228,6 @@ func (c *clusterNode) stats() *ClusterStats {
 		RegionsDispatched:    c.dispatched.Load(),
 		RegionDispatchErrors: c.dispatchErrs.Load(),
 		RegionsServed:        c.served.Load(),
-		RegionsStolen:        c.stolen.Load(),
-		StealsGiven:          c.stealsGiven.Load(),
-		StealRejects:         c.stealRejects.Load(),
 		RegionsLocal:         c.localRegions.Load(),
 		BreakerOpens:         c.peers.BreakerOpens(),
 	}
@@ -353,8 +328,8 @@ type regionTask struct {
 }
 
 // execFor returns the RegionExec hook for one job: every region is offered
-// to the board, where local executors, peer dispatchers and stealing peers
-// drain it concurrently.
+// to the board, where local executors and peer dispatchers drain it
+// concurrently.
 func (c *clusterNode) execFor(techName string, tc *tech.Tech, opt core.Options) core.RegionExecFunc {
 	// Keep the knob fields bit-identical to the local path; strip only the
 	// node-local hooks. Faults are reapplied by whichever node executes,
@@ -368,15 +343,17 @@ func (c *clusterNode) execFor(techName string, tc *tech.Tech, opt core.Options) 
 }
 
 // runTask executes a board task on this node, injecting this node's own
-// fault registry so chaos specs fire wherever the work actually runs.
-func (c *clusterNode) runTask(ctx context.Context, t regionTask, workers int) (*core.RegionOut, error) {
+// fault registry so chaos specs fire wherever the work actually runs. Each
+// region gets a modest inner worker budget; the engine is deterministic in
+// it, so it moves wall-clock only.
+func (c *clusterNode) runTask(ctx context.Context, t regionTask) (*core.RegionOut, error) {
 	opt := t.opt
 	opt.Faults = c.queue.cfg.Faults
-	return core.RunRegion(ctx, t.work, t.tc, opt, workers)
+	return core.RunRegion(ctx, t.work, t.tc, opt, max(1, runtime.GOMAXPROCS(0)/2))
 }
 
 // localExecutor drains board entries on this node.
-func (c *clusterNode) localExecutor(workers int) {
+func (c *clusterNode) localExecutor() {
 	defer c.wg.Done()
 	for {
 		e := c.board.next()
@@ -387,7 +364,7 @@ func (c *clusterNode) localExecutor(workers int) {
 			c.board.deliver(e, nil, e.ctx.Err())
 			continue
 		}
-		out, err := c.runTask(e.ctx, e.task, workers)
+		out, err := c.runTask(e.ctx, e.task)
 		if c.board.deliver(e, out, err) && err == nil {
 			c.localRegions.Add(1)
 		}
@@ -396,7 +373,11 @@ func (c *clusterNode) localExecutor(workers int) {
 
 // dispatcher pushes board entries to one peer over POST /internal/region.
 // A failed dispatch re-offers the entry (twice burned → pinned local) and
-// feeds the peer's breaker; the job never fails because a peer did.
+// feeds the peer's breaker, so a job does not fail because a peer did. A
+// dispatch cut short because its job was cancelled charges the peer
+// nothing; one still in flight when its job's deadline passes does, as a
+// peer that never answers otherwise stays in rotation whenever the job
+// deadline is shorter than the region's bound.
 func (c *clusterNode) dispatcher(peer string) {
 	defer c.wg.Done()
 	for {
@@ -416,111 +397,69 @@ func (c *clusterNode) dispatcher(peer string) {
 			c.board.deliver(e, nil, e.ctx.Err())
 			continue
 		}
-		var resp regionRPCResp
-		err := c.postGob(e.ctx, peer, "/internal/region",
-			regionRPCReq{Work: e.task.work, Tech: e.task.tech, Opt: e.task.opt}, &resp)
-		if err == nil && resp.Out == nil {
-			err = fmt.Errorf("serve: peer %s returned an empty region result", peer)
-		}
-		if err != nil {
+		out, err := c.dispatch(e.ctx, peer, e.task)
+		switch {
+		case err == nil:
+			c.peers.Success(peer)
+			if c.board.deliver(e, out, nil) {
+				c.dispatched.Add(1)
+			}
+		case errors.Is(e.ctx.Err(), context.Canceled):
+			// The job was cancelled while its region was on the wire:
+			// nobody waits for the region, and the peer did nothing wrong.
+			c.board.deliver(e, nil, e.ctx.Err())
+		default:
 			c.peers.Failure(peer)
 			c.dispatchErrs.Add(1)
 			c.log.Debug("region dispatch failed; re-offering", "peer", peer,
 				"region", e.task.work.ID, "error", err)
-			c.board.reoffer(e)
-			continue
-		}
-		c.peers.Success(peer)
-		if c.board.deliver(e, resp.Out, nil) {
-			c.dispatched.Add(1)
+			c.board.reoffer(e) // a no-op once the job's deadline delivered it
 		}
 	}
 }
 
-// stealer polls peers for queued regions whenever the local board is idle,
-// executes what it gets locally and posts the result back under the lease
-// token. Steal errors are reported back too, so the victim re-offers
-// instead of waiting out the lease.
-func (c *clusterNode) stealer(workers int) {
-	defer c.wg.Done()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-time.After(c.cfg.StealInterval):
-		}
-		if c.board.pendingLen() > 0 {
-			continue // loaded ourselves; stealing would only shuffle work
-		}
-		for _, peer := range c.peers.IDs() {
-			if !c.peers.Usable(peer) {
-				continue
-			}
-			if c.stealOnce(peer, workers) {
-				break // got work; re-check our own board first
-			}
-		}
+// dispatch executes one region on a peer. The call runs under the
+// region's RegionTimeout bound, derived from the job's context, and the
+// reply is bounded from the region's sink count the way a request body is
+// bounded, then validated, so a hung, oversize or malformed reply is an
+// error here.
+func (c *clusterNode) dispatch(ctx context.Context, peer string, t regionTask) (*core.RegionOut, error) {
+	var body bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(regionRPCReq{Work: t.work, Tech: t.tech, Opt: t.opt}); err != nil {
+		return nil, fmt.Errorf("serve: region encode: %w", err)
 	}
-}
-
-// stealOnce tries to steal and complete one region from a peer; reports
-// whether work was obtained.
-func (c *clusterNode) stealOnce(peer string, workers int) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
-	var sr stealResp
-	err := c.postGob(ctx, peer, "/internal/steal", stealReq{Node: c.self.ID}, &sr)
-	cancel()
+	ctx, cancel := context.WithTimeout(ctx, c.cfg.regionTimeout(len(t.work.Sinks)))
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.peers.URL(peer)+"/internal/region", &body)
 	if err != nil {
-		c.peers.Failure(peer)
-		return false
+		return nil, err
 	}
-	c.peers.Success(peer)
-	if !sr.Found {
-		return false
+	req.Header.Set("Content-Type", "application/octet-stream")
+	if c.cfg.Secret != "" {
+		req.Header.Set(headerSecret, c.cfg.Secret)
 	}
-	tc, terr := techByName(sr.Tech)
-	execCtx, cancelExec := context.WithTimeout(context.Background(), c.cfg.LeaseTimeout)
-	var out *core.RegionOut
-	if terr != nil {
-		err = terr
-	} else {
-		out, err = c.runTask(execCtx, regionTask{work: sr.Work, tc: tc, tech: sr.Tech, opt: sr.Opt}, workers)
-	}
-	cancelExec()
-	done := stealDoneReq{Token: sr.Token, Out: out}
+	resp, err := c.httpc.Do(req)
 	if err != nil {
-		done.Err, done.Out = err.Error(), nil
+		return nil, err
 	}
-	ctx2, cancel2 := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel2()
-	var dr stealDoneResp
-	if derr := c.postGob(ctx2, peer, "/internal/steal/done", done, &dr); derr != nil {
-		c.peers.Failure(peer)
-		return true // victim's lease reaper re-offers; we did obtain work
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		return nil, fmt.Errorf("serve: peer %s: status %d: %s", peer, resp.StatusCode, bytes.TrimSpace(msg))
 	}
-	if err == nil && dr.Applied {
-		c.stolen.Add(1)
-	}
-	return true
-}
-
-// reaper re-offers board entries whose steal lease expired.
-func (c *clusterNode) reaper() {
-	defer c.wg.Done()
-	interval := c.cfg.LeaseTimeout / 4
-	if interval > time.Second {
-		interval = time.Second
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case now := <-t.C:
-			c.board.reapLeases(now)
+	limit := bodyLimit(len(t.work.Sinks))
+	reply := &io.LimitedReader{R: resp.Body, N: limit}
+	var rr regionRPCResp
+	if err := gob.NewDecoder(reply).Decode(&rr); err != nil {
+		if reply.N <= 0 {
+			return nil, fmt.Errorf("serve: peer %s: region reply exceeds %d bytes", peer, limit)
 		}
+		return nil, fmt.Errorf("serve: region decode: %w", err)
 	}
+	if err := rr.Out.Validate(len(t.work.Sinks)); err != nil {
+		return nil, fmt.Errorf("serve: peer %s: %w", peer, err)
+	}
+	return rr.Out, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -536,28 +475,6 @@ type regionRPCResp struct {
 	Out *core.RegionOut
 }
 
-type stealReq struct {
-	Node string
-}
-
-type stealResp struct {
-	Found bool
-	Token string
-	Work  core.RegionWork
-	Tech  string
-	Opt   core.Options
-}
-
-type stealDoneReq struct {
-	Token string
-	Err   string
-	Out   *core.RegionOut
-}
-
-type stealDoneResp struct {
-	Applied bool
-}
-
 // techByName resolves a wire tech name the same way request validation
 // does, so a region executes against the identical technology everywhere.
 func techByName(name string) (*tech.Tech, error) {
@@ -566,35 +483,6 @@ func techByName(name string) (*tech.Tech, error) {
 		return tech.ASAP7(), nil
 	}
 	return nil, fmt.Errorf("serve: unknown tech %q", name)
-}
-
-// postGob gob-POSTs to a peer's internal endpoint and decodes the reply.
-func (c *clusterNode) postGob(ctx context.Context, peer, path string, in, out any) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(in); err != nil {
-		return fmt.Errorf("serve: cluster encode: %w", err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.peers.URL(peer)+path, &buf)
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	if c.cfg.Secret != "" {
-		req.Header.Set(headerSecret, c.cfg.Secret)
-	}
-	resp, err := c.httpc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("serve: peer %s %s: status %d: %s", peer, path, resp.StatusCode, bytes.TrimSpace(msg))
-	}
-	if err := gob.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("serve: cluster decode: %w", err)
-	}
-	return nil
 }
 
 // authOK gates /internal/* on the shared cluster secret (constant-time).
@@ -606,16 +494,23 @@ func (c *clusterNode) authOK(r *http.Request) bool {
 }
 
 // handleRegion is POST /internal/region: execute one region for a peer and
-// return its tree + summary. The region runs under this node's own fault
-// registry and worker budget; an execution error is a 500 the dispatcher
-// turns into a local re-offer.
+// return its tree + summary. The body is bounded from this node's
+// MaxJobSinks before it is decoded, as a submission's is. The region runs
+// under this node's own fault registry and worker budget; an execution
+// error is a 500 the dispatcher turns into a re-offer.
 func (c *clusterNode) handleRegion(w http.ResponseWriter, r *http.Request) {
 	if !c.authOK(r) {
 		writeErr(w, http.StatusForbidden, fmt.Errorf("serve: bad cluster secret"))
 		return
 	}
+	m := c.queue.cfg.MaxJobSinks
+	boundBody(w, r, m)
 	var req regionRPCReq
 	if err := gob.NewDecoder(r.Body).Decode(&req); err != nil {
+		if big := bodyTooLarge(err, m); big != nil {
+			writeErr(w, http.StatusRequestEntityTooLarge, big)
+			return
+		}
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("serve: region decode: %w", err))
 		return
 	}
@@ -624,11 +519,7 @@ func (c *clusterNode) handleRegion(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	workers := runtime.GOMAXPROCS(0) / 2
-	if workers < 1 {
-		workers = 1
-	}
-	out, err := c.runTask(r.Context(), regionTask{work: req.Work, tc: tc, tech: req.Tech, opt: req.Opt}, workers)
+	out, err := c.runTask(r.Context(), regionTask{work: req.Work, tc: tc, tech: req.Tech, opt: req.Opt})
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
@@ -640,64 +531,12 @@ func (c *clusterNode) handleRegion(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleSteal is POST /internal/steal: lease one pending region to an idle
-// peer. Nothing pending is a normal answer, not an error.
-func (c *clusterNode) handleSteal(w http.ResponseWriter, r *http.Request) {
-	if !c.authOK(r) {
-		writeErr(w, http.StatusForbidden, fmt.Errorf("serve: bad cluster secret"))
-		return
-	}
-	var req stealReq
-	if err := gob.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("serve: steal decode: %w", err))
-		return
-	}
-	var resp stealResp
-	if e, token := c.board.lease(req.Node); e != nil {
-		c.stealsGiven.Add(1)
-		resp = stealResp{Found: true, Token: token, Work: e.task.work, Tech: e.task.tech, Opt: e.task.opt}
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	if err := gob.NewEncoder(w).Encode(resp); err != nil {
-		c.log.Debug("steal response encode failed", "error", err)
-	}
-}
-
-// handleStealDone is POST /internal/steal/done: apply a stolen region's
-// result under its single-use lease token. A stale, reused or unknown
-// token is rejected (Applied=false) — the idempotency barrier that makes
-// double-execution after a lease reclaim harmless.
-func (c *clusterNode) handleStealDone(w http.ResponseWriter, r *http.Request) {
-	if !c.authOK(r) {
-		writeErr(w, http.StatusForbidden, fmt.Errorf("serve: bad cluster secret"))
-		return
-	}
-	var req stealDoneReq
-	if err := gob.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("serve: steal-done decode: %w", err))
-		return
-	}
-	var rerr error
-	if req.Err != "" {
-		rerr = fmt.Errorf("serve: stolen region failed remotely: %s", req.Err)
-	}
-	applied := c.board.completeLease(req.Token, req.Out, rerr)
-	if !applied {
-		c.stealRejects.Add(1)
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	if err := gob.NewEncoder(w).Encode(stealDoneResp{Applied: applied}); err != nil {
-		c.log.Debug("steal-done response encode failed", "error", err)
-	}
-}
-
 // ---------------------------------------------------------------------------
 // The region board.
 
 const (
 	entryPending = iota
 	entryActive  // claimed by a local executor or dispatcher
-	entryLeased  // leased to a stealing peer
 	entryDone
 )
 
@@ -710,9 +549,7 @@ type boardEntry struct {
 	attempts  int
 	localOnly bool
 
-	state       int
-	token       string
-	leaseExpiry time.Time
+	state int
 
 	out  *core.RegionOut
 	err  error
@@ -720,23 +557,18 @@ type boardEntry struct {
 }
 
 // regionBoard is the shared pending-region queue of one node: partitioned
-// jobs offer their regions here, and local executors, per-peer dispatchers
-// and stealing peers drain it. Completion is single-shot per entry
-// (whoever delivers first wins; everything else is a counted no-op), and
-// steal leases carry single-use tokens so a reclaimed lease's late result
-// can never double-apply.
+// jobs offer their regions here, and local executors and per-peer
+// dispatchers drain it. Completion is single-shot per entry: whoever
+// delivers first wins, and every later delivery is a no-op.
 type regionBoard struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	closed  bool
 	pending []*boardEntry
-	leases  map[string]*boardEntry
-	nextTok int64
-	timeout time.Duration
 }
 
-func newRegionBoard(leaseTimeout time.Duration) *regionBoard {
-	b := &regionBoard{leases: make(map[string]*boardEntry), timeout: leaseTimeout}
+func newRegionBoard() *regionBoard {
+	b := &regionBoard{}
 	b.cond = sync.NewCond(&b.mu)
 	return b
 }
@@ -771,12 +603,6 @@ func (b *regionBoard) run(ctx context.Context, task regionTask) (*core.RegionOut
 		<-e.done // delivery raced the cancellation; take the result
 		return e.out, e.err
 	}
-}
-
-func (b *regionBoard) pendingLen() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.pending)
 }
 
 // pop removes the first claimable pending entry; remote claimants skip
@@ -847,10 +673,6 @@ func (b *regionBoard) reoffer(e *boardEntry) {
 	if e.attempts >= 2 {
 		e.localOnly = true
 	}
-	if tok := e.token; tok != "" {
-		delete(b.leases, tok)
-		e.token = ""
-	}
 	e.state = entryPending
 	b.pending = append(b.pending, e)
 	b.cond.Broadcast()
@@ -864,84 +686,8 @@ func (b *regionBoard) deliver(e *boardEntry, out *core.RegionOut, err error) boo
 	if e.state == entryDone {
 		return false
 	}
-	if e.token != "" {
-		delete(b.leases, e.token)
-		e.token = ""
-	}
 	e.state = entryDone
 	e.out, e.err = out, err
 	close(e.done)
 	return true
-}
-
-// lease hands one pending entry to a stealing peer under a fresh
-// single-use token.
-func (b *regionBoard) lease(node string) (*boardEntry, string) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	e := b.pop(true)
-	if e == nil {
-		return nil, ""
-	}
-	b.nextTok++
-	tok := fmt.Sprintf("lease-%s-%d", node, b.nextTok)
-	e.state = entryLeased
-	e.token = tok
-	e.leaseExpiry = time.Now().Add(b.timeout)
-	b.leases[tok] = e
-	return e, tok
-}
-
-// completeLease applies a stolen region's outcome if — and only if — the
-// token still names a live lease. A remote error re-offers the entry
-// locally instead of failing the job. Reports whether the token was
-// accepted (a reused or reclaimed token is not).
-func (b *regionBoard) completeLease(token string, out *core.RegionOut, rerr error) bool {
-	b.mu.Lock()
-	e, ok := b.leases[token]
-	if !ok || e.token != token || e.state != entryLeased {
-		b.mu.Unlock()
-		return false
-	}
-	delete(b.leases, token)
-	e.token = ""
-	if rerr != nil {
-		// Accepted, but the work failed remotely: back to the local queue.
-		e.attempts++
-		if e.attempts >= 2 {
-			e.localOnly = true
-		}
-		e.state = entryPending
-		b.pending = append(b.pending, e)
-		b.cond.Broadcast()
-		b.mu.Unlock()
-		return true
-	}
-	e.state = entryDone
-	e.out, e.err = out, nil
-	close(e.done)
-	b.mu.Unlock()
-	return true
-}
-
-// reapLeases re-offers entries whose steal lease expired (stealer died or
-// hung); the stale token is invalidated so the thief's late completion is
-// rejected.
-func (b *regionBoard) reapLeases(now time.Time) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for tok, e := range b.leases {
-		if now.Before(e.leaseExpiry) {
-			continue
-		}
-		delete(b.leases, tok)
-		e.token = ""
-		e.attempts++
-		if e.attempts >= 2 {
-			e.localOnly = true
-		}
-		e.state = entryPending
-		b.pending = append(b.pending, e)
-	}
-	b.cond.Broadcast()
 }

@@ -2,23 +2,33 @@ package serve
 
 // Cluster-mode tests: an in-process 3-node cluster over real listeners,
 // pinning the tentpole guarantees — routed forwarding with exactly-one-
-// owner caching, remote region dispatch and stealing that stay
-// bit-identical to single-node runs, request-ID propagation across the
-// forward hop, lease-token idempotency, and fallback-to-local when a node
-// dies mid-cluster.
+// owner caching, remote region dispatch that stays bit-identical to
+// single-node runs, request-ID propagation across the forward hop, the
+// board's re-offer rule, and fallback-to-local when a node dies, fails,
+// hangs or answers garbage.
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"dscts/internal/clusterd"
 	"dscts/internal/core"
+	"dscts/internal/ctree"
+	"dscts/internal/eval"
+	"dscts/internal/fault"
+	"dscts/internal/geom"
+	"dscts/internal/tech"
 )
 
 // testClusterNode is one in-process cluster member.
@@ -69,8 +79,7 @@ func newTestCluster(t *testing.T, n int, mutate func(i int, cfg *Config)) []*tes
 				ProbeInterval: 100 * time.Millisecond,
 				ProbeTimeout:  time.Second,
 				Cooldown:      200 * time.Millisecond,
-				StealInterval: 10 * time.Millisecond,
-				LeaseTimeout:  30 * time.Second,
+				RegionTimeout: 30 * time.Second,
 			},
 		}
 		if mutate != nil {
@@ -170,9 +179,9 @@ func TestClusterForwardedBitIdentical(t *testing.T) {
 }
 
 // TestClusterRemoteRegionDispatch runs a partitioned job on a node with no
-// local board executors, so every region MUST execute remotely (dispatch
-// or steal), and checks the stitched result is still bit-identical to a
-// direct single-process run.
+// local board executors, so every region MUST execute on a peer, and checks
+// the stitched result is still bit-identical to a direct single-process
+// run, with each region executed exactly once.
 func TestClusterRemoteRegionDispatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-node end-to-end run")
@@ -197,25 +206,34 @@ func TestClusterRemoteRegionDispatch(t *testing.T) {
 	}
 	requireSameMetrics(t, "partitioned via cluster", info.Result, req)
 	c := nodes[0].srv.Queue().cluster
-	remote := c.dispatched.Load() + c.stealsGiven.Load()
-	if remote == 0 {
-		t.Fatal("no region was dispatched or stolen despite zero local executors")
-	}
 	if c.localRegions.Load() != 0 {
 		t.Fatalf("executor-less node ran %d regions locally", c.localRegions.Load())
 	}
-	var served, stolen int64
+	var served int64
 	for _, n := range nodes[1:] {
-		cs := n.srv.Queue().Stats().Cluster
-		served += cs.RegionsServed
-		stolen += cs.RegionsStolen
+		served += n.srv.Queue().Stats().Cluster.RegionsServed
 	}
-	if served != c.dispatched.Load() {
-		t.Fatalf("peers served %d regions, dispatcher applied %d", served, c.dispatched.Load())
+	regions := regionsOf(t, info)
+	if regions != 4 || c.dispatched.Load() != regions || served != regions {
+		t.Fatalf("job ran %d regions (want 4), n1 applied %d dispatches, peers served %d: want all equal",
+			regions, c.dispatched.Load(), served)
 	}
-	if stolen > c.stealsGiven.Load() {
-		t.Fatalf("peers stole %d > leases given %d", stolen, c.stealsGiven.Load())
+	if e := c.dispatchErrs.Load(); e != 0 {
+		t.Fatalf("%d dispatch errors on a healthy cluster", e)
 	}
+}
+
+// regionsOf returns the number of regions a partitioned job ran: the
+// point events of its partition phase.
+func regionsOf(t *testing.T, info JobInfo) int64 {
+	t.Helper()
+	for _, p := range info.Result.Phases {
+		if p.Phase == string(core.PhasePartition) {
+			return int64(p.Points)
+		}
+	}
+	t.Fatal("job reported no partition phase")
+	return 0
 }
 
 // TestClusterForwardCarriesRequestID pins end-to-end request-ID
@@ -311,71 +329,59 @@ func TestClusterNodeKillFallback(t *testing.T) {
 	}
 }
 
-// TestRegionBoardLeaseTokenSingleUse pins steal idempotency at the board
-// level: a lease token applies exactly once, a reused token is rejected,
-// and a reaped (expired) lease's late completion is rejected too — the
-// region is re-offered and executes exactly once.
-func TestRegionBoardLeaseTokenSingleUse(t *testing.T) {
-	b := newRegionBoard(time.Minute)
+// TestRegionBoardReofferPinsLocal pins the board's failure model: two
+// failed remote attempts pin an entry local, so dispatchers pass it over
+// while a local executor still gets it, and an entry completes exactly once.
+func TestRegionBoardReofferPinsLocal(t *testing.T) {
+	b := newRegionBoard()
 	defer b.close()
-	resCh := make(chan error, 1)
-	go func() {
-		_, err := b.run(context.Background(), regionTask{work: core.RegionWork{ID: 7}})
-		resCh <- err
-	}()
-	// Wait for the entry to land on the board, then lease it.
-	var tok string
-	for i := 0; ; i++ {
-		if e, tk := b.lease("thief"); e != nil {
-			tok = tk
-			break
+	type result struct {
+		out *core.RegionOut
+		err error
+	}
+	offer := func(id int) chan result {
+		ch := make(chan result, 1)
+		go func() {
+			out, err := b.run(context.Background(), regionTask{work: core.RegionWork{ID: id}})
+			ch <- result{out, err}
+		}()
+		return ch
+	}
+	res7 := offer(7)
+	for attempt := 1; attempt <= 2; attempt++ {
+		e := b.nextRemote()
+		if e.task.work.ID != 7 {
+			t.Fatalf("attempt %d: dispatcher got region %d, want 7", attempt, e.task.work.ID)
 		}
-		if i > 1000 {
-			t.Fatal("entry never appeared on the board")
+		b.reoffer(e)
+		if pinned := attempt == 2; e.localOnly != pinned {
+			t.Fatalf("after %d failed remote attempts: localOnly %v, want %v", attempt, e.localOnly, pinned)
 		}
-		time.Sleep(time.Millisecond)
+	}
+	// Region 8 is offered behind the pinned 7: a dispatcher skips 7 for 8,
+	// and a local executor gets 7.
+	res8 := offer(8)
+	if e := b.nextRemote(); e.task.work.ID != 8 {
+		t.Fatalf("dispatcher got region %d, want 8 (7 is pinned local)", e.task.work.ID)
+	} else if !b.deliver(e, &core.RegionOut{}, nil) {
+		t.Fatal("delivery of region 8 refused")
+	}
+	e := b.next()
+	if e.task.work.ID != 7 {
+		t.Fatalf("local executor got region %d, want 7", e.task.work.ID)
 	}
 	out := &core.RegionOut{}
-	if !b.completeLease(tok, out, nil) {
-		t.Fatal("first completion of a live lease was rejected")
-	}
-	if b.completeLease(tok, out, nil) {
-		t.Fatal("token reuse was accepted — double execution would apply twice")
-	}
-	if err := <-resCh; err != nil {
-		t.Fatalf("board run: %v", err)
-	}
-
-	// Expired lease: the reaper re-offers the entry and invalidates the
-	// token, so the slow thief's late completion must be rejected.
-	go func() {
-		_, err := b.run(context.Background(), regionTask{work: core.RegionWork{ID: 8}})
-		resCh <- err
-	}()
-	for i := 0; ; i++ {
-		if e, tk := b.lease("slow-thief"); e != nil {
-			tok = tk
-			break
-		}
-		if i > 1000 {
-			t.Fatal("second entry never appeared")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	b.reapLeases(time.Now().Add(2 * time.Minute))
-	if b.completeLease(tok, out, nil) {
-		t.Fatal("completion under a reaped lease token was accepted")
-	}
-	// The re-offered entry is claimable again and completes normally.
-	e := b.next()
-	if e == nil || e.task.work.ID != 8 {
-		t.Fatalf("re-offered entry not claimable: %+v", e)
-	}
 	if !b.deliver(e, out, nil) {
-		t.Fatal("delivery of the re-offered entry failed")
+		t.Fatal("first delivery refused")
 	}
-	if err := <-resCh; err != nil {
-		t.Fatalf("board run after reclaim: %v", err)
+	if b.deliver(e, &core.RegionOut{}, nil) || b.deliver(e, nil, errors.New("late")) {
+		t.Fatal("a second delivery was accepted")
+	}
+	if r := <-res7; r.err != nil || r.out != out {
+		t.Fatalf("region 7 returned %p, %v; want the first delivery", r.out, r.err)
+	}
+	if r := <-res8; r.err != nil {
+		t.Fatalf("region 8: %v", r.err)
 	}
 }
 
@@ -386,12 +392,351 @@ func TestClusterSecretRejected(t *testing.T) {
 		t.Skip("multi-node end-to-end run")
 	}
 	nodes := newTestCluster(t, 3, nil)
-	resp, err := http.Post(nodes[0].url+"/internal/steal", "application/octet-stream", strings.NewReader("x"))
+	resp, err := http.Post(nodes[0].url+"/internal/region", "application/octet-stream", strings.NewReader("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusForbidden {
-		t.Fatalf("unauthenticated /internal/steal: status %d, want 403", resp.StatusCode)
+		t.Fatalf("unauthenticated /internal/region: status %d, want 403", resp.StatusCode)
+	}
+}
+
+// newFakePeerNode boots a real node n1 whose one peer, n2, is a stand-in:
+// it answers /readyz and hands /internal/region to region. n1 runs one
+// local executor, so a region its peer fails still completes; tune, when
+// non-nil, adjusts n1's cluster config before boot.
+func newFakePeerNode(t *testing.T, tune func(*ClusterConfig), region http.HandlerFunc) *testClusterNode {
+	t.Helper()
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /readyz", func(http.ResponseWriter, *http.Request) {})
+	mux.HandleFunc("POST /internal/region", region)
+	fake := httptest.NewServer(mux)
+	t.Cleanup(fake.Close)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	peers := []clusterd.Peer{{ID: "n1", URL: "http://" + ln.Addr().String()}, {ID: "n2", URL: fake.URL}}
+	cc := &ClusterConfig{
+		NodeID: "n1", Peers: peers,
+		ProbeInterval:  100 * time.Millisecond,
+		Cooldown:       200 * time.Millisecond,
+		LocalExecutors: 1,
+	}
+	if tune != nil {
+		tune(cc)
+	}
+	srv := NewServer(Config{MaxRunning: 4, MaxQueued: 32, Cluster: cc})
+	hs := &http.Server{Handler: srv.Handler()}
+	go hs.Serve(ln)
+	node := &testClusterNode{id: "n1", url: peers[0].URL, srv: srv, hs: hs, client: NewClient(peers[0].URL)}
+	t.Cleanup(node.kill)
+	return node
+}
+
+// runPartitionedC4 runs partitioned C4 on node's queue directly (no
+// routing) and requires it to finish, bit-identical to a direct run,
+// within limit.
+func runPartitionedC4(t *testing.T, node *testClusterNode, limit time.Duration) {
+	t.Helper()
+	req := &Request{Design: "C4", IncludeSinkDelays: true,
+		Options: OptionsSpec{PartitionMaxSinks: 300}}
+	job, err := node.srv.Queue().Submit(req, KindSynthesize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-job.Done():
+	case <-time.After(limit):
+		t.Fatalf("partitioned job still %s after %v", job.Info().State, limit)
+	}
+	info := job.Info()
+	if info.State != StateDone {
+		t.Fatalf("job state %s (%s)", info.State, info.Error)
+	}
+	requireSameMetrics(t, "partitioned via "+node.id, info.Result, req)
+}
+
+// hungRegion is a /internal/region handler that reads the request and
+// never answers until its caller gives up or the test ends.
+func hungRegion(t *testing.T) http.HandlerFunc {
+	release := make(chan struct{})
+	t.Cleanup(func() { close(release) })
+	return func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}
+}
+
+// TestClusterHungPeerRegionTimeout: a peer that passes its /readyz probes
+// but never answers /internal/region costs a job RegionTimeout per
+// attempt, not the job. The region is charged to the peer, re-offered
+// and finished elsewhere.
+func TestClusterHungPeerRegionTimeout(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-node end-to-end run")
+	}
+	node := newFakePeerNode(t, func(cc *ClusterConfig) { cc.RegionTimeout = 2 * time.Second }, hungRegion(t))
+	runPartitionedC4(t, node, 20*time.Second)
+	if c := node.srv.Queue().cluster; c.dispatchErrs.Load() == 0 {
+		t.Fatal("no dispatch to the hung peer timed out")
+	}
+}
+
+// TestClusterHungPeerJobDeadline: when a job's own deadline (timeout_ms)
+// is shorter than RegionTimeout, a job that loses a region to the hung
+// peer times out. Each such dispatch still counts against the peer, so
+// after FailThreshold such jobs its breaker opens and the next job
+// completes without it. A job whose regions all ran locally before the
+// dispatcher took one completes and charges nothing.
+func TestClusterHungPeerJobDeadline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-node end-to-end run")
+	}
+	const failThreshold = 3
+	node := newFakePeerNode(t, func(cc *ClusterConfig) {
+		cc.RegionTimeout = time.Minute
+		cc.FailThreshold = failThreshold
+		cc.Cooldown = time.Minute
+	}, hungRegion(t))
+	q := node.srv.Queue()
+	timedOut := 0
+	for jobs, start := 0, time.Now(); timedOut < failThreshold; jobs++ {
+		if time.Since(start) > 30*time.Second {
+			t.Fatalf("only %d of %d jobs lost a region to the hung peer in 30s", timedOut, jobs)
+		}
+		// Seeds from 2 give every job its own key (the default seed is 1),
+		// so a job that completes is no later job's cache hit.
+		job, err := q.Submit(&Request{Design: "C4", Seed: int64(jobs + 2), TimeoutMS: 1500,
+			Options: OptionsSpec{PartitionMaxSinks: 300}}, KindSynthesize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-job.Done():
+		case <-time.After(10 * time.Second):
+			t.Fatalf("job %d still %s 10s after submit", jobs, job.Info().State)
+		}
+		info := job.Info()
+		if info.State == StateDone {
+			continue
+		}
+		if info.State != StateFailed || !info.TimedOut {
+			t.Fatalf("job %d ended %s (%s), want done or failed on its deadline", jobs, info.State, info.Error)
+		}
+		timedOut++
+		// The dispatcher returns from the aborted POST just after the job
+		// ends; wait for it to charge the peer before the next job.
+		for deadline := time.Now().Add(5 * time.Second); q.Stats().Cluster.RegionDispatchErrors < int64(timedOut); {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d jobs timed out on the hung peer, %d dispatch errors charged",
+					timedOut, q.Stats().Cluster.RegionDispatchErrors)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	if st := q.Stats().Cluster; st.BreakerOpens != 1 || st.RegionDispatchErrors != failThreshold {
+		t.Fatalf("%d breaker openings, %d dispatch errors; want 1 and %d",
+			st.BreakerOpens, st.RegionDispatchErrors, failThreshold)
+	}
+	runPartitionedC4(t, node, 20*time.Second)
+}
+
+// TestClusterRegionTimeoutScales: a region's dispatch bound is one
+// RegionTimeout per started 50k sinks, so a large region on a healthy
+// peer is not cut off at the small-region bound.
+func TestClusterRegionTimeoutScales(t *testing.T) {
+	c := ClusterConfig{RegionTimeout: time.Minute}
+	for sinks, want := range map[int]time.Duration{
+		0: time.Minute, 1: time.Minute, 50_000: time.Minute,
+		50_001: 2 * time.Minute, 1_000_000: 20 * time.Minute,
+	} {
+		if got := c.regionTimeout(sinks); got != want {
+			t.Errorf("%d sinks: bound %v, want %v", sinks, got, want)
+		}
+	}
+}
+
+// TestClusterBadRegionReply: a peer whose region reply is a tree with a
+// dangling child, a real result with one sink delay too many, or a real
+// result padded past the region's reply bound, costs a dispatch error and
+// a re-offer, not a panic or a failed job.
+func TestClusterBadRegionReply(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-node end-to-end run")
+	}
+	dangling := ctree.New(geom.Pt(0, 0))
+	dangling.Nodes[0].Children = []int{999}
+	for name, reply := range map[string]func(regionRPCReq) *core.RegionOut{
+		"dangling child": func(regionRPCReq) *core.RegionOut {
+			return &core.RegionOut{Tree: dangling, Sum: &eval.RegionEval{Metrics: &eval.Metrics{}}}
+		},
+		"extra delay": func(req regionRPCReq) *core.RegionOut {
+			out, err := core.RunRegion(context.Background(), req.Work, tech.ASAP7(), req.Opt, 1)
+			if err != nil {
+				return nil
+			}
+			out.Sum.Metrics.SinkDelays[len(req.Work.Sinks)] = 1
+			return out
+		},
+		"oversize": func(req regionRPCReq) *core.RegionOut {
+			out, err := core.RunRegion(context.Background(), req.Work, tech.ASAP7(), req.Opt, 1)
+			if err != nil {
+				return nil
+			}
+			for i := len(req.Work.Sinks); i < 100_000; i++ {
+				out.Sum.Metrics.SinkDelays[i] = 1
+			}
+			return out
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			node := newFakePeerNode(t, nil, func(w http.ResponseWriter, r *http.Request) {
+				var req regionRPCReq
+				if err := gob.NewDecoder(r.Body).Decode(&req); err != nil {
+					http.Error(w, err.Error(), http.StatusBadRequest)
+					return
+				}
+				gob.NewEncoder(w).Encode(regionRPCResp{Out: reply(req)})
+			})
+			runPartitionedC4(t, node, 20*time.Second)
+			if st := node.srv.Queue().Stats().Cluster; st.RegionDispatchErrors == 0 || st.RegionsDispatched != 0 {
+				t.Fatalf("region_dispatch_errors %d, regions_dispatched %d; want > 0 and 0",
+					st.RegionDispatchErrors, st.RegionsDispatched)
+			}
+		})
+	}
+}
+
+// TestClusterFaultyPeerReoffered: with every region failing on one peer,
+// the origin counts dispatch errors, re-offers, and still returns a
+// bit-identical result; the faulty peer serves nothing.
+func TestClusterFaultyPeerReoffered(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-node end-to-end run")
+	}
+	nodes := newTestCluster(t, 3, func(i int, cfg *Config) {
+		switch i {
+		case 0:
+			cfg.Cluster.LocalExecutors = 1
+		case 2:
+			reg, err := fault.Parse("error@core.route:every=1", 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Faults = reg
+		}
+	})
+	runPartitionedC4(t, nodes[0], 20*time.Second)
+	if e := nodes[0].srv.Queue().cluster.dispatchErrs.Load(); e == 0 {
+		t.Fatal("origin counted no dispatch errors against the faulty peer")
+	}
+	if s := nodes[2].srv.Queue().Stats().Cluster.RegionsServed; s != 0 {
+		t.Fatalf("faulty peer served %d regions", s)
+	}
+}
+
+// TestClusterCancelChargesNoPeer cancels partitioned jobs while their
+// regions run on two healthy but slow peers: each job ends cancelled
+// promptly, and the aborted dispatches count neither as dispatch errors
+// nor against the peers' breakers.
+func TestClusterCancelChargesNoPeer(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-node end-to-end run")
+	}
+	regs := make([]*fault.Registry, 3)
+	nodes := newTestCluster(t, 3, func(i int, cfg *Config) {
+		if i == 0 {
+			cfg.Cluster.LocalExecutors = -1
+			return
+		}
+		reg, err := fault.Parse("delay@core.route:every=1:10s", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		regs[i], cfg.Faults = reg, reg
+	})
+	jobs := make([]*Job, 3)
+	for i := range jobs {
+		job, err := nodes[0].srv.Queue().Submit(&Request{Design: "C4", Seed: int64(i + 1),
+			Options: OptionsSpec{PartitionMaxSinks: 300}}, KindSynthesize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs[i] = job
+	}
+	// Wait until both peers are holding a region.
+	for deadline := time.Now().Add(10 * time.Second); regs[1].Counts()["delay@core.route"] == 0 ||
+		regs[2].Counts()["delay@core.route"] == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the peers never received a region")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	for i, job := range jobs {
+		job.Cancel()
+		select {
+		case <-job.Done():
+		case <-time.After(2 * time.Second):
+			t.Fatalf("job %d still %s 2s after cancel", i, job.Info().State)
+		}
+		if st := job.Info().State; st != StateCancelled {
+			t.Fatalf("job %d ended %s, want cancelled", i, st)
+		}
+	}
+	// Give the dispatchers time to see their aborted POSTs return.
+	time.Sleep(200 * time.Millisecond)
+	if st := nodes[0].srv.Queue().Stats().Cluster; st.RegionDispatchErrors != 0 || st.BreakerOpens != 0 {
+		t.Fatalf("cancelling jobs charged the peers: %d dispatch errors, %d breaker openings",
+			st.RegionDispatchErrors, st.BreakerOpens)
+	}
+}
+
+// TestClusterRegionBodyBounded: a region body larger than the receiving
+// node's MaxJobSinks allows is refused with 413 while it is still being
+// read; a region within the bound is served.
+func TestClusterRegionBodyBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-node end-to-end run")
+	}
+	const maxSinks = 100
+	nodes := newTestCluster(t, 2, func(i int, cfg *Config) { cfg.MaxJobSinks = maxSinks })
+	post := func(sinks int) int {
+		work := core.RegionWork{ID: 1, Anchor: geom.Pt(50, 50), Sinks: make([]geom.Point, sinks)}
+		for i := range work.Sinks {
+			work.Sinks[i] = geom.Pt(float64(i%97)+0.5, float64(i%89)+0.25)
+		}
+		var body bytes.Buffer
+		if err := gob.NewEncoder(&body).Encode(regionRPCReq{Work: work}); err != nil {
+			t.Fatal(err)
+		}
+		if sinks > maxSinks && body.Len() <= maxSinks*bodyBytesPerSink+bodyAllowance {
+			t.Fatalf("%d-sink body of %d bytes is within the bound", sinks, body.Len())
+		}
+		req, err := http.NewRequest(http.MethodPost, nodes[0].url+"/internal/region", &body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(headerSecret, "test-secret")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := post(20_000); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize region body: status %d, want 413", code)
+	}
+	if served := nodes[0].srv.Queue().cluster.served.Load(); served != 0 {
+		t.Fatalf("node served %d regions from an oversize body", served)
+	}
+	if code := post(maxSinks / 2); code != http.StatusOK {
+		t.Fatalf("region within the bound: status %d, want 200", code)
 	}
 }

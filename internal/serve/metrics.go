@@ -219,19 +219,9 @@ func newMetrics(reg *obs.Registry, q *Queue) *metrics {
 			"Regions this node executed for peers via POST /internal/region.",
 			func() float64 { return float64(c.served.Load()) },
 			obs.L("path", "served"))
-		reg.CounterFunc("dscts_cluster_regions_total",
-			"Regions this node stole from peers and completed.",
-			func() float64 { return float64(c.stolen.Load()) },
-			obs.L("path", "stolen"))
 		reg.CounterFunc("dscts_cluster_region_dispatch_errors_total",
-			"Region dispatch attempts that failed and were re-offered.",
+			"Region dispatch attempts that failed; each is re-offered unless its job has ended.",
 			func() float64 { return float64(c.dispatchErrs.Load()) })
-		reg.CounterFunc("dscts_cluster_steals_given_total",
-			"Region leases handed to stealing peers.",
-			func() float64 { return float64(c.stealsGiven.Load()) })
-		reg.CounterFunc("dscts_cluster_steal_rejects_total",
-			"Stale or duplicate steal completions rejected by the lease-token check.",
-			func() float64 { return float64(c.stealRejects.Load()) })
 		reg.CounterFunc("dscts_cluster_breaker_opens_total",
 			"Per-peer circuit-breaker openings, summed over the peer set.",
 			func() float64 { return float64(c.peers.BreakerOpens()) })

@@ -488,11 +488,11 @@ type Config struct {
 	// terminations, panics, watchdog kills). nil discards them.
 	Logger *slog.Logger
 	// Cluster enables cluster mode (see cluster.go): consistent-hash
-	// request routing across the peer set, remote region dispatch for
-	// partitioned jobs, and work stealing. nil — the default — runs the
-	// queue single-node. An invalid cluster config (node ID not in the
-	// peer list, malformed peers) panics in NewQueue: it is static boot
-	// configuration, pre-validated by the flag parser in cmd/dsctsd.
+	// request routing across the peer set and remote region dispatch for
+	// partitioned jobs. nil — the default — runs the queue single-node.
+	// An invalid cluster config (node ID not in the peer list, malformed
+	// peers) panics in NewQueue: it is static boot configuration,
+	// pre-validated by the flag parser in cmd/dsctsd.
 	Cluster *ClusterConfig
 }
 
@@ -627,7 +627,7 @@ type Stats struct {
 	// first, stack traces included.
 	LastPanics []PanicRecord `json:"last_panics,omitempty"`
 	// Cluster is the cluster-mode snapshot (routing, region dispatch,
-	// stealing, peer liveness); nil when cluster mode is off.
+	// peer liveness); nil when cluster mode is off.
 	Cluster *ClusterStats `json:"cluster,omitempty"`
 }
 
@@ -1118,8 +1118,8 @@ func (q *Queue) Close() {
 		q.wdWG.Wait()
 		q.bodyWG.Wait()
 		// With every job body joined, nothing can be waiting on the region
-		// board; stop the cluster runtime (executors, dispatchers, stealer,
-		// prober) last.
+		// board; stop the cluster runtime (executors, dispatchers, prober)
+		// last.
 		if q.cluster != nil {
 			q.cluster.close()
 		}
@@ -1292,8 +1292,8 @@ func (q *Queue) execute(job *Job, ctx context.Context) {
 	opt.Faults = q.cfg.Faults
 	if q.cluster != nil {
 		// Partitioned regions route through the cluster's region board:
-		// local executors, peer dispatch and work stealing drain it. The
-		// executor is result-equivalent to the local path, so Metrics stay
+		// local executors and peer dispatchers drain it. The executor is
+		// result-equivalent to the local path, so Metrics stay
 		// bit-identical to a single-node run.
 		opt.RegionExec = q.cluster.execFor(job.req.Tech, rv.tc, opt)
 	}

@@ -74,10 +74,8 @@ func NewServer(cfg Config) *Server {
 	s.mux.HandleFunc("GET /version", s.version)
 	if c := s.queue.cluster; c != nil {
 		// Cluster-internal peer API (gob over HTTP, shared-secret gated):
-		// remote region execution and the work-stealing handshake.
+		// remote region execution.
 		s.mux.HandleFunc("POST /internal/region", c.handleRegion)
-		s.mux.HandleFunc("POST /internal/steal", c.handleSteal)
-		s.mux.HandleFunc("POST /internal/steal/done", c.handleStealDone)
 	}
 	if cfg.Metrics != nil {
 		reg := cfg.Metrics
@@ -145,19 +143,36 @@ const (
 	bodyAllowance    = 64 << 10
 )
 
-func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind string) {
-	if m := s.queue.cfg.MaxJobSinks; m > 0 { // negative disables the size check
-		r.Body = http.MaxBytesReader(w, r.Body, int64(m)*bodyBytesPerSink+bodyAllowance)
+// bodyLimit is the byte bound of a body carrying sinks sinks.
+func bodyLimit(sinks int) int64 { return int64(sinks)*bodyBytesPerSink + bodyAllowance }
+
+// boundBody caps r's body at bodyLimit(maxSinks); a negative maxSinks
+// disables the size check.
+func boundBody(w http.ResponseWriter, r *http.Request, maxSinks int) {
+	if maxSinks > 0 {
+		r.Body = http.MaxBytesReader(w, r.Body, bodyLimit(maxSinks))
 	}
+}
+
+// bodyTooLarge returns the 413 error for a decode that failed on
+// boundBody's cap, or nil for any other decode error.
+func bodyTooLarge(err error, maxSinks int) error {
+	var tooBig *http.MaxBytesError
+	if !errors.As(err, &tooBig) {
+		return nil
+	}
+	return fmt.Errorf("request body exceeds %d bytes (max_job_sinks %d)", tooBig.Limit, maxSinks)
+}
+
+func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind string) {
+	boundBody(w, r, s.queue.cfg.MaxJobSinks)
 	var req Request
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
+		if big := bodyTooLarge(err, s.queue.cfg.MaxJobSinks); big != nil {
 			s.queue.rejectedLarge.Add(1)
-			s.writeErr(w, r, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes (max_job_sinks %d)", tooBig.Limit, s.queue.cfg.MaxJobSinks))
+			s.writeErr(w, r, http.StatusRequestEntityTooLarge, big)
 			return
 		}
 		s.writeErr(w, r, http.StatusBadRequest, fmt.Errorf("invalid JSON body: %w", err))
