@@ -8,13 +8,12 @@
 #   make staticcheck - pinned staticcheck over the whole tree (fetches the tool)
 #   make vulncheck   - pinned govulncheck over the whole tree (fetches the tool)
 #   make smoke       - the Go-only CLI smoke suite (what CI runs, minus the XL job)
-#   make bench       - the substrate + parallel-engine + partition benchmarks
+#   make bench       - the substrate, parallel-engine, partition, split and sign-off benchmarks
 #   make report      - regenerate BENCH_parallel.json
 #   make load        - regenerate BENCH_serve.json (service load test)
 #   make chaos       - 30s seeded fault-injection soak under -race + report gate (BENCH_chaos.json)
 #   make metrics     - short load run + observability gate: /metrics scrape must match /stats
 #   make persist     - regenerate BENCH_persist.json (warm-vs-cold restart) + persist gate
-#   make corners     - regenerate BENCH_corners.json (multi-corner sign-off scaling)
 #   make scale       - regenerate BENCH_scale.json (mono vs partition-parallel XL scaling)
 #   make eco         - regenerate BENCH_eco.json (full vs incremental re-synthesis)
 #
@@ -28,7 +27,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test vet ci race perfbench-test fuzz golden golden-update staticcheck vulncheck smoke bench report load chaos cluster metrics persist corners scale eco
+.PHONY: all build test vet ci race perfbench-test fuzz golden golden-update staticcheck vulncheck smoke bench report load chaos cluster metrics persist scale eco
 
 all: ci
 
@@ -124,9 +123,6 @@ persist:
 	$(GO) run ./cmd/benchgen -persist -persist-out BENCH_persist.json
 	$(GO) run ./cmd/cismoke persist BENCH_persist.json
 
-corners:
-	$(GO) run ./cmd/benchgen -corners-out BENCH_corners.json
-
 scale:
 	$(GO) run ./cmd/benchgen -scale-out BENCH_scale.json -scale-workers 8
 
@@ -137,7 +133,7 @@ eco:
 	$(GO) run ./cmd/benchgen -eco-out BENCH_eco.json -eco-workers 1
 
 bench:
-	$(GO) test -run xxx -bench 'BenchmarkSubstrates|BenchmarkParallelSynthesize|BenchmarkPartitionSynthesize' -benchmem .
+	$(GO) test -run xxx -bench 'BenchmarkSubstrates|BenchmarkParallelSynthesize|BenchmarkPartitionSynthesize|BenchmarkSplit|BenchmarkCornerSignoff' -benchmem .
 
 # Pinned to GOMAXPROCS=1: CI's allocs-gate re-measures at GOMAXPROCS=1,
 # and `cismoke allocs` refuses reports recorded at different gomaxprocs.

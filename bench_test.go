@@ -495,3 +495,57 @@ func BenchmarkPartitionSynthesize(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkSplit measures partition.Split on the xl-partitioned
+// workload's shape: a 250k-sink XL placement cut into 50k-sink regions,
+// by the kd median cut around the placement's macros and by the grid
+// strategy (which kd-splits only its overfull cells).
+func BenchmarkSplit(b *testing.B) {
+	p, err := bench.GenerateXL(250_000, 7919)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, strategy := range []string{partition.StrategyKD, partition.StrategyGrid} {
+		opt := partition.Options{MaxSinks: 50_000, Strategy: strategy, Macros: p.Macros}
+		b.Run(strategy, func(b *testing.B) {
+			b.ReportAllocs()
+			var regions []partition.Region
+			for i := 0; i < b.N; i++ {
+				if regions, err = partition.Split(p.Sinks, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(regions)), "regions")
+		})
+	}
+}
+
+// BenchmarkCornerSignoff measures the slow/typ/fast sign-off of one
+// finished 250k-sink partitioned tree (50k-sink kd regions) at one and
+// two workers: tree validation, per-corner lowering and timing, the
+// per-corner delay maps and the cross-corner summary.
+func BenchmarkCornerSignoff(b *testing.B) {
+	tc := tech.ASAP7()
+	p, err := bench.GenerateXL(250_000, 7919)
+	if err != nil {
+		b.Fatal(err)
+	}
+	out, err := core.Synthesize(p.Root, p.Sinks, tc, core.Options{
+		Workers:   2,
+		Partition: partition.Options{MaxSinks: 50_000, Macros: p.Macros},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := EvaluateCorners(out.Tree, tc, SignoffCorners(), w); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(out.Tree.Len()), "nodes")
+		})
+	}
+}

@@ -40,12 +40,6 @@
 // the restarted daemon recomputes anything the first process already solved:
 //
 //	benchgen -persist [-persist-jobs 9] [-persist-out BENCH_persist.json]
-//
-// With -corners-out it measures the multi-corner sign-off evaluator (one
-// synthesized tree swept across K interpolated PVT corners, at one worker
-// and at GOMAXPROCS) and writes the corner-scaling report:
-//
-//	benchgen -corners-out BENCH_corners.json
 package main
 
 import (
@@ -71,7 +65,6 @@ func main() {
 		doLoad     = flag.Bool("load", false, "replay concurrent jobs against an in-process dsctsd and write a JSON report")
 		loadOut    = flag.String("load-out", "BENCH_serve.json", "report path for -load")
 		clusterN   = flag.Int("cluster", 0, "with -load: boot an in-process N-node cluster (consistent-hash routing, region dispatch) instead of one daemon and write BENCH_cluster.json")
-		doCorner   = flag.String("corners-out", "", "measure multi-corner sign-off scaling and write the JSON report to this path (e.g. BENCH_corners.json)")
 		doScale    = flag.String("scale-out", "", "measure monolithic vs partition-parallel scaling over XL placements and write the JSON report to this path (e.g. BENCH_scale.json)")
 		scaleSize  = flag.String("scale-sizes", "100000,250000,500000,1000000", "comma-separated sink counts for -scale-out")
 		scaleWk    = flag.Int("scale-workers", 0, "worker budget for the multi-worker runs of -scale-out (0 = all CPUs)")
@@ -155,12 +148,6 @@ func main() {
 	}
 	if *doPersist {
 		if err := runPersist(*persistOut, *persistJob, *loadConc); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *doCorner != "" {
-		if err := runCorners(*doCorner); err != nil {
 			fatal(err)
 		}
 		return

@@ -13,6 +13,7 @@ import (
 
 	"dscts/internal/core"
 	"dscts/internal/dse"
+	"dscts/internal/eval"
 )
 
 // TestCornerWorkersDeterminism synthesizes C4 and C5 with the full
@@ -154,4 +155,41 @@ func TestSynthesizeWithCornersMatchesPlain(t *testing.T) {
 		t.Fatal("typ corner missing")
 	}
 	metricsIdentical(t, "typ corner vs top-level", cornered.Metrics, typ.Metrics)
+}
+
+// TestDuplicateSinkIndexRejected: a tree in which two sink nodes carry one
+// sink index passes ctree.Validate, but every delay map would silently
+// drop one sink. The evaluator, the region summary and the corner
+// sign-off (one corner and three) must all refuse it.
+func TestDuplicateSinkIndexRejected(t *testing.T) {
+	tc := ASAP7()
+	p, err := GenerateBenchmark("C4", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Synthesize(p.Root, p.Sinks, tc, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := out.Tree.Clone()
+	sinks := tree.Sinks()
+	tree.Nodes[sinks[10]].SinkIdx = tree.Nodes[sinks[11]].SinkIdx
+	if err := tree.Validate(); err != nil {
+		t.Fatalf("the tree is structurally sound, yet Validate says %v", err)
+	}
+	if _, err := eval.New(tc, eval.Elmore).Evaluate(tree); err == nil {
+		t.Error("Evaluate accepted a repeated sink index")
+	}
+	if _, err := eval.New(tc, eval.Elmore).SummarizeRegion(tree); err == nil {
+		t.Error("SummarizeRegion accepted a repeated sink index")
+	}
+	for _, cs := range [][]Corner{{SignoffCorners()[1]}, SignoffCorners()} {
+		if _, err := EvaluateCorners(tree, tc, cs, 2); err == nil {
+			t.Errorf("sign-off over %d corners accepted a repeated sink index", len(cs))
+		}
+	}
+	// The untouched tree still evaluates.
+	if _, err := eval.New(tc, eval.Elmore).Evaluate(out.Tree); err != nil {
+		t.Fatal(err)
+	}
 }

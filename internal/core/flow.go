@@ -234,6 +234,16 @@ func SynthesizeContext(ctx context.Context, rootPos geom.Point, sinks []geom.Poi
 	if len(sinks) == 0 {
 		return nil, fmt.Errorf("core: no sinks")
 	}
+	// A NaN or infinite position otherwise surfaces phases later, as an
+	// infeasible insertion or a non-finite load, far from the bad input.
+	if !rootPos.Finite() {
+		return nil, fmt.Errorf("core: clock root has non-finite position %v", rootPos)
+	}
+	for i, p := range sinks {
+		if !p.Finite() {
+			return nil, fmt.Errorf("core: sink %d has non-finite position %v", i, p)
+		}
+	}
 	// Reject a bad corner list before spending the whole synthesis on it.
 	if len(opt.Corners) > 0 {
 		if err := corner.ValidateSet(opt.Corners); err != nil {

@@ -3,9 +3,13 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
+	"strings"
 	"testing"
 
 	"dscts/internal/bench"
+	"dscts/internal/geom"
+	"dscts/internal/partition"
 	"dscts/internal/tech"
 )
 
@@ -129,6 +133,38 @@ func TestSynthesizeErrors(t *testing.T) {
 	bad.MaxFanout = 0
 	if _, err := Synthesize(p.Root, p.Sinks, &bad, Options{}); err == nil {
 		t.Error("invalid tech should error")
+	}
+}
+
+// TestSynthesizeRejectsNonFinite: a NaN or infinite root or sink position
+// is refused up front, naming the bad input, on both the monolithic and
+// the partitioned path, before any phase starts.
+func TestSynthesizeRejectsNonFinite(t *testing.T) {
+	tc := tech.ASAP7()
+	p := c4Placement(t)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, part := range []partition.Options{{}, {MaxSinks: 300}} {
+			var events int
+			opt := Options{Partition: part, Progress: func(Progress) { events++ }}
+			sinks := append([]geom.Point(nil), p.Sinks...)
+			sinks[7].X = bad
+			if _, err := Synthesize(p.Root, sinks, tc, opt); err == nil || !strings.Contains(err.Error(), "sink 7 ") {
+				t.Errorf("sink X %v, partition %d: err %v", bad, part.MaxSinks, err)
+			}
+			sinks[7] = p.Sinks[7]
+			sinks[11].Y = bad
+			if _, err := Synthesize(p.Root, sinks, tc, opt); err == nil || !strings.Contains(err.Error(), "sink 11 ") {
+				t.Errorf("sink Y %v, partition %d: err %v", bad, part.MaxSinks, err)
+			}
+			for _, root := range []geom.Point{geom.Pt(bad, p.Root.Y), geom.Pt(p.Root.X, bad)} {
+				if _, err := Synthesize(root, p.Sinks, tc, opt); err == nil || !strings.Contains(err.Error(), "clock root") {
+					t.Errorf("root %v, partition %d: err %v", root, part.MaxSinks, err)
+				}
+			}
+			if events != 0 {
+				t.Errorf("partition %d: %d progress events before the rejection", part.MaxSinks, events)
+			}
+		}
 	}
 }
 

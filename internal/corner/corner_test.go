@@ -2,8 +2,10 @@ package corner
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"dscts/internal/cluster"
@@ -182,12 +184,22 @@ func smallTree(t *testing.T, tc *tech.Tech) *ctree.Tree {
 func TestEvaluateAcrossCorners(t *testing.T) {
 	tc := tech.ASAP7()
 	tree := smallTree(t, tc)
-	rep, err := Evaluate(context.Background(), tree, tc, Presets(), Options{})
+	var calls atomic.Int64
+	onCorner := func(done, total int) {
+		calls.Add(1)
+		if total != 3 || done < 1 || done > 3 {
+			t.Errorf("OnCorner(%d, %d)", done, total)
+		}
+	}
+	rep, err := Evaluate(context.Background(), tree, tc, Presets(), Options{Workers: 2, OnCorner: onCorner})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Results) != 3 {
 		t.Fatalf("%d results", len(rep.Results))
+	}
+	if calls.Load() != 3 {
+		t.Fatalf("OnCorner called %d times for 3 corners", calls.Load())
 	}
 	slow, typ, fast := rep.ByName("slow"), rep.ByName("typ"), rep.ByName("fast")
 	if slow == nil || typ == nil || fast == nil {
@@ -284,8 +296,8 @@ func TestEvaluateErrors(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Evaluate(ctx, tree, tc, Presets(), Options{}); err == nil {
-		t.Fatal("cancelled context accepted")
+	if _, err := Evaluate(ctx, tree, tc, Presets(), Options{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled context: err %v, want one wrapping context.Canceled", err)
 	}
 }
 

@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"dscts/internal/ctree"
 	"dscts/internal/eval"
-	"dscts/internal/par"
 	"dscts/internal/tech"
 )
 
@@ -73,51 +71,39 @@ type Options struct {
 }
 
 // Evaluate signs off a finished clock tree across the given corners: each
-// corner derives its own technology view (Corner.Apply), evaluates the
-// tree under it, and the per-corner Metrics merge in corner order. Corners
-// are embarrassingly parallel; opt.Workers bounds the fan-out on the
-// shared worker budget. A cancelled ctx stops scheduling further corners
+// corner derives its own technology view (Corner.Apply), and
+// eval.EvaluateViews validates the tree once, then evaluates it under every
+// view on the shared worker budget (opt.Workers), merging the per-corner
+// Metrics in corner order. A cancelled ctx stops scheduling further corners
 // and returns an error wrapping ctx.Err().
 func Evaluate(ctx context.Context, t *ctree.Tree, tc *tech.Tech, corners []Corner, opt Options) (*Report, error) {
 	if err := ValidateSet(corners); err != nil {
 		return nil, err
 	}
 	rep := &Report{Results: make([]Result, len(corners))}
-	errs := make([]error, len(corners))
-	var done atomic.Int64
-	par.ForEach(opt.Workers, len(corners), func(i int) {
-		if ctx.Err() != nil {
-			return
-		}
-		c := corners[i].Normalize()
-		ctc := c.Apply(tc)
-		m, err := eval.New(ctc, opt.Mode).Evaluate(t)
-		if err != nil {
-			errs[i] = fmt.Errorf("corner %s: %w", c.Name, err)
-			return
-		}
-		rep.Results[i] = Result{Corner: c, Metrics: m}
-		if opt.OnCorner != nil {
-			opt.OnCorner(int(done.Add(1)), len(corners))
-		}
-	})
-	if err := ctx.Err(); err != nil {
+	views := make([]*eval.Evaluator, len(corners))
+	for i, c := range corners {
+		c = c.Normalize()
+		rep.Results[i].Corner = c
+		views[i] = eval.New(c.Apply(tc), opt.Mode)
+	}
+	ms, divergence, err := eval.EvaluateViews(ctx, t, views, opt.Workers, opt.OnCorner)
+	if err != nil {
 		return nil, fmt.Errorf("corner: %w", err)
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	for i, m := range ms {
+		rep.Results[i].Metrics = m
 	}
-	rep.Summary = summarize(rep.Results)
+	rep.Summary = summarize(rep.Results, divergence)
 	return rep, nil
 }
 
-// summarize computes the cross-corner numbers. Every reduction is a pure
-// max/min, so the result is independent of iteration order; corner ties
-// resolve to the first corner in caller order.
-func summarize(results []Result) Summary {
-	s := Summary{WorstSkew: math.Inf(-1), WorstLatency: math.Inf(-1)}
+// summarize computes the cross-corner numbers around the per-sink
+// divergence EvaluateViews measured. Every reduction is a pure max/min, so
+// the result is independent of iteration order; corner ties resolve to the
+// first corner in caller order.
+func summarize(results []Result, divergence float64) Summary {
+	s := Summary{WorstSkew: math.Inf(-1), WorstLatency: math.Inf(-1), MaxDivergence: divergence}
 	minLat := math.Inf(1)
 	for _, r := range results {
 		if r.Metrics.Skew > s.WorstSkew {
@@ -131,16 +117,5 @@ func summarize(results []Result) Summary {
 		minLat = math.Min(minLat, r.Metrics.Latency)
 	}
 	s.LatencySpread = s.WorstLatency - minLat
-	// Per-sink divergence across corners. Sink delay maps share one key
-	// set (same tree under every corner).
-	for sink, d0 := range results[0].Metrics.SinkDelays {
-		lo, hi := d0, d0
-		for _, r := range results[1:] {
-			d := r.Metrics.SinkDelays[sink]
-			lo = math.Min(lo, d)
-			hi = math.Max(hi, d)
-		}
-		s.MaxDivergence = math.Max(s.MaxDivergence, hi-lo)
-	}
 	return s
 }

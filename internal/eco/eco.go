@@ -90,12 +90,12 @@ func (d Delta) Validate(nSinks int) error {
 			return fmt.Errorf("eco: sink %d moved twice", m.Sink)
 		}
 		moved[m.Sink] = true
-		if !finite(m.To) {
+		if !m.To.Finite() {
 			return fmt.Errorf("eco: move of sink %d to non-finite position", m.Sink)
 		}
 	}
 	for i, p := range d.Add {
-		if !finite(p) {
+		if !p.Finite() {
 			return fmt.Errorf("eco: added sink %d has non-finite position", i)
 		}
 	}
@@ -113,10 +113,6 @@ func (d Delta) Validate(nSinks int) error {
 		}
 	}
 	return nil
-}
-
-func finite(p geom.Point) bool {
-	return !math.IsNaN(p.X) && !math.IsInf(p.X, 0) && !math.IsNaN(p.Y) && !math.IsInf(p.Y, 0)
 }
 
 // Apply builds the post-ECO placement: surviving prior sinks first (moves

@@ -7,11 +7,14 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"dscts/internal/arena"
 	"dscts/internal/ctree"
+	"dscts/internal/par"
 	"dscts/internal/tech"
 	"dscts/internal/timing"
 )
@@ -98,25 +101,127 @@ func (e *Evaluator) Evaluate(t *ctree.Tree) (*Metrics, error) {
 	}
 	s := getEvalScratch()
 	defer evalPool.Put(s)
+	m := &Metrics{WL: t.Wirelength()}
+	m.Buffers, m.NTSVs = t.Counts()
+	if _, _, err := e.measure(s, t, m); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// EvaluateViews evaluates one tree under several technology views: the
+// multi-corner sign-off kernel. It validates the tree and takes its
+// wirelength and resource counts once, then lowers and times it once per
+// view on the worker budget (par.N semantics), checking ctx before each
+// view. It returns each view's Metrics in view order, equal to
+// views[i].Evaluate(t), and the largest per-sink delay spread across the
+// views: the maximum over sinks of that sink's max-minus-min delay, 0 for a
+// single view (which keeps no per-sink lane). onView, when non-nil, is
+// called after each view completes with the completed and total counts; it
+// may be called from several goroutines. A cancelled ctx returns an error
+// wrapping ctx.Err().
+func EvaluateViews(ctx context.Context, t *ctree.Tree, views []*Evaluator, workers int, onView func(done, total int)) ([]*Metrics, float64, error) {
+	if len(views) == 0 {
+		return nil, 0, fmt.Errorf("eval: no views to evaluate")
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, 0, fmt.Errorf("eval: %w", err)
+	}
+	if err := t.Validate(); err != nil {
+		return nil, 0, fmt.Errorf("eval: %w", err)
+	}
+	wl := t.Wirelength()
+	buffers, ntsvs := t.Counts()
+	ms := make([]*Metrics, len(views))
+	errs := make([]error, len(views))
+	// lanes[i] holds view i's sink delays in lowering order, which is the
+	// same sink order under every view of one tree.
+	var lanes [][]float64
+	if len(views) > 1 {
+		lanes = make([][]float64, len(views))
+	}
+	var done atomic.Int64
+	par.ForEach(workers, len(views), func(i int) {
+		if ctx.Err() != nil {
+			return
+		}
+		s := getEvalScratch()
+		defer evalPool.Put(s)
+		m := &Metrics{WL: wl, Buffers: buffers, NTSVs: ntsvs}
+		if _, _, err := views[i].measure(s, t, m); err != nil {
+			errs[i] = err
+			return
+		}
+		if lanes != nil {
+			lane := make([]float64, len(s.pairs))
+			for k, p := range s.pairs {
+				lane[k] = s.delays[p.node]
+			}
+			lanes[i] = lane
+		}
+		ms[i] = m
+		if onView != nil {
+			onView(int(done.Add(1)), len(views))
+		}
+	})
+	if err := ctx.Err(); err != nil {
+		return nil, 0, fmt.Errorf("eval: %w", err)
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, 0, err
+		}
+	}
+	if lanes == nil {
+		return ms, 0, nil
+	}
+	return ms, maxSpread(lanes), nil
+}
+
+// maxSpread is the largest per-sink spread across equal-length delay lanes:
+// max over k of (max - min over lanes of lane[k]). Every reduction is a pure
+// min/max, so the result does not depend on the lane or sink order.
+func maxSpread(lanes [][]float64) float64 {
+	var spread float64
+	for k, d0 := range lanes[0] {
+		lo, hi := d0, d0
+		for _, l := range lanes[1:] {
+			lo = math.Min(lo, l[k])
+			hi = math.Max(hi, l[k])
+		}
+		spread = math.Max(spread, hi-lo)
+	}
+	return spread
+}
+
+// measure is the evaluation body Evaluate, EvaluateViews and SummarizeRegion
+// share: it lowers t under e's technology into s, times the network, and
+// fills m's per-sink fields (SinkDelays, Latency, Skew and, in NLDM mode,
+// MaxSlew), returning the sink delay extremes. The network, its delays and
+// the sink pairs stay in s until s goes back to the pool. It rejects a tree
+// whose sink nodes repeat a sink index, which ctree.Validate admits: its
+// delay map would silently hold fewer sinks than the tree.
+func (e *Evaluator) measure(s *evalScratch, t *ctree.Tree, m *Metrics) (lo, hi float64, err error) {
 	s.lower(t, e.tc)
-	var delays []float64
+	if len(s.pairs) == 0 {
+		return 0, 0, fmt.Errorf("eval: tree has no sinks")
+	}
 	if e.mode == NLDM {
 		s.delays = s.net.DelaysNLDMInto(s.delays, e.InputSlew, e.tbl)
 	} else {
 		s.delays = s.net.DelaysInto(s.delays)
 	}
-	delays = s.delays
-	m := &Metrics{SinkDelays: make(map[int]float64, len(s.pairs)), WL: t.Wirelength()}
-	m.Buffers, m.NTSVs = t.Counts()
-	lo, hi := math.Inf(1), math.Inf(-1)
+	m.SinkDelays = make(map[int]float64, len(s.pairs))
+	lo, hi = math.Inf(1), math.Inf(-1)
 	for _, p := range s.pairs {
-		d := delays[p.node]
+		d := s.delays[p.node]
 		m.SinkDelays[p.sinkIdx] = d
 		lo = math.Min(lo, d)
 		hi = math.Max(hi, d)
 	}
-	if len(s.pairs) == 0 {
-		return nil, fmt.Errorf("eval: tree has no sinks")
+	if len(m.SinkDelays) < len(s.pairs) {
+		return 0, 0, fmt.Errorf("eval: %d sink nodes carry only %d distinct sink indices",
+			len(s.pairs), len(m.SinkDelays))
 	}
 	m.Latency = hi
 	m.Skew = hi - lo
@@ -126,7 +231,7 @@ func (e *Evaluator) Evaluate(t *ctree.Tree) (*Metrics, error) {
 			m.MaxSlew = math.Max(m.MaxSlew, s.slews[p.node])
 		}
 	}
-	return m, nil
+	return lo, hi, nil
 }
 
 // DownstreamCap returns the unshielded capacitance that node id's output

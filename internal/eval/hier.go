@@ -55,22 +55,12 @@ func (e *Evaluator) SummarizeRegion(t *ctree.Tree) (*RegionEval, error) {
 	}
 	s := getEvalScratch()
 	defer evalPool.Put(s)
-	s.lower(t, e.tc)
-	if len(s.pairs) == 0 {
-		return nil, fmt.Errorf("eval: region tree has no sinks")
-	}
-	s.delays = s.net.DelaysInto(s.delays)
-	m := &Metrics{SinkDelays: make(map[int]float64, len(s.pairs)), WL: t.Wirelength()}
+	m := &Metrics{WL: t.Wirelength()}
 	m.Buffers, m.NTSVs = t.Counts()
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, p := range s.pairs {
-		d := s.delays[p.node]
-		m.SinkDelays[p.sinkIdx] = d
-		lo = math.Min(lo, d)
-		hi = math.Max(hi, d)
+	lo, hi, err := e.measure(s, t, m)
+	if err != nil {
+		return nil, err
 	}
-	m.Latency = hi
-	m.Skew = hi - lo
 	return &RegionEval{RootLoad: s.net.SourceLoad(), MaxDelay: hi, MinDelay: lo, Metrics: m}, nil
 }
 

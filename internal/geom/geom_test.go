@@ -260,3 +260,14 @@ func sanitize(v float64) float64 {
 	}
 	return math.Mod(v, 1e6)
 }
+
+func TestPointFinite(t *testing.T) {
+	if !Pt(-3, 1e300).Finite() || !Pt(math.Copysign(0, -1), 0).Finite() {
+		t.Fatal("finite point reported non-finite")
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if Pt(bad, 0).Finite() || Pt(0, bad).Finite() {
+			t.Fatalf("point with %v reported finite", bad)
+		}
+	}
+}

@@ -60,6 +60,13 @@ func (p Point) Lerp(q Point, t float64) Point {
 	return Point{p.X + (q.X-p.X)*t, p.Y + (q.Y-p.Y)*t}
 }
 
+// Finite reports whether both coordinates are finite: no NaN, no ±Inf.
+// Every placement entry point requires it, because ordering and distance
+// arithmetic on a non-finite coordinate fails far from the bad input.
+func (p Point) Finite() bool {
+	return !math.IsNaN(p.X) && !math.IsInf(p.X, 0) && !math.IsNaN(p.Y) && !math.IsInf(p.Y, 0)
+}
+
 // Eq reports whether p and q coincide within tolerance eps.
 func (p Point) Eq(q Point, eps float64) bool {
 	return math.Abs(p.X-q.X) <= eps && math.Abs(p.Y-q.Y) <= eps

@@ -20,8 +20,9 @@ package partition
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
+	"dscts/internal/arena"
 	"dscts/internal/geom"
 )
 
@@ -79,13 +80,21 @@ type Region struct {
 
 // Split partitions the sinks into capacity-bounded regions. With
 // partitioning disabled, or when every sink fits one region, it returns a
-// single region covering everything.
+// single region covering everything. Every sink position must be finite.
 func Split(sinks []geom.Point, opt Options) ([]Region, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
 	if len(sinks) == 0 {
 		return nil, fmt.Errorf("partition: no sinks")
+	}
+	if len(sinks) > math.MaxInt32 {
+		return nil, fmt.Errorf("partition: %d sinks exceed the %d a split indexes", len(sinks), math.MaxInt32)
+	}
+	for i, p := range sinks {
+		if !p.Finite() {
+			return nil, fmt.Errorf("partition: sink %d has non-finite position %v", i, p)
+		}
 	}
 	all := make([]int, len(sinks))
 	for i := range all {
@@ -94,17 +103,17 @@ func Split(sinks []geom.Point, opt Options) ([]Region, error) {
 	if !opt.Enabled() || len(sinks) <= opt.MaxSinks {
 		return []Region{makeRegion(0, sinks, all)}, nil
 	}
+	k := &kd{sinks: sinks, opt: opt}
 	var groups [][]int
 	if opt.Strategy == StrategyGrid {
 		for _, cell := range gridGroups(sinks, all, opt.MaxSinks) {
-			groups = kdSplit(sinks, cell, opt, groups)
+			groups = k.split(cell, groups)
 		}
 	} else {
-		groups = kdSplit(sinks, all, opt, nil)
+		groups = k.split(all, nil)
 	}
 	out := make([]Region, len(groups))
 	for i, g := range groups {
-		sort.Ints(g)
 		out[i] = makeRegion(i, sinks, g)
 	}
 	return out, nil
@@ -123,56 +132,12 @@ func makeRegion(id int, sinks []geom.Point, members []int) Region {
 	return r
 }
 
-// kdSplit recursively median-cuts the member set until every group fits the
-// capacity, appending finished groups to acc in deterministic (depth-first,
-// low-half-first) order.
-func kdSplit(sinks []geom.Point, members []int, opt Options, acc [][]int) [][]int {
-	if len(members) <= opt.MaxSinks {
-		return append(acc, members)
-	}
-	var box geom.BBox
-	for _, si := range members {
-		box.Grow(sinks[si])
-	}
-	// Cut across the longer extent so regions stay roughly square.
-	vertical := box.W() >= box.H() // vertical cut line: split by X
-	coord := func(si int) float64 {
-		if vertical {
-			return sinks[si].X
-		}
-		return sinks[si].Y
-	}
-	other := func(si int) float64 {
-		if vertical {
-			return sinks[si].Y
-		}
-		return sinks[si].X
-	}
-	sorted := append([]int(nil), members...)
-	sort.Slice(sorted, func(a, b int) bool {
-		ia, ib := sorted[a], sorted[b]
-		ca, cb := coord(ia), coord(ib)
-		if ca != cb {
-			return ca < cb
-		}
-		if oa, ob := other(ia), other(ib); oa != ob {
-			return oa < ob
-		}
-		return ia < ib
-	})
-	cut := len(sorted) / 2
-	cut = nudgeCutOffMacros(sorted, cut, coord, box, vertical, opt.Macros)
-	lo := sorted[:cut]
-	hi := sorted[cut:]
-	acc = kdSplit(sinks, lo, opt, acc)
-	return kdSplit(sinks, hi, opt, acc)
-}
-
 // SplitMembers kd-splits an explicit member set (original sink indices)
 // into capacity-bounded groups, each sorted ascending, in the same
 // deterministic depth-first order Split uses. It exists for incremental
 // re-synthesis: a dirty region that grew past the capacity is re-cut in
-// place without re-partitioning the whole die. MaxSinks must be positive.
+// place without re-partitioning the whole die. MaxSinks must be positive,
+// and the members must be distinct, in range and at finite positions.
 func SplitMembers(sinks []geom.Point, members []int, opt Options) ([][]int, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
@@ -183,28 +148,238 @@ func SplitMembers(sinks []geom.Point, members []int, opt Options) ([][]int, erro
 	if len(members) == 0 {
 		return nil, fmt.Errorf("partition: no members")
 	}
-	groups := kdSplit(sinks, append([]int(nil), members...), opt, nil)
-	for _, g := range groups {
-		sort.Ints(g)
+	if len(members) > math.MaxInt32 {
+		return nil, fmt.Errorf("partition: %d members exceed the %d a split indexes", len(members), math.MaxInt32)
 	}
-	return groups, nil
+	asc := slices.Clone(members)
+	slices.Sort(asc)
+	for i, si := range asc {
+		if si < 0 || si >= len(sinks) {
+			return nil, fmt.Errorf("partition: member %d out of range [0,%d)", si, len(sinks))
+		}
+		if i > 0 && si == asc[i-1] {
+			return nil, fmt.Errorf("partition: member %d listed twice", si)
+		}
+		if !sinks[si].Finite() {
+			return nil, fmt.Errorf("partition: sink %d has non-finite position %v", si, sinks[si])
+		}
+	}
+	k := &kd{sinks: sinks, opt: opt}
+	return k.split(asc, nil), nil
+}
+
+// kd is the recursive median cut, run on presorted lanes. The cut
+// comparator orders a member set by (X, Y, index) for a vertical cut line
+// and by (Y, X, index) for a horizontal one; a total order, because
+// positions are finite. kd sorts the members once into each order and
+// never sorts again: a cut takes the first half (after the macro nudge)
+// of its axis's lane, and stable-partitions the other lane by a mark,
+// which keeps both halves' lanes in order. Each level costs O(n).
+//
+// Lanes hold local positions into the ascending member list, so a
+// position's order is its sink index's order. A kd may split several
+// member sets in turn (grid cells) and reuses its buffers across them.
+type kd struct {
+	sinks []geom.Point
+	opt   Options
+
+	members []int   // the member set being split, ascending
+	xl, yl  []int32 // positions by (X, Y, index) and by (Y, X, index)
+	group   []int32 // group of each position
+	mark    []int32 // cut stamp of each position on the current low side
+	high    []int32 // radix scatter lane, then the high-side partition buffer
+	stamp   int32
+	groups  int32
+	keys    []uint64 // radix sort keys and their scatter lane
+	spare   []uint64
+}
+
+// split cuts members (ascending, distinct) until every group fits the
+// capacity and appends the groups to acc, each ascending, in depth-first
+// low-half-first order.
+func (k *kd) split(members []int, acc [][]int) [][]int {
+	if len(members) <= k.opt.MaxSinks {
+		return append(acc, members)
+	}
+	n := len(members)
+	k.members = members
+	k.presort()
+	k.group = arena.Grow(k.group, n)
+	k.mark = arena.Grow(k.mark, n)
+	k.groups = 0
+	k.cut(k.xl, k.yl)
+
+	// One ascending pass over the members fills every group in order.
+	size := make([]int, k.groups)
+	for _, g := range k.group[:n] {
+		size[g]++
+	}
+	backing := make([]int, n)
+	first := len(acc)
+	for _, sz := range size {
+		acc = append(acc, backing[:0:sz])
+		backing = backing[sz:]
+	}
+	for pos, g := range k.group[:n] {
+		acc[first+int(g)] = append(acc[first+int(g)], members[pos])
+	}
+	return acc
+}
+
+// at returns the location of the member at local position pos.
+func (k *kd) at(pos int32) geom.Point { return k.sinks[k.members[pos]] }
+
+// presort fills xl with the local positions in (X, Y, index) order and yl
+// in (Y, X, index) order, by three stable radix sorts from index order:
+// by Y, then by X (giving xl), then a copy of xl by Y again (giving yl,
+// because among equal Y the xl order is the (X, index) order).
+func (k *kd) presort() {
+	n := len(k.members)
+	k.keys = arena.Grow(k.keys, n)
+	k.spare = arena.Grow(k.spare, n)
+	k.xl = arena.Grow(k.xl, n)
+	k.yl = arena.Grow(k.yl, n)
+	k.high = arena.Grow(k.high, n)
+	for i := range k.xl {
+		k.xl[i] = int32(i)
+		k.keys[i] = floatKey(k.at(int32(i)).Y)
+	}
+	radixSort(k.keys, k.xl, k.spare, k.high)
+	for i, pos := range k.xl {
+		k.keys[i] = floatKey(k.at(pos).X)
+	}
+	radixSort(k.keys, k.xl, k.spare, k.high)
+	copy(k.yl, k.xl)
+	for i, pos := range k.yl {
+		k.keys[i] = floatKey(k.at(pos).Y)
+	}
+	radixSort(k.keys, k.yl, k.spare, k.high)
+}
+
+// cut median-cuts the member subset held by the lanes xl and yl (the same
+// positions in the two orders), assigning each finished group the next
+// group number.
+func (k *kd) cut(xl, yl []int32) {
+	n := len(xl)
+	if n <= k.opt.MaxSinks {
+		for _, pos := range xl {
+			k.group[pos] = k.groups
+		}
+		k.groups++
+		return
+	}
+	box := geom.NewBBox(geom.Pt(k.at(xl[0]).X, k.at(yl[0]).Y), geom.Pt(k.at(xl[n-1]).X, k.at(yl[n-1]).Y))
+	// Cut across the longer extent so regions stay roughly square.
+	vertical := box.W() >= box.H() // vertical cut line: split by X
+	lane, other := yl, xl
+	if vertical {
+		lane, other = xl, yl
+	}
+	coord := func(i int) float64 {
+		if vertical {
+			return k.at(lane[i]).X
+		}
+		return k.at(lane[i]).Y
+	}
+	c := nudgeCutOffMacros(n, n/2, coord, box, vertical, k.opt.Macros)
+	k.stamp++
+	for _, pos := range lane[:c] {
+		k.mark[pos] = k.stamp
+	}
+	high, w := k.high[:0], 0
+	for _, pos := range other {
+		if k.mark[pos] == k.stamp {
+			other[w] = pos
+			w++
+		} else {
+			high = append(high, pos)
+		}
+	}
+	copy(other[w:], high)
+	k.cut(xl[:c], yl[:c])
+	k.cut(xl[c:], yl[c:])
+}
+
+// floatKey maps a finite float64 to a key whose unsigned order is the
+// float's order. It folds −0 into +0, which the cut comparator already
+// treats as equal.
+func floatKey(f float64) uint64 {
+	if f == 0 {
+		return 1 << 63
+	}
+	b := math.Float64bits(f)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+const (
+	digitBits = 11
+	digitMask = 1<<digitBits - 1
+	digits    = (64 + digitBits - 1) / digitBits
+)
+
+// radixSort stably sorts pos by keys (equal-length lanes, permuted
+// together), one 11-bit digit at a time from the least significant,
+// scattering through the equal-length lanes keyBuf and posBuf. The sorted
+// lanes end in keys and pos. A digit that every key shares costs no pass.
+func radixSort(keys []uint64, pos []int32, keyBuf []uint64, posBuf []int32) {
+	n := len(keys)
+	if n < 2 {
+		return
+	}
+	var count [digits][1 << digitBits]int32
+	for _, key := range keys {
+		for d := range count {
+			count[d][key&digitMask]++
+			key >>= digitBits
+		}
+	}
+	srcK, srcP, dstK, dstP := keys, pos, keyBuf[:n], posBuf[:n]
+	for d := range count {
+		c := &count[d]
+		shift := uint(d * digitBits)
+		if int(c[srcK[0]>>shift&digitMask]) == n {
+			continue
+		}
+		var sum int32
+		for v, cnt := range c {
+			c[v] = sum
+			sum += cnt
+		}
+		sp := srcP[:len(srcK)]
+		for i, key := range srcK {
+			v := key >> shift & digitMask
+			j := c[v]
+			dstK[j] = key
+			dstP[j] = sp[i]
+			c[v] = j + 1
+		}
+		srcK, srcP, dstK, dstP = dstK, dstP, srcK, srcP
+	}
+	if &srcK[0] != &keys[0] {
+		copy(keys, srcK)
+		copy(pos, srcP)
+	}
 }
 
 // nudgeCutOffMacros moves the median split index so the induced cut line —
 // halfway between the two sinks adjacent to the split — does not run through
-// a macro blockage that crosses the region. It scans outward from the median
-// for the nearest legal split, preferring the smaller index on ties, and
-// keeps at least one sink on each side; if every split position is blocked
-// the median stands.
-func nudgeCutOffMacros(sorted []int, cut int, coord func(int) float64, box geom.BBox, vertical bool, macros []geom.BBox) int {
+// a macro blockage that crosses the region. coord(i) is the cut-axis
+// coordinate of the i-th of the n sorted members. It scans outward from the
+// median for the nearest legal split, preferring the smaller index on ties,
+// and keeps at least one sink on each side; if every split position is
+// blocked the median stands.
+func nudgeCutOffMacros(n, cut int, coord func(i int) float64, box geom.BBox, vertical bool, macros []geom.BBox) int {
 	if len(macros) == 0 {
 		return cut
 	}
 	legal := func(c int) bool {
-		if c <= 0 || c >= len(sorted) {
+		if c <= 0 || c >= n {
 			return false
 		}
-		line := (coord(sorted[c-1]) + coord(sorted[c])) / 2
+		line := (coord(c-1) + coord(c)) / 2
 		for _, m := range macros {
 			var cutsMacro bool
 			if vertical {
@@ -223,7 +398,7 @@ func nudgeCutOffMacros(sorted []int, cut int, coord func(int) float64, box geom.
 	if legal(cut) {
 		return cut
 	}
-	for d := 1; d < len(sorted); d++ {
+	for d := 1; d < n; d++ {
 		if legal(cut - d) {
 			return cut - d
 		}
