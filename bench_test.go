@@ -172,22 +172,28 @@ func BenchmarkFig10MOES(b *testing.B) {
 }
 
 // BenchmarkFig11SkewRefinement covers the skew-refinement pass in
-// isolation: DP output of C1 refined each iteration.
+// isolation: each design's DP output (the flow with refinement skipped),
+// cloned and refined at the default parameters each iteration.
 func BenchmarkFig11SkewRefinement(b *testing.B) {
 	tc := tech.ASAP7()
-	p := mustPlacement(b, "C1")
-	base, err := core.Synthesize(p.Root, p.Sinks, tc, core.Options{SkipRefine: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr := base.Tree.Clone()
-		rep, err := refine.Refine(tr, tc, refine.DefaultParams())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rep.Before.Skew-rep.After.Skew, "ps-skew-cut")
+	for _, d := range bench.Suite() {
+		b.Run(d.ID, func(b *testing.B) {
+			p := mustPlacement(b, d.ID)
+			base, err := core.Synthesize(p.Root, p.Sinks, tc, core.Options{SkipRefine: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tr := base.Tree.Clone()
+				rep, err := refine.Refine(tr, tc, refine.DefaultParams())
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(rep.Before.Skew-rep.After.Skew, "ps-skew-cut")
+			}
+		})
 	}
 }
 

@@ -45,7 +45,7 @@ func writeCluster(t *testing.T, report map[string]any) string {
 }
 
 func TestClusterGate(t *testing.T) {
-	if err := cmdCluster([]string{"-min-ratio", "0", writeCluster(t, healthyCluster())}); err != nil {
+	if err := cmdCluster([]string{writeCluster(t, healthyCluster())}); err != nil {
 		t.Fatalf("healthy report: %v", err)
 	}
 	for _, tc := range []struct {
@@ -63,7 +63,7 @@ func TestClusterGate(t *testing.T) {
 	} {
 		r := healthyCluster()
 		tc.mutate(r)
-		err := cmdCluster([]string{"-min-ratio", "0", writeCluster(t, r)})
+		err := cmdCluster([]string{writeCluster(t, r)})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: got %v, want an error containing %q", tc.name, err, tc.want)
 		}

@@ -11,7 +11,7 @@
 //	dscts -xl 500000 -partition 50000 -json | cismoke xl -sinks 500000
 //	cismoke eco -design C3 -pct 1 -min-speedup 5 BENCH_eco.json
 //	cismoke chaos BENCH_chaos.json
-//	cismoke cluster -min-ratio 2.5 -baseline BENCH_serve.json BENCH_cluster.json
+//	cismoke cluster BENCH_cluster.json
 //	cismoke metrics BENCH_serve.json
 //	cismoke metrics -min-families 25 BENCH_chaos.json
 //	cismoke persist BENCH_persist.json

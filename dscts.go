@@ -22,12 +22,13 @@
 // # Parallelism and determinism
 //
 // Synthesize runs on a parallel, allocation-lean execution engine.
-// Options.Workers bounds the concurrency of every phase (0 = one worker
-// per CPU): the clustering assignment loop and the per-high-cluster
+// Options.Workers bounds the concurrency of every parallel phase (0 = one
+// worker per CPU): the clustering assignment loop and the per-high-cluster
 // low-level clusterings are sharded, independent DP subtrees generate
-// concurrently through a ready-queue, skew-refinement trials are evaluated
-// speculatively in batches, and DSE sweep points run as concurrent whole
-// syntheses. The flow is deterministic in the worker count — Workers=1 and
+// concurrently through a ready-queue, corner views time concurrently, and
+// DSE sweep points run as concurrent whole syntheses. Skew refinement runs
+// its trials one at a time: each re-times a small subtree, too little work
+// to share. The flow is deterministic in the worker count — Workers=1 and
 // Workers=N produce bit-identical Metrics (latency, skew, resource counts,
 // wirelength and every per-sink delay), because parallel loops distribute
 // only pure per-item work and every floating-point reduction runs in a
@@ -46,8 +47,8 @@
 // # Serving
 //
 // The flow is cancellable and observable: SynthesizeContext threads a
-// context.Context through every phase (including the DP ready-queue and the
-// refinement trial batches) and Options.Progress streams per-phase events.
+// context.Context through every phase (including the DP ready-queue and
+// every refinement trial) and Options.Progress streams per-phase events.
 // On top of that, internal/serve and the cmd/dsctsd daemon expose the
 // engine as a multi-tenant HTTP service with a bounded job queue, a
 // content-addressed result cache and NDJSON progress streaming; see
@@ -132,7 +133,7 @@ func Synthesize(root Point, sinks []Point, tc *Tech, opt Options) (*Outcome, err
 
 // SynthesizeContext is Synthesize with cancellation: the flow observes ctx
 // between phases and inside the long-running inner loops (DP generation,
-// refinement batches), so a running synthesis stops promptly when ctx is
+// refinement trials), so a running synthesis stops promptly when ctx is
 // cancelled, returning an error that wraps ctx.Err().
 func SynthesizeContext(ctx context.Context, root Point, sinks []Point, tc *Tech, opt Options) (*Outcome, error) {
 	return core.SynthesizeContext(ctx, root, sinks, tc, opt)

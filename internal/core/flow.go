@@ -121,10 +121,11 @@ type Options struct {
 	// (Fig. 5(c) ablation).
 	UseFlatDME bool
 	// Workers bounds the concurrency of every parallel phase (clustering,
-	// DP insertion, skew refinement; DSE sweeps also consult it). 0 or
-	// negative means one worker per CPU. The flow is deterministic in the
-	// worker count: Workers=1 and Workers=N produce identical trees and
-	// Metrics — parallel loops only distribute pure per-item work and all
+	// DP insertion, corner sign-off, partitioned regions; DSE sweeps also
+	// consult it). Skew refinement is sequential. 0 or negative means one
+	// worker per CPU. The flow is deterministic in the worker count:
+	// Workers=1 and Workers=N produce identical trees and Metrics —
+	// parallel loops only distribute pure per-item work and all
 	// floating-point reductions run in a fixed order.
 	Workers int
 	// Partition configures the partition-parallel mega-scale pipeline
@@ -218,7 +219,7 @@ func Synthesize(rootPos geom.Point, sinks []geom.Point, tc *tech.Tech, opt Optio
 
 // SynthesizeContext is Synthesize with cancellation: the flow checks ctx
 // between phases and the long-running inner loops (the DP ready-queue,
-// refinement trial batches) observe it mid-phase, so a queued or running
+// every refinement trial) observe it mid-phase, so a queued or running
 // synthesis stops promptly — without leaking goroutines — when ctx is
 // cancelled. On cancellation the returned error wraps ctx.Err().
 // Cancellation never corrupts results: a run either returns a complete
@@ -302,24 +303,9 @@ func SynthesizeContext(ctx context.Context, rootPos geom.Point, sinks []geom.Poi
 
 	// Multi-corner sign-off: re-evaluate the finished tree per PVT corner.
 	if len(opt.Corners) > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
+		if err := signoffCorners(ctx, out, tc, opt, emit); err != nil {
+			return nil, err
 		}
-		emit(PhaseCorners, false, 0)
-		t4 := time.Now()
-		copt := corner.Options{Workers: opt.Workers}
-		if opt.Progress != nil {
-			copt.OnCorner = func(done, total int) {
-				opt.Progress(Progress{Phase: PhaseCorners, Point: done, Total: total})
-			}
-		}
-		rep, err := corner.Evaluate(ctx, out.Tree, tc, opt.Corners, copt)
-		if err != nil {
-			return nil, fmt.Errorf("core: corners: %w", err)
-		}
-		out.Corners = rep
-		out.CornersTime = time.Since(t4)
-		emit(PhaseCorners, true, out.CornersTime)
 	}
 	if opt.RetainECO {
 		out.Retained = &ECOState{

@@ -180,7 +180,6 @@ func runStages(ctx context.Context, rootPos geom.Point, sinks []geom.Point, tc *
 		if rp.TriggerPct == 0 {
 			rp = refine.DefaultParams()
 		}
-		rp.Workers = workers
 		rr, err := refine.RefineContext(ctx, tree, tc, rp)
 		if err != nil {
 			return nil, fmt.Errorf("core: refinement: %w", err)

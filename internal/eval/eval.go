@@ -80,7 +80,7 @@ type evalScratch struct {
 }
 
 // evalPool and whatIfPool recycle evaluation scratch and WhatIf models
-// across every evaluation; overlapping evaluations (refine workers,
+// across every evaluation; overlapping evaluations (corner views,
 // concurrent regions and jobs) each check out their own.
 var (
 	evalPool   arena.Pool[evalScratch]

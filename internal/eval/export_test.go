@@ -27,10 +27,9 @@ func (w *WhatIf) FullPass(extra int32, dst []float64) (latency, skew float64) {
 // ShieldOf returns the node a trial at slot re-times from (its nearest
 // ancestor acting as a buffer, or the root driver 0), that node's kind
 // ("root", "buffer" or "slot"), and how many ancestors below it the trial
-// re-sums.
+// re-sums. It re-times in the model's own workspace, as Trial does.
 func (w *WhatIf) ShieldOf(slot int32) (b int32, kind string, below int) {
-	sc := w.NewScratch()
-	defer w.PutScratch(sc)
+	sc := &w.sc
 	b = w.retime(slot, sc, sc.d)
 	switch {
 	case b == 0:

@@ -41,9 +41,8 @@ import (
 //   - Max and min are exact, so combining the re-timed sinks' extrema with
 //     the committed extrema outside the range rounds nothing.
 //
-// Trials against the same committed state only read the model, so trials
-// for different candidates may run concurrently on separate scratches — the
-// basis of the speculative parallel refinement pass.
+// Trial and Commit re-time in one workspace embedded in the model, so a
+// model serves one caller at a time.
 type WhatIf struct {
 	parent    []int32
 	end       []int32 // end of each node's pre-order subtree range
@@ -65,11 +64,10 @@ type WhatIf struct {
 	load, d  []float64
 	src      float64
 	pre, suf []extent
-	csc      WhatIfScratch // Commit's re-timing workspace
+	sc       whatIfScratch // Trial's and Commit's re-timing workspace
 
-	netOf   []int32                   // lowering scratch, reused across builds
-	sinkDst []float64                 // per-sink delay scratch (EvaluateWhatIf)
-	spool   arena.Pool[WhatIfScratch] // idle trial workspaces
+	netOf   []int32   // lowering scratch, reused across builds
+	sinkDst []float64 // per-sink delay scratch (EvaluateWhatIf)
 }
 
 const (
@@ -95,35 +93,20 @@ func (e extent) join(o extent) extent {
 	return e
 }
 
-// WhatIfScratch is the reusable per-trial workspace: a delay lane plus the
-// re-summed loads of the trial slot's ancestors. Trials on distinct
-// scratches are safe to run concurrently.
-type WhatIfScratch struct {
-	d     []float64 // delays; a trial writes only its re-timed range
+// whatIfScratch is the re-timing workspace: a trial's delay lane plus the
+// re-summed loads of the trial slot's ancestors.
+type whatIfScratch struct {
+	d     []float64 // trial delays; a trial writes only its re-timed range
 	kids  []int32   // children of the ancestor being re-summed
 	path  []int32   // the trial slot's ancestors, bottom-up, ending at b
 	pload []float64 // their loads with the trial slot switched on
 }
 
-// NewScratch returns a workspace sized for this network, recycling one a
-// previous trial put back.
-func (w *WhatIf) NewScratch() *WhatIfScratch {
-	s := w.spool.Get()
-	if s == nil {
-		s = &WhatIfScratch{}
-	}
-	s.d = arena.Grow(s.d, len(w.parent))
-	return s
-}
-
-// PutScratch returns a workspace for reuse by a later NewScratch.
-func (w *WhatIf) PutScratch(s *WhatIfScratch) { w.spool.Put(s) }
-
 // NewWhatIf lowers the annotated tree once, mirroring BuildNetwork's RC
 // rules, and plants a toggleable buffer slot at every centroid that does
 // not already carry a node buffer. The tree must already be valid (the
 // caller's initial Evaluate checks that). The model (lanes, slot map and
-// idle scratches) is recycled from a package pool; hand it back with
+// workspace) is recycled from a package pool; hand it back with
 // ReleaseWhatIf when done.
 func NewWhatIf(t *ctree.Tree, tc *tech.Tech) *WhatIf {
 	w := whatIfPool.Get()
@@ -212,6 +195,7 @@ func (w *WhatIf) build(t *ctree.Tree, tc *tech.Tech) {
 	}
 	w.load = arena.Grow(w.load, n)
 	w.d = arena.Grow(w.d, n)
+	w.sc.d = arena.Grow(w.sc.d, n)
 	w.evalFull(-1, w.load, w.d)
 	w.src = w.rootRes * w.load[0]
 	w.refreshExtents()
@@ -239,11 +223,10 @@ func (w *WhatIf) SlotOf(treeNode int) int32 {
 func (w *WhatIf) Committed(slot int32) bool { return w.committed[slot] }
 
 // Commit turns the slot into a buffer for all subsequent evaluations and
-// re-times the committed state the way a trial would. It must not run
-// concurrently with trials or Eval.
+// re-times the committed state the way a trial would.
 func (w *WhatIf) Commit(slot int32) {
 	w.committed[slot] = true
-	sc := &w.csc
+	sc := &w.sc
 	if b := w.retime(slot, sc, w.d); b == 0 {
 		w.src = w.rootRes * sc.pload[len(sc.pload)-1]
 	}
@@ -323,8 +306,7 @@ func (e *Evaluator) EvaluateWhatIf(t *ctree.Tree, nSinks int) (*Metrics, error) 
 
 // Eval returns the committed state's latency and skew. When dst is non-nil
 // it must be indexable by every original sink index; the per-sink delays
-// are written into it. Eval only reads the model and may run concurrently
-// with trials.
+// are written into it.
 func (w *WhatIf) Eval(dst []float64) (latency, skew float64) {
 	if dst != nil {
 		for k, nn := range w.sinkNet {
@@ -337,9 +319,9 @@ func (w *WhatIf) Eval(dst []float64) (latency, skew float64) {
 
 // Trial returns (latency, skew) of the committed state with slot also
 // treated as a buffer, bit-identical to a full pass over the network (see
-// the WhatIf comment). Trial does not mutate w and may run concurrently on
-// distinct scratches.
-func (w *WhatIf) Trial(slot int32, sc *WhatIfScratch) (latency, skew float64) {
+// the WhatIf comment). Trial leaves the committed state unchanged.
+func (w *WhatIf) Trial(slot int32) (latency, skew float64) {
+	sc := &w.sc
 	b := w.retime(slot, sc, sc.d)
 	src := w.src
 	if b == 0 {
@@ -360,8 +342,9 @@ func (w *WhatIf) Trial(slot int32, sc *WhatIfScratch) (latency, skew float64) {
 // b, the nearest one that acts as a buffer (or the root driver 0), leaving
 // them bottom-up in sc.path and sc.pload; writes the delays of b's subtree
 // [b, end[b]) into d, reading committed delays only above b; and returns b.
-// d is a trial scratch's lane, or the committed lane itself for Commit.
-func (w *WhatIf) retime(slot int32, sc *WhatIfScratch, d []float64) int32 {
+// d is the workspace's own lane for Trial, or the committed lane itself for
+// Commit.
+func (w *WhatIf) retime(slot int32, sc *whatIfScratch, d []float64) int32 {
 	inCap := w.buf.InputCap
 	sc.path, sc.pload = sc.path[:0], sc.pload[:0]
 	child, childLoad := slot, 0.0

@@ -67,7 +67,6 @@ func TestWhatIfMatchesEvaluate(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := NewWhatIf(tr, tc)
-	sc := w.NewScratch()
 
 	const tol = 1e-9
 	lat, skew := w.Eval(nil)
@@ -81,7 +80,7 @@ func TestWhatIfMatchesEvaluate(t *testing.T) {
 		if slot < 0 {
 			t.Fatalf("centroid %d has no slot", cid)
 		}
-		tlat, tskew := w.Trial(slot, sc)
+		tlat, tskew := w.Trial(slot)
 		tr.Nodes[cid].BufferAtNode = true
 		m, err := ev.Evaluate(tr)
 		tr.Nodes[cid].BufferAtNode = false

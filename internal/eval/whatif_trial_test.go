@@ -2,7 +2,6 @@ package eval_test
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"dscts/internal/bench"
@@ -29,13 +28,11 @@ func checkState(t *testing.T, w *eval.WhatIf, slots []int32, nSinks int, label s
 			t.Fatalf("%s: sink %d delay %v, full pass %v", label, i, got[i], want[i])
 		}
 	}
-	sc := w.NewScratch()
-	defer w.PutScratch(sc)
 	for _, s := range slots {
 		if w.Committed(s) {
 			continue
 		}
-		lat, skew := w.Trial(s, sc)
+		lat, skew := w.Trial(s)
 		rlat, rskew := w.FullPass(s, nil)
 		if lat != rlat || skew != rskew {
 			t.Fatalf("%s: trial at slot %d (%v, %v), full pass (%v, %v)", label, s, lat, skew, rlat, rskew)
@@ -147,41 +144,4 @@ func TestTrialShieldCases(t *testing.T) {
 	w.Commit(w.SlotOf(inner))
 	w.Commit(w.SlotOf(rootDriven))
 	checkState(t, w, slots, sink, "all but one committed")
-}
-
-// TestTrialConcurrent runs trials from 8 goroutines on separate scratches
-// against one model; each must see exactly the serial full-pass answers
-// (run it under -race).
-func TestTrialConcurrent(t *testing.T) {
-	tc := tech.ASAP7()
-	tr, _ := postInsertion(t, "C4", 1, tc)
-	w := eval.NewWhatIf(tr, tc)
-	slots := slotsOf(tr, w)
-	w.Commit(slots[len(slots)/2])
-	type answer struct{ lat, skew float64 }
-	want := make([]answer, len(slots))
-	for i, s := range slots {
-		want[i].lat, want[i].skew = w.FullPass(s, nil)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := w.NewScratch()
-			defer w.PutScratch(sc)
-			for k := range slots {
-				i := (k + g*len(slots)/8) % len(slots)
-				if w.Committed(slots[i]) {
-					continue
-				}
-				lat, skew := w.Trial(slots[i], sc)
-				if lat != want[i].lat || skew != want[i].skew {
-					t.Errorf("goroutine %d, slot %d: (%v, %v), want (%v, %v)", g, slots[i], lat, skew, want[i].lat, want[i].skew)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -1,6 +1,6 @@
 // Package par holds the tiny worker-pool primitives shared by the parallel
-// phases of the synthesis flow (clustering, DP insertion, DSE sweeps, skew
-// refinement).
+// phases of the synthesis flow (clustering, DP insertion, corner sign-off,
+// partitioned regions, DSE sweeps).
 //
 // Every parallel loop in this codebase is designed so that its result is a
 // pure function of its inputs — never of the schedule — so a caller may pick

@@ -24,7 +24,6 @@ import (
 
 	"dscts/internal/ctree"
 	"dscts/internal/eval"
-	"dscts/internal/par"
 	"dscts/internal/tech"
 )
 
@@ -40,11 +39,11 @@ type Params struct {
 	LatencyGuard float64
 	// EnablePadding enables the fast-side padding pass.
 	EnablePadding bool
-	// Workers bounds the concurrency of the speculative trial
-	// evaluations; <= 0 means all CPUs. Candidates are still consumed in
-	// rank order against the same accepted state, so every worker count
-	// makes exactly the same accept/reject decisions as the sequential
-	// pass.
+	// Workers is ignored: trials run one at a time on one workspace. The
+	// field remains only because perfbench, a separate module, still
+	// assigns it; delete the two together.
+	//
+	// Deprecated: refinement is sequential.
 	Workers int
 }
 
@@ -100,19 +99,18 @@ type Report struct {
 // below it, and max/min are exact (see eval.WhatIf). So the decisions, the
 // tree and every metric are those of a full re-evaluation per trial.
 //
-// Trials are speculatively evaluated in parallel batches of up to
-// Params.Workers candidates: every candidate in a batch is judged against
-// the same accepted state, the batch is then consumed in rank order, and
-// the first acceptance discards the stale remainder — which is exactly the
-// decision sequence of the sequential loop, for every worker count.
+// Trials run one at a time, in rank order, each against the state the
+// decisions before it left. A trial re-times a small fraction of the
+// network, so overlapping trials on several cores cost more to coordinate
+// than they saved (PERFORMANCE.md).
 func Refine(t *ctree.Tree, tc *tech.Tech, p Params) (*Report, error) {
 	return RefineContext(context.Background(), t, tc, p)
 }
 
 // RefineContext is Refine with cancellation: the context is observed before
-// every speculative trial batch, so a cancelled refinement stops between
-// batches and returns an error wrapping ctx.Err() with the tree unchanged
-// (accepted end-point buffers are only applied on success).
+// every trial, so a cancelled refinement stops between trials and returns an
+// error wrapping ctx.Err() with the tree unchanged (accepted end-point
+// buffers are only applied on success).
 func RefineContext(ctx context.Context, t *ctree.Tree, tc *tech.Tech, p Params) (*Report, error) {
 	if p.TriggerPct <= 0 {
 		return nil, fmt.Errorf("refine: trigger percentage must be positive, got %v", p.TriggerPct)
@@ -130,19 +128,9 @@ func RefineContext(ctx context.Context, t *ctree.Tree, tc *tech.Tech, p Params) 
 	rep.Triggered = true
 
 	n := Budget(len(before.SinkDelays), p)
-	workers := par.N(p.Workers)
 
 	w := eval.NewWhatIf(t, tc)
 	defer eval.ReleaseWhatIf(w)
-	scratches := make([]*eval.WhatIfScratch, workers)
-	for i := range scratches {
-		scratches[i] = w.NewScratch()
-	}
-	defer func() {
-		for _, sc := range scratches {
-			w.PutScratch(sc)
-		}
-	}()
 	// Per-sink delays of the current accepted state, indexed by original
 	// sink index (the ranking key).
 	maxSink := 0
@@ -160,7 +148,6 @@ func RefineContext(ctx context.Context, t *ctree.Tree, tc *tech.Tech, p Params) 
 
 	// Rank centroids by the delay of their slowest sink (descending).
 	type endpoint struct {
-		node  int
 		slot  int32
 		delay float64
 	}
@@ -185,9 +172,9 @@ func RefineContext(ctx context.Context, t *ctree.Tree, tc *tech.Tech, p Params) 
 				continue
 			}
 			if slowFirst {
-				eps = append(eps, endpoint{cid, slot, worst})
+				eps = append(eps, endpoint{slot, worst})
 			} else {
-				eps = append(eps, endpoint{cid, slot, best})
+				eps = append(eps, endpoint{slot, best})
 			}
 		}
 		sort.Slice(eps, func(i, j int) bool {
@@ -199,8 +186,6 @@ func RefineContext(ctx context.Context, t *ctree.Tree, tc *tech.Tech, p Params) 
 		return eps
 	}
 
-	lats := make([]float64, workers)
-	skews := make([]float64, workers)
 	var ctxErr error
 	tryPass := func(slowFirst bool) {
 		if delaysStale {
@@ -217,7 +202,7 @@ func RefineContext(ctx context.Context, t *ctree.Tree, tc *tech.Tech, p Params) 
 			maxAttempts = 50
 		}
 		attempts := 0
-		for i := 0; i < len(eps); {
+		for _, ep := range eps {
 			if err := ctx.Err(); err != nil {
 				ctxErr = err
 				return
@@ -225,34 +210,18 @@ func RefineContext(ctx context.Context, t *ctree.Tree, tc *tech.Tech, p Params) 
 			if rep.Inserted >= n || attempts >= maxAttempts || curSkew <= target {
 				return
 			}
-			batch := workers
-			if rem := len(eps) - i; batch > rem {
-				batch = rem
+			attempts++
+			rep.Attempted++
+			lat, skew := w.Trial(ep.slot)
+			if skew >= curSkew || lat > curLat*(1+p.LatencyGuard) {
+				continue // rejected: the buffer does not pay for itself
 			}
-			// Speculate: judge the next `batch` candidates against the
-			// same accepted state, each on its own scratch.
-			par.ForEach(workers, batch, func(b int) {
-				lats[b], skews[b] = w.Trial(eps[i+b].slot, scratches[b])
-			})
-			accepted := false
-			for b := 0; b < batch && !accepted; b++ {
-				if rep.Inserted >= n || attempts >= maxAttempts || curSkew <= target {
-					return
-				}
-				attempts++
-				rep.Attempted++
-				i++
-				if skews[b] >= curSkew || lats[b] > curLat*(1+p.LatencyGuard) {
-					continue // rejected, exactly as the sequential loop
-				}
-				w.Commit(eps[i-1].slot)
-				// The trial already evaluated exactly this committed
-				// state (same active slot set, same arithmetic).
-				curLat, curSkew = lats[b], skews[b]
-				delaysStale = true
-				rep.Inserted++
-				accepted = true // rest of the batch is stale; re-speculate
-			}
+			w.Commit(ep.slot)
+			// The trial already evaluated exactly this committed state
+			// (same active slot set, same arithmetic).
+			curLat, curSkew = lat, skew
+			delaysStale = true
+			rep.Inserted++
 		}
 	}
 

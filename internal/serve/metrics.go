@@ -111,12 +111,12 @@ func newMetrics(reg *obs.Registry, q *Queue) *metrics {
 	reg.GaugeFunc("dscts_cache_entries", "Result-cache entries currently resident.",
 		func() float64 { return float64(q.cache.Stats().Entries) })
 	reg.CounterFunc("dscts_eco_base_hits_total", "ECO base-outcome cache hits.",
-		func() float64 { return float64(q.baseStats().Hits) })
+		func() float64 { return float64(q.bases.Stats().Hits) })
 	reg.CounterFunc("dscts_eco_base_misses_total",
 		"ECO base-outcome cache misses (the base was re-synthesized).",
-		func() float64 { return float64(q.baseStats().Misses) })
+		func() float64 { return float64(q.bases.Stats().Misses) })
 	reg.GaugeFunc("dscts_eco_base_entries", "ECO base outcomes currently retained.",
-		func() float64 { return float64(q.baseStats().Entries) })
+		func() float64 { return float64(q.bases.Stats().Entries) })
 
 	// QoS classes are fixed at startup, so per-class instruments register
 	// once, each closing over that class's scheduler state; the label set
@@ -314,14 +314,6 @@ func (q *Queue) countState(s JobState) int {
 	}
 	q.mu.Unlock()
 	return n
-}
-
-// baseStats snapshots the ECO base cache, empty when base caching is off.
-func (q *Queue) baseStats() CacheStats {
-	if q.bases == nil {
-		return CacheStats{}
-	}
-	return q.bases.Stats()
 }
 
 // httpMetrics instruments the HTTP layer: request counts by status code, a

@@ -129,7 +129,7 @@ func TestWorkersSizedByJob(t *testing.T) {
 	if w := q.workersFor(1000); w != 2 {
 		t.Fatalf("small job workers = %d, want 2", w)
 	}
-	if w := q.workersFor(DefaultXLSoloSinks); w != 8 {
+	if w := q.workersFor(xlSoloSinks); w != 8 {
 		t.Fatalf("XL job workers = %d, want the full budget 8", w)
 	}
 }

@@ -39,17 +39,15 @@ func (q *Queue) warmStart() {
 		results++
 		return true
 	})
-	if q.bases != nil {
-		st.Load(store.KindBase, func(key string, payload []byte) bool {
-			out, err := decodeBaseOutcome(payload)
-			if err != nil {
-				return false
-			}
-			q.bases.Put(key, out)
-			bases++
-			return true
-		})
-	}
+	st.Load(store.KindBase, func(key string, payload []byte) bool {
+		out, err := decodeBaseOutcome(payload)
+		if err != nil {
+			return false
+		}
+		q.bases.Put(key, out)
+		bases++
+		return true
+	})
 	s := st.Stats()
 	q.log.Info("warm start from persistent store",
 		"results", results, "bases", bases,

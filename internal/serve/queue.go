@@ -428,18 +428,6 @@ type Config struct {
 	// 413) instead of queueing work that will exhaust memory. 0 uses
 	// DefaultMaxJobSinks; negative disables the check.
 	MaxJobSinks int
-	// XLSoloSinks is the size above which a job stops sharing the worker
-	// budget and gets all of it: a mega-scale partitioned synthesis wants
-	// every core, and the queue's other slots would otherwise sit on
-	// per-job slices while it dominates the machine anyway. 0 uses
-	// DefaultXLSoloSinks. Budgets never affect results.
-	XLSoloSinks int
-	// ECOBaseEntries caps the base-outcome cache backing POST /eco: full
-	// retained outcomes (trees included) are orders of magnitude heavier
-	// than cached Result payloads, so this LRU is kept deliberately small.
-	// 0 uses DefaultECOBaseEntries; negative disables base caching (every
-	// eco job re-synthesizes its base).
-	ECOBaseEntries int
 	// JobTimeout bounds each job's RUNNING wall-clock (queue wait excluded):
 	// past it the job's context is cancelled, the job fails with TimedOut
 	// set (HTTP 504 in sync mode) and its worker returns to the pool. A
@@ -501,11 +489,16 @@ type Config struct {
 // reject obvious memory bombs.
 const DefaultMaxJobSinks = 4_000_000
 
-// DefaultXLSoloSinks is the job size that earns the whole worker budget.
-const DefaultXLSoloSinks = 100_000
+// xlSoloSinks is the job size above which a job stops sharing the worker
+// budget and gets all of it: a mega-scale partitioned synthesis wants every
+// core, and the queue's other slots would otherwise sit on per-job slices
+// while it dominates the machine anyway. Budgets never affect results.
+const xlSoloSinks = 100_000
 
-// DefaultECOBaseEntries bounds the retained base outcomes kept for /eco.
-const DefaultECOBaseEntries = 8
+// ecoBaseEntries caps the base-outcome cache backing POST /eco: full
+// retained outcomes (trees included) are orders of magnitude heavier than
+// cached Result payloads, so this LRU is kept deliberately small.
+const ecoBaseEntries = 8
 
 // DefaultWatchdogGrace is how long a cancelled job may ignore its context
 // before its worker is abandoned: long enough that every cooperative
@@ -534,12 +527,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxJobSinks == 0 {
 		c.MaxJobSinks = DefaultMaxJobSinks
-	}
-	if c.XLSoloSinks == 0 {
-		c.XLSoloSinks = DefaultXLSoloSinks
-	}
-	if c.ECOBaseEntries == 0 {
-		c.ECOBaseEntries = DefaultECOBaseEntries
 	}
 	if c.WatchdogGrace <= 0 {
 		c.WatchdogGrace = DefaultWatchdogGrace
@@ -637,7 +624,7 @@ type Queue struct {
 	cfg   Config
 	cache *cache
 	// bases retains recent synthesis outcomes (with their ECO state) so
-	// POST /eco can splice against them; nil when base caching is disabled.
+	// POST /eco can splice against them.
 	bases  *lru[*core.Outcome]
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -713,15 +700,13 @@ func NewQueue(cfg Config) *Queue {
 	q := &Queue{
 		cfg: cfg, cache: newCache(cfg.CacheEntries),
 		ctx: ctx, cancel: cancel,
+		bases:        newLRU[*core.Outcome](ecoBaseEntries, ecoBaseEntries),
 		sched:        newQoSScheduler(cfg.QoSClasses, cfg.MaxQueued, cfg.MaxRunning, cfg.TenantQuota),
 		tenants:      newTenantTable(),
 		jobs:         make(map[string]*Job),
 		baseInflight: make(map[string]chan struct{}),
 		wdStop:       make(chan struct{}),
 		start:        time.Now(),
-	}
-	if cfg.ECOBaseEntries > 0 {
-		q.bases = newLRU[*core.Outcome](cfg.ECOBaseEntries, DefaultECOBaseEntries)
 	}
 	if cfg.IdempotencyEntries > 0 {
 		q.idem = newLRU[string](cfg.IdempotencyEntries, DefaultIdempotencyEntries)
@@ -837,11 +822,11 @@ func (q *Queue) perJobWorkers() int {
 }
 
 // workersFor sizes a job's worker budget by its estimated sink count:
-// ordinary jobs share the budget evenly, mega-scale jobs (>= XLSoloSinks)
+// ordinary jobs share the budget evenly, mega-scale jobs (>= xlSoloSinks)
 // get all of it. The engine is deterministic in the worker count, so sizing
 // affects wall-clock only, never results.
 func (q *Queue) workersFor(sinks int) int {
-	if q.cfg.XLSoloSinks > 0 && sinks >= q.cfg.XLSoloSinks {
+	if sinks >= xlSoloSinks {
 		return par.N(q.cfg.Workers)
 	}
 	return q.perJobWorkers()
@@ -1058,7 +1043,7 @@ func (q *Queue) Stats() Stats {
 	return Stats{
 		UptimeMS: ms(uptime), UptimeSeconds: uptime.Seconds(),
 		Version: build.Version, Revision: build.Revision,
-		ECOBases: q.baseStats(),
+		ECOBases: q.bases.Stats(),
 		QoS: QoSStats{
 			DefaultClass: q.sched.defaultClass(),
 			TenantQuota:  q.cfg.TenantQuota,
@@ -1410,27 +1395,20 @@ func (q *Queue) runECO(job *Job, ctx context.Context) (*Result, error) {
 // the base-run phases and reports BaseCacheHit=false; waiters pick the
 // outcome up from the cache (BaseCacheHit=true). If the leader fails or
 // its entry is evicted before a waiter wakes, the waiter retries and may
-// become the new leader. With base caching disabled every job synthesizes
-// its own base — there is nowhere to share the result through.
+// become the new leader.
 func (q *Queue) resolveBase(job *Job, ctx context.Context, baseReq *Request, baseKey string) (*core.Outcome, bool, error) {
 	for {
-		if q.bases != nil {
-			if prev, ok := q.bases.Get(baseKey); ok {
-				return prev, true, nil
-			}
+		if prev, ok := q.bases.Get(baseKey); ok {
+			return prev, true, nil
 		}
-		var ch chan struct{}
-		leader := q.bases == nil // no cache: coalescing cannot share anything
-		if !leader {
-			q.baseMu.Lock()
-			ch = q.baseInflight[baseKey]
-			if ch == nil {
-				ch = make(chan struct{})
-				q.baseInflight[baseKey] = ch
-				leader = true
-			}
-			q.baseMu.Unlock()
+		q.baseMu.Lock()
+		ch := q.baseInflight[baseKey]
+		leader := ch == nil
+		if leader {
+			ch = make(chan struct{})
+			q.baseInflight[baseKey] = ch
 		}
+		q.baseMu.Unlock()
 		if !leader {
 			select {
 			case <-ch:
@@ -1444,12 +1422,10 @@ func (q *Queue) resolveBase(job *Job, ctx context.Context, baseReq *Request, bas
 		// later delta against this base forever.
 		prev, err := func() (*core.Outcome, error) {
 			defer func() {
-				if ch != nil {
-					q.baseMu.Lock()
-					delete(q.baseInflight, baseKey)
-					q.baseMu.Unlock()
-					close(ch)
-				}
+				q.baseMu.Lock()
+				delete(q.baseInflight, baseKey)
+				q.baseMu.Unlock()
+				close(ch)
 			}()
 			return q.synthesizeBase(job, ctx, baseReq, baseKey)
 		}()
@@ -1478,10 +1454,8 @@ func (q *Queue) synthesizeBase(job *Job, ctx context.Context, baseReq *Request, 
 	if err != nil {
 		return nil, err
 	}
-	if q.bases != nil {
-		q.bases.Put(baseKey, prev)
-		q.persistBase(baseKey, prev)
-	}
+	q.bases.Put(baseKey, prev)
+	q.persistBase(baseKey, prev)
 	// The base result cached under the base's own key carries the phases
 	// traced so far — exactly the base-run phases, since the ECO splice has
 	// not started yet.

@@ -3,7 +3,7 @@ package dscts
 // Determinism regression tests for the parallel execution engine: the
 // worker count must never change the synthesized result. Every parallel
 // loop in the flow distributes pure per-item work (nearest-centroid
-// queries, DP subtree generation, speculative refinement trials, DSE sweep
+// queries, DP subtree generation, corner views, DSE sweep
 // points) and all floating-point reductions run in a fixed order, so
 // Workers=1 and Workers=N are required to produce identical Metrics — not
 // merely close ones.
