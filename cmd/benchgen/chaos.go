@@ -2,12 +2,10 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"net/http"
-	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -68,47 +66,96 @@ type chaosOps struct {
 
 // chaosReport is the machine-readable BENCH_chaos.json.
 type chaosReport struct {
-	GOOS       string `json:"goos"`
-	GOARCH     string `json:"goarch"`
-	NumCPU     int    `json:"num_cpu"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-
+	header
 	FaultSpec  string  `json:"fault_spec"`
 	FaultSeed  int64   `json:"fault_seed"`
 	DurationMS float64 `json:"duration_ms"`
 	Workers    int     `json:"client_concurrency"`
 
 	Ops chaosOps `json:"ops"`
-	// ErrorRate is the non-success fraction of operations; the soak bounds
-	// it by MaxErrorRate (injection rates times flow depth, with slack).
-	ErrorRate    float64 `json:"error_rate"`
-	MaxErrorRate float64 `json:"max_error_rate"`
+	// ErrorRate is the non-success fraction of operations.
+	ErrorRate float64 `json:"error_rate"`
 	// InjectedFaults totals the registry's fired injections across kinds.
 	InjectedFaults int64 `json:"injected_faults"`
-	// LeakedGoroutines is the post-shutdown goroutine delta (must be 0).
+	// LeakedGoroutines is the post-shutdown goroutine delta.
 	LeakedGoroutines int `json:"leaked_goroutines"`
+	// Restart is set when the store already held result blobs at open:
+	// the soak restarted over an earlier run's cache directory.
+	Restart bool `json:"restart"`
+	// Store is the persistent tier's final snapshot, taken after Close
+	// flushed the write-behind tail; nil without -cache-dir.
+	Store *store.Stats `json:"store,omitempty"`
 
 	Stats serve.Stats `json:"server_stats"`
 	// Metrics is a GET /metrics scrape taken at the same quiescent moment
-	// as Stats; `cismoke metrics` asserts the two agree sample-for-sample.
-	Metrics *metricsSection `json:"metrics,omitempty"`
-	Notes   []string        `json:"notes"`
+	// as Stats.
+	Metrics map[string]float64 `json:"metrics"`
+}
+
+// maxChaosErrorRate bounds a soak's non-success fraction: each job crosses
+// several injection points, so the failure rate is roughly the sum of the
+// per-point rates; 0.5 leaves room for unlucky seeds without masking a
+// daemon that mostly fails.
+const maxChaosErrorRate = 0.5
+
+// opsViolations is the part of the chaos contract a single-node and a
+// cluster soak share: real work got through, every failure was structured,
+// and the error rate stayed bounded.
+func opsViolations(ops chaosOps, errorRate float64) []string {
+	v := []string{}
+	if ops.Done < 1 {
+		v = append(v, fmt.Sprintf("no operation of %d succeeded", ops.Total))
+	}
+	if ops.Unstructured != 0 {
+		v = append(v, fmt.Sprintf("%d unstructured failures", ops.Unstructured))
+	}
+	if errorRate > maxChaosErrorRate {
+		v = append(v, fmt.Sprintf("error rate %.3f exceeds %.2f", errorRate, maxChaosErrorRate))
+	}
+	return v
+}
+
+// chaosContract is the fault-tolerance contract of a soak (DESIGN.md §5):
+// work got through at >= 1 op/s, every failure was structured, nothing
+// leaked, the worker budget came back, faults actually fired, the error
+// rate stayed bounded and /metrics agrees with /stats. A soak that
+// restarted over an earlier run's store must also have warm-loaded a
+// result and lost no write.
+func chaosContract(r *chaosReport) []string {
+	v := opsViolations(r.Ops, r.ErrorRate)
+	bad := func(format string, args ...any) { v = append(v, fmt.Sprintf(format, args...)) }
+	if secs := r.DurationMS / 1000; secs <= 0 || float64(r.Ops.Total)/secs < 1 {
+		bad("%d ops over %.1fs, want >= 1 op/s", r.Ops.Total, secs)
+	}
+	if r.LeakedGoroutines != 0 {
+		bad("%d leaked goroutines", r.LeakedGoroutines)
+	}
+	if j := r.Stats.Jobs; j.Running != 0 || j.AbandonedWorkers != 0 {
+		bad("worker budget not reclaimed: %d running, %d abandoned", j.Running, j.AbandonedWorkers)
+	}
+	if r.InjectedFaults == 0 {
+		bad("fault registry never fired (schedule or threading broken)")
+	}
+	if err := serve.CheckMetrics(r.Stats, r.Metrics); err != nil {
+		bad("%v", err)
+	}
+	if r.Restart {
+		switch st := r.Store; {
+		case st == nil || st.WarmResults < 1:
+			bad("restart warm-loaded no result (persistence silently stopped working)")
+		case st.WriteErrors != 0 || st.Dropped != 0:
+			bad("write-behind lost data: %d write errors, %d dropped", st.WriteErrors, st.Dropped)
+		}
+	}
+	return v
 }
 
 // runChaos soaks an in-process dsctsd under a seeded fault schedule for the
-// given duration, classifies every operation, and writes BENCH_chaos.json.
-// It fails (nonzero exit) if the daemon crashed, any failure was
-// unstructured, goroutines or worker budget leaked, or the error rate left
-// its bound — the chaos contract of DESIGN.md §5.
-func runChaos(path, spec string, seed int64, duration time.Duration, conc int, cacheDir string) error {
+// given duration, classifies every operation, writes BENCH_chaos.json and
+// fails if the report breaks chaosContract.
+func runChaos(path, spec string, seed int64, duration time.Duration, cacheDir string) error {
 	if spec == "default" {
 		spec = defaultChaosSpec
-	}
-	if conc <= 0 {
-		conc = 8
-	}
-	if duration <= 0 {
-		duration = 30 * time.Second
 	}
 	reg, err := fault.Parse(spec, seed)
 	if err != nil {
@@ -120,11 +167,13 @@ func runChaos(path, spec string, seed int64, duration time.Duration, conc int, c
 	// the same directory is a restart-mid-chaos test — the warm start must
 	// absorb whatever the interrupted run left behind.
 	var pst *store.Store
+	restart := false
 	if cacheDir != "" {
 		pst, err = store.Open(store.Config{Dir: cacheDir})
 		if err != nil {
 			return err
 		}
+		restart = pst.Stats().ResultEntries > 0
 	}
 
 	srv := serve.NewServer(serve.Config{
@@ -164,7 +213,7 @@ func runChaos(path, spec string, seed int64, duration time.Duration, conc int, c
 	deadline := time.Now().Add(duration)
 	start := time.Now()
 	var wg sync.WaitGroup
-	for w := 0; w < conc; w++ {
+	for w := 0; w < clientConc; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -197,7 +246,7 @@ func runChaos(path, spec string, seed int64, duration time.Duration, conc int, c
 	// A hang injected in the soak's final seconds leaves a reclaimed worker
 	// whose body is still unwinding; give the daemon a bounded window to
 	// quiesce before taking the gated snapshot. A genuine leak never clears,
-	// so the gate below still catches it.
+	// so the contract still catches it.
 	for quiesce := time.Now().Add(5 * time.Second); (st.Jobs.Running != 0 || st.Jobs.AbandonedWorkers != 0) && time.Now().Before(quiesce); {
 		time.Sleep(50 * time.Millisecond)
 		if st, err = client.Stats(context.Background()); err != nil {
@@ -215,87 +264,65 @@ func runChaos(path, spec string, seed int64, duration time.Duration, conc int, c
 	}
 	hs.Close()
 	srv.Close()
+	var final *store.Stats
 	if pst != nil {
 		if err := pst.Close(); err != nil {
 			return fmt.Errorf("chaos: store close: %w", err)
 		}
-	}
-
-	// Goroutine settle loop: abandoned bodies are joined by Close, so the
-	// count must return to the pre-soak level.
-	settle := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(settle) {
-		time.Sleep(20 * time.Millisecond)
-	}
-	leaked := runtime.NumGoroutine() - before
-	if leaked < 0 {
-		leaked = 0
+		s := pst.Stats()
+		final = &s
 	}
 
 	var injected int64
 	for _, n := range st.Faults {
 		injected += n
 	}
-	failures := ops.Total - ops.Done
 	rep := chaosReport{
-		GOOS: runtime.GOOS, GOARCH: runtime.GOARCH,
-		NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
+		header:    hostHeader(),
 		FaultSpec: spec, FaultSeed: seed,
-		DurationMS: float64(wall) / float64(time.Millisecond),
-		Workers:    conc,
-		Ops:        ops,
-		ErrorRate:  float64(failures) / float64(max64(ops.Total, 1)),
-		// Bound: each job crosses several injection points, so the failure
-		// rate is roughly the sum of the per-point rates; 0.5 leaves room
-		// for unlucky seeds without masking a daemon that mostly fails.
-		MaxErrorRate:     0.5,
+		DurationMS:       msOf(wall),
+		Workers:          clientConc,
+		Ops:              ops,
+		ErrorRate:        float64(ops.Total-ops.Done) / float64(max(ops.Total, 1)),
 		InjectedFaults:   injected,
-		LeakedGoroutines: leaked,
+		LeakedGoroutines: leakedSince(before),
+		Restart:          restart,
+		Store:            final,
 		Stats:            *st,
 		Metrics:          metrics,
-		Notes: []string{
-			"seeded chaos soak against an in-process dsctsd: keyed sync requests with client retries, while the fault registry injects panics, errors, delays, hangs, cancels and cache corruption",
-			"asserts: daemon alive, zero unstructured failures, zero leaked goroutines, zero abandoned workers after drain, injections actually fired, error rate bounded",
-			"the fire pattern is reproducible from fault_seed; rerun with the same spec and seed to replay the schedule",
-		},
 	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("chaos soak report -> %s\n", path)
+	rep.Violations = chaosContract(&rep)
 	fmt.Printf("  %d ops in %.1fs x%d clients: %d done (%d cached), %d injected errors, %d timeouts, %d panics, %d cancelled; %d faults fired; error rate %.3f\n",
-		ops.Total, wall.Seconds(), conc, ops.Done, ops.CacheHits,
+		ops.Total, wall.Seconds(), clientConc, ops.Done, ops.CacheHits,
 		ops.InjectedErrors, ops.Timeouts, ops.Panics, ops.Cancelled, injected, rep.ErrorRate)
+	return writeReport(path, "chaos", &rep, rep.Violations)
+}
 
-	var violations []string
-	if ops.Total == 0 {
-		violations = append(violations, "no operations completed")
+// leakedSince waits up to 10s for the goroutine count to return to its
+// level before a run (abandoned job bodies are joined by Close) and
+// returns what is left above it.
+func leakedSince(before int) int {
+	for settle := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(settle); {
+		time.Sleep(20 * time.Millisecond)
 	}
-	if ops.Unstructured != 0 {
-		violations = append(violations, fmt.Sprintf("%d unstructured failures", ops.Unstructured))
+	return max(runtime.NumGoroutine()-before, 0)
+}
+
+// scrapeMetrics fetches and parses base/metrics.
+func scrapeMetrics(base string) (map[string]float64, error) {
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		return nil, fmt.Errorf("scrape /metrics: %w", err)
 	}
-	if leaked != 0 {
-		violations = append(violations, fmt.Sprintf("%d leaked goroutines", leaked))
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("scrape /metrics: HTTP %d", resp.StatusCode)
 	}
-	if st.Jobs.Running != 0 || st.Jobs.AbandonedWorkers != 0 {
-		violations = append(violations, fmt.Sprintf("worker budget not reclaimed: %d running, %d abandoned",
-			st.Jobs.Running, st.Jobs.AbandonedWorkers))
+	samples, err := obs.ParseText(resp.Body)
+	if err != nil {
+		return nil, fmt.Errorf("scrape /metrics: %w", err)
 	}
-	if injected == 0 {
-		violations = append(violations, "fault registry never fired (schedule or threading broken)")
-	}
-	if rep.ErrorRate > rep.MaxErrorRate {
-		violations = append(violations, fmt.Sprintf("error rate %.3f exceeds %.2f", rep.ErrorRate, rep.MaxErrorRate))
-	}
-	if len(violations) > 0 {
-		return fmt.Errorf("chaos contract violated: %s", strings.Join(violations, "; "))
-	}
-	return nil
+	return samples, nil
 }
 
 // classify sorts one operation's outcome into its chaosOps bucket.
@@ -337,11 +364,4 @@ func classify(ops *chaosOps, info *serve.JobInfo, err error, count func(*int64))
 		return
 	}
 	count(&ops.Unstructured)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -10,27 +11,24 @@ import (
 )
 
 // The bench-regression comparator: `benchgen -compare baseline.json
-// new.json -max-regress 15%` walks both reports, pairs their gated
+// new.json -max-regress 15%` walks two ECO reports, pairs their gated
 // indicators by path, and exits nonzero when any regresses past the
 // threshold. Gated indicators are chosen to be meaningful across machines:
 //
-//   - ratio metrics (higher is better): speedup, projected_speedup,
-//     scale_out, speedup_mono_over_part, jobs_per_sec — dimensionless
-//     ratios of durations measured in the SAME run, so they transfer
-//     between hosts far better than raw milliseconds;
+//   - speedup (higher is better): a dimensionless ratio of two durations
+//     measured in the SAME run, so it transfers between hosts far better
+//     than raw milliseconds;
 //   - quality metrics (lower is better): *_ps latencies/skews and
 //     *_rel_err — deterministic functions of (code, seed), so any drift is
 //     a real change.
 //
-// Raw *_ms / *_ns wall-clock leaves are deliberately NOT gated: comparing
+// Raw *_ms wall-clock leaves are deliberately NOT gated: comparing
 // absolute times recorded on different hardware only produces noise.
 
 // comparePolicy classifies a leaf key.
 func comparePolicy(key string) (higherBetter, gated bool) {
 	switch {
-	case key == "speedup" || key == "scale_out" ||
-		strings.HasSuffix(key, "_speedup") || strings.HasSuffix(key, "speedup_mono_over_part") ||
-		strings.HasSuffix(key, "jobs_per_sec"):
+	case key == "speedup":
 		return true, true
 	case strings.HasSuffix(key, "_ps") || strings.HasSuffix(key, "_rel_err"):
 		return false, true
@@ -38,15 +36,15 @@ func comparePolicy(key string) (higherBetter, gated bool) {
 	return false, false
 }
 
-// identity labels an array element by its identifying fields so rows pair
-// up even when rows were inserted or reordered between the two reports.
+// identity labels a row by its identifying fields so rows pair up even
+// when rows were inserted or reordered between the two reports.
 func identity(v any, index int) string {
 	obj, ok := v.(map[string]any)
 	if !ok {
 		return strconv.Itoa(index)
 	}
 	var parts []string
-	for _, k := range []string{"design", "mode", "name", "id", "sinks", "delta_pct", "corners", "stage"} {
+	for _, k := range []string{"design", "mode", "sinks", "delta_pct"} {
 		if f, ok := obj[k]; ok {
 			parts = append(parts, fmt.Sprintf("%s=%v", k, f))
 		}
@@ -110,11 +108,11 @@ func compareReports(base, cur any, maxRegress float64) (regs []regression, check
 		}
 		higher, _ := comparePolicy(key)
 		// Both sides negligible: nothing to gate (dormant indicators).
-		if abs(old) < 1e-9 && abs(now) < 1e-9 {
+		if math.Abs(old) < 1e-9 && math.Abs(now) < 1e-9 {
 			continue
 		}
 		checked++
-		den := abs(old)
+		den := math.Abs(old)
 		if den < 1e-9 {
 			den = 1e-9
 		}

@@ -1,11 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
-	"runtime"
 	"sort"
 	"time"
 
@@ -20,15 +19,57 @@ import (
 // ecoReport is the BENCH_eco.json payload: full-vs-incremental re-synthesis
 // runtime across delta sizes, per design and pipeline mode.
 type ecoReport struct {
-	GOMAXPROCS int   `json:"gomaxprocs"`
-	Workers    int   `json:"workers"`
-	Seed       int64 `json:"seed"`
+	header
+	Workers int   `json:"workers"`
+	Seed    int64 `json:"seed"`
 	// Reps is the measurement repetition count; every reported time is the
 	// fastest of Reps runs.
 	Reps              int      `json:"reps"`
 	PartitionMaxSinks int      `json:"partition_max_sinks"`
 	XLPartitionSinks  int      `json:"xl_partition_sinks,omitempty"`
 	Rows              []ecoRow `json:"rows"`
+}
+
+// The measured grid. One worker, because the bench gate compares same-run
+// speedup ratios against BENCH_eco.json, and those ratios are not
+// worker-count invariant (the full run parallelizes, a one-cluster ECO
+// barely does).
+const (
+	ecoWorkers     = 1
+	ecoReps        = 3
+	ecoPartition   = 2000  // region capacity of the partitioned C-series rows
+	ecoXLPartition = 50000 // region capacity of the XL rows
+)
+
+// ecoPcts are the delta sizes, in percent of the sink count.
+var ecoPcts = []float64{0.1, 1, 10}
+
+// ecoContract checks that every row is plausible and that, when the run
+// includes C3 at a 1% delta, its best speedup is at least 5x.
+func ecoContract(r *ecoReport) []string {
+	v := []string{}
+	if r.Workers < 1 || len(r.Rows) == 0 {
+		v = append(v, fmt.Sprintf("report empty: workers %d, %d rows", r.Workers, len(r.Rows)))
+	}
+	best, gated := 0.0, false
+	for _, row := range r.Rows {
+		if row.Sinks <= 0 || row.FullMS <= 0 || row.ECOMS <= 0 || row.Speedup <= 0 {
+			v = append(v, fmt.Sprintf("row %s/%s %.3g%% implausible: %d sinks, full %v ms, eco %v ms, speedup %v",
+				row.Design, row.Mode, row.DeltaPct, row.Sinks, row.FullMS, row.ECOMS, row.Speedup))
+		}
+		if row.DirtyScopes <= 0 || row.DirtyScopes > row.TotalScopes {
+			v = append(v, fmt.Sprintf("row %s/%s %.3g%%: dirty set %d/%d implausible",
+				row.Design, row.Mode, row.DeltaPct, row.DirtyScopes, row.TotalScopes))
+		}
+		if row.Design == "C3" && row.DeltaPct == 1 {
+			gated = true
+			best = max(best, row.Speedup)
+		}
+	}
+	if gated && best < 5 {
+		v = append(v, fmt.Sprintf("best C3 speedup at 1%% is %.2fx, want >= 5x", best))
+	}
+	return v
 }
 
 type ecoRow struct {
@@ -141,9 +182,9 @@ func minTime(reps int, fn func() error) (time.Duration, error) {
 // ecoMeasure runs one (base, delta-size) cell: base synthesis with retained
 // state, then for each percentage a localized delta applied both
 // incrementally and as a full re-synthesis of the post-delta placement.
-func ecoMeasure(rep *ecoReport, design string, root geom.Point, sinks []geom.Point, macros []geom.BBox, die geom.BBox, mode string, partMax int, pcts []float64, workers, reps int, seed int64) error {
+func ecoMeasure(rep *ecoReport, design string, root geom.Point, sinks []geom.Point, macros []geom.BBox, die geom.BBox, mode string, partMax int, seed int64) error {
 	tc := tech.ASAP7()
-	opt := core.Options{Workers: workers, RetainECO: true}
+	opt := core.Options{Workers: ecoWorkers, RetainECO: true}
 	if partMax > 0 {
 		opt.Partition = partition.Options{MaxSinks: partMax, Macros: macros}
 	}
@@ -154,7 +195,7 @@ func ecoMeasure(rep *ecoReport, design string, root geom.Point, sinks []geom.Poi
 	}
 	fullOpt := opt
 	fullOpt.RetainECO = false
-	for pi, pct := range pcts {
+	for pi, pct := range ecoPcts {
 		count := int(float64(len(sinks)) * pct / 100)
 		if count < 1 {
 			count = 1
@@ -165,9 +206,9 @@ func ecoMeasure(rep *ecoReport, design string, root geom.Point, sinks []geom.Poi
 		}
 
 		var out *core.Outcome
-		ecoTime, err := minTime(reps, func() error {
+		ecoTime, err := minTime(ecoReps, func() error {
 			var err error
-			out, err = core.SynthesizeECO(base, d, core.Options{Workers: workers})
+			out, err = core.SynthesizeECO(base, d, core.Options{Workers: ecoWorkers})
 			return err
 		})
 		if err != nil {
@@ -177,7 +218,7 @@ func ecoMeasure(rep *ecoReport, design string, root geom.Point, sinks []geom.Poi
 
 		newSinks, _ := eco.Apply(sinks, d)
 		var full *core.Outcome
-		fullTime, err := minTime(reps, func() error {
+		fullTime, err := minTime(ecoReps, func() error {
 			var err error
 			full, err = core.Synthesize(root, newSinks, tc, fullOpt)
 			return err
@@ -200,7 +241,7 @@ func ecoMeasure(rep *ecoReport, design string, root geom.Point, sinks []geom.Poi
 			row.Speedup = fullMS / ecoMS
 		}
 		if full.Metrics.Latency > 0 {
-			row.LatencyRelErr = abs(out.Metrics.Latency-full.Metrics.Latency) / full.Metrics.Latency
+			row.LatencyRelErr = math.Abs(out.Metrics.Latency-full.Metrics.Latency) / full.Metrics.Latency
 		}
 		rep.Rows = append(rep.Rows, row)
 		fmt.Fprintf(os.Stderr, "eco: %s/%s %.3g%% (%d sinks): full %.1fms, eco %.1fms (%.1fx), dirty %d/%d\n",
@@ -209,27 +250,16 @@ func ecoMeasure(rep *ecoReport, design string, root geom.Point, sinks []geom.Poi
 	return nil
 }
 
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
 func msOf(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // runECOBench generates BENCH_eco.json: C-series designs in both pipeline
-// modes plus an XL partitioned design, across delta sizes.
-func runECOBench(path string, designs []string, xlSinks, partMax, xlPartMax, workers, reps int, pcts []float64, seed int64) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if reps < 1 {
-		reps = 1
-	}
+// modes plus an XL partitioned design, across delta sizes, and fails if
+// the report breaks ecoContract.
+func runECOBench(path string, designs []string, xlSinks int, seed int64) error {
 	rep := &ecoReport{
-		GOMAXPROCS: runtime.GOMAXPROCS(0), Workers: workers, Seed: seed,
-		Reps: reps, PartitionMaxSinks: partMax, XLPartitionSinks: xlPartMax,
+		header:  hostHeader(),
+		Workers: ecoWorkers, Seed: seed, Reps: ecoReps,
+		PartitionMaxSinks: ecoPartition, XLPartitionSinks: ecoXLPartition,
 	}
 	for _, id := range designs {
 		d, err := bench.ByID(id)
@@ -240,11 +270,11 @@ func runECOBench(path string, designs []string, xlSinks, partMax, xlPartMax, wor
 		if err != nil {
 			return err
 		}
-		if err := ecoMeasure(rep, d.ID, p.Root, p.Sinks, p.Macros, p.Die, "mono", 0, pcts, workers, reps, seed); err != nil {
+		if err := ecoMeasure(rep, d.ID, p.Root, p.Sinks, p.Macros, p.Die, "mono", 0, seed); err != nil {
 			return err
 		}
-		if partMax > 0 && len(p.Sinks) > partMax {
-			if err := ecoMeasure(rep, d.ID, p.Root, p.Sinks, p.Macros, p.Die, "part", partMax, pcts, workers, reps, seed); err != nil {
+		if len(p.Sinks) > ecoPartition {
+			if err := ecoMeasure(rep, d.ID, p.Root, p.Sinks, p.Macros, p.Die, "part", ecoPartition, seed); err != nil {
 				return err
 			}
 		}
@@ -255,18 +285,10 @@ func runECOBench(path string, designs []string, xlSinks, partMax, xlPartMax, wor
 			return err
 		}
 		label := fmt.Sprintf("XL%dk", xlSinks/1000)
-		if err := ecoMeasure(rep, label, p.Root, p.Sinks, p.Macros, p.Die, "part", xlPartMax, pcts, workers, reps, seed); err != nil {
+		if err := ecoMeasure(rep, label, p.Root, p.Sinks, p.Macros, p.Die, "part", ecoXLPartition, seed); err != nil {
 			return err
 		}
 	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("eco report -> %s\n", path)
-	return nil
+	rep.Violations = ecoContract(rep)
+	return writeReport(path, "eco", rep, rep.Violations)
 }

@@ -1,10 +1,6 @@
 package main
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"runtime"
 	"testing"
 
 	"dscts/internal/bench"
@@ -16,65 +12,44 @@ import (
 	"dscts/internal/tech"
 )
 
-// stageResult is one row of the BENCH_parallel.json report.
+// stageResult is one row of the BENCH_parallel.json report: the stage's
+// steady-state allocation cost per run, on scratch the package pools
+// recycled from its earlier iterations.
 type stageResult struct {
-	NsPerOp     int64 `json:"ns_per_op"`
 	BytesPerOp  int64 `json:"bytes_per_op"`
 	AllocsPerOp int64 `json:"allocs_per_op"`
-	Iterations  int   `json:"iterations"`
 }
 
-// gcProfile is the GC cost of a fixed batch of back-to-back synthesis runs,
-// whose scratch the package pools recycle from one run to the next. The
-// pause total is wall-clock dependent and therefore deliberately not gated
-// by the bench comparator (suffix _ms).
-type gcProfile struct {
-	Runs         int     `json:"runs"`
-	Collections  uint32  `json:"collections"`
-	PauseTotalMS float64 `json:"pause_total_ms"`
-}
-
-// benchReport is the machine-readable evidence file for the parallel,
-// allocation-lean synthesis engine: per-stage cost at one worker and at
-// GOMAXPROCS, plus the pre-accelerator clustering reference. The
-// bytes/allocs columns feed the `cismoke allocs` CI gate rather than the
-// ratio comparator.
+// benchReport is BENCH_parallel.json: the allocation baseline that
+// `cismoke allocs` gates fresh runs against. Go's allocation accounting is
+// machine-transferable at a fixed GOMAXPROCS, unlike wall-clock time.
 type benchReport struct {
-	GOOS       string                 `json:"goos"`
-	GOARCH     string                 `json:"goarch"`
-	NumCPU     int                    `json:"num_cpu"`
-	GOMAXPROCS int                    `json:"gomaxprocs"`
-	Stages     map[string]stageResult `json:"stages"`
-	Speedups   map[string]float64     `json:"speedups"`
-	GCSynthC3  gcProfile              `json:"gc_synthesize_C3"`
-	Notes      []string               `json:"notes"`
+	header
+	Stages map[string]stageResult `json:"stages"`
 }
 
 func measure(fn func(b *testing.B)) stageResult {
 	r := testing.Benchmark(fn)
-	return stageResult{
-		NsPerOp:     r.NsPerOp(),
-		BytesPerOp:  r.AllocedBytesPerOp(),
-		AllocsPerOp: r.AllocsPerOp(),
-		Iterations:  r.N,
-	}
+	return stageResult{BytesPerOp: r.AllocedBytesPerOp(), AllocsPerOp: r.AllocsPerOp()}
 }
 
+// runBench measures the one-worker engine stages — clustering and DP
+// insertion on C3, end-to-end synthesis on C3 and C5 — and writes their
+// allocation cost.
 func runBench(path string) error {
 	tc := tech.ASAP7()
-	d3, err := bench.ByID("C3")
+	placement := func(id string) (*bench.Placement, error) {
+		d, err := bench.ByID(id)
+		if err != nil {
+			return nil, err
+		}
+		return bench.Generate(d, 1)
+	}
+	p3, err := placement("C3")
 	if err != nil {
 		return err
 	}
-	p3, err := bench.Generate(d3, 1)
-	if err != nil {
-		return err
-	}
-	d5, err := bench.ByID("C5")
-	if err != nil {
-		return err
-	}
-	p5, err := bench.Generate(d5, 1)
+	p5, err := placement("C5")
 	if err != nil {
 		return err
 	}
@@ -85,27 +60,15 @@ func runBench(path string) error {
 		CapOf:    func(s, c geom.Point) float64 { return tc.SinkCap + front.UnitCap*s.Dist(c) },
 		CapLimit: 0.6 * tc.Buf.MaxCap,
 	}
-	nCPU := runtime.GOMAXPROCS(0)
-
-	clusterBench := func(opt cluster.DualOptions) func(b *testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := cluster.DualLevel(p3.Sinks, opt); err != nil {
-					b.Fatal(err)
-				}
+	stages := map[string]stageResult{}
+	stages["clustering-C3-grid-workers1"] = measure(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := cluster.DualLevel(p3.Sinks, dualOpt); err != nil {
+				b.Fatal(err)
 			}
 		}
-	}
-	stages := map[string]stageResult{}
-
-	optBrute := dualOpt
-	optBrute.Brute = true
-	stages["clustering-C3-brute-workers1"] = measure(clusterBench(optBrute))
-	stages["clustering-C3-grid-workers1"] = measure(clusterBench(dualOpt))
-	optPar := dualOpt
-	optPar.Workers = nCPU
-	stages["clustering-C3-grid-workersN"] = measure(clusterBench(optPar))
+	})
 
 	dual, err := cluster.DualLevel(p3.Sinks, dualOpt)
 	if err != nil {
@@ -115,92 +78,29 @@ func runBench(path string) error {
 	if err != nil {
 		return err
 	}
-	insertBench := func(workers int) func(b *testing.B) {
+	stages["insertion-C3-workers1"] = measure(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			cfg := insert.DefaultConfig(tc)
+			cfg.Workers = 1
+			if _, err := insert.Run(routed.Clone(), cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
+	synthBench := func(p *bench.Placement) func(b *testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				tr := routed.Clone()
-				cfg := insert.DefaultConfig(tc)
-				cfg.Workers = workers
-				if _, err := insert.Run(tr, cfg); err != nil {
+				if _, err := core.Synthesize(p.Root, p.Sinks, tc, core.Options{Workers: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}
 	}
-	stages["insertion-C3-workers1"] = measure(insertBench(1))
-	stages["insertion-C3-workersN"] = measure(insertBench(nCPU))
+	stages["synthesize-C3-workers1"] = measure(synthBench(p3))
+	stages["synthesize-C5-workers1"] = measure(synthBench(p5))
 
-	synthBench := func(p *bench.Placement, workers int) func(b *testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Synthesize(p.Root, p.Sinks, tc, core.Options{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	stages["synthesize-C3-workers1"] = measure(synthBench(p3, 1))
-	stages["synthesize-C3-workersN"] = measure(synthBench(p3, nCPU))
-	stages["synthesize-C5-workers1"] = measure(synthBench(p5, 1))
-	stages["synthesize-C5-workersN"] = measure(synthBench(p5, nCPU))
-
-	ratio := func(a, b string) float64 {
-		if stages[b].NsPerOp == 0 {
-			return 0
-		}
-		return float64(stages[a].NsPerOp) / float64(stages[b].NsPerOp)
-	}
-
-	gc := gcProfile{Runs: 20}
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < gc.Runs; i++ {
-		if _, err := core.Synthesize(p3.Root, p3.Sinks, tc, core.Options{Workers: 1}); err != nil {
-			return err
-		}
-	}
-	runtime.ReadMemStats(&after)
-	gc.Collections = after.NumGC - before.NumGC
-	gc.PauseTotalMS = float64(after.PauseTotalNs-before.PauseTotalNs) / 1e6
-
-	rep := benchReport{
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: nCPU,
-		Stages:     stages,
-		Speedups: map[string]float64{
-			"clustering-grid-over-brute":    ratio("clustering-C3-brute-workers1", "clustering-C3-grid-workers1"),
-			"clustering-workersN-over-1":    ratio("clustering-C3-grid-workers1", "clustering-C3-grid-workersN"),
-			"insertion-workersN-over-1":     ratio("insertion-C3-workers1", "insertion-C3-workersN"),
-			"synthesize-C3-workersN-over-1": ratio("synthesize-C3-workers1", "synthesize-C3-workersN"),
-			"synthesize-C5-workersN-over-1": ratio("synthesize-C5-workers1", "synthesize-C5-workersN"),
-		},
-		GCSynthC3: gc,
-		Notes: []string{
-			"all ratios are measured on this host in this run; the brute column is the pre-grid O(n*k) assignment scan (cluster.DualOptions.Brute), measured with the current allocation-lean code around it",
-			"workersN runs at GOMAXPROCS; on a single-core host the N and 1 columns coincide and the parallel engine is exercised for correctness only",
-			"every stage draws its scratch from the per-phase package pools, so after the first iteration its bytes/allocs columns are the steady-state cost of a run on recycled scratch; `cismoke allocs` gates bytes/allocs against this file in CI",
-			"seed-commit reference timings (full pre-engine implementation) are recorded with host context in PERFORMANCE.md",
-			"all columns produce bit-identical Metrics for every worker count and on warm or cold scratch (TestWorkersDeterminism, TestPackagePoolsAcrossSizes)",
-		},
-	}
-
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("parallel engine report -> %s\n", path)
-	for _, k := range []string{"clustering-grid-over-brute", "clustering-workersN-over-1", "synthesize-C5-workersN-over-1"} {
-		fmt.Printf("  %-32s %.2fx\n", k, rep.Speedups[k])
-	}
-	fmt.Printf("  gc over %d C3 runs: %d collections / %.1f ms paused\n", gc.Runs, gc.Collections, gc.PauseTotalMS)
-	return nil
+	return writeReport(path, "allocation", &benchReport{header: hostHeader(), Stages: stages}, nil)
 }

@@ -7,9 +7,10 @@ package main
 // allocation accounting is machine-transferable — the same binary allocates
 // the same amounts on any host at the same GOMAXPROCS — which is exactly
 // why the generic `benchgen -compare` ratio gate leaves these columns alone
-// and this subcommand gates them instead. The *-workersN stages run at
-// GOMAXPROCS workers, so the two reports must have been recorded at the
-// same gomaxprocs; the gate refuses to compare them otherwise.
+// and this subcommand gates them instead. It compares like with like: the
+// two reports must come from the same gomaxprocs, and every baseline stage
+// must be in the fresh report, so a renamed or dropped stage ships with a
+// regenerated baseline instead of silently leaving the gate.
 
 import (
 	"encoding/json"
@@ -17,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 )
 
 // decodeFile reads one JSON report by path; allocs is the only subcommand
@@ -65,21 +67,23 @@ func cmdAllocs(args []string) error {
 		return fmt.Errorf("empty stage table (baseline %d, new %d)", len(base.Stages), len(cur.Stages))
 	}
 	if base.GOMAXPROCS != cur.GOMAXPROCS {
-		return fmt.Errorf("gomaxprocs differs: baseline %s was recorded at %d, new %s at %d; "+
-			"the *-workersN stages allocate per worker, so rerun benchgen with GOMAXPROCS=%d",
+		return fmt.Errorf("gomaxprocs differs: baseline %s was recorded at %d, new %s at %d; rerun benchgen with GOMAXPROCS=%d",
 			fs.Arg(0), base.GOMAXPROCS, fs.Arg(1), cur.GOMAXPROCS, base.GOMAXPROCS)
 	}
-
-	names := make([]string, 0, len(base.Stages))
+	var names, missing []string
 	for name := range base.Stages {
 		if _, ok := cur.Stages[name]; ok {
 			names = append(names, name)
+		} else {
+			missing = append(missing, name)
 		}
 	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		return fmt.Errorf("no common stages between %s and %s", fs.Arg(0), fs.Arg(1))
+	if len(missing) > 0 {
+		sort.Strings(missing)
+		return fmt.Errorf("baseline stage(s) %s missing from %s: regenerate the baseline when a stage is renamed or dropped",
+			strings.Join(missing, ", "), fs.Arg(1))
 	}
+	sort.Strings(names)
 
 	var regressions []string
 	gate := func(stage, metric string, was, now, slack int64) {

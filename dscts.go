@@ -42,7 +42,7 @@
 // re-evaluating the whole tree per trial. Measured on the C3/C5 benchmarks this gives ~4.5x
 // faster clustering, ~10x fewer insertion allocations and ~7x faster
 // end-to-end synthesis at one worker versus the original implementation;
-// see PERFORMANCE.md and BENCH_parallel.json for the numbers.
+// see PERFORMANCE.md for the numbers.
 //
 // # Serving
 //

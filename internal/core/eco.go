@@ -83,6 +83,67 @@ func retainedOptions(opt Options) Options {
 	return opt
 }
 
+// ValidateRetained checks that an outcome's retained state is structurally
+// usable by SynthesizeECO: a valid tree with exactly one sink node per
+// retained sink, metrics, a valid technology and, for a partitioned prior,
+// a partition of the sinks with one valid region tree and summary per
+// region. SynthesizeECO trusts its input, which normally comes straight
+// from Synthesize; an outcome rebuilt from bytes (a persisted base
+// snapshot) is checked here first, so a malformed one is rejected instead
+// of failing every later delta against it.
+func (o *Outcome) ValidateRetained() error {
+	if o == nil || o.Retained == nil || o.Tree == nil {
+		return fmt.Errorf("core: outcome has no retained state")
+	}
+	if o.Metrics == nil {
+		return fmt.Errorf("core: retained outcome has no metrics")
+	}
+	st := o.Retained
+	if st.Tech == nil {
+		return fmt.Errorf("core: retained state has no tech")
+	}
+	if err := st.Tech.Validate(); err != nil {
+		return fmt.Errorf("core: retained state: %w", err)
+	}
+	if err := o.Tree.Validate(); err != nil {
+		return fmt.Errorf("core: retained tree: %w", err)
+	}
+	n := len(st.Sinks)
+	seen := make([]bool, n)
+	got := 0
+	for i := range o.Tree.Nodes {
+		nd := &o.Tree.Nodes[i]
+		if nd.Kind != ctree.KindSink {
+			continue
+		}
+		if nd.SinkIdx < 0 || nd.SinkIdx >= n || seen[nd.SinkIdx] {
+			return fmt.Errorf("core: retained tree: sink node %d has index %d, want a distinct one in [0, %d)", i, nd.SinkIdx, n)
+		}
+		seen[nd.SinkIdx] = true
+		got++
+	}
+	if got != n {
+		return fmt.Errorf("core: retained tree has %d sinks, want %d", got, n)
+	}
+	if len(st.Regions) == 0 {
+		return nil
+	}
+	if err := partition.Validate(st.Regions, n); err != nil {
+		return fmt.Errorf("core: retained state: %w", err)
+	}
+	if len(st.Trees) != len(st.Regions) || len(st.Sums) != len(st.Regions) {
+		return fmt.Errorf("core: retained state has %d regions but %d trees and %d summaries",
+			len(st.Regions), len(st.Trees), len(st.Sums))
+	}
+	for i, r := range st.Regions {
+		ro := RegionOut{Tree: st.Trees[i], Sum: st.Sums[i]}
+		if err := ro.Validate(len(r.Sinks)); err != nil {
+			return fmt.Errorf("core: retained region %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
 // SynthesizeECO is SynthesizeECOContext with a background context.
 func SynthesizeECO(prev *Outcome, d eco.Delta, opt Options) (*Outcome, error) {
 	return SynthesizeECOContext(context.Background(), prev, d, opt)

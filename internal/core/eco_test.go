@@ -8,7 +8,9 @@ import (
 
 	"dscts/internal/bench"
 	"dscts/internal/corner"
+	"dscts/internal/ctree"
 	"dscts/internal/eco"
+	"dscts/internal/eval"
 	"dscts/internal/geom"
 	"dscts/internal/partition"
 	"dscts/internal/tech"
@@ -397,5 +399,70 @@ func TestECOErrorPaths(t *testing.T) {
 	}
 	if _, err := SynthesizeECO(prev, eco.Delta{Remove: []int{len(p.Sinks)}}, Options{}); err == nil {
 		t.Fatal("expected error for out-of-range removal")
+	}
+}
+
+// TestValidateRetained: a synthesized outcome's retained state passes,
+// and each structural defect a decoded snapshot could carry is rejected.
+func TestValidateRetained(t *testing.T) {
+	p := ecoPlacement(t, "C4")
+	synth := func(opt Options) *Outcome {
+		out, err := Synthesize(p.Root, p.Sinks, tech.ASAP7(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := out.ValidateRetained(); err != nil {
+			t.Fatalf("fresh outcome: %v", err)
+		}
+		return out
+	}
+	mono := synth(Options{RetainECO: true})
+	part := synth(Options{RetainECO: true, Partition: partition.Options{MaxSinks: 300}})
+	if len(part.Retained.Regions) < 2 {
+		t.Fatalf("partitioned base has %d regions", len(part.Retained.Regions))
+	}
+	// mutated copies the outcome and its retained state shallowly; a
+	// mutation replaces what it changes instead of writing through.
+	mutated := func(o *Outcome, f func(o *Outcome, st *ECOState)) *Outcome {
+		c := *o
+		st := *o.Retained
+		c.Retained = &st
+		f(&c, &st)
+		return &c
+	}
+	for _, tc := range []struct {
+		name string
+		out  *Outcome
+	}{
+		{"no retained state", mutated(mono, func(o *Outcome, _ *ECOState) { o.Retained = nil })},
+		{"no metrics", mutated(mono, func(o *Outcome, _ *ECOState) { o.Metrics = nil })},
+		{"no tech", mutated(mono, func(_ *Outcome, st *ECOState) { st.Tech = nil })},
+		{"sink missing from the tree", mutated(mono, func(_ *Outcome, st *ECOState) {
+			st.Sinks = append(st.Sinks[:len(st.Sinks):len(st.Sinks)], geom.Pt(1, 1))
+		})},
+		{"sink index out of range", mutated(mono, func(o *Outcome, st *ECOState) {
+			o.Tree = o.Tree.Clone()
+			for i := range o.Tree.Nodes {
+				if o.Tree.Nodes[i].Kind == ctree.KindSink {
+					o.Tree.Nodes[i].SinkIdx = len(st.Sinks)
+					break
+				}
+			}
+		})},
+		{"region tree dropped", mutated(part, func(_ *Outcome, st *ECOState) { st.Trees = st.Trees[:len(st.Trees)-1] })},
+		{"region summary missing", mutated(part, func(_ *Outcome, st *ECOState) {
+			st.Sums = append([]*eval.RegionEval{nil}, st.Sums[1:]...)
+		})},
+		{"regions not a partition", mutated(part, func(_ *Outcome, st *ECOState) {
+			st.Regions = append([]partition.Region(nil), st.Regions...)
+			st.Regions[0].Sinks = st.Regions[0].Sinks[1:]
+		})},
+	} {
+		if err := tc.out.ValidateRetained(); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	if err := mono.ValidateRetained(); err != nil {
+		t.Errorf("mutations leaked into the original: %v", err)
 	}
 }

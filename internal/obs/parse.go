@@ -13,8 +13,9 @@ import (
 // sample map: full sample name (labels included, exactly as rendered) to
 // value. It understands what WritePrometheus emits — HELP/TYPE comments,
 // counter/gauge lines, histogram _bucket/_sum/_count triplets — which is
-// also the subset every real exporter emits, so `benchgen -load` and
-// `cismoke metrics` can scrape any conforming endpoint.
+// also the subset every real exporter emits, so the chaos soak and the
+// tests can scrape any conforming endpoint and hand the samples to
+// serve.CheckMetrics.
 func ParseText(r io.Reader) (map[string]float64, error) {
 	out := make(map[string]float64)
 	sc := bufio.NewScanner(r)

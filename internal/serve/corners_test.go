@@ -75,6 +75,58 @@ func TestRequestKeyPinned(t *testing.T) {
 	if base.Key(KindSynthesize) == ecoReq.Key(KindECO) {
 		t.Fatal("eco request aliased its base")
 	}
+
+	// One request per form, covering every encoder the key uses (strings,
+	// ints, float bits, bools, every counted section). Recorded with the
+	// v5 encoding before the key moved to one reused write buffer; a
+	// change of encoding technique must keep every byte.
+	forms := []struct {
+		name, kind, want string
+		req              *Request
+	}{
+		{"design", KindSynthesize, "7c3246eb39e57926cc204e3a45846f3adfd8be620c9ee0b6c6c9e78593b4c41d",
+			&Request{Design: "C3"}},
+		{"design+options+corners", KindSynthesize, "285f5b69258eb203f2738349f889f2a7668a05c640a3773edc45ba4bcb8a8fa1",
+			&Request{Design: "C2", Seed: 3,
+				Options: OptionsSpec{Mode: "single", FanoutThreshold: 150, Alpha: 0.5, Beta: 0.3, Gamma: 0.2,
+					SkipRefine: true, SelectMinLatency: true, DiversePruning: true, MaxPerSide: 6, UseFlatDME: true,
+					PartitionMaxSinks: 300, PartitionStrategy: "grid"},
+				Corners: []string{"fast", "slow"}}},
+		{"explicit 1000 sinks", KindSynthesize, "6da92ade6dbb75bfddc52c2e3f456cf3b74997a499ed793aca4287370c9c80d7",
+			explicitKeyRequest(1000)},
+		{"eco", KindECO, "27ab3f799e5bb9a76a75cad25cf19f20bfaeafb044dc0827ecc64b77bb6f3cdc",
+			&Request{Design: "C1", Delta: &DeltaSpec{
+				Add: []XY{{X: 1.5, Y: 2.5}}, Move: []MoveSpec{{Sink: 4, X: 30, Y: 40}}, Remove: []int{9, 2},
+				Corners: []string{"typ"}}}},
+		{"dse", KindDSE, "4909f9fde1e2fbe6ab547d1be194574f783cc221bb7b613460ddcfb0dd9d3b6f",
+			&Request{Design: "C5", Thresholds: []int{0, 100, 400}}},
+	}
+	for _, f := range forms {
+		if got := f.req.Key(f.kind); got != f.want {
+			t.Errorf("%s: canonical encoding drifted without a version bump:\ngot  %s\nwant %s", f.name, got, f.want)
+		}
+	}
+}
+
+// explicitKeyRequest is an explicit placement of n sinks on a 10 µm grid
+// (100 per row) with fractional offsets, so every coordinate's float bits
+// reach the key.
+func explicitKeyRequest(n int) *Request {
+	r := &Request{Root: &XY{X: 500, Y: 500}, Sinks: make([]XY, n)}
+	for i := range r.Sinks {
+		r.Sinks[i] = XY{X: float64(i%100)*10 + 0.25, Y: float64(i/100)*10 + 0.5}
+	}
+	return r
+}
+
+// BenchmarkRequestKey hashes a 100k-sink explicit placement: two float
+// encodings per sink dominate, so this measures the key's per-value cost.
+func BenchmarkRequestKey(b *testing.B) {
+	req := explicitKeyRequest(100_000)
+	b.ReportAllocs()
+	for b.Loop() {
+		req.Key(KindSynthesize)
+	}
 }
 
 // TestCornerJobEndToEnd submits a multi-corner synthesis over HTTP and

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
 	"dscts/internal/obs"
@@ -22,7 +24,7 @@ type metrics struct {
 
 	// jobDur is the end-to-end job latency (admission to terminal state) of
 	// DONE jobs, split by cache hit/miss; its total count equals the done
-	// counter, which cismoke cross-checks.
+	// counter, which CheckMetrics cross-checks.
 	jobDurHit  *obs.Histogram
 	jobDurMiss *obs.Histogram
 	// queueWait is time from admission to the runner picking the job up
@@ -265,6 +267,92 @@ func newMetrics(reg *obs.Registry, q *Queue) *metrics {
 	obs.RegisterRuntime(reg)
 	obs.RegisterBuildInfo(reg)
 	return m
+}
+
+// CheckMetrics verifies a parsed GET /metrics scrape (obs.ParseText)
+// against a GET /stats snapshot taken at the same quiescent moment: every
+// counter and gauge registered above over a /stats atomic must equal it,
+// the rejection reasons must partition the rejected total, every submitted
+// job must be in exactly one state, every done job must be in exactly one
+// latency series, the injected-faults counter must sum the per-point map,
+// the panic ring must hold the most recent panics, and uptime must be
+// positive. The two renderings read the same atomics, so any error is
+// exporter wiring, not workload. A missing sample is an error naming it.
+func CheckMetrics(st Stats, samples map[string]float64) error {
+	var bad []string
+	sample := func(name string) (float64, bool) {
+		v, ok := samples[name]
+		if !ok {
+			bad = append(bad, fmt.Sprintf("sample %s missing from the scrape", name))
+		}
+		return v, ok
+	}
+	j, c, e := st.Jobs, st.Cache, st.ECOBases
+	for _, p := range []struct {
+		sample string
+		want   int64
+	}{
+		{`dscts_jobs_submitted_total`, j.Submitted},
+		{`dscts_jobs_rejected_total{reason="queue_full"}`, j.RejectedFull},
+		{`dscts_jobs_rejected_total{reason="too_large"}`, j.RejectedLarge},
+		{`dscts_jobs_rejected_total{reason="closed"}`, j.RejectedClosed},
+		{`dscts_jobs_rejected_total{reason="quota"}`, j.RejectedQuota},
+		{`dscts_jobs_total{state="done"}`, j.Done},
+		{`dscts_jobs_total{state="failed"}`, j.Failed},
+		{`dscts_jobs_total{state="cancelled"}`, j.Cancelled},
+		{`dscts_jobs_panics_total`, j.Panics},
+		{`dscts_jobs_timeouts_total`, j.Timeouts},
+		{`dscts_jobs_watchdog_kills_total`, j.WatchdogKills},
+		{`dscts_jobs_abandoned_workers`, j.AbandonedWorkers},
+		{`dscts_jobs_queue_depth`, j.Queued},
+		{`dscts_jobs_running`, j.Running},
+		{`dscts_idempotent_replays_total`, j.Deduped},
+		{`dscts_cache_hits_total`, c.Hits},
+		{`dscts_cache_misses_total`, c.Misses},
+		{`dscts_cache_evictions_total`, c.Evictions},
+		{`dscts_cache_corruptions_total`, c.Corruptions},
+		{`dscts_cache_encode_drops_total`, c.EncodeDrops},
+		{`dscts_cache_entries`, int64(c.Entries)},
+		{`dscts_eco_base_hits_total`, e.Hits},
+		{`dscts_eco_base_misses_total`, e.Misses},
+		{`dscts_eco_base_entries`, int64(e.Entries)},
+	} {
+		if got, ok := sample(p.sample); ok && got != float64(p.want) {
+			bad = append(bad, fmt.Sprintf("%s = %g but /stats says %d", p.sample, got, p.want))
+		}
+	}
+	if sum := j.RejectedFull + j.RejectedLarge + j.RejectedClosed + j.RejectedQuota; sum != j.Rejected {
+		bad = append(bad, fmt.Sprintf("rejection reasons sum to %d but rejected = %d", sum, j.Rejected))
+	}
+	// A rejection is not a submission, and idempotent replays never reach
+	// the submitted counter, so every submitted job is in exactly one
+	// terminal or live state.
+	if sum := j.Done + j.Failed + j.Cancelled + j.Queued + j.Running; sum != j.Submitted {
+		bad = append(bad, fmt.Sprintf("job states sum to %d but submitted = %d", sum, j.Submitted))
+	}
+	hit, okHit := sample(`dscts_job_duration_seconds_count{cache="hit"}`)
+	miss, okMiss := sample(`dscts_job_duration_seconds_count{cache="miss"}`)
+	if okHit && okMiss && hit+miss != float64(j.Done) {
+		bad = append(bad, fmt.Sprintf("job_duration observed %g hit + %g miss jobs but done = %d", hit, miss, j.Done))
+	}
+	var faults int64
+	for _, n := range st.Faults {
+		faults += n
+	}
+	if got, ok := sample(`dscts_faults_injected_total`); ok && got != float64(faults) {
+		bad = append(bad, fmt.Sprintf("dscts_faults_injected_total = %g but /stats faults sum to %d", got, faults))
+	}
+	if want := min(j.Panics, panicRingSize); int64(len(st.LastPanics)) != want {
+		bad = append(bad, fmt.Sprintf("last_panics has %d records, want %d (panics = %d, ring = %d)",
+			len(st.LastPanics), want, j.Panics, panicRingSize))
+	}
+	if up, ok := sample(`dscts_uptime_seconds`); ok && up <= 0 {
+		bad = append(bad, fmt.Sprintf("dscts_uptime_seconds = %g, want > 0", up))
+	}
+	if len(bad) > 0 {
+		return fmt.Errorf("serve: /metrics disagrees with /stats:\n  %s", strings.Join(bad, "\n  "))
+	}
+	return nil
 }
 
 // observeRetired feeds the latency and per-phase histograms from a job that

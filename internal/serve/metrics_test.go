@@ -123,8 +123,9 @@ func TestMetricFamiliesGolden(t *testing.T) {
 	}
 }
 
-// TestMetricsMatchStats cross-checks /metrics against /stats after a mixed
-// run: same atomics, so every shared counter must agree exactly.
+// TestMetricsMatchStats cross-checks /metrics against /stats through
+// CheckMetrics, after a mixed run and after a fault-injected one: same
+// atomics, so every shared counter must agree exactly.
 func TestMetricsMatchStats(t *testing.T) {
 	s, client, ts, _ := newMetricsServer(t, Config{MaxRunning: 2, MaxJobSinks: 20_000})
 	ctx := context.Background()
@@ -144,49 +145,64 @@ func TestMetricsMatchStats(t *testing.T) {
 
 	stats := s.Queue().Stats()
 	m := scrape(t, ts)
-
-	checks := map[string]float64{
-		"dscts_jobs_submitted_total":                     float64(stats.Jobs.Submitted),
-		`dscts_jobs_total{state="done"}`:                 float64(stats.Jobs.Done),
-		`dscts_jobs_total{state="failed"}`:               float64(stats.Jobs.Failed),
-		`dscts_jobs_total{state="cancelled"}`:            float64(stats.Jobs.Cancelled),
-		`dscts_jobs_rejected_total{reason="too_large"}`:  float64(stats.Jobs.RejectedLarge),
-		`dscts_jobs_rejected_total{reason="queue_full"}`: float64(stats.Jobs.RejectedFull),
-		`dscts_jobs_rejected_total{reason="closed"}`:     float64(stats.Jobs.RejectedClosed),
-		`dscts_jobs_rejected_total{reason="quota"}`:      float64(stats.Jobs.RejectedQuota),
-		"dscts_cache_hits_total":                         float64(stats.Cache.Hits),
-		"dscts_cache_misses_total":                       float64(stats.Cache.Misses),
-		"dscts_jobs_panics_total":                        float64(stats.Jobs.Panics),
-	}
-	for name, want := range checks {
-		if got := m[name]; got != want {
-			t.Errorf("%s = %v, /stats says %v", name, got, want)
-		}
+	if err := CheckMetrics(stats, m); err != nil {
+		t.Error(err)
 	}
 	if stats.Jobs.RejectedLarge != 1 {
 		t.Errorf("rejected_large = %d, want 1", stats.Jobs.RejectedLarge)
 	}
-	if stats.Jobs.Rejected != stats.Jobs.RejectedFull+stats.Jobs.RejectedLarge+stats.Jobs.RejectedClosed+stats.Jobs.RejectedQuota {
-		t.Errorf("rejected sum mismatch: %+v", stats.Jobs)
-	}
-	// The accounting identity: submitted counts ADMITTED jobs only, so the
-	// terminal states plus the in-flight ones always sum back to it — a
-	// rejection (the 413 above) must not leak into submitted.
-	if got := stats.Jobs.Done + stats.Jobs.Failed + stats.Jobs.Cancelled +
-		stats.Jobs.Queued + stats.Jobs.Running; got != stats.Jobs.Submitted {
-		t.Errorf("accounting identity broken: done+failed+cancelled+queued+running = %d, submitted = %d",
-			got, stats.Jobs.Submitted)
-	}
 	if stats.Jobs.Submitted != 3 {
 		t.Errorf("submitted = %d, want 3 (the rejected submission must not count)", stats.Jobs.Submitted)
 	}
-	// Done-job latency observations must sum to the done counter.
-	durCount := m[`dscts_job_duration_seconds_count{cache="hit"}`] + m[`dscts_job_duration_seconds_count{cache="miss"}`]
-	if durCount != float64(stats.Jobs.Done) {
-		t.Errorf("job_duration count %v != done %d", durCount, stats.Jobs.Done)
-	}
 	if m[`dscts_job_duration_seconds_count{cache="hit"}`] != 1 {
 		t.Errorf("cache-hit duration count = %v, want 1", m[`dscts_job_duration_seconds_count{cache="hit"}`])
+	}
+
+	// The fault-injected run: a panic and an injected error fail two of
+	// three jobs, so panics, failures, the panic ring and the fired-faults
+	// sum are all nonzero when the two renderings are compared.
+	fs, fclient, fts, _ := newMetricsServer(t, Config{MaxRunning: 1,
+		Faults: mustFaults(t, "panic@serve.job:nth=1;error@core.route:nth=1", 1)})
+	for _, design := range []string{"C1", "C2", "C3"} {
+		fclient.Synthesize(ctx, &Request{Design: design}) // two of these fail by design
+	}
+	fst := fs.Queue().Stats()
+	if fst.Jobs.Panics != 1 || fst.Jobs.Failed != 2 || fst.Jobs.Done != 1 || len(fst.Faults) != 2 {
+		t.Fatalf("fault run: jobs %+v, faults %v; want 1 panic, 2 failed, 1 done, 2 fired points", fst.Jobs, fst.Faults)
+	}
+	if err := CheckMetrics(fst, scrape(t, fts)); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestCheckMetricsNamesDrift: CheckMetrics fails on one counter off by one
+// and on one missing sample, naming the sample either way.
+func TestCheckMetricsNamesDrift(t *testing.T) {
+	s, client, ts, _ := newMetricsServer(t, Config{MaxRunning: 1})
+	if _, err := client.Synthesize(context.Background(), &Request{Design: "C1"}); err != nil {
+		t.Fatal(err)
+	}
+	st := s.Queue().Stats()
+	m := scrape(t, ts)
+	if err := CheckMetrics(st, m); err != nil {
+		t.Fatalf("unmodified scrape: %v", err)
+	}
+	for _, tc := range []struct {
+		name, sample string
+		mutate       func(m map[string]float64)
+	}{
+		{"counter off by one", "dscts_cache_misses_total", func(m map[string]float64) { m["dscts_cache_misses_total"]++ }},
+		{"sample missing", `dscts_jobs_total{state="done"}`, func(m map[string]float64) { delete(m, `dscts_jobs_total{state="done"}`) }},
+	} {
+		cp := make(map[string]float64, len(m))
+		for k, v := range m {
+			cp[k] = v
+		}
+		tc.mutate(cp)
+		err := CheckMetrics(st, cp)
+		if err == nil || !strings.Contains(err.Error(), tc.sample) {
+			t.Errorf("%s: got %v, want an error naming %s", tc.name, err, tc.sample)
+		}
 	}
 }
 

@@ -116,15 +116,17 @@ func encodeBaseOutcome(out *core.Outcome) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// decodeBaseOutcome is the inverse of encodeBaseOutcome. A snapshot
-// without retained state is useless to /eco and reports as corrupt.
+// decodeBaseOutcome is the inverse of encodeBaseOutcome. A snapshot whose
+// retained state /eco could not splice against (missing, or structurally
+// inconsistent despite a valid store checksum) reports as corrupt, so the
+// next /eco on its key re-synthesizes the base instead of failing.
 func decodeBaseOutcome(payload []byte) (*core.Outcome, error) {
 	out := new(core.Outcome)
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(out); err != nil {
 		return nil, err
 	}
-	if out.Retained == nil || out.Tree == nil {
-		return nil, fmt.Errorf("serve: base snapshot missing retained state")
+	if err := out.ValidateRetained(); err != nil {
+		return nil, fmt.Errorf("serve: base snapshot: %w", err)
 	}
 	return out, nil
 }

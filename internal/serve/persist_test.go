@@ -69,6 +69,7 @@ func TestPersistWarmRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	p1.stop() // flushes the write-behind tail
+	noWriteLoss(t, "cold process", p1.st.Stats())
 
 	p2 := startPersisted(t, dir, nil)
 	warm, err := p2.client.Synthesize(ctx, req)
@@ -107,6 +108,80 @@ func TestPersistWarmRestart(t *testing.T) {
 	}
 	if skips := st.Store.WarmSkippedCorrupt + st.Store.WarmSkippedVersion + st.Store.WarmSkippedIO; skips != 0 {
 		t.Errorf("%d warm skips over a cleanly closed store: %+v", skips, *st.Store)
+	}
+	p2.stop()
+	noWriteLoss(t, "restarted process", p2.st.Stats())
+}
+
+// noWriteLoss fails the test when the write-behind tier lost a write: a
+// drop or a write error costs a cold miss after the next restart.
+func noWriteLoss(t *testing.T, who string, s store.Stats) {
+	t.Helper()
+	if s.WriteErrors != 0 || s.Dropped != 0 {
+		t.Errorf("%s: write-behind lost data: %d write errors, %d dropped", who, s.WriteErrors, s.Dropped)
+	}
+}
+
+// TestPersistMalformedBaseIsAMiss: a partitioned base snapshot with one
+// region tree dropped still carries a valid store checksum. Warm start must
+// reject it as corrupt (counted, deleted), and the next /eco on that base
+// re-synthesizes it instead of failing against the bad retained state.
+func TestPersistMalformedBaseIsAMiss(t *testing.T) {
+	dir := t.TempDir()
+	ecoReq := func(x float64) *Request {
+		return &Request{Design: "C4", Options: OptionsSpec{PartitionMaxSinks: 300},
+			Delta: &DeltaSpec{Move: []MoveSpec{{Sink: 0, X: x, Y: x}}}}
+	}
+	ctx := context.Background()
+
+	p1 := startPersisted(t, dir, nil)
+	if _, err := p1.client.ECO(ctx, ecoReq(40)); err != nil {
+		t.Fatal(err)
+	}
+	p1.stop()
+
+	// Rewrite the base through the store, so the damage is structural
+	// (the checksum covers the damaged payload) rather than bit rot.
+	st, err := store.Open(store.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var key string
+	var base *core.Outcome
+	st.Load(store.KindBase, func(k string, payload []byte) bool {
+		key = k
+		base, err = decodeBaseOutcome(payload)
+		return err == nil
+	})
+	if base == nil {
+		t.Fatalf("no decodable base snapshot persisted (err %v)", err)
+	}
+	ret := base.Retained
+	if len(ret.Regions) != 4 {
+		t.Fatalf("base has %d regions, want 4", len(ret.Regions))
+	}
+	ret.Trees = ret.Trees[:len(ret.Trees)-1]
+	payload, err := encodeBaseOutcome(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Put(store.KindBase, key, payload)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	p2 := startPersisted(t, dir, nil)
+	ss := p2.s.Queue().Stats().Store
+	if ss.WarmBases != 0 || ss.WarmSkippedCorrupt != 1 {
+		t.Errorf("warm start loaded %d bases with %d corrupt skips; want the malformed base skipped",
+			ss.WarmBases, ss.WarmSkippedCorrupt)
+	}
+	eco, err := p2.client.ECO(ctx, ecoReq(41))
+	if err != nil {
+		t.Fatalf("eco after a malformed base snapshot: %v", err)
+	}
+	if eco.Result.BaseCacheHit {
+		t.Error("eco reported a base hit although the only snapshot was malformed")
 	}
 }
 

@@ -541,8 +541,8 @@ func (c Config) withDefaults() Config {
 type QueueStats struct {
 	// Submitted counts ADMITTED submissions only: every rejection path
 	// returns before it, so submitted == done + failed + cancelled +
-	// queued + running at every instant — the accounting identity cismoke
-	// metrics enforces. Rejections are tallied separately below.
+	// queued + running at every instant — the accounting identity
+	// CheckMetrics enforces. Rejections are tallied separately below.
 	Submitted int64 `json:"submitted"`
 	// Rejected is the total of the rejection reasons below.
 	Rejected int64 `json:"rejected"`

@@ -395,18 +395,27 @@ const evalModel = "elmore"
 // requests differing only in those share one cache entry.
 func (r *Request) Key(kind string) string {
 	h := sha256.New()
+	// Every fixed-width value goes through one reused little-endian
+	// buffer: an explicit placement hashes two floats per sink, and a
+	// per-value allocation would dominate a 100k-sink key.
+	var buf [8]byte
 	ws := func(s string) {
-		binary.Write(h, binary.LittleEndian, uint32(len(s)))
+		binary.LittleEndian.PutUint32(buf[:4], uint32(len(s)))
+		h.Write(buf[:4])
 		io.WriteString(h, s)
 	}
-	wi := func(v int64) { binary.Write(h, binary.LittleEndian, v) }
-	wf := func(v float64) { binary.Write(h, binary.LittleEndian, math.Float64bits(v)) }
+	wu := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	wi := func(v int64) { wu(uint64(v)) }
+	wf := func(v float64) { wu(math.Float64bits(v)) }
 	wb := func(v bool) {
+		buf[0] = 0
 		if v {
-			h.Write([]byte{1})
-		} else {
-			h.Write([]byte{0})
+			buf[0] = 1
 		}
+		h.Write(buf[:1])
 	}
 	ws(requestKeyVersion)
 	ws(kind)
