@@ -3,7 +3,7 @@
 #   make ci          - build + vet + test + fuzz smoke (what the roadmap calls tier-1)
 #   make race        - race detector on the determinism + corner + service + ECO + what-if suites
 #   make perfbench-test - vet + unit tests of the benchmark module (perfbench/, its own go.mod)
-#   make fuzz        - 10s fuzz smoke per fuzz target (DEF, LEF, request decoder, store read path)
+#   make fuzz        - 10s fuzz smoke per fuzz target (DEF, LEF, request decoder, store read path, DP merge)
 #   make golden      - golden-metrics regression suite (make golden-update re-pins)
 #   make staticcheck - pinned staticcheck over the whole tree (fetches the tool)
 #   make vulncheck   - pinned govulncheck over the whole tree (fetches the tool)
@@ -61,6 +61,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzParseLEF -fuzztime 10s ./internal/lef
 	$(GO) test -run xxx -fuzz FuzzRequestDecode -fuzztime 10s ./internal/serve
 	$(GO) test -run xxx -fuzz FuzzStoreOpen -fuzztime 10s ./internal/store
+	$(GO) test -run xxx -fuzz FuzzParetoMerge -fuzztime 10s ./internal/insert
 
 golden:
 	$(GO) test -run TestGoldenMetrics .

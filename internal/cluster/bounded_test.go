@@ -146,6 +146,26 @@ func TestSettledMargin(t *testing.T) {
 			t.Errorf("settled(u=%v, l=%v) = %v, want %v", c.u, c.l, got, c.want)
 		}
 	}
+	// The separation test: assignRange passes max(l, half) for l, where
+	// half is half a lower bound on the centroid's distance to every other
+	// one. A point exactly at half the separation, or inside the margin of
+	// it, searches even when its own lower bound has decayed away.
+	for _, c := range []struct {
+		u, l, half float64
+		want       bool
+	}{
+		{10, -3, 10, false},
+		{10, -3, math.Nextafter(10, 11), false},
+		{10, -3, 10 + 1e-7, false},
+		{10, -3, 10 + 1e-5, true},
+		{10, 10, 10, false},
+		{10, 10 + 1e-5, 0, true},
+		{0, -1, 0, false},
+	} {
+		if got := settled(c.u, max(c.l, c.half), slack); got != c.want {
+			t.Errorf("settled(u=%v, max(l=%v, half=%v)) = %v, want %v", c.u, c.l, c.half, got, c.want)
+		}
+	}
 }
 
 // TestBoundsFallback: point sets whose scale the bound margin does not

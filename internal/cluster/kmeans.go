@@ -16,11 +16,15 @@
 //     grows by its centroid's drift and l shrinks by the largest drift
 //     (triangle inequality). A point whose u stays below l keeps its
 //     centroid without a search; otherwise u is tightened to the exact
-//     distance and tested again before the search runs. The test demands a
-//     strict win by a margin (see settled) far above any rounding in the
-//     bounds or in the squared-distance comparison, so a skipped point's
-//     centroid is strictly nearest and the lowest-index tie rule never
-//     applies to it: a point at a tie always takes the search;
+//     distance and tested again before the search runs. On the grid, l
+//     is raised to half the point's centroid's separation from the
+//     nearest other centroid when that is larger (Hamerly's separation
+//     test; the grid yields the separations once per pass). The test
+//     demands a strict win by a margin (see settled) far above any
+//     rounding in the bounds or in the squared-distance comparison, so a
+//     skipped point's centroid is strictly nearest and the lowest-index
+//     tie rule never applies to it: a point at a tie always takes the
+//     search;
 //   - the first pass takes its assignment and both bounds from the
 //     k-means++ seeding, which has already computed every point's squared
 //     distance to every seed with the search's expression and its
@@ -36,9 +40,13 @@
 //     scratch. The scratch comes from one package-level pool shared by
 //     every call, whatever its size or caller.
 //
+// The bounded path's k-means++ seeding also draws each seed by a binary
+// search over running sums of the distance field, which its update pass
+// stores, instead of rescanning the field (see seedPlusPlus).
+//
 // Options.Brute keeps the reference path — a full O(k) scan for every point
-// in every pass, with no grid, no bounds and no seed-derived first pass —
-// so the accelerated path can be checked against it.
+// in every pass, with no grid, no bounds, no seed-derived first pass and a
+// scanning sampler — so the accelerated path can be checked against it.
 //
 // Iterations also stop as soon as the centroid set reaches a fixed point
 // (exact equality), which skips the trailing no-op assignment passes of a
@@ -137,13 +145,17 @@ type kmScratch struct {
 	sxs, sys []float64 // recompute accumulators
 	cnt      []int
 	d2       []float64 // k-means++ distance field
+	pre      []float64 // bounded runs: running sums of d2, the sampler's index
 	assign   []int
 	chunks   []chunkStat
 	// Bounded runs only (see settled): per point, an upper bound on the
 	// distance to its own centroid and a lower bound on the distance to
-	// every other one; per centroid, how far the last update moved it.
+	// every other one; per centroid, how far the last update moved it and
+	// half a lower bound on its distance to every other centroid (zero
+	// unless the run uses the grid).
 	ub, lb   []float64
 	drift    []float64
+	half     []float64
 	maxDrift float64
 	slack    float64 // absolute margin of the bound test
 	remap    []int
@@ -224,6 +236,7 @@ func lloyd(s *kmScratch, n, k int, opt Options) Work {
 		s.ub = arena.Grow(s.ub, n)
 		s.lb = arena.Grow(s.lb, n)
 		s.drift = arena.Grow(s.drift, k)
+		s.half = arena.GrowZero(s.half, k)
 	}
 
 	// PCG seeding is effectively free, which matters because the
@@ -243,6 +256,7 @@ func lloyd(s *kmScratch, n, k int, opt Options) Work {
 		if iter > 0 || !bounded {
 			if useGrid {
 				s.grid.build(s.cxs, s.cys)
+				s.separate(k)
 			}
 			var searches int
 			changed, searches = assignNearest(s, bounded, useGrid, workers)
@@ -309,6 +323,13 @@ func centsEqual(s *kmScratch, k int) bool {
 // every point's squared distance to its nearest seed, computed with the
 // search's expression and kept under its strict-< rule, so the lowest index
 // wins ties exactly as in a search over the k seeds.
+//
+// Each draw takes the first point whose running sum of the distance field
+// reaches r. The reference path scans for it. A bounded run stores the
+// running sums as it rebuilds the field's total (s.pre), with the scan's
+// own additions in the scan's order, so pre[i] is exactly the scan's sum at
+// i; the field is nonnegative, so pre never decreases and a binary search
+// finds the scan's point.
 func seedPlusPlus(s *kmScratch, n, k int, rng *rand.Rand, bounded bool) {
 	first := rng.IntN(n)
 	s.cxs[0] = s.xs[first]
@@ -321,11 +342,19 @@ func seedPlusPlus(s *kmScratch, n, k int, rng *rand.Rand, bounded bool) {
 	}
 	s.d2 = arena.Grow(s.d2, n)
 	d2 := s.d2
+	var pre []float64
+	if bounded {
+		s.pre = arena.Grow(s.pre, n)
+		pre = s.pre[:n]
+	}
 	var total float64
 	for i := 0; i < n; i++ {
 		dx, dy := s.xs[i]-s.cxs[0], s.ys[i]-s.cys[0]
 		d2[i] = dx*dx + dy*dy
 		total += d2[i]
+		if bounded {
+			pre[i] = total
+		}
 	}
 	if bounded {
 		// s.lb holds the squared runner-up distance until the end.
@@ -338,8 +367,9 @@ func seedPlusPlus(s *kmScratch, n, k int, rng *rand.Rand, bounded bool) {
 		var next int
 		if total <= 0 {
 			next = rng.IntN(n)
+		} else if r := rng.Float64() * total; bounded {
+			next = min(sort.Search(n, func(i int) bool { return pre[i] >= r }), n-1)
 		} else {
-			r := rng.Float64() * total
 			acc := 0.0
 			next = n - 1
 			for i, v := range d2 {
@@ -368,6 +398,7 @@ func seedPlusPlus(s *kmScratch, n, k int, rng *rand.Rand, bounded bool) {
 					second[i] = w
 				}
 				total += d2[i]
+				pre[i] = total
 			}
 			continue
 		}
@@ -423,8 +454,30 @@ func (s *kmScratch) boundsExact(n, maxIter int) bool {
 // the coordinates. A strict win by that margin survives the rounding of
 // the squared distances the search would compare, so the search would
 // return the same centroid.
+//
+// The bounded path passes max(l, h) for l, where h = half[a] is half a
+// lower bound on the distance from the point's centroid a to every other
+// centroid (Hamerly's separation test). That is sound too: by the triangle
+// inequality every other centroid lies at least 2h - u from the point, and
+// if settled(u, h, slack) holds, 2h - u exceeds u by more than twice the
+// margin demanded of l. The rounding of h is relative to the distance
+// between two centroids, which the absolute slack covers. A point exactly
+// at h, or within the margin of it, still searches.
 func settled(u, l, slack float64) bool {
 	return u+u*boundRel+slack < l
+}
+
+// separate sets half[c] to half a lower bound on centroid c's distance to
+// every other centroid, from the grid built over the current centroids. A
+// walk from c itself with c as the seed at distance 0 stops once rings 0-1
+// are scanned, and its runner-up term is the smaller of the nearest other
+// centroid scanned and one cell edge, which every unscanned centroid lies
+// beyond. Another centroid at c's position makes the bound 0.
+func (s *kmScratch) separate(k int) {
+	for c := 0; c < k; c++ {
+		_, _, other2 := s.grid.nearest(s.cxs[c], s.cys[c], c, 0)
+		s.half[c] = math.Sqrt(other2) / 2
+	}
 }
 
 // measureDrift records how far each centroid moved in the last update (from
@@ -484,9 +537,9 @@ func assignNearest(s *kmScratch, bounded, useGrid bool, workers int) (changed bo
 
 // assignRange assigns the points [lo,hi). The reference path scans every
 // centroid for every point. The bounded path first moves the point's bounds
-// by the last update's drifts; only if they no longer settle it, and still
-// do not once u is tightened to the exact distance, does it search, and the
-// search resets both bounds.
+// by the last update's drifts; only if they (with the centroid separation on
+// the grid) no longer settle it, and still do not once u is tightened to the
+// exact distance, does it search, and the search resets both bounds.
 func (s *kmScratch) assignRange(lo, hi int, bounded, useGrid bool) chunkStat {
 	var st chunkStat
 	if !bounded {
@@ -503,16 +556,19 @@ func (s *kmScratch) assignRange(lo, hi int, bounded, useGrid bool) chunkStat {
 	// stores.
 	assign, xs, ys := s.assign[lo:hi], s.xs[lo:hi], s.ys[lo:hi]
 	ub, lb := s.ub[lo:hi], s.lb[lo:hi]
-	cxs, cys, drift := s.cxs, s.cys, s.drift
+	cxs, cys, drift, half := s.cxs, s.cys, s.drift, s.half
 	maxDrift, slack := s.maxDrift, s.slack
 	for i, a := range assign {
 		u, l := ub[i]+drift[a], lb[i]-maxDrift
-		if !settled(u, l, slack) {
+		// The separation test (see settled) joins the point's own lower
+		// bound; half is zero off the grid, which leaves l as it is.
+		sep := max(l, half[a])
+		if !settled(u, sep, slack) {
 			px, py := xs[i], ys[i]
 			dx, dy := px-cxs[a], py-cys[a]
 			d2 := dx*dx + dy*dy
 			u = math.Sqrt(d2)
-			if !settled(u, l, slack) {
+			if !settled(u, sep, slack) {
 				var best int
 				var l2 float64
 				if useGrid {

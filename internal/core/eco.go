@@ -340,6 +340,7 @@ func ecoPartitioned(ctx context.Context, st *ECOState, d eco.Delta, newSinks []g
 		out.RefineTime += runs[k].st.refineTime
 		dpTotal.Nodes += runs[k].st.dp.Nodes
 		dpTotal.Solutions += runs[k].st.dp.Solutions
+		dpTotal.Merged += runs[k].st.dp.Merged
 	}
 	reused := 0
 	for i := range plan.Regions {
@@ -472,6 +473,7 @@ func ecoMonolithic(ctx context.Context, prevTree *ctree.Tree, st *ECOState, d ec
 		out.RefineTime += minis[k].refineTime
 		dpTotal.Nodes += minis[k].dp.Nodes
 		dpTotal.Solutions += minis[k].dp.Solutions
+		dpTotal.Merged += minis[k].dp.Merged
 	}
 	// Re-legalize the graft points: a leaf net that grew past the cap
 	// budget gets a shielding buffer at its centroid, exactly the limit the

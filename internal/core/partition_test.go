@@ -78,6 +78,38 @@ func TestRegionOrderInvariance(t *testing.T) {
 	}
 }
 
+// TestPartitionedDPCountersSumRegions: a partitioned outcome's DP counters
+// are the sums of its regions' own, two-child merge pairs included.
+func TestPartitionedDPCountersSumRegions(t *testing.T) {
+	tc := tech.ASAP7()
+	sinks := clusteredSinks(4000, 3, 600)
+	opt := Options{Workers: 2, Partition: partition.Options{MaxSinks: 900}}
+	out, err := Synthesize(geom.Pt(300, 300), sinks, tc, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regions, err := partition.Split(sinks, opt.Partition)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var nodes, solutions, merged int
+	for _, r := range regions {
+		local := make([]geom.Point, len(r.Sinks))
+		for j, si := range r.Sinks {
+			local[j] = sinks[si]
+		}
+		ro, err := RunRegion(context.Background(), RegionWork{ID: r.ID, Anchor: r.Anchor, Sinks: local}, tc, opt, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes, solutions, merged = nodes+ro.DPNodes, solutions+ro.DPSolutions, merged+ro.DPMerged
+	}
+	if dp := out.DP; dp.Nodes != nodes || dp.Solutions != solutions || dp.Merged != merged || merged == 0 {
+		t.Fatalf("DP nodes/solutions/merged %d/%d/%d, regions sum to %d/%d/%d",
+			dp.Nodes, dp.Solutions, dp.Merged, nodes, solutions, merged)
+	}
+}
+
 func reversedPerm(n int) []int {
 	out := make([]int, n)
 	for i := range out {

@@ -311,6 +311,7 @@ func synthesizeRegions(ctx context.Context, rootPos geom.Point, sinks []geom.Poi
 		out.RefineTime += runs[i].out.RefineTime
 		dpTotal.Nodes += runs[i].out.DPNodes
 		dpTotal.Solutions += runs[i].out.DPSolutions
+		dpTotal.Merged += runs[i].out.DPMerged
 	}
 	out.DP = &dpTotal
 	out.PartitionTime = time.Since(tPartition)

@@ -42,6 +42,7 @@ type RegionOut struct {
 
 	DPNodes     int
 	DPSolutions int
+	DPMerged    int
 
 	RouteTime  time.Duration
 	InsertTime time.Duration
@@ -85,7 +86,7 @@ func RunRegion(ctx context.Context, w RegionWork, tc *tech.Tech, opt Options, wo
 		RefineTime: st.refineTime,
 	}
 	if st.dp != nil {
-		ro.DPNodes, ro.DPSolutions = st.dp.Nodes, st.dp.Solutions
+		ro.DPNodes, ro.DPSolutions, ro.DPMerged = st.dp.Nodes, st.dp.Solutions, st.dp.Merged
 	}
 	return ro, nil
 }

@@ -87,9 +87,12 @@ func Route(leaves []Leaf, rootHint geom.Point, opt Options) (*Tree, error) {
 	if opt.Layer.UnitRes <= 0 || opt.Layer.UnitCap <= 0 {
 		return nil, fmt.Errorf("dme: invalid layer %+v", opt.Layer)
 	}
-	// Working set: one msNode per input leaf.
+	// Working set: one msNode per input leaf, then one per merge.
 	work := make([]msNode, 0, 2*len(leaves))
 	active := make([]int, 0, len(leaves))
+	// used marks matched working nodes. A matched node is merged and never
+	// active again, so the marks carry across levels without a reset.
+	used := make([]bool, 2*len(leaves))
 	for i, l := range leaves {
 		work = append(work, msNode{
 			ms: geom.PointArc(l.Pos), cap: l.Cap, delay: l.Delay,
@@ -99,7 +102,7 @@ func Route(leaves []Leaf, rootHint geom.Point, opt Options) (*Tree, error) {
 	}
 	// Bottom-up: pair nearest neighbours level by level.
 	for len(active) > 1 {
-		pairs, leftover := matchNearest(work, active)
+		pairs, leftover := matchNearest(work, active, used)
 		next := make([]int, 0, len(pairs)+1)
 		for _, pr := range pairs {
 			m := mergeMS(&work[pr[0]], &work[pr[1]], opt.Layer, opt.Snaking)
@@ -120,10 +123,11 @@ func Route(leaves []Leaf, rootHint geom.Point, opt Options) (*Tree, error) {
 	return t, nil
 }
 
-// matchNearest greedily pairs active nodes by merging-segment distance.
-// With an odd count the node left over is returned to be promoted a level.
-func matchNearest(work []msNode, active []int) (pairs [][2]int, leftover int) {
-	used := make(map[int]bool, len(active))
+// matchNearest greedily pairs active nodes by merging-segment distance,
+// marking every matched node in used (indexed by working-node index). With
+// an odd count the node left over stays unmarked and is returned to be
+// promoted a level.
+func matchNearest(work []msNode, active []int, used []bool) (pairs [][2]int, leftover int) {
 	leftover = -1
 	// Deterministic order: iterate as given; for each unused node pick the
 	// nearest unused partner.

@@ -105,6 +105,10 @@ type Result struct {
 	Solutions int
 	// Nodes is the number of DP nodes (clock-tree trunk edges).
 	Nodes int
+	// Merged is the number of child-solution pairs the two-child merges
+	// generated, summed over DP nodes. Like Solutions and Nodes it is a
+	// pure function of the tree and the options other than Workers.
+	Merged int
 }
 
 // dpNode is one node of the heterogeneous DP tree (Step 1): it stands for
@@ -272,7 +276,7 @@ func buildDPTree(t *ctree.Tree, cfg Config, fanout []int) (nodes []dpNode, rootD
 // scratch: dp.sols slices into it and is consumed (decide/mergeRoots)
 // strictly before the scratch returns to its pool.
 type genScratch struct {
-	merged []Solution // raw merge products (single-child copy / two-child cross)
+	merged []Solution // raw merge products (single-child copy / two-child pairs)
 	mid    []Solution // pruned merged set of the two-child case
 	out    []Solution // insertion products before the final prune
 	pruned []Solution // final prune result (copied into dp.sols)
@@ -319,11 +323,12 @@ func generateAll(ctx context.Context, t *ctree.Tree, nodes []dpNode, cfg Config,
 			if err := ctx.Err(); err != nil {
 				return []*genScratch{sc}, fmt.Errorf("insert: %w", err)
 			}
-			n, err := generate(t, &nodes[i], nodes, cfg, sc)
+			c, err := generate(t, &nodes[i], nodes, cfg, sc)
 			if err != nil {
 				return []*genScratch{sc}, err
 			}
-			res.Solutions += n
+			res.Solutions += c.solutions
+			res.Merged += c.merged
 		}
 		return []*genScratch{sc}, nil
 	}
@@ -343,7 +348,7 @@ func generateAll(ctx context.Context, t *ctree.Tree, nodes []dpNode, cfg Config,
 		pending[i] = int32(nodes[i].nkids)
 	}
 	queue := make(chan int32, len(nodes))
-	counts := make([]int, len(nodes))
+	counts := make([]genCount, len(nodes))
 	errs := make([]error, len(nodes))
 	var remaining atomic.Int64
 	remaining.Store(int64(len(nodes)))
@@ -377,8 +382,8 @@ func generateAll(ctx context.Context, t *ctree.Tree, nodes []dpNode, cfg Config,
 						return
 					}
 				}
-				n, err := generate(t, &nodes[id], nodes, cfg, sc)
-				counts[id], errs[id] = n, err
+				c, err := generate(t, &nodes[id], nodes, cfg, sc)
+				counts[id], errs[id] = c, err
 				if p := parentOf[id]; p >= 0 {
 					if atomic.AddInt32(&pending[p], -1) == 0 {
 						queue <- p
@@ -401,17 +406,23 @@ func generateAll(ctx context.Context, t *ctree.Tree, nodes []dpNode, cfg Config,
 		if err != nil {
 			return scratches, err
 		}
-		res.Solutions += counts[i]
+		res.Solutions += counts[i].solutions
+		res.Merged += counts[i].merged
 	}
 	return scratches, nil
 }
 
-// generate runs the merge and insert operations of Step 2 for one DP node,
-// returning the number of candidate solutions produced before pruning.
-func generate(t *ctree.Tree, dp *dpNode, nodes []dpNode, cfg Config, sc *genScratch) (int, error) {
-	merged := mergeChildren(t, dp, nodes, cfg, sc)
+// genCount is one DP node's share of the Result counters.
+type genCount struct {
+	solutions int // candidates the insertion produced before pruning
+	merged    int // child-solution pairs a two-child merge generated
+}
+
+// generate runs the merge and insert operations of Step 2 for one DP node.
+func generate(t *ctree.Tree, dp *dpNode, nodes []dpNode, cfg Config, sc *genScratch) (genCount, error) {
+	merged, pairs := mergeChildren(t, dp, nodes, cfg, sc)
 	if len(merged) == 0 {
-		return 0, fmt.Errorf("insert: node %d (tree %d): no merged candidates", dp.treeID, dp.treeID)
+		return genCount{}, fmt.Errorf("insert: node %d (tree %d): no merged candidates", dp.treeID, dp.treeID)
 	}
 	// Inserting: assign a pattern to this edge for every merged candidate.
 	out := sc.out[:0]
@@ -437,19 +448,28 @@ func generate(t *ctree.Tree, dp *dpNode, nodes []dpNode, cfg Config, sc *genScra
 	sc.out = out
 	sc.pruned = pruneInto(sc.pruned[:0], out, cfg.MaxPerSide, cfg.DiversePruning, sc)
 	dp.sols = sc.takeSols(sc.pruned)
+	c := genCount{solutions: len(out), merged: pairs}
 	if len(dp.sols) == 0 {
-		return len(out), fmt.Errorf("insert: node for tree edge %d has no feasible solutions (edge length %.2f µm, load %.2f fF, max cap %.2f fF)",
+		return c, fmt.Errorf("insert: node for tree edge %d has no feasible solutions (edge length %.2f µm, load %.2f fF, max cap %.2f fF)",
 			dp.treeID, dp.length, merged[0].Cap, cfg.Tech.Buf.MaxCap)
 	}
-	return len(out), nil
+	return c, nil
 }
 
 // mergeChildren produces the merged candidate set at the downstream vertex
 // of dp's edge: the "state before this edge's pattern is applied". The Up
 // field of a merged candidate holds the side type of the downstream vertex;
-// left/right record child solution indices. The returned slice aliases the
-// scratch arenas and is only valid until the next scratch use.
-func mergeChildren(t *ctree.Tree, dp *dpNode, nodes []dpNode, cfg Config, sc *genScratch) []Solution {
+// left/right record child solution indices. It also returns the number of
+// child pairs a two-child merge generated (0 otherwise). The returned slice
+// aliases the scratch arenas and is only valid until the next scratch use.
+//
+// A two-child merge pairs same-side solutions and prunes the products. With
+// the default (cap, max delay) dominance it generates only the pairs that
+// prune can keep (crossPareto, at most |A|+|B| per side); DiversePruning
+// puts resources into the dominance test, which the filter's argument does
+// not cover, so it pairs everything (crossAll). Either way the pruned set
+// is the same.
+func mergeChildren(t *ctree.Tree, dp *dpNode, nodes []dpNode, cfg Config, sc *genScratch) ([]Solution, int) {
 	switch dp.nkids {
 	case 0:
 		// Leaf DP node: the downstream vertex is a low-level centroid
@@ -457,7 +477,7 @@ func mergeChildren(t *ctree.Tree, dp *dpNode, nodes []dpNode, cfg Config, sc *ge
 		// nets this reduces to the bare sink load.)
 		load, maxD, minD := leafNetLoad(t, dp.treeID, cfg.Tech)
 		sc.merged = append(sc.merged[:0], Solution{Up: ctree.Front, Cap: load, MaxD: maxD, MinD: minD, left: -1, right: -1})
-		return sc.merged
+		return sc.merged, 0
 	case 1:
 		kid := &nodes[dp.child[0]]
 		out := sc.merged[:0]
@@ -468,30 +488,110 @@ func mergeChildren(t *ctree.Tree, dp *dpNode, nodes []dpNode, cfg Config, sc *ge
 			})
 		}
 		sc.merged = out
-		return out
+		return out, 0
 	default:
-		a, b := &nodes[dp.child[0]], &nodes[dp.child[1]]
-		out := sc.merged[:0]
-		for i, sa := range a.sols {
-			for j, sb := range b.sols {
-				if sa.Up != sb.Up {
-					continue // connectivity at the shared vertex
-				}
-				out = append(out, Solution{
-					Up:   sa.Up,
-					Cap:  sa.Cap + sb.Cap,
-					MaxD: math.Max(sa.MaxD, sb.MaxD),
-					MinD: math.Min(sa.MinD, sb.MinD),
-					Bufs: sa.Bufs + sb.Bufs, TSVs: sa.TSVs + sb.TSVs,
-					left: int32(i), right: int32(j),
-				})
+		a, b := nodes[dp.child[0]].sols, nodes[dp.child[1]].sols
+		if cfg.DiversePruning {
+			sc.merged = crossAll(sc.merged[:0], a, b)
+		} else {
+			sc.merged = crossPareto(sc.merged[:0], a, b)
+		}
+		// Merged sets grow quadratically; prune before insertion too.
+		sc.mid = pruneInto(sc.mid[:0], sc.merged, cfg.MaxPerSide, cfg.DiversePruning, sc)
+		return sc.mid, len(sc.merged)
+	}
+}
+
+// mergePair appends the merge of child solutions a[i] and b[j].
+func mergePair(dst []Solution, a, b []Solution, i, j int) []Solution {
+	sa, sb := &a[i], &b[j]
+	return append(dst, Solution{
+		Up:   sa.Up,
+		Cap:  sa.Cap + sb.Cap,
+		MaxD: math.Max(sa.MaxD, sb.MaxD),
+		MinD: math.Min(sa.MinD, sb.MinD),
+		Bufs: sa.Bufs + sb.Bufs, TSVs: sa.TSVs + sb.TSVs,
+		left: int32(i), right: int32(j),
+	})
+}
+
+// crossAll appends every same-side pair of a and b: the merge's reference.
+func crossAll(dst, a, b []Solution) []Solution {
+	for i := range a {
+		for j := range b {
+			if a[i].Up == b[j].Up { // connectivity at the shared vertex
+				dst = mergePair(dst, a, b, i, j)
 			}
 		}
-		sc.merged = out
-		// Merged sets grow quadratically; prune before insertion too.
-		sc.mid = pruneInto(sc.mid[:0], out, cfg.MaxPerSide, cfg.DiversePruning, sc)
-		return sc.mid
 	}
+	return dst
+}
+
+// crossPareto appends the same-side pairs of a and b that the default
+// (cap, max delay) prune can keep, skipping only pairs it provably drops.
+// Both sets must be outputs of the default prune (pruneInto): front-side
+// solutions first, then back-side ones, each side sorted by solCompare with
+// cap rising and max delay falling.
+//
+// Take a pair (i, j) whose merged max delay is A[i]'s, and let j* be the
+// first j with B[j].MaxD <= A[i].MaxD. Every (i, j) with j > j* has the same
+// merged max delay as (i, j*) and, caps rising, a cap sum at least as large.
+// Where the sum is strictly larger, (i, j*) precedes (i, j) in solCompare,
+// so (i, j) is dominated — by (i, j*) if the prune keeps it, else by the
+// kept solution that dominates (i, j*). The same holds with the children's
+// roles swapped. A dominated pair never enters the prune's keep list, and
+// only kept solutions dominate others, so leaving these pairs out changes
+// neither the keep list nor the thinning. Pairs whose cap sum rounds equal
+// to the dominator's are generated, since solCompare may then order them
+// first.
+func crossPareto(dst, a, b []Solution) []Solution {
+	af, bf := frontLen(a), frontLen(b)
+	dst = crossSide(dst, a, b, 0, af, 0, bf)
+	return crossSide(dst, a, b, af, len(a), bf, len(b))
+}
+
+// frontLen returns the length of a pruned set's front-side prefix.
+func frontLen(sols []Solution) int {
+	for i := range sols {
+		if sols[i].Up != ctree.Front {
+			return i
+		}
+	}
+	return len(sols)
+}
+
+// crossSide is crossPareto on one side: A = a[a0:a1], B = b[b0:b1], as a
+// two-pointer walk per child. The first walk covers the pairs whose merged
+// max delay is A's (A[i].MaxD >= B[j].MaxD), the second those whose max
+// delay is B's alone, so no pair is generated twice.
+func crossSide(dst, a, b []Solution, a0, a1, b0, b1 int) []Solution {
+	j := b0
+	for i := a0; i < a1; i++ {
+		for j < b1 && b[j].MaxD > a[i].MaxD {
+			j++
+		}
+		if j == b1 {
+			break
+		}
+		sum := a[i].Cap + b[j].Cap
+		for k := j; k < b1 && a[i].Cap+b[k].Cap == sum; k++ {
+			dst = mergePair(dst, a, b, i, k)
+		}
+	}
+	i := a0
+	for j := b0; j < b1; j++ {
+		for i < a1 && a[i].MaxD >= b[j].MaxD {
+			i++
+		}
+		if i == a1 {
+			break
+		}
+		sum := a[i].Cap + b[j].Cap
+		for k := i; k < a1 && a[k].Cap+b[j].Cap == sum; k++ {
+			dst = mergePair(dst, a, b, k, j)
+		}
+	}
+	return dst
 }
 
 // leafNetLoad computes the load and internal delays of the star leaf net

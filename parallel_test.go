@@ -12,6 +12,7 @@ import (
 	"math"
 	"testing"
 
+	"dscts/internal/cluster"
 	"dscts/internal/core"
 	"dscts/internal/dse"
 )
@@ -64,6 +65,55 @@ func TestWorkersDeterminism(t *testing.T) {
 			metricsIdentical(t, id+" workers 1 vs 8", seq.Metrics, parl.Metrics)
 			if math.IsNaN(seq.Metrics.Latency) || seq.Metrics.Latency <= 0 {
 				t.Fatalf("implausible latency %v", seq.Metrics.Latency)
+			}
+		})
+	}
+}
+
+// TestWorkCounterPins pins the deterministic work counters of every
+// built-in benchmark at placement seed 1, at one worker and at eight: the
+// clustering's Lloyd passes, assignments and nearest-centroid searches, and
+// the DP's nodes, generated solutions and two-child merge pairs. A kernel
+// change that skips work shows here as a deliberate re-pin, next to
+// unchanged golden metrics.
+func TestWorkCounterPins(t *testing.T) {
+	pins := map[string]struct {
+		cluster                  cluster.Work
+		nodes, solutions, merged int
+	}{
+		"C1": {cluster.Work{Iterations: 840, Assignments: 165185, Searches: 17169}, 815, 14852, 4342},
+		"C2": {cluster.Work{Iterations: 2613, Assignments: 802815, Searches: 104340}, 2562, 48902, 13884},
+		"C3": {cluster.Work{Iterations: 1510, Assignments: 588790, Searches: 58055}, 1550, 28877, 8986},
+		"C4": {cluster.Work{Iterations: 200, Assignments: 19958, Searches: 2934}, 186, 3138, 993},
+		"C5": {cluster.Work{Iterations: 434, Assignments: 44868, Searches: 6146}, 424, 8204, 2257},
+	}
+	tc := ASAP7()
+	for _, id := range Benchmarks() {
+		t.Run(id, func(t *testing.T) {
+			if testing.Short() && id != "C4" && id != "C5" {
+				t.Skip("large design skipped with -short")
+			}
+			want, ok := pins[id]
+			if !ok {
+				t.Fatalf("no pinned counters for %s", id)
+			}
+			p, err := GenerateBenchmark(id, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range []int{1, 8} {
+				out, err := Synthesize(p.Root, p.Sinks, tc, Options{Workers: w})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := out.Dual.Work; got != want.cluster {
+					t.Errorf("workers %d: clustering work %+v, pinned %+v", w, got, want.cluster)
+				}
+				dp := out.DP
+				if dp.Nodes != want.nodes || dp.Solutions != want.solutions || dp.Merged != want.merged {
+					t.Errorf("workers %d: DP nodes/solutions/merged %d/%d/%d, pinned %d/%d/%d",
+						w, dp.Nodes, dp.Solutions, dp.Merged, want.nodes, want.solutions, want.merged)
+				}
 			}
 		})
 	}
