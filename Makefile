@@ -64,10 +64,10 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzParetoMerge -fuzztime 10s ./internal/insert
 
 golden:
-	$(GO) test -run TestGoldenMetrics .
+	$(GO) test -run TestGolden .
 
 golden-update:
-	$(GO) test -run TestGoldenMetrics -update .
+	$(GO) test -run TestGolden -update .
 
 staticcheck:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
