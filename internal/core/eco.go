@@ -2,12 +2,16 @@ package core
 
 // Incremental (ECO) re-synthesis: given a prior Outcome that retained its
 // synthesis state (Options.RetainECO) and a Delta of sink edits, re-run only
-// the dirty scopes — affected regions under partitioning, affected low-level
-// clusters monolithically — through the same runStages pipeline, splice the
-// fresh subtrees into the retained tree, and re-evaluate incrementally
-// (hierarchical composition for regions, one flat what-if pass
-// monolithically). DESIGN.md §4 states the dirty-set semantics and the
-// splice contract; the correctness contract is:
+// the dirty scopes and splice them into the retained tree. Under
+// partitioning the dirty regions run through the region pipeline itself
+// (synthesizeRegions), which splices the clean regions' retained trees in
+// unchanged and re-stitches with hierarchical composition. Monolithically
+// the dirty low-level clusters re-run runStages on the same fan-out
+// (fanOut), graft back at their centroids through the same graft routine,
+// and the tree is re-evaluated in one flat what-if pass. Either way, every
+// re-run scope reports one PhaseECO progress point. DESIGN.md §4 states
+// the dirty-set semantics and the splice contract; the correctness
+// contract is:
 //
 //   - an empty delta reproduces the prior outcome bit-identically;
 //   - results are deterministic in the worker count (Workers=1 ≡ Workers=N);
@@ -20,7 +24,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"dscts/internal/ctree"
@@ -29,7 +32,6 @@ import (
 	"dscts/internal/fault"
 	"dscts/internal/geom"
 	"dscts/internal/insert"
-	"dscts/internal/par"
 	"dscts/internal/partition"
 	"dscts/internal/tech"
 )
@@ -206,11 +208,6 @@ func SynthesizeECOContext(ctx context.Context, prev *Outcome, d eco.Delta, opt O
 	}
 
 	start := time.Now()
-	emit := func(ph Phase, done bool, elapsed time.Duration) {
-		if knobs.Progress != nil {
-			knobs.Progress(Progress{Phase: ph, Done: done, Elapsed: elapsed})
-		}
-	}
 	partitioned := len(st.Regions) > 0
 
 	// Nothing moved: reuse the prior tree outright. Only the sign-off set
@@ -226,7 +223,7 @@ func SynthesizeECOContext(ctx context.Context, prev *Outcome, d eco.Delta, opt O
 		}
 		out.ECO = &ECOStats{TotalScopes: total, Partitioned: partitioned, ReusedSinks: len(st.Sinks)}
 		if len(d.SetCorners) > 0 {
-			if err := signoffCorners(ctx, out, st.Tech, knobs, emit); err != nil {
+			if err := signoffCorners(ctx, out, st.Tech, knobs); err != nil {
 				return nil, err
 			}
 		}
@@ -243,9 +240,9 @@ func SynthesizeECOContext(ctx context.Context, prev *Outcome, d eco.Delta, opt O
 	var out *Outcome
 	var err error
 	if partitioned {
-		out, err = ecoPartitioned(ctx, st, d, newSinks, oldToNew, knobs, emit)
+		out, err = ecoPartitioned(ctx, st, d, newSinks, oldToNew, knobs)
 	} else {
-		out, err = ecoMonolithic(ctx, prev.Tree, st, d, newSinks, oldToNew, knobs, emit)
+		out, err = ecoMonolithic(ctx, prev.Tree, st, d, newSinks, oldToNew, knobs)
 	}
 	if err != nil {
 		return nil, err
@@ -255,142 +252,45 @@ func SynthesizeECOContext(ctx context.Context, prev *Outcome, d eco.Delta, opt O
 }
 
 // ecoPartitioned re-synthesizes the dirty regions of a partitioned prior
-// and reuses every clean region's retained tree and summary, then re-runs
-// the (cheap) stitch + hierarchical composition tail.
-func ecoPartitioned(ctx context.Context, st *ECOState, d eco.Delta, newSinks []geom.Point, oldToNew []int, knobs Options, emit func(Phase, bool, time.Duration)) (*Outcome, error) {
-	emit(PhaseECO, false, 0)
+// through the region pipeline itself, which splices every clean region's
+// retained tree and summary in unchanged and re-runs the (cheap) stitch and
+// hierarchical composition tail.
+func ecoPartitioned(ctx context.Context, st *ECOState, d eco.Delta, newSinks []geom.Point, oldToNew []int, knobs Options) (*Outcome, error) {
+	knobs.emit(PhaseECO, false, 0)
 	te := time.Now()
 	plan, err := eco.PlanRegions(st.Regions, st.Sinks, oldToNew, newSinks, d, knobs.Partition)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	nDirty := plan.DirtyCount()
-	var dirtyIdx []int
-	for i, dd := range plan.Dirty {
-		if dd {
-			dirtyIdx = append(dirtyIdx, i)
-		}
-	}
-
-	out := &Outcome{Regions: make([]RegionStat, len(plan.Regions))}
-	trees := make([]*ctree.Tree, len(plan.Regions))
-	sums := make([]*eval.RegionEval, len(plan.Regions))
-
-	// Same budget split as the full pipeline: regions fan out over the
-	// worker budget (outer capped at physical cores), each dirty region's
-	// inner phases run on an equal slice. Deterministic in every count.
-	workers := par.N(knobs.Workers)
-	outer := workers
-	if cores := par.N(0); outer > cores {
-		outer = cores
-	}
-	inner := 1
-	if nDirty > 0 {
-		if inner = workers / nDirty; inner < 1 {
-			inner = 1
-		}
-	}
-	type dirtyRun struct {
-		st   *stages
-		sum  *eval.RegionEval
-		took time.Duration
-		err  error
-	}
-	runs := make([]dirtyRun, len(dirtyIdx))
-	var done atomic.Int64
-	par.ForEach(outer, len(dirtyIdx), func(k int) {
-		i := dirtyIdx[k]
-		r := plan.Regions[i]
-		local := make([]geom.Point, len(r.Sinks))
-		for j, si := range r.Sinks {
-			local[j] = newSinks[si]
-		}
-		t0 := time.Now()
-		stg, err := runStages(ctx, r.Anchor, local, st.Tech, knobs, inner, nil)
-		if err != nil {
-			runs[k].err = fmt.Errorf("region %d: %w", r.ID, err)
-			return
-		}
-		sum, err := eval.New(st.Tech, eval.Elmore).SummarizeRegion(stg.tree)
-		if err != nil {
-			runs[k].err = fmt.Errorf("region %d: %w", r.ID, err)
-			return
-		}
-		sum.Sinks = r.Sinks
-		runs[k] = dirtyRun{st: stg, sum: sum, took: time.Since(t0)}
-		if knobs.Progress != nil {
-			knobs.Progress(Progress{Phase: PhaseECO, Point: int(done.Add(1)), Total: nDirty})
-		}
-	})
-	var dpTotal insert.Result
-	for k, i := range dirtyIdx {
-		if runs[k].err != nil {
-			return nil, fmt.Errorf("core: eco: %w", runs[k].err)
-		}
-		sum := runs[k].sum
-		trees[i], sums[i] = runs[k].st.tree, sum
-		out.Regions[i] = RegionStat{
-			ID: i, Sinks: len(plan.Regions[i].Sinks),
-			Buffers: sum.Metrics.Buffers, NTSVs: sum.Metrics.NTSVs, WL: sum.Metrics.WL,
-			Latency: sum.Metrics.Latency, Skew: sum.Metrics.Skew,
-			Time: runs[k].took,
-		}
-		out.RouteTime += runs[k].st.routeTime
-		out.InsertTime += runs[k].st.insertTime
-		out.RefineTime += runs[k].st.refineTime
-		dpTotal.Nodes += runs[k].st.dp.Nodes
-		dpTotal.Solutions += runs[k].st.dp.Solutions
-		dpTotal.Merged += runs[k].st.dp.Merged
-	}
+	// Plan regions carry IDs 0..len-1 in plan order.
+	reuse := make([]*RegionOut, len(plan.Regions))
 	reused := 0
-	for i := range plan.Regions {
-		if plan.Dirty[i] {
-			continue
-		}
-		p := plan.Prev[i]
-		trees[i] = st.Trees[p]
-		sum := *st.Sums[p]
-		sum.Sinks = plan.Regions[i].Sinks // remapped post-delta indices
-		sums[i] = &sum
-		reused += len(plan.Regions[i].Sinks)
-		out.Regions[i] = RegionStat{
-			ID: i, Sinks: len(plan.Regions[i].Sinks),
-			Buffers: sum.Metrics.Buffers, NTSVs: sum.Metrics.NTSVs, WL: sum.Metrics.WL,
-			Latency: sum.Metrics.Latency, Skew: sum.Metrics.Skew,
+	for i, r := range plan.Regions {
+		if !plan.Dirty[i] {
+			reuse[i] = &RegionOut{Tree: st.Trees[plan.Prev[i]], Sum: st.Sums[plan.Prev[i]]}
+			reused += len(r.Sinks)
 		}
 	}
-	out.DP = &dpTotal
-	out.ECOTime = time.Since(te)
-	emit(PhaseECO, true, out.ECOTime)
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-
-	if err := stitchAndCompose(ctx, st.Root, plan.Regions, trees, sums, st.Tech, knobs, out, emit); err != nil {
+	out, err := synthesizeRegions(ctx, st.Root, newSinks, st.Tech, knobs, plan.Regions, reuse, PhaseECO, te)
+	if err != nil {
 		return nil, err
 	}
 	out.ECO = &ECOStats{
-		DirtyScopes: nDirty, TotalScopes: len(plan.Regions),
+		DirtyScopes: plan.DirtyCount(), TotalScopes: len(plan.Regions),
 		Partitioned: true, ReusedSinks: reused,
-	}
-	if knobs.RetainECO {
-		out.Retained = &ECOState{
-			Root: st.Root, Sinks: newSinks, Tech: st.Tech, Opt: retainedOptions(knobs),
-			Regions: plan.Regions, Trees: trees, Sums: sums,
-		}
 	}
 	return out, nil
 }
 
 // ecoMonolithic re-synthesizes the dirty leaf clusters of a monolithic
 // prior: the retained tree minus the dirty leaf nets is cloned, each dirty
-// cluster's sinks run through the same runStages pipeline as a miniature
-// scope rooted at the cluster centroid, the fresh subtrees are grafted back
-// at the centroids (re-legalizing the drive caps there), and the spliced
-// tree is re-evaluated with one flat what-if pass — no structural
-// revalidation, no staged network rebuild.
-func ecoMonolithic(ctx context.Context, prevTree *ctree.Tree, st *ECOState, d eco.Delta, newSinks []geom.Point, oldToNew []int, knobs Options, emit func(Phase, bool, time.Duration)) (*Outcome, error) {
-	emit(PhaseECO, false, 0)
+// cluster's sinks run through runStages as a miniature scope rooted at the
+// cluster centroid, the fresh subtrees are grafted back at the centroids
+// with their own centroids demoted (re-legalizing the drive caps there),
+// and the spliced tree is re-evaluated with one flat what-if pass — no
+// structural revalidation, no staged network rebuild.
+func ecoMonolithic(ctx context.Context, prevTree *ctree.Tree, st *ECOState, d eco.Delta, newSinks []geom.Point, oldToNew []int, knobs Options) (*Outcome, error) {
+	knobs.emit(PhaseECO, false, 0)
 	te := time.Now()
 	clusterOf, centroids, centroidNode, err := leafClusters(prevTree, len(st.Sinks))
 	if err != nil {
@@ -420,60 +320,45 @@ func ecoMonolithic(ctx context.Context, prevTree *ctree.Tree, st *ECOState, d ec
 	}
 
 	// Re-run the dirty clusters as miniature synthesis scopes.
-	workers := par.N(knobs.Workers)
-	outer := workers
-	if cores := par.N(0); outer > cores {
-		outer = cores
-	}
-	inner := 1
-	if len(plan.Clusters) > 0 {
-		if inner = workers / len(plan.Clusters); inner < 1 {
-			inner = 1
-		}
-	}
 	mini := knobs
 	mini.Partition = partition.Options{}
 	mini.Corners = nil
 	mini.Progress = nil
 	minis := make([]*stages, len(plan.Clusters))
-	errs := make([]error, len(plan.Clusters))
-	var done atomic.Int64
-	par.ForEach(outer, len(plan.Clusters), func(k int) {
+	err = fanOut(&knobs, PhaseECO, len(plan.Clusters), func(k, inner int) error {
 		members := plan.Members[k]
 		if len(members) == 0 {
-			return // cluster lost every sink: the centroid stays childless
+			return nil // cluster lost every sink: the centroid stays childless
 		}
 		local := make([]geom.Point, len(members))
 		for j, si := range members {
 			local[j] = newSinks[si]
 		}
 		root := prevTree.Nodes[centroidNode[plan.Clusters[k]]].Pos
-		stg, err := runStages(ctx, root, local, st.Tech, mini, inner, nil)
+		stg, err := runStages(ctx, root, local, st.Tech, mini, inner)
 		if err != nil {
-			errs[k] = fmt.Errorf("cluster %d: %w", plan.Clusters[k], err)
-			return
+			return fmt.Errorf("cluster %d: %w", plan.Clusters[k], err)
 		}
 		minis[k] = stg
-		if knobs.Progress != nil {
-			knobs.Progress(Progress{Phase: PhaseECO, Point: int(done.Add(1)), Total: len(plan.Clusters)})
-		}
+		return nil
 	})
-	var dpTotal insert.Result
-	var out Outcome
-	for k := range plan.Clusters {
-		if errs[k] != nil {
-			return nil, fmt.Errorf("core: eco: %w", errs[k])
-		}
+	if err != nil {
+		return nil, fmt.Errorf("core: eco: %w", err)
+	}
+	out := Outcome{DP: &insert.Result{}}
+	for k, c := range plan.Clusters {
 		if minis[k] == nil {
 			continue
 		}
-		graftLeafTree(tree, idMap[centroidNode[plan.Clusters[k]]], minis[k].tree, plan.Members[k])
+		if _, err := graft(tree, idMap[centroidNode[c]], minis[k].tree, plan.Members[k], -1); err != nil {
+			return nil, fmt.Errorf("core: eco: cluster %d: %w", c, err)
+		}
 		out.RouteTime += minis[k].routeTime
 		out.InsertTime += minis[k].insertTime
 		out.RefineTime += minis[k].refineTime
-		dpTotal.Nodes += minis[k].dp.Nodes
-		dpTotal.Solutions += minis[k].dp.Solutions
-		dpTotal.Merged += minis[k].dp.Merged
+		out.DP.Nodes += minis[k].dp.Nodes
+		out.DP.Solutions += minis[k].dp.Solutions
+		out.DP.Merged += minis[k].dp.Merged
 	}
 	// Re-legalize the graft points: a leaf net that grew past the cap
 	// budget gets a shielding buffer at its centroid, exactly the limit the
@@ -485,25 +370,24 @@ func ecoMonolithic(ctx context.Context, prevTree *ctree.Tree, st *ECOState, d ec
 			tree.Nodes[id].BufferAtNode = true
 		}
 	}
-	out.DP = &dpTotal
 	out.Tree = tree
 	out.ECOTime = time.Since(te)
-	emit(PhaseECO, true, out.ECOTime)
+	knobs.emit(PhaseECO, true, out.ECOTime)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 
-	emit(PhaseEval, false, 0)
+	knobs.emit(PhaseEval, false, 0)
 	t3 := time.Now()
 	m, err := eval.New(st.Tech, eval.Elmore).EvaluateWhatIf(tree, len(newSinks))
 	if err != nil {
 		return nil, fmt.Errorf("core: evaluation: %w", err)
 	}
 	out.Metrics = m
-	emit(PhaseEval, true, time.Since(t3))
+	knobs.emit(PhaseEval, true, time.Since(t3))
 
 	if len(knobs.Corners) > 0 {
-		if err := signoffCorners(ctx, &out, st.Tech, knobs, emit); err != nil {
+		if err := signoffCorners(ctx, &out, st.Tech, knobs); err != nil {
 			return nil, err
 		}
 	}
@@ -595,40 +479,4 @@ func markSubtree(t *ctree.Tree, id int, mark []bool) {
 	for _, c := range t.Nodes[id].Children {
 		markSubtree(t, c, mark)
 	}
-}
-
-// graftLeafTree splices a miniature scope's tree under the retained graft
-// point `at` (the dirty cluster's centroid): the mini root collapses into
-// the centroid (a root carrying a node buffer keeps it on a zero-length
-// child so the RC network is preserved element for element), the mini
-// scope's internal centroids are demoted to Steiner nodes so cluster
-// indices stay unique, and sink indices map through the post-delta member
-// list.
-func graftLeafTree(dst *ctree.Tree, at int, mini *ctree.Tree, members []int) {
-	rootID := mini.Root()
-	idMap := make([]int, mini.Len())
-	idMap[rootID] = at
-	if mini.Nodes[rootID].BufferAtNode {
-		b := dst.Add(at, ctree.KindSteiner, mini.Nodes[rootID].Pos)
-		dst.Nodes[b].BufferAtNode = true
-		idMap[rootID] = b
-	}
-	mini.PreOrder(func(i int) {
-		if i == rootID {
-			return
-		}
-		n := &mini.Nodes[i]
-		parent := idMap[n.Parent]
-		var id int
-		if n.Kind == ctree.KindSink {
-			id = dst.AddSink(parent, n.Pos, members[n.SinkIdx])
-		} else {
-			id = dst.Add(parent, ctree.KindSteiner, n.Pos)
-		}
-		m := &dst.Nodes[id]
-		m.Wiring = n.Wiring
-		m.SnakeExtra = n.SnakeExtra
-		m.BufferAtNode = n.BufferAtNode
-		idMap[i] = id
-	})
 }

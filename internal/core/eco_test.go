@@ -3,7 +3,9 @@ package core
 import (
 	"math"
 	"reflect"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"dscts/internal/bench"
@@ -464,5 +466,101 @@ func TestValidateRetained(t *testing.T) {
 	}
 	if err := mono.ValidateRetained(); err != nil {
 		t.Errorf("mutations leaked into the original: %v", err)
+	}
+}
+
+// TestECOProgressGrammar pins the event sequence of an incremental run in
+// both pipelines: PhaseECO begins, reports points 1..Total with Total equal
+// to the dirty scope count, and is done; the partitioned pipeline then
+// stitches, and both evaluate. The monolithic delta empties leaf cluster 0
+// (a scope with nothing to re-run) and self-moves one sink of another
+// cluster, so every re-run scope must report, emptied or not; the
+// partitioned delta self-moves one sink in each of two regions.
+func TestECOProgressGrammar(t *testing.T) {
+	c4 := ecoPlacement(t, "C4")
+	c4prev, err := Synthesize(c4.Root, c4.Sinks, tech.ASAP7(), Options{RetainECO: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clusterOf, _, _, err := leafClusters(c4prev.Tree, len(c4.Sinks))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var emptied eco.Delta
+	for s, c := range clusterOf {
+		if c == 0 {
+			emptied.Remove = append(emptied.Remove, s)
+		} else if emptied.Move == nil {
+			emptied.Move = []eco.Move{{Sink: s, To: c4.Sinks[s]}}
+		}
+	}
+	c5 := ecoPlacement(t, "C5")
+	c5prev, err := Synthesize(c5.Root, c5.Sinks, tech.ASAP7(),
+		Options{RetainECO: true, Partition: partition.Options{MaxSinks: 600}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var twoRegions eco.Delta
+	for _, r := range c5prev.Retained.Regions[:2] {
+		s := r.Sinks[0]
+		twoRegions.Move = append(twoRegions.Move, eco.Move{Sink: s, To: c5.Sinks[s]})
+	}
+	cases := []struct {
+		name  string
+		prev  *Outcome
+		delta eco.Delta
+		tail  []string
+	}{
+		{"monolithic", c4prev, emptied, []string{"eval", "eval done"}},
+		{"partitioned", c5prev, twoRegions, []string{"stitch", "stitch done", "eval", "eval done"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			var events []Progress
+			out, err := SynthesizeECO(tc.prev, tc.delta, Options{Workers: 2, Progress: func(p Progress) {
+				mu.Lock()
+				events = append(events, p)
+				mu.Unlock()
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dirty := out.ECO.DirtyScopes
+			if dirty < 2 {
+				t.Fatalf("delta dirtied %d scopes, want several", dirty)
+			}
+			want := []string{"eco"}
+			for range dirty {
+				want = append(want, "eco point")
+			}
+			want = append(want, "eco done")
+			want = append(want, tc.tail...)
+			var got []string
+			var points []int
+			for _, ev := range events {
+				name := string(ev.Phase)
+				switch {
+				case ev.Total > 0:
+					name += " point"
+					points = append(points, ev.Point)
+					if ev.Total != dirty {
+						t.Errorf("%s point %d of %d, want a total of %d dirty scopes", ev.Phase, ev.Point, ev.Total, dirty)
+					}
+				case ev.Done:
+					name += " done"
+				}
+				got = append(got, name)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("events\n  %q\nwant\n  %q", got, want)
+			}
+			slices.Sort(points)
+			for i, p := range points {
+				if p != i+1 {
+					t.Fatalf("points %v, want 1..%d", points, dirty)
+				}
+			}
+		})
 	}
 }

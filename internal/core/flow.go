@@ -174,9 +174,19 @@ type Options struct {
 	// executor preserves bit-identical Metrics. With it set, the outer
 	// region fan-out is not capped at the core count (the executor owns
 	// scheduling; the pipeline's goroutines just wait on it). Ignored by
-	// the monolithic flow and by ECO re-synthesis. Like Progress, it is a
-	// scheduling hook, never part of the result identity.
+	// the monolithic flow. ECO re-synthesis runs its dirty regions through
+	// the same pipeline, always locally: its options come from the retained
+	// state, which never carries an executor, and SynthesizeECO takes none
+	// from the caller. Like Progress, it is a scheduling hook, never part
+	// of the result identity.
 	RegionExec RegionExecFunc
+}
+
+// emit reports a phase's start (done false) or end to opt.Progress, if set.
+func (opt *Options) emit(ph Phase, done bool, elapsed time.Duration) {
+	if opt.Progress != nil {
+		opt.Progress(Progress{Phase: ph, Done: done, Elapsed: elapsed})
+	}
 }
 
 // Outcome is the result of a synthesis run.
@@ -265,15 +275,10 @@ func SynthesizeContext(ctx context.Context, rootPos geom.Point, sinks []geom.Poi
 	}
 
 	out := &Outcome{}
-	emit := func(ph Phase, done bool, elapsed time.Duration) {
-		if opt.Progress != nil {
-			opt.Progress(Progress{Phase: ph, Done: done, Elapsed: elapsed})
-		}
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	st, err := runStages(ctx, rootPos, sinks, tc, opt, opt.Workers, emit)
+	st, err := runStages(ctx, rootPos, sinks, tc, opt, opt.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -283,7 +288,7 @@ func SynthesizeContext(ctx context.Context, rootPos geom.Point, sinks []geom.Poi
 	if err := opt.Faults.Check(ctx, fault.PointEval); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	emit(PhaseEval, false, 0)
+	opt.emit(PhaseEval, false, 0)
 	t3 := time.Now()
 	if st.refine != nil {
 		// Refinement's exit report already evaluated exactly this tree with
@@ -299,11 +304,11 @@ func SynthesizeContext(ctx context.Context, rootPos geom.Point, sinks []geom.Poi
 		}
 		out.Metrics = m
 	}
-	emit(PhaseEval, true, time.Since(t3))
+	opt.emit(PhaseEval, true, time.Since(t3))
 
 	// Multi-corner sign-off: re-evaluate the finished tree per PVT corner.
 	if len(opt.Corners) > 0 {
-		if err := signoffCorners(ctx, out, tc, opt, emit); err != nil {
+		if err := signoffCorners(ctx, out, tc, opt); err != nil {
 			return nil, err
 		}
 	}

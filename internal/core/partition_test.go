@@ -53,7 +53,7 @@ func TestRegionOrderInvariance(t *testing.T) {
 		t.Fatalf("want >= 3 regions, got %d", len(regions))
 	}
 	opt := Options{Workers: 2, Partition: partition.Options{MaxSinks: 900}}
-	base, err := synthesizeRegions(context.Background(), root, sinks, tc, opt, regions, time.Now())
+	base, err := synthesizeRegions(context.Background(), root, sinks, tc, opt, regions, nil, PhasePartition, time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestRegionOrderInvariance(t *testing.T) {
 		for i, p := range perm {
 			shuffled[i] = regions[p]
 		}
-		got, err := synthesizeRegions(context.Background(), root, sinks, tc, opt, shuffled, time.Now())
+		got, err := synthesizeRegions(context.Background(), root, sinks, tc, opt, shuffled, nil, PhasePartition, time.Now())
 		if err != nil {
 			t.Fatal(err)
 		}

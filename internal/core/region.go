@@ -9,7 +9,10 @@ package core
 // its slice of that budget — and stitches the region roots under a buffered
 // top tree with a cross-region skew-balancing pass. Evaluation composes the
 // per-region reports hierarchically (internal/eval) instead of re-walking
-// the merged tree.
+// the merged tree. Partitioned ECO runs through the same pipeline with a
+// reuse list: dirty regions re-run, clean ones splice in unchanged. fanOut
+// and graft are the engine's one scope fan-out and one graft routine,
+// shared with monolithic ECO's leaf-cluster re-runs.
 //
 // Determinism contract: the partition, each region's synthesis, the stitch
 // and the composed metrics are all pure functions of (placement, tech,
@@ -23,7 +26,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -75,11 +77,9 @@ type stages struct {
 
 // runStages executes the route→insert→refine sequence on one scope with the
 // given worker budget. It is the monolithic flow minus evaluation, reused
-// verbatim per region by the partitioned pipeline; emit may be nil.
-func runStages(ctx context.Context, rootPos geom.Point, sinks []geom.Point, tc *tech.Tech, opt Options, workers int, emit func(Phase, bool, time.Duration)) (*stages, error) {
-	if emit == nil {
-		emit = func(Phase, bool, time.Duration) {}
-	}
+// verbatim by every region and ECO scope. Phase events go to opt.Progress,
+// which region and ECO scopes run with cleared.
+func runStages(ctx context.Context, rootPos geom.Point, sinks []geom.Point, tc *tech.Tech, opt Options, workers int) (*stages, error) {
 	// Defaults.
 	d := opt.Dual
 	if d.HighSize == 0 && d.LowSize == 0 {
@@ -108,7 +108,7 @@ func runStages(ctx context.Context, rootPos geom.Point, sinks []geom.Point, tc *
 	if err := opt.Faults.Check(ctx, fault.PointRoute); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	emit(PhaseRoute, false, 0)
+	opt.emit(PhaseRoute, false, 0)
 	t0 := time.Now()
 	dual, err := cluster.DualLevel(sinks, d)
 	if err != nil {
@@ -126,7 +126,7 @@ func runStages(ctx context.Context, rootPos geom.Point, sinks []geom.Point, tc *
 	}
 	st.tree = tree
 	st.routeTime = time.Since(t0)
-	emit(PhaseRoute, true, st.routeTime)
+	opt.emit(PhaseRoute, true, st.routeTime)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -135,7 +135,7 @@ func runStages(ctx context.Context, rootPos geom.Point, sinks []geom.Point, tc *
 	if err := opt.Faults.Check(ctx, fault.PointInsert); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	emit(PhaseInsert, false, 0)
+	opt.emit(PhaseInsert, false, 0)
 	t1 := time.Now()
 	cfg := insert.DefaultConfig(tc)
 	if opt.Alpha != 0 || opt.Beta != 0 || opt.Gamma != 0 {
@@ -164,7 +164,7 @@ func runStages(ctx context.Context, rootPos geom.Point, sinks []geom.Point, tc *
 	}
 	st.dp = dp
 	st.insertTime = time.Since(t1)
-	emit(PhaseInsert, true, st.insertTime)
+	opt.emit(PhaseInsert, true, st.insertTime)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -174,7 +174,7 @@ func runStages(ctx context.Context, rootPos geom.Point, sinks []geom.Point, tc *
 		if err := opt.Faults.Check(ctx, fault.PointRefine); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
-		emit(PhaseRefine, false, 0)
+		opt.emit(PhaseRefine, false, 0)
 		t2 := time.Now()
 		rp := opt.Refine
 		if rp.TriggerPct == 0 {
@@ -186,7 +186,7 @@ func runStages(ctx context.Context, rootPos geom.Point, sinks []geom.Point, tc *
 		}
 		st.refine = rr
 		st.refineTime = time.Since(t2)
-		emit(PhaseRefine, true, st.refineTime)
+		opt.emit(PhaseRefine, true, st.refineTime)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -197,18 +197,13 @@ func runStages(ctx context.Context, rootPos geom.Point, sinks []geom.Point, tc *
 // synthesizePartitioned is the partition-parallel pipeline entry, reached
 // from SynthesizeContext when the placement overflows the region capacity.
 func synthesizePartitioned(ctx context.Context, rootPos geom.Point, sinks []geom.Point, tc *tech.Tech, opt Options, start time.Time) (*Outcome, error) {
-	emit := func(ph Phase, done bool, elapsed time.Duration) {
-		if opt.Progress != nil {
-			opt.Progress(Progress{Phase: ph, Done: done, Elapsed: elapsed})
-		}
-	}
-	emit(PhasePartition, false, 0)
+	opt.emit(PhasePartition, false, 0)
 	tp := time.Now()
 	regions, err := partition.Split(sinks, opt.Partition)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	out, err := synthesizeRegions(ctx, rootPos, sinks, tc, opt, regions, tp)
+	out, err := synthesizeRegions(ctx, rootPos, sinks, tc, opt, regions, nil, PhasePartition, tp)
 	if err != nil {
 		return nil, err
 	}
@@ -216,54 +211,32 @@ func synthesizePartitioned(ctx context.Context, rootPos geom.Point, sinks []geom
 	return out, nil
 }
 
-// synthesizeRegions runs the region pipeline over an explicit region list.
+// synthesizeRegions is the region pipeline over an explicit region list,
+// shared by the partitioned flow and partitioned ECO. It synthesizes every
+// region that reuse (nil, or indexed by region ID) does not supply, splices
+// the supplied ones in unchanged, and stitches. Each synthesized region
+// reports one Point event under phase, whose done event closes the region
+// work timed from start; a reused region adds no time and no DP counters.
 // The list is canonicalized by region ID first, so any permutation of the
 // same regions produces an identical result (TestRegionOrderInvariance).
-func synthesizeRegions(ctx context.Context, rootPos geom.Point, sinks []geom.Point, tc *tech.Tech, opt Options, regions []partition.Region, tPartition time.Time) (*Outcome, error) {
+func synthesizeRegions(ctx context.Context, rootPos geom.Point, sinks []geom.Point, tc *tech.Tech, opt Options, regions []partition.Region, reuse []*RegionOut, phase Phase, start time.Time) (*Outcome, error) {
 	regions = append([]partition.Region(nil), regions...)
 	sort.Slice(regions, func(a, b int) bool { return regions[a].ID < regions[b].ID })
 	if err := partition.Validate(regions, len(sinks)); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	emit := func(ph Phase, done bool, elapsed time.Duration) {
-		if opt.Progress != nil {
-			opt.Progress(Progress{Phase: ph, Done: done, Elapsed: elapsed})
+	outs := make([]*RegionOut, len(regions))
+	var run []int
+	for i := range regions {
+		if i < len(reuse) && reuse[i] != nil {
+			outs[i] = reuse[i]
+		} else {
+			run = append(run, i)
 		}
 	}
-	out := &Outcome{}
-
-	// Region fan-out: the outer loop distributes the worker budget across
-	// regions, each region's inner phases run on an equal slice of it. The
-	// outer fan-out is additionally capped at the physical core count —
-	// beyond it, extra in-flight regions only inflate peak memory and GC
-	// pressure without adding parallelism. The engine is deterministic in
-	// every worker count, so the split affects wall-clock only, never
-	// results.
-	workers := par.N(opt.Workers)
-	outer := workers
-	if cores := runtime.GOMAXPROCS(0); outer > cores {
-		outer = cores
-	}
-	if opt.RegionExec != nil && outer < len(regions) {
-		// An installed executor schedules the regions itself (peer
-		// dispatchers); capping the fan-out at the local core count
-		// would serialize its dispatch, so every region is offered at
-		// once — the extra goroutines just wait on results.
-		outer = len(regions)
-	}
-	inner := workers / len(regions)
-	if inner < 1 {
-		inner = 1
-	}
-	type regionRun struct {
-		out  *RegionOut
-		stat RegionStat
-		err  error
-	}
-	runs := make([]regionRun, len(regions))
-	var done atomic.Int64
-	par.ForEach(outer, len(regions), func(i int) {
-		r := regions[i]
+	took := make([]time.Duration, len(regions))
+	err := fanOut(&opt, phase, len(run), func(k, inner int) error {
+		r := regions[run[k]]
 		local := make([]geom.Point, len(r.Sinks))
 		for j, si := range r.Sinks {
 			local[j] = sinks[si]
@@ -281,46 +254,47 @@ func synthesizeRegions(ctx context.Context, rootPos geom.Point, sinks []geom.Poi
 			ro, err = RunRegion(ctx, w, tc, opt, inner)
 		}
 		if err != nil {
-			runs[i].err = fmt.Errorf("region %d: %w", r.ID, err)
-			return
+			return fmt.Errorf("region %d: %w", r.ID, err)
 		}
-		sum := ro.Sum
-		sum.Sinks = r.Sinks
-		runs[i] = regionRun{out: ro, stat: RegionStat{
-			ID: r.ID, Sinks: len(r.Sinks),
-			Buffers: sum.Metrics.Buffers, NTSVs: sum.Metrics.NTSVs, WL: sum.Metrics.WL,
-			Latency: sum.Metrics.Latency, Skew: sum.Metrics.Skew,
-			Time: time.Since(t0),
-		}}
-		if opt.Progress != nil {
-			opt.Progress(Progress{Phase: PhasePartition, Point: int(done.Add(1)), Total: len(regions)})
-		}
+		outs[r.ID], took[r.ID] = ro, time.Since(t0)
+		return nil
 	})
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	out := &Outcome{Regions: make([]RegionStat, len(regions)), DP: &insert.Result{}}
 	sums := make([]*eval.RegionEval, len(regions))
 	trees := make([]*ctree.Tree, len(regions))
-	var dpTotal insert.Result
-	for i := range runs {
-		if runs[i].err != nil {
-			return nil, fmt.Errorf("core: %w", runs[i].err)
+	for i, ro := range outs {
+		// A copy: a reused summary is shared with older outcomes' state.
+		sum := *ro.Sum
+		sum.Sinks = regions[i].Sinks
+		sums[i], trees[i] = &sum, ro.Tree
+		m := sum.Metrics
+		out.Regions[i] = RegionStat{
+			ID: i, Sinks: len(sum.Sinks),
+			Buffers: m.Buffers, NTSVs: m.NTSVs, WL: m.WL, Latency: m.Latency, Skew: m.Skew,
+			Time: took[i],
 		}
-		sums[i] = runs[i].out.Sum
-		trees[i] = runs[i].out.Tree
-		out.Regions = append(out.Regions, runs[i].stat)
-		out.RouteTime += runs[i].out.RouteTime
-		out.InsertTime += runs[i].out.InsertTime
-		out.RefineTime += runs[i].out.RefineTime
-		dpTotal.Nodes += runs[i].out.DPNodes
-		dpTotal.Solutions += runs[i].out.DPSolutions
-		dpTotal.Merged += runs[i].out.DPMerged
+		out.RouteTime += ro.RouteTime
+		out.InsertTime += ro.InsertTime
+		out.RefineTime += ro.RefineTime
+		out.DP.Nodes += ro.DPNodes
+		out.DP.Solutions += ro.DPSolutions
+		out.DP.Merged += ro.DPMerged
 	}
-	out.DP = &dpTotal
-	out.PartitionTime = time.Since(tPartition)
-	emit(PhasePartition, true, out.PartitionTime)
+	elapsed := time.Since(start)
+	if phase == PhaseECO {
+		out.ECOTime = elapsed
+	} else {
+		out.PartitionTime = elapsed
+	}
+	opt.emit(phase, true, elapsed)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 
-	if err := stitchAndCompose(ctx, rootPos, regions, trees, sums, tc, opt, out, emit); err != nil {
+	if err := stitchAndCompose(ctx, rootPos, regions, trees, sums, tc, opt, out); err != nil {
 		return nil, err
 	}
 	if opt.RetainECO {
@@ -332,18 +306,53 @@ func synthesizeRegions(ctx context.Context, rootPos geom.Point, sinks []geom.Poi
 	return out, nil
 }
 
-// stitchAndCompose is the shared tail of the partitioned pipeline and of
-// partitioned incremental (ECO) re-synthesis: it stitches the top tree over
-// the region taps, grafts the region trees into one validated clock tree,
+// fanOut runs body over n scopes (regions, or ECO leaf clusters): the one
+// split of the worker budget. The outer loop runs min(workers, GOMAXPROCS)
+// scopes at once — beyond the core count, extra in-flight scopes only
+// inflate peak memory and GC pressure — or all n when opt.RegionExec
+// schedules them itself (peer dispatchers; capping at the local core count
+// would serialize dispatch, and the extra goroutines just wait on results).
+// Each scope's inner phases get max(1, workers/n). Every finished scope
+// reports one Point event under phase, and the first error in index order
+// is returned. The engine is deterministic in every worker count, so the
+// split affects wall-clock only, never results.
+func fanOut(opt *Options, phase Phase, n int, body func(k, inner int) error) error {
+	if n == 0 {
+		return nil
+	}
+	workers := par.N(opt.Workers)
+	outer := min(workers, par.N(0))
+	if opt.RegionExec != nil {
+		outer = n
+	}
+	inner := max(1, workers/n)
+	errs := make([]error, n)
+	var done atomic.Int64
+	par.ForEach(outer, n, func(k int) {
+		if errs[k] = body(k, inner); errs[k] == nil && opt.Progress != nil {
+			opt.Progress(Progress{Phase: phase, Point: int(done.Add(1)), Total: n})
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// stitchAndCompose is the region pipeline's tail, for full and ECO runs
+// alike: it stitches the top tree over the region taps, grafts the region
+// trees into one validated clock tree,
 // composes the metrics hierarchically and runs multi-corner sign-off. The
 // caller has already filled out.Regions (region ID order) and the per-phase
 // work times; the region trees are only read, never mutated, so retained
 // trees may be shared across outcomes.
-func stitchAndCompose(ctx context.Context, rootPos geom.Point, regions []partition.Region, trees []*ctree.Tree, sums []*eval.RegionEval, tc *tech.Tech, opt Options, out *Outcome, emit func(Phase, bool, time.Duration)) error {
+func stitchAndCompose(ctx context.Context, rootPos geom.Point, regions []partition.Region, trees []*ctree.Tree, sums []*eval.RegionEval, tc *tech.Tech, opt Options, out *Outcome) error {
 	if err := opt.Faults.Check(ctx, fault.PointStitch); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	emit(PhaseStitch, false, 0)
+	opt.emit(PhaseStitch, false, 0)
 	ts := time.Now()
 	ev := eval.New(tc, eval.Elmore)
 	top, taps, err := stitchTop(rootPos, regions, sums, tc, opt, ev)
@@ -357,33 +366,50 @@ func stitchAndCompose(ctx context.Context, rootPos geom.Point, regions []partiti
 	for i := range out.Regions {
 		out.Regions[i].Arrival = arrivals[i]
 	}
-	merged, err := graftRegions(top, taps, trees, regions)
-	if err != nil {
-		return err
+	// Graft every region tree under its tap, in region ID order for a
+	// deterministic node numbering, offsetting cluster indices so they stay
+	// unique. The final size is known up front: every region node grafts
+	// once, plus at most one buffer carrier per region root. Pre-sizing
+	// keeps the million-node lane from append-doubling through ~2x its
+	// final footprint in zero+copy traffic.
+	total := top.Len() + len(regions)
+	for _, rt := range trees {
+		total += rt.Len()
+	}
+	merged := top.CloneSized(total)
+	tapOf := make([]int, len(regions))
+	for id, ri := range taps {
+		tapOf[ri] = id
+	}
+	clusterBase := 0
+	for ri, rt := range trees {
+		if clusterBase, err = graft(merged, tapOf[ri], rt, regions[ri].Sinks, clusterBase); err != nil {
+			return fmt.Errorf("core: graft: region %d: %w", ri, err)
+		}
 	}
 	if err := merged.Validate(); err != nil {
 		return fmt.Errorf("core: stitched tree invalid: %w", err)
 	}
 	out.Tree = merged
 	out.StitchTime = time.Since(ts)
-	emit(PhaseStitch, true, out.StitchTime)
+	opt.emit(PhaseStitch, true, out.StitchTime)
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
 
 	// Evaluation composes the region reports hierarchically — no walk of
 	// the merged tree (TestComposeHierMatchesFullEval pins the equality).
-	emit(PhaseEval, false, 0)
+	opt.emit(PhaseEval, false, 0)
 	t3 := time.Now()
 	m, err := ev.ComposeHier(top, taps, sums)
 	if err != nil {
 		return fmt.Errorf("core: evaluation: %w", err)
 	}
 	out.Metrics = m
-	emit(PhaseEval, true, time.Since(t3))
+	opt.emit(PhaseEval, true, time.Since(t3))
 
 	if len(opt.Corners) > 0 {
-		if err := signoffCorners(ctx, out, tc, opt, emit); err != nil {
+		if err := signoffCorners(ctx, out, tc, opt); err != nil {
 			return err
 		}
 	}
@@ -530,91 +556,70 @@ func balanceRegions(top *ctree.Tree, taps map[int]int, sums []*eval.RegionEval, 
 	return nil
 }
 
-// graftRegions deep-copies every region tree under its tap node, remapping
-// sink indices back to the original placement and offsetting cluster
-// indices so they stay unique in the merged tree. The region root collapses
-// into the tap; a region root that itself carries a node buffer keeps it on
-// a zero-length child so the merged RC network matches the region-local one
-// element for element.
-func graftRegions(top *ctree.Tree, taps map[int]int, trees []*ctree.Tree, regions []partition.Region) (*ctree.Tree, error) {
-	// The final size is known up front: every region node grafts exactly
-	// once (plus at most one buffer carrier per region root). Pre-sizing
-	// keeps the million-node lane from append-doubling through ~2x its
-	// final footprint in zero+copy traffic.
-	total := top.Len() + len(regions)
-	for _, rt := range trees {
-		total += rt.Len()
+// graft deep-copies src under node at of dst and returns one past the
+// largest cluster index it wrote (clusterBase if none). src's root
+// collapses into at; a root that carries a node buffer keeps it on a
+// zero-length child, so the merged RC network matches src's element for
+// element. Sink indices map through sinks (src-local index → dst index).
+// Centroids keep their cluster index offset by clusterBase or, for a
+// negative clusterBase, become Steiner nodes: an ECO leaf tree demotes its
+// own centroids so leafClusters still finds exactly the retained clusters
+// on a chained delta.
+func graft(dst *ctree.Tree, at int, src *ctree.Tree, sinks []int, clusterBase int) (int, error) {
+	rootID := src.Root()
+	idMap := make([]int, src.Len())
+	idMap[rootID] = at
+	if src.Nodes[rootID].BufferAtNode {
+		b := dst.Add(at, ctree.KindSteiner, src.Nodes[rootID].Pos)
+		dst.Nodes[b].BufferAtNode = true
+		idMap[rootID] = b
 	}
-	merged := top.CloneSized(total)
-	clusterBase := 0
-	// Graft in region ID order for a deterministic node numbering.
-	tapOf := make([]int, len(regions))
-	for id, ri := range taps {
-		tapOf[ri] = id
-	}
-	for ri, rt := range trees {
-		tap := tapOf[ri]
-		rootID := rt.Root()
-		idMap := make([]int, rt.Len())
-		idMap[rootID] = tap
-		if rt.Nodes[rootID].BufferAtNode {
-			b := merged.Add(tap, ctree.KindSteiner, rt.Nodes[rootID].Pos)
-			merged.Nodes[b].BufferAtNode = true
-			idMap[rootID] = b
+	next := clusterBase
+	var err error
+	// PreOrder guarantees parents map before children even after edge
+	// splitting re-parented nodes (indices alone are not top-down).
+	src.PreOrder(func(i int) {
+		if i == rootID || err != nil {
+			return
 		}
-		maxCluster := -1
-		var graftErr error
-		// PreOrder guarantees parents map before children even after edge
-		// splitting re-parented nodes (indices alone are not top-down).
-		rt.PreOrder(func(i int) {
-			if i == rootID || graftErr != nil {
+		n := &src.Nodes[i]
+		parent := idMap[n.Parent]
+		var id int
+		switch {
+		case n.Kind == ctree.KindSink:
+			if n.SinkIdx < 0 || n.SinkIdx >= len(sinks) {
+				err = fmt.Errorf("sink index %d out of range", n.SinkIdx)
 				return
 			}
-			n := &rt.Nodes[i]
-			parent := idMap[n.Parent]
-			var id int
-			switch n.Kind {
-			case ctree.KindSink:
-				if n.SinkIdx < 0 || n.SinkIdx >= len(regions[ri].Sinks) {
-					graftErr = fmt.Errorf("core: graft: region %d sink index %d out of range", ri, n.SinkIdx)
-					return
-				}
-				id = merged.AddSink(parent, n.Pos, regions[ri].Sinks[n.SinkIdx])
-			case ctree.KindCentroid:
-				id = merged.AddCentroid(parent, n.Pos, clusterBase+n.ClusterIdx)
-				if n.ClusterIdx > maxCluster {
-					maxCluster = n.ClusterIdx
-				}
-			case ctree.KindSteiner:
-				id = merged.Add(parent, ctree.KindSteiner, n.Pos)
-			default:
-				graftErr = fmt.Errorf("core: graft: region %d has nested root node %d", ri, i)
-				return
-			}
-			// The graft preserves fan-out exactly, so reserve it: sink
-			// appends under wide centroids then stay inside the carved
-			// block instead of re-growing the child slice.
-			merged.ReserveChildren(id, len(n.Children))
-			m := &merged.Nodes[id]
-			m.Wiring = n.Wiring
-			m.SnakeExtra = n.SnakeExtra
-			m.BufferAtNode = n.BufferAtNode
-			idMap[i] = id
-		})
-		if graftErr != nil {
-			return nil, graftErr
+			id = dst.AddSink(parent, n.Pos, sinks[n.SinkIdx])
+		case n.Kind == ctree.KindCentroid && clusterBase >= 0:
+			id = dst.AddCentroid(parent, n.Pos, clusterBase+n.ClusterIdx)
+			next = max(next, clusterBase+n.ClusterIdx+1)
+		case n.Kind == ctree.KindCentroid || n.Kind == ctree.KindSteiner:
+			id = dst.Add(parent, ctree.KindSteiner, n.Pos)
+		default:
+			err = fmt.Errorf("nested root node %d", i)
+			return
 		}
-		clusterBase += maxCluster + 1
-	}
-	return merged, nil
+		// The graft preserves fan-out exactly, so reserve it: sink appends
+		// under wide centroids then stay inside the carved block instead of
+		// re-growing the child slice.
+		dst.ReserveChildren(id, len(n.Children))
+		m := &dst.Nodes[id]
+		m.Wiring = n.Wiring
+		m.SnakeExtra = n.SnakeExtra
+		m.BufferAtNode = n.BufferAtNode
+		idMap[i] = id
+	})
+	return next, err
 }
 
 // signoffCorners runs the multi-corner evaluation on a finished outcome.
-func signoffCorners(ctx context.Context, out *Outcome, tc *tech.Tech, opt Options, emit func(Phase, bool, time.Duration)) error {
+func signoffCorners(ctx context.Context, out *Outcome, tc *tech.Tech, opt Options) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	emit(PhaseCorners, false, 0)
+	opt.emit(PhaseCorners, false, 0)
 	t4 := time.Now()
 	copt := corner.Options{Workers: opt.Workers}
 	if opt.Progress != nil {
@@ -628,6 +633,6 @@ func signoffCorners(ctx context.Context, out *Outcome, tc *tech.Tech, opt Option
 	}
 	out.Corners = rep
 	out.CornersTime = time.Since(t4)
-	emit(PhaseCorners, true, out.CornersTime)
+	opt.emit(PhaseCorners, true, out.CornersTime)
 	return nil
 }

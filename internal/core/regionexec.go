@@ -67,10 +67,8 @@ func RunRegion(ctx context.Context, w RegionWork, tc *tech.Tech, opt Options, wo
 	if workers < 1 {
 		workers = 1
 	}
-	ropt := opt
-	ropt.Progress = nil
-	ropt.RegionExec = nil
-	st, err := runStages(ctx, w.Anchor, w.Sinks, tc, ropt, workers, nil)
+	opt.Progress = nil
+	st, err := runStages(ctx, w.Anchor, w.Sinks, tc, opt, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -78,17 +76,11 @@ func RunRegion(ctx context.Context, w RegionWork, tc *tech.Tech, opt Options, wo
 	if err != nil {
 		return nil, err
 	}
-	ro := &RegionOut{
-		Tree:       st.tree,
-		Sum:        sum,
-		RouteTime:  st.routeTime,
-		InsertTime: st.insertTime,
-		RefineTime: st.refineTime,
-	}
-	if st.dp != nil {
-		ro.DPNodes, ro.DPSolutions, ro.DPMerged = st.dp.Nodes, st.dp.Solutions, st.dp.Merged
-	}
-	return ro, nil
+	return &RegionOut{
+		Tree: st.tree, Sum: sum,
+		DPNodes: st.dp.Nodes, DPSolutions: st.dp.Solutions, DPMerged: st.dp.Merged,
+		RouteTime: st.routeTime, InsertTime: st.insertTime, RefineTime: st.refineTime,
+	}, nil
 }
 
 // Validate rejects a result that cannot be stitched: a missing tree or
