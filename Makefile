@@ -99,10 +99,12 @@ chaos:
 cluster:
 	$(GO) run ./cmd/benchgen -load -cluster 3
 
-# One worker: the CI and nightly regression gates compare speedup ratios
-# against this baseline, and those ratios are not worker-count invariant.
+# One worker at GOMAXPROCS=1: the CI and nightly regression gates compare
+# speedup ratios against this baseline, those ratios are not worker-count
+# invariant, and `benchgen -compare` refuses reports recorded at different
+# gomaxprocs.
 eco:
-	$(GO) run ./cmd/benchgen -eco-out BENCH_eco.json
+	GOMAXPROCS=1 $(GO) run ./cmd/benchgen -eco-out BENCH_eco.json
 
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkSubstrates|BenchmarkParallelSynthesize|BenchmarkPartitionSynthesize|BenchmarkSplit|BenchmarkCornerSignoff|BenchmarkFig11SkewRefinement' -benchmem .

@@ -24,6 +24,27 @@ import (
 //
 // Raw *_ms wall-clock leaves are deliberately NOT gated: comparing
 // absolute times recorded on different hardware only produces noise.
+//
+// Nor are two reports compared whose headers differ in a host field
+// (hostFields): a speedup measured at another GOMAXPROCS is a different
+// workload (the full run parallelizes, a one-cluster ECO barely does), so
+// the gate would measure the setting instead of the code.
+
+// hostFields are the report header fields two compared reports must share.
+var hostFields = []string{"goos", "goarch", "gomaxprocs"}
+
+// sameHost returns an error naming the first host field whose value
+// differs between the two parsed reports.
+func sameHost(base, cur any) error {
+	b, _ := base.(map[string]any)
+	c, _ := cur.(map[string]any)
+	for _, f := range hostFields {
+		if bv, cv := fmt.Sprint(b[f]), fmt.Sprint(c[f]); bv != cv {
+			return fmt.Errorf("%s differs: baseline %s, new %s", f, bv, cv)
+		}
+	}
+	return nil
+}
 
 // comparePolicy classifies a leaf key.
 func comparePolicy(key string) (higherBetter, gated bool) {
@@ -166,6 +187,9 @@ func runCompare(basePath, newPath string, maxRegress float64) error {
 	cur, err := loadJSON(newPath)
 	if err != nil {
 		return err
+	}
+	if err := sameHost(base, cur); err != nil {
+		return fmt.Errorf("%s and %s are not comparable: %w", basePath, newPath, err)
 	}
 	regs, checked := compareReports(base, cur, maxRegress)
 	if checked == 0 {
