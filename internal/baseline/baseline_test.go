@@ -197,8 +197,8 @@ func TestFlipSkipsBufferedEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buffered []int
-	for _, id := range tr.TrunkEdges() {
-		if tr.Nodes[id].Wiring.BufMid {
+	for id, n := range tr.Nodes {
+		if n.Kind != ctree.KindSink && id != tr.Root() && n.Wiring.BufMid {
 			buffered = append(buffered, id)
 		}
 	}

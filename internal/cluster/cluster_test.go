@@ -135,11 +135,12 @@ func TestKMeansBeatsSingleCluster(t *testing.T) {
 		c = c.Add(p)
 	}
 	c = c.Scale(1 / float64(len(pts)))
-	single := 0.0
-	for _, p := range pts {
+	single, got := 0.0, 0.0
+	for i, p := range pts {
 		single += p.Dist(c)
+		got += p.Dist(res.Centroids[res.Assign[i]])
 	}
-	if got := res.IntraWL(pts); got > single*1.01 {
+	if got > single*1.01 {
 		t.Fatalf("k-means WL %v worse than single cluster %v", got, single)
 	}
 }

@@ -100,17 +100,6 @@ func (w *Work) add(o Work) {
 // K returns the number of clusters.
 func (r *Result) K() int { return len(r.Centroids) }
 
-// IntraWL returns the total intra-cluster wirelength approximation the
-// high-level clustering minimizes: the sum of Manhattan distances from each
-// point to its cluster centroid.
-func (r *Result) IntraWL(pts []geom.Point) float64 {
-	var wl float64
-	for i, a := range r.Assign {
-		wl += pts[i].Dist(r.Centroids[a])
-	}
-	return wl
-}
-
 // Options controls KMeans.
 type Options struct {
 	// TargetSize is the desired cluster size; K = ceil(N/TargetSize).

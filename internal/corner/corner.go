@@ -49,7 +49,7 @@ type Corner struct {
 }
 
 // factors lists the corner's factor fields in a fixed order; used by
-// Normalize, Validate and Interpolate so no axis can be missed.
+// Normalize, Validate and the tests' Interpolate so no axis can be missed.
 func (c *Corner) factors() []*float64 {
 	return []*float64{
 		&c.WireRes, &c.WireCap,
@@ -228,20 +228,6 @@ func ValidateSet(corners []Corner) error {
 		seen[c.Name] = true
 	}
 	return nil
-}
-
-// Interpolate blends two corners: t=0 returns a, t=1 returns b, with every
-// factor interpolated linearly in between (t outside [0,1] extrapolates).
-// Used to synthesize dense corner sweeps between the slow and fast presets
-// for scaling studies.
-func Interpolate(a, b Corner, t float64, name string) Corner {
-	na, nb := a.Normalize(), b.Normalize()
-	out := Corner{Name: name}
-	fa, fb, fo := na.factors(), nb.factors(), out.factors()
-	for i := range fo {
-		*fo[i] = *fa[i] + t*(*fb[i]-*fa[i])
-	}
-	return out
 }
 
 // Names returns the corner names in order, for labels and cache keys.

@@ -316,3 +316,17 @@ func TestEvaluateNLDMMode(t *testing.T) {
 		t.Fatalf("slow corner slew %g not above fast %g", slow.Metrics.MaxSlew, fast.Metrics.MaxSlew)
 	}
 }
+
+// Interpolate blends two corners: t=0 returns a, t=1 returns b, with every
+// factor interpolated linearly in between (t outside [0,1] extrapolates).
+// Tests use it to synthesize corner sweeps between the slow and fast
+// presets; it is exported so the external reference tests reach it too.
+func Interpolate(a, b Corner, t float64, name string) Corner {
+	na, nb := a.Normalize(), b.Normalize()
+	out := Corner{Name: name}
+	fa, fb, fo := na.factors(), nb.factors(), out.factors()
+	for i := range fo {
+		*fo[i] = *fa[i] + t*(*fb[i]-*fa[i])
+	}
+	return out
+}

@@ -305,19 +305,6 @@ func (t *Tree) Centroids() []int {
 	return out
 }
 
-// TrunkEdges returns the ids of nodes whose incoming edge belongs to the
-// trunk (everything at or above centroids: Steiner and centroid nodes).
-func (t *Tree) TrunkEdges() []int {
-	var out []int
-	t.PreOrder(func(id int) {
-		k := t.Nodes[id].Kind
-		if id != t.Root() && (k == KindSteiner || k == KindCentroid) {
-			out = append(out, id)
-		}
-	})
-	return out
-}
-
 // Wirelength returns the total Manhattan wirelength of all edges (µm).
 func (t *Tree) Wirelength() float64 {
 	var wl float64

@@ -283,59 +283,5 @@ func (t *Tree) Wirelength() float64 {
 	return wl
 }
 
-// LeafDelays computes, for verification, the Elmore delay from the root
-// tapping point to every leaf on the given layer (L-model, including snake
-// detours and each leaf's own Cap and ready Delay). Returns a map from leaf
-// index to delay.
-func (t *Tree) LeafDelays(layer tech.Layer, leaves []Leaf) map[int]float64 {
-	r, c := layer.UnitRes, layer.UnitCap
-	// Downstream cap per node, leaves seeded with their loads.
-	caps := make([]float64, len(t.Nodes))
-	order := t.postOrder()
-	for _, i := range order {
-		n := t.Nodes[i]
-		if n.LeafIdx >= 0 {
-			caps[i] += leaves[n.LeafIdx].Cap
-		}
-		if n.Parent >= 0 {
-			l := t.Nodes[i].Pos.Dist(t.Nodes[n.Parent].Pos) + n.SnakeExtra
-			caps[n.Parent] += caps[i] + c*l
-		}
-	}
-	out := make(map[int]float64)
-	delay := make([]float64, len(t.Nodes))
-	for i := len(order) - 1; i >= 0; i-- { // reverse postorder = preorder
-		idx := order[i]
-		n := t.Nodes[idx]
-		if n.Parent >= 0 {
-			l := n.Pos.Dist(t.Nodes[n.Parent].Pos) + n.SnakeExtra
-			delay[idx] = delay[n.Parent] + r*l*(c*l+caps[idx])
-		}
-		if n.LeafIdx >= 0 {
-			out[n.LeafIdx] = delay[idx] + leaves[n.LeafIdx].Delay
-		}
-	}
-	return out
-}
-
-func (t *Tree) postOrder() []int {
-	kids := make([][]int, len(t.Nodes))
-	for i, n := range t.Nodes {
-		if n.Parent >= 0 {
-			kids[n.Parent] = append(kids[n.Parent], i)
-		}
-	}
-	var order []int
-	var rec func(int)
-	rec = func(i int) {
-		for _, k := range kids[i] {
-			rec(k)
-		}
-		order = append(order, i)
-	}
-	rec(t.Root)
-	return order
-}
-
 // DebugMerge enables merge tracing for development.
 var DebugMerge bool

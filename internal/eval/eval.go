@@ -235,10 +235,10 @@ func (e *Evaluator) measure(s *evalScratch, t *ctree.Tree, m *Metrics) (lo, hi f
 }
 
 // DownstreamCap returns the unshielded capacitance that node id's output
-// stage drives, under exactly BuildNetwork's lowering rules: wire body cap
-// by side, nTSV caps, sink pin caps, with buffers — node-level or mid-edge
-// — shielding everything below them behind their input cap. It lives here,
-// next to BuildNetwork, so the lowering rules have a single home; the ECO
+// stage drives, under exactly lowerTree's lowering rules: wire body cap by
+// side, nTSV caps, sink pin caps, with buffers — node-level or mid-edge —
+// shielding everything below them behind their input cap. It lives here,
+// next to lowerTree, so the lowering rules have a single home; the ECO
 // engine uses it to re-legalize graft points (a spliced leaf net that
 // outgrew the drive budget gets a shielding buffer).
 // TestDownstreamCapMatchesNetwork pins it against the network builder.
@@ -276,26 +276,6 @@ func DownstreamCap(t *ctree.Tree, id int, tc *tech.Tech) float64 {
 	return total
 }
 
-// BuildNetwork lowers the annotated clock tree into a staged RC network.
-// It returns the network and a map from original sink index to network node.
-//
-// Lowering rules per edge (parent → child), following the delay models of
-// Sec. II-B: a front/back wire is a series resistance with its cap at the
-// downstream node (L-model); a mid-edge buffer splits the edge into two
-// halves around a buffer element; an nTSV is a series resistance with its
-// cap at its downstream node. A node-level buffer (BufferAtNode) is placed
-// between the edge's arrival and the node's children. The clock root drives
-// stage 0 through the buffer's drive resistance (root driver).
-func BuildNetwork(t *ctree.Tree, tc *tech.Tech) (*timing.Network, map[int]int, error) {
-	net := timing.NewNetwork(tc.Buf.DriveRes)
-	sinkNode := make(map[int]int)
-	netOf := make([]int, t.Len())
-	lowerTree(t, tc, net, netOf, func(sinkIdx, node int) {
-		sinkNode[sinkIdx] = node
-	})
-	return net, sinkNode, nil
-}
-
 // lower rebuilds the scratch network and sink pairs from the tree, reusing
 // every lane from the previous evaluation.
 func (s *evalScratch) lower(t *ctree.Tree, tc *tech.Tech) {
@@ -312,6 +292,14 @@ func (s *evalScratch) lower(t *ctree.Tree, tc *tech.Tech) {
 // RC elements to net (which must hold only the root driver), records each
 // tree vertex's network node in netOf (len >= t.Len()), and reports each
 // sink's pin node through emit, in preorder.
+//
+// Lowering rules per edge (parent → child), following the delay models of
+// Sec. II-B: a front/back wire is a series resistance with its cap at the
+// downstream node (L-model); a mid-edge buffer splits the edge into two
+// halves around a buffer element; an nTSV is a series resistance with its
+// cap at its downstream node. A node-level buffer (BufferAtNode) is placed
+// between the edge's arrival and the node's children. The clock root drives
+// stage 0 through the buffer's drive resistance (root driver).
 func lowerTree(t *ctree.Tree, tc *tech.Tech, net *timing.Network, netOf []int, emit func(sinkIdx, node int)) {
 	front, back, tsv, buf := tc.Front(), tc.Back(), tc.TSV, tc.Buf
 	netOf[t.Root()] = 0

@@ -102,7 +102,7 @@ type whatIfScratch struct {
 	pload []float64 // their loads with the trial slot switched on
 }
 
-// NewWhatIf lowers the annotated tree once, mirroring BuildNetwork's RC
+// NewWhatIf lowers the annotated tree once, mirroring lowerTree's RC
 // rules, and plants a toggleable buffer slot at every centroid that does
 // not already carry a node buffer. The tree must already be valid (the
 // caller's initial Evaluate checks that). The model (lanes, slot map and

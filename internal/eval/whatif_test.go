@@ -7,6 +7,7 @@ import (
 	"dscts/internal/ctree"
 	"dscts/internal/geom"
 	"dscts/internal/tech"
+	"dscts/internal/timing"
 )
 
 // refineryTree builds a small two-cluster tree with leaf nets, the shape
@@ -44,10 +45,8 @@ func TestDownstreamCapMatchesNetwork(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	net, _, err := BuildNetwork(tr, tc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := timing.NewNetwork(tc.Buf.DriveRes)
+	lowerTree(tr, tc, net, make([]int, tr.Len()), func(int, int) {})
 	got := DownstreamCap(tr, tr.Root(), tc)
 	want := net.SourceLoad()
 	if math.Abs(got-want) > 1e-9 {

@@ -38,22 +38,6 @@ func (p Point) Dist(q Point) float64 {
 	return math.Abs(p.X-q.X) + math.Abs(q.Y-p.Y)
 }
 
-// DistEuclid returns the Euclidean distance between p and q; used only by the
-// k-means clustering objective.
-func (p Point) DistEuclid(q Point) float64 {
-	dx, dy := p.X-q.X, p.Y-q.Y
-	return math.Hypot(dx, dy)
-}
-
-// Dist2 returns the squared Euclidean distance between p and q. Comparing
-// squared distances orders points identically to DistEuclid without the
-// overflow-guarded math.Hypot, which makes it the right primitive for the
-// nearest-centroid hot loop of clustering.
-func (p Point) Dist2(q Point) float64 {
-	dx, dy := p.X-q.X, p.Y-q.Y
-	return dx*dx + dy*dy
-}
-
 // Lerp returns the point a fraction t of the way from p to q along the
 // straight segment pq. t outside [0,1] extrapolates.
 func (p Point) Lerp(q Point, t float64) Point {

@@ -17,27 +17,11 @@ type Arc struct {
 	U0, V0, U1, V1 float64
 }
 
-// ArcFromPoints returns the Manhattan arc between two points given in the
-// ORIGINAL frame. The two points must lie on a common Manhattan arc (same u
-// or same v in tilted coordinates); otherwise ok is false.
-func ArcFromPoints(a, b Point, eps float64) (Arc, bool) {
-	ta, tb := a.Tilted(), b.Tilted()
-	if math.Abs(ta.X-tb.X) <= eps || math.Abs(ta.Y-tb.Y) <= eps {
-		return Arc{ta.X, ta.Y, tb.X, tb.Y}, true
-	}
-	return Arc{}, false
-}
-
 // PointArc returns the degenerate arc consisting of the single point p
 // (original frame).
 func PointArc(p Point) Arc {
 	t := p.Tilted()
 	return Arc{t.X, t.Y, t.X, t.Y}
-}
-
-// IsPoint reports whether the arc is degenerate (a single point).
-func (a Arc) IsPoint(eps float64) bool {
-	return math.Abs(a.U0-a.U1) <= eps && math.Abs(a.V0-a.V1) <= eps
 }
 
 // Len returns the Manhattan length of the arc (the L1 distance between its
@@ -52,11 +36,6 @@ func (a Arc) A() Point { return FromTilted(Point{a.U0, a.V0}) }
 
 // B returns the other endpoint in the original frame.
 func (a Arc) B() Point { return FromTilted(Point{a.U1, a.V1}) }
-
-// Mid returns the arc midpoint in the original frame.
-func (a Arc) Mid() Point {
-	return FromTilted(Point{(a.U0 + a.U1) / 2, (a.V0 + a.V1) / 2})
-}
 
 // Sample returns the point a fraction t∈[0,1] along the arc (original frame).
 func (a Arc) Sample(t float64) Point {
@@ -130,26 +109,6 @@ func (t TRR) CoreArc() Arc {
 	return Arc{um, t.VLo, um, t.VHi}
 }
 
-// DistPoint returns the Manhattan distance from the original-frame point p to
-// the region (0 if inside). In tilted coordinates the L1 distance becomes
-// L∞, so the distance to an axis-aligned rectangle is the max of the per-axis
-// interval distances.
-func (t TRR) DistPoint(p Point) float64 {
-	tp := p.Tilted()
-	du := intervalDist(tp.X, t.ULo, t.UHi)
-	dv := intervalDist(tp.Y, t.VLo, t.VHi)
-	return math.Max(du, dv)
-}
-
-// DistArc returns the minimum Manhattan distance between the region and the
-// arc a.
-func (t TRR) DistArc(a Arc) float64 {
-	c := a.canonical()
-	du := intervalGap(c.U0, c.U1, t.ULo, t.UHi)
-	dv := intervalGap(c.V0, c.V1, t.VLo, t.VHi)
-	return math.Max(du, dv)
-}
-
 // ArcDist returns the minimum Manhattan distance between two Manhattan arcs.
 func ArcDist(a, b Arc) float64 {
 	ca, cb := a.canonical(), b.canonical()
@@ -175,17 +134,6 @@ func ClosestBetweenArcs(a, b Arc) (Point, Point) {
 	ua, ub := closestIntervalPoints(ca.U0, ca.U1, cb.U0, cb.U1)
 	va, vb := closestIntervalPoints(ca.V0, ca.V1, cb.V0, cb.V1)
 	return FromTilted(Point{ua, va}), FromTilted(Point{ub, vb})
-}
-
-// intervalDist returns the distance from x to the interval [lo,hi].
-func intervalDist(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo - x
-	}
-	if x > hi {
-		return x - hi
-	}
-	return 0
 }
 
 // intervalGap returns the gap between intervals [a0,a1] and [b0,b1]

@@ -174,8 +174,8 @@ func TestRunIntraModeUsesNoTSVs(t *testing.T) {
 		t.Fatalf("tree has %d nTSVs", tsvs)
 	}
 	// Without nTSVs nothing can reach the back side from the front root.
-	for _, id := range tr.TrunkEdges() {
-		if tr.Nodes[id].Wiring.WireSide == ctree.Back {
+	for id, n := range tr.Nodes {
+		if n.Kind != ctree.KindSink && id != tr.Root() && n.Wiring.WireSide == ctree.Back {
 			t.Fatalf("edge %d on back side without nTSVs", id)
 		}
 	}
@@ -253,8 +253,8 @@ func TestModeHeterogeneityByFanout(t *testing.T) {
 	}
 	// Edges with fanout >= threshold must not carry nTSVs.
 	counts := tr.SinkCounts()
-	for _, id := range tr.TrunkEdges() {
-		if counts[id] >= threshold && tr.Nodes[id].Wiring.NTSVCount() > 0 {
+	for id, n := range tr.Nodes {
+		if n.Kind != ctree.KindSink && id != tr.Root() && counts[id] >= threshold && n.Wiring.NTSVCount() > 0 {
 			t.Fatalf("edge %d (fanout %d) carries nTSVs in intra mode", id, counts[id])
 		}
 	}

@@ -42,7 +42,7 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	tr.Begin("route")
 	tr.End("route", time.Second)
 	tr.Point("route")
-	if tr.Spans() != nil || tr.Totals() != nil {
+	if tr.Totals() != nil {
 		t.Fatalf("nil tracer recorded")
 	}
 }

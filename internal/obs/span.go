@@ -112,17 +112,6 @@ func (t *Tracer) Point(phase string) {
 	t.mu.Unlock()
 }
 
-// Spans snapshots the closed spans in completion order.
-func (t *Tracer) Spans() []Span {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	out := append([]Span(nil), t.spans...)
-	t.mu.Unlock()
-	return out
-}
-
 // Totals aggregates the closed spans per phase, ordered by first
 // completion; point-only phases (e.g. DSE sweeps) appear with Count 0.
 func (t *Tracer) Totals() []PhaseTotal {

@@ -29,17 +29,6 @@ func WireDelay(l tech.Layer, length, cd float64) float64 {
 	return l.UnitRes * length * (l.UnitCap*length + cd)
 }
 
-// BufOnWireDelay is the paper's Eq. (1): the source-to-sink delay of a
-// front-side segment of length L with one buffer inserted at its middle,
-// using a constant buffer delay Dbuf. Provided as the reference formula the
-// DP's P1 pattern is validated against (the DP itself uses the linear gate
-// model, which reduces to Eq. (1) when DriveRes·load is folded into Dbuf).
-func BufOnWireDelay(front tech.Layer, length, cb, cd, dbuf float64) float64 {
-	rf, cf := front.UnitRes, front.UnitCap
-	h := length / 2
-	return rf*h*(cf*h+cb) + dbuf + rf*h*(cf*h+cd)
-}
-
 // NTSVOnWireDelay is the paper's Eq. (2): the delay of a segment of length L
 // moved to the back side with one nTSV at each endpoint, driving load Cd.
 // Topology: source -[R_tsv]- (C_tsv) -[r_b·L]- (c_b·L) -[R_tsv]- (C_tsv+Cd).

@@ -110,11 +110,6 @@ func (n *Network) AddBuffer(parent int, res float64, b tech.Buffer) int {
 	return n.add(parent, res, b.InputCap, bi)
 }
 
-// AddSink appends a leaf node with the given wire resistance and pin cap.
-func (n *Network) AddSink(parent int, res, pinCap float64) int {
-	return n.AddWire(parent, res, pinCap)
-}
-
 func (n *Network) checkParent(parent int) {
 	if parent < 0 || parent >= len(n.parent) {
 		panic(fmt.Sprintf("timing: invalid parent %d of %d", parent, len(n.parent)))
@@ -241,15 +236,11 @@ func (n *Network) elmoreSeg(i int, load []float64) float64 {
 	return n.res[i] * visible
 }
 
-// Slews returns the transition time at every node using PERI propagation
-// (slew_out² = slew_in² + step²) with wire step = ln9 · Elmore of the
-// segment, and buffer output slew from the supplied table (nil table falls
-// back to a linear model derived from the buffer parameters).
-func (n *Network) Slews(inputSlew float64, tbl *NLDM) []float64 {
-	return n.SlewsInto(nil, inputSlew, tbl)
-}
-
-// SlewsInto is Slews writing into dst (grown as needed).
+// SlewsInto writes the transition time at every node into dst (grown as
+// needed), using PERI propagation (slew_out² = slew_in² + step²) with wire
+// step = ln9 · Elmore of the segment, and buffer output slew from the
+// supplied table (nil table falls back to a linear model derived from the
+// buffer parameters).
 func (n *Network) SlewsInto(dst []float64, inputSlew float64, tbl *NLDM) []float64 {
 	load := n.stageLoads()
 	nn := len(n.parent)
@@ -272,15 +263,10 @@ func (n *Network) SlewsInto(dst []float64, inputSlew float64, tbl *NLDM) []float
 	return s
 }
 
-// DelaysNLDM returns per-node delays using NLDM gate lookup for buffers
-// (delay depends on input slew and load) and Elmore for wires. This is the
-// paper's evaluation mode ("the Elmore delay, the slew model and the NLDM
-// for delay computation", Sec. IV-A).
-func (n *Network) DelaysNLDM(inputSlew float64, tbl *NLDM) []float64 {
-	return n.DelaysNLDMInto(nil, inputSlew, tbl)
-}
-
-// DelaysNLDMInto is DelaysNLDM writing into dst (grown as needed). The slew
+// DelaysNLDMInto writes per-node delays into dst (grown as needed), using
+// NLDM gate lookup for buffers (delay depends on input slew and load) and
+// Elmore for wires. This is the paper's evaluation mode ("the Elmore delay,
+// the slew model and the NLDM for delay computation", Sec. IV-A). The slew
 // lane rides in internal scratch.
 func (n *Network) DelaysNLDMInto(dst []float64, inputSlew float64, tbl *NLDM) []float64 {
 	load := n.stageLoads()

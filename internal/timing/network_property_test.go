@@ -78,7 +78,7 @@ func TestNetworkNLDMDominatesElmore(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		n, _ := randomNetwork(rng, tc)
 		el := n.Delays()
-		nl := n.DelaysNLDM(5, tbl)
+		nl := n.DelaysNLDMInto(nil, 5, tbl)
 		for i := range el {
 			if nl[i]+1e-9 < el[i] {
 				t.Fatalf("NLDM %v below Elmore %v at node %d", nl[i], el[i], i)
@@ -95,7 +95,7 @@ func TestNetworkSlewsSane(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		n, _ := randomNetwork(rng, tc)
 		for _, tb := range []*NLDM{nil, tbl} {
-			s := n.Slews(5, tb)
+			s := n.SlewsInto(nil, 5, tb)
 			for i, v := range s {
 				if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) || v > 1e6 {
 					t.Fatalf("slew %v at node %d (table=%v)", v, i, tb != nil)
