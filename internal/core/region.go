@@ -343,11 +343,11 @@ func fanOut(opt *Options, phase Phase, n int, body func(k, inner int) error) err
 
 // stitchAndCompose is the region pipeline's tail, for full and ECO runs
 // alike: it stitches the top tree over the region taps, grafts the region
-// trees into one validated clock tree,
-// composes the metrics hierarchically and runs multi-corner sign-off. The
-// caller has already filled out.Regions (region ID order) and the per-phase
-// work times; the region trees are only read, never mutated, so retained
-// trees may be shared across outcomes.
+// trees into one validated clock tree, composes the metrics hierarchically
+// and runs multi-corner sign-off. The caller has already filled
+// out.Regions (region ID order) and the per-phase work times; the region
+// trees are only read, never mutated, so retained trees may be shared
+// across outcomes.
 func stitchAndCompose(ctx context.Context, rootPos geom.Point, regions []partition.Region, trees []*ctree.Tree, sums []*eval.RegionEval, tc *tech.Tech, opt Options, out *Outcome) error {
 	if err := opt.Faults.Check(ctx, fault.PointStitch); err != nil {
 		return fmt.Errorf("core: %w", err)
