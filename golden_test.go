@@ -6,8 +6,11 @@ package dscts
 // default, an "equivalent" algorithm swap — fails here instead of shipping.
 // Two partitioned runs are pinned the same way, plus their region count:
 // C4 in 300-sink regions and a 100k-sink XL placement in 10k-sink regions.
-// Two incremental (ECO) runs are pinned with their scope counts: one fixed
-// localized delta on C4 (monolithic) and on C5 in 600-sink regions.
+// Three incremental (ECO) runs are pinned with their scope counts: one fixed
+// localized delta of about 1% on C4 (monolithic) and on C5 in 600-sink
+// regions, and one of about 10% on C3 (monolithic). Ten option variants
+// are pinned on C4 and C5: fanout threshold 8 and 32, single-side mode,
+// and a DP cap of 2 and 4 solutions per side.
 //
 // Every pin also carries an outcome digest (outcomeDigest): a SHA-256 over
 // the whole tree and every sink delay. The metrics use a relative tolerance
@@ -209,11 +212,39 @@ func TestGoldenMetricsPartitioned(t *testing.T) {
 	}
 }
 
-// ecoPinDelta is the pinned ECO edit, about 1% of the design: the len/100
-// sinks nearest sink len/3 (ties to the lower index) are touched, every
-// fourth removed and the rest moved by −2..2 µm, and one sink is added
-// 3 µm from the anchor in x and y.
-func ecoPinDelta(sinks []Point) ECODelta {
+// TestGoldenOptionVariants pins C4 and C5 under non-default options: the
+// fanout threshold that gates nTSV insertion, single-side mode, and the
+// DP's per-side solution cap.
+func TestGoldenOptionVariants(t *testing.T) {
+	variants := []struct {
+		name string
+		opt  Options
+	}{
+		{"fanout8", Options{FanoutThreshold: 8}},
+		{"fanout32", Options{FanoutThreshold: 32}},
+		{"single", Options{Mode: SingleSide}},
+		{"maxperside2", Options{MaxPerSide: 2}},
+		{"maxperside4", Options{MaxPerSide: 4}},
+	}
+	for _, design := range []string{"C4", "C5"} {
+		p, err := GenerateBenchmark(design, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range variants {
+			id := design + "-" + v.name
+			t.Run(id, func(t *testing.T) {
+				checkGolden(t, synthesizeGolden(t, id, synthesizeWith(p, v.opt)))
+			})
+		}
+	}
+}
+
+// ecoPinDelta is the pinned ECO edit, about pct% of the design: the
+// len·pct/100 sinks nearest sink len/3 (ties to the lower index) are
+// touched, every fourth removed and the rest moved by −2..2 µm, and one
+// sink is added 3 µm from the anchor in x and y.
+func ecoPinDelta(sinks []Point, pct int) ECODelta {
 	anchor := sinks[len(sinks)/3]
 	order := make([]int, len(sinks))
 	for i := range order {
@@ -223,7 +254,7 @@ func ecoPinDelta(sinks []Point) ECODelta {
 		return sinks[order[a]].Dist(anchor) < sinks[order[b]].Dist(anchor)
 	})
 	var d ECODelta
-	for k, i := range order[:len(sinks)/100] {
+	for k, i := range order[:len(sinks)*pct/100] {
 		if k%4 == 3 {
 			d.Remove = append(d.Remove, i)
 			continue
@@ -236,18 +267,20 @@ func ecoPinDelta(sinks []Point) ECODelta {
 }
 
 // TestGoldenECO pins incremental re-synthesis through the public
-// SynthesizeECO: ecoPinDelta on C4 splices re-run leaf clusters into the
-// monolithic tree, and on C5 in 600-sink regions re-runs dirty regions and
-// re-stitches. The pins include the dirty and total scope counts and the
-// reused sinks.
+// SynthesizeECO: ecoPinDelta on C4 and C3 splices re-run leaf clusters into
+// the monolithic tree (C3's 10% delta re-legalizes dozens of graft points),
+// and on C5 in 600-sink regions re-runs dirty regions and re-stitches. The
+// pins include the dirty and total scope counts and the reused sinks.
 func TestGoldenECO(t *testing.T) {
 	cases := []struct {
 		id       string
 		design   string
 		maxSinks int
+		pct      int
 	}{
-		{"C4-eco", "C4", 0},
-		{"C5-p600-eco", "C5", 600},
+		{"C4-eco", "C4", 0, 1},
+		{"C5-p600-eco", "C5", 600, 1},
+		{"C3-eco10", "C3", 0, 10},
 	}
 	for _, c := range cases {
 		t.Run(c.id, func(t *testing.T) {
@@ -259,7 +292,7 @@ func TestGoldenECO(t *testing.T) {
 			if c.maxSinks > 0 {
 				opt.Partition = PartitionOptions{MaxSinks: c.maxSinks, Macros: p.Macros}
 			}
-			d := ecoPinDelta(p.Sinks)
+			d := ecoPinDelta(p.Sinks, c.pct)
 			got := synthesizeGolden(t, c.id, func(w int) (*Outcome, error) {
 				prev, err := synthesizeWith(p, opt)(w)
 				if err != nil {
