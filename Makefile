@@ -1,7 +1,7 @@
 # Tier-1 verification and benchmarking entry points.
 #
 #   make ci          - build + vet + test + fuzz smoke (what the roadmap calls tier-1)
-#   make race        - race detector on the determinism + corner + service + ECO + what-if suites
+#   make race        - race detector on the determinism + corner + service + ECO + what-if suites and every golden pin
 #   make perfbench-test - vet + unit tests of the benchmark module (perfbench/, its own go.mod)
 #   make fuzz        - 10s fuzz smoke per fuzz target (DEF, LEF, request decoder, store read path, DP merge)
 #   make golden      - golden-metrics regression suite (make golden-update re-pins)
@@ -43,7 +43,7 @@ test:
 ci: build vet test fuzz
 
 race:
-	$(GO) test -race -count=1 -run 'Determinism|Parallel|Corner|Partition|ECO' .
+	$(GO) test -race -count=1 -run 'Determinism|Parallel|Corner|Partition|ECO|Golden' .
 	$(GO) test -race -count=1 ./internal/serve/
 	$(GO) test -race -count=1 ./internal/corner/
 	$(GO) test -race -count=1 ./internal/core/ ./internal/partition/ ./internal/eco/

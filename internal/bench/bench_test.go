@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -140,12 +141,16 @@ func TestDEFRoundTrip(t *testing.T) {
 	if len(back.Sinks) != len(p.Sinks) {
 		t.Fatalf("sink count %d vs %d", len(back.Sinks), len(p.Sinks))
 	}
+	// DBU quantization: each coordinate moves by at most 1/1000 µm.
+	near := func(a, b geom.Point) bool {
+		return math.Abs(a.X-b.X) <= 1e-3 && math.Abs(a.Y-b.Y) <= 1e-3
+	}
 	for i := range p.Sinks {
-		if !back.Sinks[i].Eq(p.Sinks[i], 1e-3) { // DBU quantization: 1/1000 µm
+		if !near(back.Sinks[i], p.Sinks[i]) {
 			t.Fatalf("sink %d moved: %v vs %v", i, back.Sinks[i], p.Sinks[i])
 		}
 	}
-	if !back.Root.Eq(p.Root, 1e-3) {
+	if !near(back.Root, p.Root) {
 		t.Errorf("root moved: %v vs %v", back.Root, p.Root)
 	}
 }

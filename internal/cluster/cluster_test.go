@@ -94,7 +94,7 @@ func TestKMeansSmallInputs(t *testing.T) {
 	if err != nil || res.K() != 1 || res.Assign[0] != 0 {
 		t.Fatalf("single point: %+v err %v", res, err)
 	}
-	if !res.Centroids[0].Eq(geom.Pt(1, 1), 1e-9) {
+	if res.Centroids[0].Dist(geom.Pt(1, 1)) > 1e-9 {
 		t.Errorf("centroid %v", res.Centroids[0])
 	}
 	if _, err := KMeans(nil, Options{TargetSize: 30}); err == nil {
@@ -115,7 +115,7 @@ func TestKMeansIdenticalPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range res.Centroids {
-		if !c.Eq(geom.Pt(5, 5), 1e-9) {
+		if c.Dist(geom.Pt(5, 5)) > 1e-9 {
 			t.Fatalf("centroid %v for identical points", c)
 		}
 	}
@@ -134,7 +134,7 @@ func TestKMeansBeatsSingleCluster(t *testing.T) {
 	for _, p := range pts {
 		c = c.Add(p)
 	}
-	c = c.Scale(1 / float64(len(pts)))
+	c = geom.Pt(c.X/float64(len(pts)), c.Y/float64(len(pts)))
 	single, got := 0.0, 0.0
 	for i, p := range pts {
 		single += p.Dist(c)

@@ -203,6 +203,96 @@ func TestComposeHierMatchesFullEval(t *testing.T) {
 	}
 }
 
+// TestComposeHierAnyTopEdge re-wires the longest edge of a partitioned
+// run's top tree, once as a back wire with nTSVs at both ends and once as a
+// mid-edge buffer, and requires the hierarchical composition to match a
+// full evaluation of the grafted tree to 1e-9 relative, sink by sink: the
+// top tree lowers under the same rules as every other tree.
+func TestComposeHierAnyTopEdge(t *testing.T) {
+	tc := tech.ASAP7()
+	sinks := clusteredSinks(5000, 5, 700)
+	out, err := Synthesize(geom.Pt(350, 350), sinks, tc, Options{
+		Partition: partition.Options{MaxSinks: 1200}, RetainECO: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := out.Retained
+	if len(st.Regions) < 2 {
+		t.Fatalf("expected a partitioned run, got %d regions", len(st.Regions))
+	}
+	const relTol = 1e-9
+	relClose := func(a, b float64) bool {
+		return math.Abs(a-b) <= relTol*math.Max(math.Abs(a), math.Abs(b))
+	}
+	ev := eval.New(tc, eval.Elmore)
+	for _, w := range []ctree.EdgeWiring{
+		{WireSide: ctree.Back, TSVUp: true, TSVDown: true},
+		{BufMid: true},
+	} {
+		top, taps, err := stitchTop(st.Root, st.Regions, st.Sums, tc, st.Opt, ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := 1
+		for i := 2; i < top.Len(); i++ {
+			if top.EdgeLen(i) > top.EdgeLen(id) {
+				id = i
+			}
+		}
+		top.Nodes[id].Wiring = w
+		if err := top.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		arrivals, err := ev.TopDelays(top, taps, st.Sums)
+		if err != nil {
+			t.Fatalf("%+v: %v", w, err)
+		}
+		got, err := ev.ComposeHier(top, arrivals, st.Sums)
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged := top.Clone()
+		tapOf := make([]int, len(st.Regions))
+		for id, ri := range taps {
+			tapOf[ri] = id
+		}
+		base := 0
+		for ri, rt := range st.Trees {
+			if base, err = graft(merged, tapOf[ri], rt, st.Regions[ri].Sinks, base); err != nil {
+				t.Fatal(err)
+			}
+		}
+		full, err := ev.Evaluate(merged)
+		if err != nil {
+			t.Fatal(err)
+		}
+		moved := false
+		for ri, a := range arrivals {
+			moved = moved || a != out.Regions[ri].Arrival
+		}
+		if !moved {
+			t.Fatalf("%+v on top edge %d moved no tap arrival", w, id)
+		}
+		if !relClose(got.Latency, full.Latency) || !relClose(got.Skew, full.Skew) {
+			t.Fatalf("%+v: composed latency/skew %.9g/%.9g vs full %.9g/%.9g",
+				w, got.Latency, got.Skew, full.Latency, full.Skew)
+		}
+		if got.Buffers != full.Buffers || got.NTSVs != full.NTSVs || !relClose(got.WL, full.WL) {
+			t.Fatalf("%+v: composed buffers/nTSVs/WL %d/%d/%.9g vs full %d/%d/%.9g",
+				w, got.Buffers, got.NTSVs, got.WL, full.Buffers, full.NTSVs, full.WL)
+		}
+		if len(got.SinkDelays) != len(full.SinkDelays) {
+			t.Fatalf("%+v: composed %d sink delays, full %d", w, len(got.SinkDelays), len(full.SinkDelays))
+		}
+		for k, v := range full.SinkDelays {
+			if !relClose(got.SinkDelays[k], v) {
+				t.Fatalf("%+v: sink %d composed delay %.12g vs full %.12g", w, k, got.SinkDelays[k], v)
+			}
+		}
+	}
+}
+
 // TestPartitionBalancedTaps checks the cross-region skew-balancing contract:
 // after the stitch, every region's worst global sink delay (tap arrival +
 // region latency) sits within the balancing tolerance of the slowest one.

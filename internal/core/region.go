@@ -401,7 +401,7 @@ func stitchAndCompose(ctx context.Context, rootPos geom.Point, regions []partiti
 	// the merged tree (TestComposeHierMatchesFullEval pins the equality).
 	opt.emit(PhaseEval, false, 0)
 	t3 := time.Now()
-	m, err := ev.ComposeHier(top, taps, sums)
+	m, err := ev.ComposeHier(top, arrivals, sums)
 	if err != nil {
 		return fmt.Errorf("core: evaluation: %w", err)
 	}

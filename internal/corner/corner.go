@@ -229,12 +229,3 @@ func ValidateSet(corners []Corner) error {
 	}
 	return nil
 }
-
-// Names returns the corner names in order, for labels and cache keys.
-func Names(corners []Corner) []string {
-	out := make([]string, len(corners))
-	for i, c := range corners {
-		out[i] = c.Name
-	}
-	return out
-}

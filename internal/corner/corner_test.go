@@ -99,7 +99,7 @@ func TestByNameAndParseList(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(cs) != 3 || cs[0].Name != "slow" || cs[2].Name != "fast" {
-		t.Fatalf("parsed %v", Names(cs))
+		t.Fatalf("parsed %+v", cs)
 	}
 	for _, bad := range []string{"", "slow,slow", "slow,wat"} {
 		if _, err := ParseList(bad); err == nil {

@@ -208,16 +208,16 @@ func TestPointAlongL(t *testing.T) {
 	if got := PointAlongL(from, to, 0); got != from {
 		t.Errorf("frac 0 = %v", got)
 	}
-	if got := PointAlongL(from, to, 1); !got.Eq(to, 1e-9) {
+	if got := PointAlongL(from, to, 1); got.Dist(to) > 1e-9 {
 		t.Errorf("frac 1 = %v", got)
 	}
 	// Half of total distance 10 is 5: all horizontal (6) not yet done,
 	// so point is (5, 0).
-	if got := PointAlongL(from, to, 0.5); !got.Eq(geom.Pt(5, 0), 1e-9) {
+	if got := PointAlongL(from, to, 0.5); got.Dist(geom.Pt(5, 0)) > 1e-9 {
 		t.Errorf("frac 0.5 = %v", got)
 	}
 	// 0.8 → distance 8 → 6 horizontal + 2 vertical = (6,2).
-	if got := PointAlongL(from, to, 0.8); !got.Eq(geom.Pt(6, 2), 1e-9) {
+	if got := PointAlongL(from, to, 0.8); got.Dist(geom.Pt(6, 2)) > 1e-9 {
 		t.Errorf("frac 0.8 = %v", got)
 	}
 	if got := PointAlongL(from, from, 0.5); got != from {

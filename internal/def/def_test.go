@@ -45,13 +45,13 @@ func TestWriteParseRoundTrip(t *testing.T) {
 	if len(got.Components) != 3 {
 		t.Fatalf("components: %d", len(got.Components))
 	}
-	if !got.Components[0].Pos.Eq(geom.Pt(10.5, 20.25), 1e-9) {
+	if got.Components[0].Pos.Dist(geom.Pt(10.5, 20.25)) > 1e-9 {
 		t.Errorf("pos round-trip: %v", got.Components[0].Pos)
 	}
 	if !got.Components[1].Fixed || got.Components[0].Fixed {
 		t.Error("fixed flags lost")
 	}
-	if len(got.Pins) != 1 || got.Pins[0].Net != "clk" || !got.Pins[0].Pos.Eq(geom.Pt(50, 0), 1e-9) {
+	if len(got.Pins) != 1 || got.Pins[0].Net != "clk" || got.Pins[0].Pos.Dist(geom.Pt(50, 0)) > 1e-9 {
 		t.Fatalf("pins: %+v", got.Pins)
 	}
 	if len(got.Nets) != 1 || len(got.Nets[0].Conns) != 3 {
@@ -64,7 +64,7 @@ func TestClockSinksViaNet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !root.Eq(geom.Pt(50, 0), 1e-9) {
+	if root.Dist(geom.Pt(50, 0)) > 1e-9 {
 		t.Errorf("root %v", root)
 	}
 	// Net-based extraction must not pick up the buffer.
@@ -123,7 +123,7 @@ END DESIGN
 	if f.Die.MaxX != 100 { // 200000 / 2000
 		t.Errorf("die %v", f.Die)
 	}
-	if len(f.Components) != 1 || !f.Components[0].Pos.Eq(geom.Pt(1, 2), 1e-9) {
+	if len(f.Components) != 1 || f.Components[0].Pos.Dist(geom.Pt(1, 2)) > 1e-9 {
 		t.Errorf("components %+v", f.Components)
 	}
 }

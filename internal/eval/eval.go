@@ -202,7 +202,7 @@ func maxSpread(lanes [][]float64) float64 {
 // whose sink nodes repeat a sink index, which ctree.Validate admits: its
 // delay map would silently hold fewer sinks than the tree.
 func (e *Evaluator) measure(s *evalScratch, t *ctree.Tree, m *Metrics) (lo, hi float64, err error) {
-	s.lower(t, e.tc)
+	s.lower(t, t.Root(), e.tc)
 	if len(s.pairs) == 0 {
 		return 0, 0, fmt.Errorf("eval: tree has no sinks")
 	}
@@ -234,64 +234,48 @@ func (e *Evaluator) measure(s *evalScratch, t *ctree.Tree, m *Metrics) (lo, hi f
 	return lo, hi, nil
 }
 
-// DownstreamCap returns the unshielded capacitance that node id's output
-// stage drives, under exactly lowerTree's lowering rules: wire body cap by
-// side, nTSV caps, sink pin caps, with buffers — node-level or mid-edge —
-// shielding everything below them behind their input cap. It lives here,
-// next to lowerTree, so the lowering rules have a single home; the ECO
-// engine uses it to re-legalize graft points (a spliced leaf net that
-// outgrew the drive budget gets a shielding buffer).
-// TestDownstreamCapMatchesNetwork pins it against the network builder.
+// DownstreamCap returns the capacitance an unbuffered node id drives: the
+// root-stage load of id's subtree, lowered by lowerTree from id. Wire caps
+// by side, nTSV caps and sink pin caps count, and each buffer, node-level or
+// mid-edge, shields everything below it behind its input cap. The ECO
+// engine uses it to re-legalize graft points: a spliced leaf net that
+// outgrew the drive budget gets a shielding buffer. A node buffer at id
+// would be the whole root stage, so the caller checks BufferAtNode first.
 func DownstreamCap(t *ctree.Tree, id int, tc *tech.Tech) float64 {
-	front, back, tsv, buf := tc.Front(), tc.Back(), tc.TSV, tc.Buf
-	var rec func(c int) float64
-	rec = func(c int) float64 {
-		n := &t.Nodes[c]
-		w := n.Wiring
-		length := t.EdgeLen(c)
-		var capv float64
-		switch {
-		case w.BufMid:
-			return front.UnitCap*(length/2) + buf.InputCap
-		case w.WireSide == ctree.Back:
-			capv = back.UnitCap*length + float64(w.NTSVCount())*tsv.Cap
-		default:
-			capv = front.UnitCap * length
-		}
-		if n.BufferAtNode {
-			return capv + buf.InputCap
-		}
-		if n.Kind == ctree.KindSink {
-			return capv + tc.SinkCap
-		}
-		for _, cc := range n.Children {
-			capv += rec(cc)
-		}
-		return capv
-	}
-	total := 0.0
-	for _, c := range t.Nodes[id].Children {
-		total += rec(c)
-	}
-	return total
+	s := getEvalScratch()
+	defer evalPool.Put(s)
+	s.lower(t, id, tc)
+	return s.net.SourceLoad()
 }
 
-// lower rebuilds the scratch network and sink pairs from the tree, reusing
-// every lane from the previous evaluation.
-func (s *evalScratch) lower(t *ctree.Tree, tc *tech.Tech) {
+// lower rebuilds the scratch network and sink pairs from root's subtree of
+// t, reusing every lane from the previous evaluation.
+func (s *evalScratch) lower(t *ctree.Tree, root int, tc *tech.Tech) {
 	s.net.Reset(tc.Buf.DriveRes)
 	s.net.Grow(t.Len() + t.Len()/2)
 	s.netOf = arena.Grow(s.netOf, t.Len())
 	s.pairs = s.pairs[:0]
-	lowerTree(t, tc, &s.net, s.netOf, func(sinkIdx, node int) {
+	lowerTree(t, root, tc, &s.net, s.netOf, func(sinkIdx, node int) {
 		s.pairs = append(s.pairs, sinkPair{sinkIdx: sinkIdx, node: node})
-	})
+	}, nil)
 }
 
-// lowerTree is the single home of the lowering rules: it appends the tree's
-// RC elements to net (which must hold only the root driver), records each
-// tree vertex's network node in netOf (len >= t.Len()), and reports each
-// sink's pin node through emit, in preorder.
+// rcBuilder is what lowerTree appends RC elements to: *timing.Network, or
+// the what-if model's lanes (whatIfLanes). Each call adds one node below
+// parent and returns its id.
+type rcBuilder interface {
+	AddWire(parent int, res, cap float64) int
+	AddBuffer(parent int, res float64, b tech.Buffer) int
+}
+
+// lowerTree is the one place the evaluator turns tree edges into R and C.
+// Evaluate, EvaluateViews, SummarizeRegion, TopDelays, DownstreamCap and the
+// what-if model all lower through it. It appends the RC elements of root's
+// subtree to b, which must hold only the root driver (node 0), records each
+// tree vertex's node in netOf (len >= t.Len()), and reports each sink's pin
+// node through emit, in preorder. When plant is non-nil, every unbuffered
+// vertex below root passes its arrival node through it, and its children
+// hang from the node plant returns (the what-if model's buffer slots).
 //
 // Lowering rules per edge (parent → child), following the delay models of
 // Sec. II-B: a front/back wire is a series resistance with its cap at the
@@ -300,48 +284,51 @@ func (s *evalScratch) lower(t *ctree.Tree, tc *tech.Tech) {
 // cap at its downstream node. A node-level buffer (BufferAtNode) is placed
 // between the edge's arrival and the node's children. The clock root drives
 // stage 0 through the buffer's drive resistance (root driver).
-func lowerTree(t *ctree.Tree, tc *tech.Tech, net *timing.Network, netOf []int, emit func(sinkIdx, node int)) {
+func lowerTree(t *ctree.Tree, root int, tc *tech.Tech, b rcBuilder, netOf []int, emit func(sinkIdx, node int), plant func(id, at int) int) {
 	front, back, tsv, buf := tc.Front(), tc.Back(), tc.TSV, tc.Buf
-	netOf[t.Root()] = 0
-	if t.Nodes[t.Root()].BufferAtNode {
-		netOf[t.Root()] = net.AddBuffer(0, 0, buf)
+	netOf[root] = 0
+	if t.Nodes[root].BufferAtNode {
+		netOf[root] = b.AddBuffer(0, 0, buf)
 	}
-	t.PreOrder(func(id int) {
-		if id == t.Root() {
-			return
-		}
-		n := &t.Nodes[id]
-		parent := netOf[n.Parent]
-		length := t.EdgeLen(id)
-		w := n.Wiring
-		var at int
-		switch {
-		case n.Kind == ctree.KindSink:
-			// Leaf-net star branch: front wire (L-model: wire cap at the
-			// far node) terminated by the sink pin cap.
-			at = net.AddWire(parent, front.UnitRes*length, front.UnitCap*length+tc.SinkCap)
-			emit(n.SinkIdx, at)
-		case w.BufMid:
-			h := length / 2
-			upw := net.AddWire(parent, front.UnitRes*h, front.UnitCap*h)
-			bufn := net.AddBuffer(upw, 0, buf)
-			at = net.AddWire(bufn, front.UnitRes*h, front.UnitCap*h)
-		case w.WireSide == ctree.Back:
-			cur := parent
-			if w.TSVUp {
-				cur = net.AddWire(cur, tsv.Res, tsv.Cap)
+	var below func(id int)
+	below = func(id int) {
+		for _, c := range t.Nodes[id].Children {
+			n := &t.Nodes[c]
+			parent := netOf[id]
+			length := t.EdgeLen(c)
+			w := n.Wiring
+			var at int
+			switch {
+			case n.Kind == ctree.KindSink:
+				// Leaf-net star branch: front wire (L-model: wire cap at
+				// the far node) terminated by the sink pin cap.
+				at = b.AddWire(parent, front.UnitRes*length, front.UnitCap*length+tc.SinkCap)
+				emit(n.SinkIdx, at)
+			case w.BufMid:
+				h := length / 2
+				upw := b.AddWire(parent, front.UnitRes*h, front.UnitCap*h)
+				bufn := b.AddBuffer(upw, 0, buf)
+				at = b.AddWire(bufn, front.UnitRes*h, front.UnitCap*h)
+			case w.WireSide == ctree.Back:
+				at = parent
+				if w.TSVUp {
+					at = b.AddWire(at, tsv.Res, tsv.Cap)
+				}
+				at = b.AddWire(at, back.UnitRes*length, back.UnitCap*length)
+				if w.TSVDown {
+					at = b.AddWire(at, tsv.Res, tsv.Cap)
+				}
+			default: // plain front wire
+				at = b.AddWire(parent, front.UnitRes*length, front.UnitCap*length)
 			}
-			cur = net.AddWire(cur, back.UnitRes*length, back.UnitCap*length)
-			if w.TSVDown {
-				cur = net.AddWire(cur, tsv.Res, tsv.Cap)
+			if n.BufferAtNode {
+				at = b.AddBuffer(at, 0, buf)
+			} else if plant != nil {
+				at = plant(c, at)
 			}
-			at = cur
-		default: // plain front wire
-			at = net.AddWire(parent, front.UnitRes*length, front.UnitCap*length)
+			netOf[c] = at
+			below(c)
 		}
-		if n.BufferAtNode {
-			at = net.AddBuffer(at, 0, buf)
-		}
-		netOf[id] = at
-	})
+	}
+	below(root)
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"dscts/internal/ctree"
-	"dscts/internal/timing"
 )
 
 // This file is the hierarchical half of the evaluator, used by the
@@ -64,100 +63,59 @@ func (e *Evaluator) SummarizeRegion(t *ctree.Tree) (*RegionEval, error) {
 	return &RegionEval{RootLoad: s.net.SourceLoad(), MaxDelay: hi, MinDelay: lo, Metrics: m}, nil
 }
 
-// buildTopNetwork lowers a top (stitch) tree — plain front wires, node
-// buffers, region taps — into an RC network. taps maps top-tree node ids to
-// region indices; each tap node must carry a BufferAtNode (the shield the
-// composition proof needs) and contributes its region's RootLoad to the
-// buffer's driven load. Returns the network and, per region index, the
-// network node whose Delays() entry is the tap buffer's output arrival.
-func buildTopNetwork(top *ctree.Tree, taps map[int]int, regions []*RegionEval, e *Evaluator) (*timing.Network, []int, error) {
-	front, buf := e.tc.Front(), e.tc.Buf
-	net := timing.NewNetwork(buf.DriveRes)
-	tapNode := make([]int, len(regions))
-	for i := range tapNode {
-		tapNode[i] = -1
-	}
-	netOf := make([]int, top.Len())
-	netOf[top.Root()] = 0
-	var err error
-	top.PreOrder(func(id int) {
-		if err != nil {
-			return
+// TopDelays returns, per region index, the tap arrival time (ps) in the top
+// (stitch) tree: input arrival plus the tap buffer's intrinsic delay,
+// excluding its drive term over the region load. The region-local delays
+// carry that term as their root-driver contribution, so arrival + d_ij is
+// the exact merged-tree sink delay. The top tree lowers through lowerTree
+// into a pooled scratch, so every legal edge pattern (front or back wire,
+// nTSVs, mid-edge and node buffers) composes exactly. taps maps top-tree
+// node ids to region indices; each region has exactly one tap, a childless
+// node carrying a BufferAtNode (the shield the composition needs), which the
+// network models unloaded.
+func (e *Evaluator) TopDelays(top *ctree.Tree, taps map[int]int, regions []*RegionEval) ([]float64, error) {
+	s := getEvalScratch()
+	defer evalPool.Put(s)
+	s.lower(top, top.Root(), e.tc)
+	s.delays = s.net.DelaysInto(s.delays)
+	out := make([]float64, len(regions))
+	tapped := make([]bool, len(regions))
+	for id := range top.Nodes {
+		ri, isTap := taps[id]
+		if !isTap {
+			continue
 		}
 		n := &top.Nodes[id]
-		if id != top.Root() {
-			if n.Wiring.WireSide != ctree.Front || n.Wiring.BufMid {
-				err = fmt.Errorf("eval: top-tree edge %d is not a plain front wire", id)
-				return
-			}
-			length := top.EdgeLen(id)
-			netOf[id] = net.AddWire(netOf[n.Parent], front.UnitRes*length, front.UnitCap*length)
+		switch {
+		case ri < 0 || ri >= len(regions):
+			return nil, fmt.Errorf("eval: tap %d names region %d of %d", id, ri, len(regions))
+		case !n.BufferAtNode:
+			return nil, fmt.Errorf("eval: region tap %d has no buffer (composition requires a shielded tap)", id)
+		case len(n.Children) > 0:
+			return nil, fmt.Errorf("eval: region tap %d has top-tree children", id)
+		case tapped[ri]:
+			return nil, fmt.Errorf("eval: region %d has two taps in the top tree", ri)
 		}
-		ri, isTap := taps[id]
-		if isTap {
-			if ri < 0 || ri >= len(regions) {
-				err = fmt.Errorf("eval: tap %d names region %d of %d", id, ri, len(regions))
-				return
-			}
-			if !n.BufferAtNode {
-				err = fmt.Errorf("eval: region tap %d has no buffer (composition requires a shielded tap)", id)
-				return
-			}
-			if len(n.Children) > 0 {
-				err = fmt.Errorf("eval: region tap %d has top-tree children", id)
-				return
-			}
-			// The tap buffer is modeled unloaded here: its drive term over
-			// the region load is already inside the region-local delays
-			// (both drivers are Buf.DriveRes), so the tap's output arrival
-			// in this network is exactly what those delays compose against.
-			b := net.AddBuffer(netOf[id], 0, buf)
-			tapNode[ri] = b
-			netOf[id] = b
-			return
-		}
-		if n.BufferAtNode {
-			netOf[id] = net.AddBuffer(netOf[id], 0, buf)
-		}
-	})
-	if err != nil {
-		return nil, nil, err
+		tapped[ri] = true
+		out[ri] = s.delays[s.netOf[id]]
 	}
-	for ri, tn := range tapNode {
-		if tn < 0 {
-			return nil, nil, fmt.Errorf("eval: region %d has no tap in the top tree", ri)
+	for ri, ok := range tapped {
+		if !ok {
+			return nil, fmt.Errorf("eval: region %d has no tap in the top tree", ri)
 		}
-	}
-	return net, tapNode, nil
-}
-
-// TopDelays returns, per region index, the tap arrival time (ps): input
-// arrival plus the tap buffer's intrinsic delay, excluding its drive term
-// over the region load — the region-local delays carry that term as their
-// root-driver contribution, so arrival + d_ij is the exact merged-tree sink
-// delay.
-func (e *Evaluator) TopDelays(top *ctree.Tree, taps map[int]int, regions []*RegionEval) ([]float64, error) {
-	net, tapNode, err := buildTopNetwork(top, taps, regions, e)
-	if err != nil {
-		return nil, err
-	}
-	delays := net.Delays()
-	out := make([]float64, len(regions))
-	for ri, tn := range tapNode {
-		out[ri] = delays[tn]
 	}
 	return out, nil
 }
 
-// ComposeHier computes global metrics from the top tree and the per-region
-// summaries, without re-walking any region tree: O(top + total sinks) with
-// the per-region evaluation work already paid. Every RegionEval must carry
-// its Sinks map (region-local → global sink index). Resource counts and
-// wirelength are the top tree's plus the regions'.
-func (e *Evaluator) ComposeHier(top *ctree.Tree, taps map[int]int, regions []*RegionEval) (*Metrics, error) {
-	arrivals, err := e.TopDelays(top, taps, regions)
-	if err != nil {
-		return nil, err
+// ComposeHier computes global metrics from the top tree, the tap arrivals
+// TopDelays returned for it and the per-region summaries, without
+// re-walking any region tree: O(top + total sinks) with the per-region
+// evaluation work already paid. Every RegionEval must carry its Sinks map
+// (region-local → global sink index). Resource counts and wirelength are
+// the top tree's plus the regions'.
+func (e *Evaluator) ComposeHier(top *ctree.Tree, arrivals []float64, regions []*RegionEval) (*Metrics, error) {
+	if len(arrivals) != len(regions) {
+		return nil, fmt.Errorf("eval: %d tap arrivals for %d regions", len(arrivals), len(regions))
 	}
 	total := 0
 	for ri, re := range regions {

@@ -66,7 +66,7 @@ type WhatIf struct {
 	pre, suf []extent
 	sc       whatIfScratch // Trial's and Commit's re-timing workspace
 
-	netOf   []int32   // lowering scratch, reused across builds
+	netOf   []int     // lowering scratch, reused across builds
 	sinkDst []float64 // per-sink delay scratch (EvaluateWhatIf)
 }
 
@@ -102,12 +102,11 @@ type whatIfScratch struct {
 	pload []float64 // their loads with the trial slot switched on
 }
 
-// NewWhatIf lowers the annotated tree once, mirroring lowerTree's RC
-// rules, and plants a toggleable buffer slot at every centroid that does
-// not already carry a node buffer. The tree must already be valid (the
-// caller's initial Evaluate checks that). The model (lanes, slot map and
-// workspace) is recycled from a package pool; hand it back with
-// ReleaseWhatIf when done.
+// NewWhatIf lowers the annotated tree once through lowerTree and plants a
+// toggleable buffer slot at every centroid that does not already carry a
+// node buffer. The tree must already be valid (the caller's initial
+// Evaluate checks that). The model (lanes, slot map and workspace) is
+// recycled from a package pool; hand it back with ReleaseWhatIf when done.
 func NewWhatIf(t *ctree.Tree, tc *tech.Tech) *WhatIf {
 	w := whatIfPool.Get()
 	if w == nil {
@@ -123,8 +122,7 @@ func ReleaseWhatIf(w *WhatIf) { whatIfPool.Put(w) }
 
 // build (re)lowers the tree into the model, rewinding every lane.
 func (w *WhatIf) build(t *ctree.Tree, tc *tech.Tech) {
-	front, back, tsv, buf := tc.Front(), tc.Back(), tc.TSV, tc.Buf
-	w.buf, w.rootRes = buf, buf.DriveRes
+	w.buf, w.rootRes = tc.Buf, tc.Buf.DriveRes
 	w.parent = w.parent[:0]
 	w.res = w.res[:0]
 	w.capv = w.capv[:0]
@@ -134,51 +132,16 @@ func (w *WhatIf) build(t *ctree.Tree, tc *tech.Tech) {
 	clear(w.slotOf)
 	w.addNode(-1, 0, 0, wiWire) // node 0: root driver
 	w.netOf = arena.Grow(w.netOf, t.Len())
-	netOf := w.netOf
-	netOf[t.Root()] = 0
-	if t.Nodes[t.Root()].BufferAtNode {
-		netOf[t.Root()] = w.addNode(0, 0, buf.InputCap, wiBuf)
-	}
-	t.PreOrder(func(id int) {
-		if id == t.Root() {
-			return
+	lowerTree(t, t.Root(), tc, (*whatIfLanes)(w), w.netOf, func(sinkIdx, node int) {
+		w.sinkNet = append(w.sinkNet, int32(node))
+		w.sinkIdx = append(w.sinkIdx, int32(sinkIdx))
+	}, func(id, at int) int {
+		if t.Nodes[id].Kind != ctree.KindCentroid {
+			return at
 		}
-		n := &t.Nodes[id]
-		parent := netOf[n.Parent]
-		length := t.EdgeLen(id)
-		wr := n.Wiring
-		var at int32
-		switch {
-		case n.Kind == ctree.KindSink:
-			at = w.addNode(parent, front.UnitRes*length, front.UnitCap*length+tc.SinkCap, wiWire)
-			w.sinkNet = append(w.sinkNet, at)
-			w.sinkIdx = append(w.sinkIdx, int32(n.SinkIdx))
-		case wr.BufMid:
-			h := length / 2
-			upw := w.addNode(parent, front.UnitRes*h, front.UnitCap*h, wiWire)
-			bufn := w.addNode(upw, 0, buf.InputCap, wiBuf)
-			at = w.addNode(bufn, front.UnitRes*h, front.UnitCap*h, wiWire)
-		case wr.WireSide == ctree.Back:
-			cur := parent
-			if wr.TSVUp {
-				cur = w.addNode(cur, tsv.Res, tsv.Cap, wiWire)
-			}
-			cur = w.addNode(cur, back.UnitRes*length, back.UnitCap*length, wiWire)
-			if wr.TSVDown {
-				cur = w.addNode(cur, tsv.Res, tsv.Cap, wiWire)
-			}
-			at = cur
-		default: // plain front wire
-			at = w.addNode(parent, front.UnitRes*length, front.UnitCap*length, wiWire)
-		}
-		switch {
-		case n.BufferAtNode:
-			at = w.addNode(at, 0, buf.InputCap, wiBuf)
-		case n.Kind == ctree.KindCentroid:
-			at = w.addNode(at, 0, 0, wiSlot)
-			w.slotOf[id] = at
-		}
-		netOf[id] = at
+		slot := w.addNode(at, 0, 0, wiSlot)
+		w.slotOf[id] = int32(slot)
+		return slot
 	})
 	n := len(w.parent)
 	w.committed = arena.GrowZero(w.committed, n)
@@ -201,13 +164,25 @@ func (w *WhatIf) build(t *ctree.Tree, tc *tech.Tech) {
 	w.refreshExtents()
 }
 
-func (w *WhatIf) addNode(parent int32, res, capv float64, kind uint8) int32 {
-	id := int32(len(w.parent))
-	w.parent = append(w.parent, parent)
+func (w *WhatIf) addNode(parent int, res, capv float64, kind uint8) int {
+	id := len(w.parent)
+	w.parent = append(w.parent, int32(parent))
 	w.res = append(w.res, res)
 	w.capv = append(w.capv, capv)
 	w.kind = append(w.kind, kind)
 	return id
+}
+
+// whatIfLanes is the rcBuilder the model lowers through: lowerTree's wires
+// and fixed buffers land in the model's lanes.
+type whatIfLanes WhatIf
+
+func (l *whatIfLanes) AddWire(parent int, res, capv float64) int {
+	return (*WhatIf)(l).addNode(parent, res, capv, wiWire)
+}
+
+func (l *whatIfLanes) AddBuffer(parent int, res float64, b tech.Buffer) int {
+	return (*WhatIf)(l).addNode(parent, res, b.InputCap, wiBuf)
 }
 
 // SlotOf returns the slot node of a centroid tree node, or -1 when the

@@ -7,7 +7,6 @@ import (
 	"dscts/internal/ctree"
 	"dscts/internal/geom"
 	"dscts/internal/tech"
-	"dscts/internal/timing"
 )
 
 // refineryTree builds a small two-cluster tree with leaf nets, the shape
@@ -29,28 +28,55 @@ func refineryTree() *ctree.Tree {
 	return tr
 }
 
-// TestDownstreamCapMatchesNetwork pins DownstreamCap's lowering against the
-// network builder: without a root buffer, the cap the root stage drives in
-// the staged network (SourceLoad) must equal DownstreamCap at the root —
-// across plain wires, back-side wires with nTSVs, mid-edge buffers and
-// node buffers. A drift here means the ECO re-legalization is checking
-// loads under different physics than the evaluator.
-func TestDownstreamCapMatchesNetwork(t *testing.T) {
+// TestDownstreamCapByHand checks DownstreamCap at an internal, graft-like
+// centroid against caps summed by hand for every wiring shape the lowering
+// distinguishes below it: a plain front wire and a back wire with nTSVs at
+// both ends (their leaf nets count in full), a mid-edge buffer (half the
+// edge, then the buffer's input cap) and a node buffer (the whole edge,
+// then the buffer's input cap). A drift here means the ECO re-legalization
+// is checking loads under different physics than the evaluator.
+func TestDownstreamCapByHand(t *testing.T) {
 	tc := tech.ASAP7()
-	tr := refineryTree()
-	// Decorate with every wiring shape the lowering distinguishes.
-	tr.Nodes[1].Wiring = ctree.EdgeWiring{WireSide: ctree.Back, TSVUp: true, TSVDown: true}
-	tr.Nodes[2].Wiring = ctree.EdgeWiring{BufMid: true}
-	tr.Nodes[3].BufferAtNode = true
+	front, back, tsv, buf := tc.Front(), tc.Back(), tc.TSV, tc.Buf
+	tr := ctree.New(geom.Pt(0, 0))
+	g := tr.AddCentroid(0, geom.Pt(40, 0), 0) // the graft point
+	// Each branch runs 10·(k+1) µm from g to a Steiner vertex whose two
+	// sinks sit 3 and 5 µm away, so every branch's hand sum differs.
+	wirings := []ctree.EdgeWiring{
+		{},
+		{WireSide: ctree.Back, TSVUp: true, TSVDown: true},
+		{BufMid: true},
+		{},
+	}
+	var want float64
+	for k, w := range wirings {
+		length := 10 * float64(k+1)
+		st := tr.Add(g, ctree.KindSteiner, geom.Pt(40, length))
+		tr.Nodes[st].Wiring = w
+		tr.AddSink(st, geom.Pt(43, length), 2*k)
+		tr.AddSink(st, geom.Pt(40, length+5), 2*k+1)
+		leaves := front.UnitCap*3 + tc.SinkCap + front.UnitCap*5 + tc.SinkCap
+		switch k {
+		case 0: // plain front wire
+			want += front.UnitCap*length + leaves
+		case 1: // back wire, nTSV up and down
+			want += tsv.Cap + back.UnitCap*length + tsv.Cap + leaves
+		case 2: // mid-edge buffer shields the far half and the leaves
+			want += front.UnitCap*length/2 + buf.InputCap
+		case 3: // node buffer shields the leaves
+			tr.Nodes[st].BufferAtNode = true
+			want += front.UnitCap*length + buf.InputCap
+		}
+	}
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	net := timing.NewNetwork(tc.Buf.DriveRes)
-	lowerTree(tr, tc, net, make([]int, tr.Len()), func(int, int) {})
-	got := DownstreamCap(tr, tr.Root(), tc)
-	want := net.SourceLoad()
-	if math.Abs(got-want) > 1e-9 {
-		t.Fatalf("DownstreamCap(root) = %v, network SourceLoad = %v", got, want)
+	if got := DownstreamCap(tr, g, tc); math.Abs(got-want) > 1e-12*want {
+		t.Fatalf("DownstreamCap(graft point) = %v, hand sum %v", got, want)
+	}
+	// One branch alone: a Steiner vertex's own leaf net.
+	if got, want := DownstreamCap(tr, 2, tc), front.UnitCap*8+2*tc.SinkCap; math.Abs(got-want) > 1e-12*want {
+		t.Fatalf("DownstreamCap(front branch) = %v, hand sum %v", got, want)
 	}
 }
 

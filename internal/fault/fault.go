@@ -174,7 +174,7 @@ func (f *Fault) Err() error {
 }
 
 // PanicValue is the value injected panics carry; recovery code can detect it
-// with IsInjectedPanic.
+// by its type.
 type PanicValue struct {
 	Point string
 	Seq   int64
@@ -182,12 +182,6 @@ type PanicValue struct {
 
 func (p *PanicValue) String() string {
 	return fmt.Sprintf("injected panic at %s (call %d)", p.Point, p.Seq)
-}
-
-// IsInjectedPanic reports whether a recovered value came from this package.
-func IsInjectedPanic(v any) bool {
-	_, ok := v.(*PanicValue)
-	return ok
 }
 
 // armed is a rule plus its live counters.
@@ -399,18 +393,6 @@ func (r *Registry) Counts() map[string]int64 {
 		return nil
 	}
 	return out
-}
-
-// TotalFires is the number of injections so far.
-func (r *Registry) TotalFires() int64 {
-	if r == nil {
-		return 0
-	}
-	var n int64
-	for _, a := range r.rules {
-		n += a.fires.Load()
-	}
-	return n
 }
 
 // String summarizes the armed rules (for logs and reports).

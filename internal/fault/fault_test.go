@@ -312,3 +312,21 @@ func TestRuleValidation(t *testing.T) {
 		}
 	}
 }
+
+// IsInjectedPanic reports whether a recovered value came from this package.
+func IsInjectedPanic(v any) bool {
+	_, ok := v.(*PanicValue)
+	return ok
+}
+
+// TotalFires is the number of injections so far.
+func (r *Registry) TotalFires() int64 {
+	if r == nil {
+		return 0
+	}
+	var n int64
+	for _, a := range r.rules {
+		n += a.fires.Load()
+	}
+	return n
+}

@@ -29,9 +29,6 @@ func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 // Sub returns p - q componentwise.
 func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 
-// Scale returns p scaled by f.
-func (p Point) Scale(f float64) Point { return Point{p.X * f, p.Y * f} }
-
 // Dist returns the Manhattan (L1) distance between p and q. Clock wirelength
 // and Elmore wire delays are both functions of this metric.
 func (p Point) Dist(q Point) float64 {
@@ -49,11 +46,6 @@ func (p Point) Lerp(q Point, t float64) Point {
 // arithmetic on a non-finite coordinate fails far from the bad input.
 func (p Point) Finite() bool {
 	return !math.IsNaN(p.X) && !math.IsInf(p.X, 0) && !math.IsNaN(p.Y) && !math.IsInf(p.Y, 0)
-}
-
-// Eq reports whether p and q coincide within tolerance eps.
-func (p Point) Eq(q Point, eps float64) bool {
-	return math.Abs(p.X-q.X) <= eps && math.Abs(p.Y-q.Y) <= eps
 }
 
 func (p Point) String() string { return fmt.Sprintf("(%.4g,%.4g)", p.X, p.Y) }
@@ -95,21 +87,12 @@ func (b *BBox) Grow(p Point) {
 	b.MaxY = math.Max(b.MaxY, p.Y)
 }
 
-// Union extends b to include all of o.
-func (b *BBox) Union(o BBox) {
-	if !o.valid {
-		return
-	}
-	b.Grow(Point{o.MinX, o.MinY})
-	b.Grow(Point{o.MaxX, o.MaxY})
-}
-
 // Valid reports whether the box contains at least one point.
 func (b BBox) Valid() bool { return b.valid }
 
 // GobEncode serializes the box INCLUDING the unexported emptiness flag;
 // without it a gob round-trip would silently turn every non-empty box into
-// the empty one, breaking Grow/Union/Valid on restored state (the serve
+// the empty one, breaking Grow/Valid on restored state (the serve
 // persistence tier snapshots retained ECO bases with gob).
 func (b BBox) GobEncode() ([]byte, error) {
 	out := make([]byte, 33)
@@ -141,12 +124,6 @@ func (b BBox) W() float64 { return b.MaxX - b.MinX }
 
 // H returns the box height.
 func (b BBox) H() float64 { return b.MaxY - b.MinY }
-
-// HalfPerimeter returns W+H, the HPWL contribution of the box.
-func (b BBox) HalfPerimeter() float64 { return b.W() + b.H() }
-
-// Center returns the box center.
-func (b BBox) Center() Point { return Point{(b.MinX + b.MaxX) / 2, (b.MinY + b.MaxY) / 2} }
 
 // Contains reports whether p lies inside b (inclusive, with tolerance eps).
 func (b BBox) Contains(p Point, eps float64) bool {

@@ -82,12 +82,3 @@ MACRO DFFHQNx1_ASAP7_75t_R
   SIZE 0.810 BY 0.270 ;
 END DFFHQNx1_ASAP7_75t_R
 `
-
-// Default returns the embedded library.
-func Default() *Library {
-	lib, err := Parse(strings.NewReader(Embedded))
-	if err != nil {
-		panic("lef: embedded library invalid: " + err.Error())
-	}
-	return lib
-}

@@ -56,3 +56,12 @@ func TestParseErrors(t *testing.T) {
 		t.Error("unterminated macro should fail")
 	}
 }
+
+// Default returns the embedded library.
+func Default() *Library {
+	lib, err := Parse(strings.NewReader(Embedded))
+	if err != nil {
+		panic("lef: embedded library invalid: " + err.Error())
+	}
+	return lib
+}

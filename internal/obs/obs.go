@@ -480,15 +480,3 @@ func formatValue(v float64) string {
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
-
-// Families returns the registered family names, sorted. Nil-safe.
-func (r *Registry) Families() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	out := append([]string(nil), r.order...)
-	r.mu.Unlock()
-	sort.Strings(out)
-	return out
-}

@@ -35,9 +35,6 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	if err := r.WritePrometheus(&sb); err != nil || sb.Len() != 0 {
 		t.Fatalf("nil registry rendered %q, err %v", sb.String(), err)
 	}
-	if r.Families() != nil {
-		t.Fatalf("nil registry has families")
-	}
 	var tr *Tracer
 	tr.Begin("route")
 	tr.End("route", time.Second)
@@ -218,19 +215,14 @@ func TestParseRoundTrip(t *testing.T) {
 	if samples["c_seconds_count"] != 2 {
 		t.Errorf("c_seconds_count = %v", samples["c_seconds_count"])
 	}
-	fams := FamilyNames(samples)
-	want := map[string]bool{"a_total": true, "b": true, "c_seconds": true, "go_goroutines": true, "dscts_build_info": true}
-	got := make(map[string]bool, len(fams))
-	for _, f := range fams {
-		got[f] = true
-	}
-	for f := range want {
-		if !got[f] {
-			t.Errorf("family %q missing from %v", f, fams)
+	for _, fam := range []string{"go_goroutines", "dscts_build_info"} {
+		found := false
+		for name := range samples {
+			found = found || name == fam || strings.HasPrefix(name, fam+"{")
 		}
-	}
-	if got["c_seconds_bucket"] || got["c_seconds_count"] || got["c_seconds_sum"] {
-		t.Errorf("histogram suffixes leaked into families: %v", fams)
+		if !found {
+			t.Errorf("family %q missing from the parsed samples", fam)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -47,29 +46,4 @@ func ParseText(r io.Reader) (map[string]float64, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// FamilyNames reduces a ParseText sample map to its distinct family names,
-// sorted: the label section is dropped and the histogram series suffixes
-// (_bucket, _sum, _count) collapse into their base family.
-func FamilyNames(samples map[string]float64) []string {
-	set := make(map[string]bool)
-	for name := range samples {
-		if i := strings.IndexByte(name, '{'); i >= 0 {
-			name = name[:i]
-		}
-		for _, suf := range []string{"_bucket", "_sum", "_count"} {
-			if base := strings.TrimSuffix(name, suf); base != name {
-				name = base
-				break
-			}
-		}
-		set[name] = true
-	}
-	out := make([]string, 0, len(set))
-	for name := range set {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -40,9 +40,6 @@ func (t *Table) AddTextRow(label string, cells ...string) {
 	t.rows = append(t.rows, r)
 }
 
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // Cell returns the numeric value at (row, col).
 func (t *Table) Cell(r, c int) float64 { return t.rows[r].cells[c] }
 

@@ -63,7 +63,7 @@ func TestRatioRowIgnoresNonPositive(t *testing.T) {
 	tb.AddRow("a", 2, 1)
 	tb.AddRow("b", 0, 1) // zero cell: skipped, not poisoning the geomean
 	tb.AddRatioRow("Ratio", []int{1, 1})
-	if tb.NumRows() != 3 {
+	if len(tb.rows) != 3 {
 		t.Fatal("rows")
 	}
 	var buf bytes.Buffer

@@ -14,7 +14,7 @@ import (
 	"time"
 )
 
-// DefaultClientTimeout bounds each non-streaming request end to end
+// DefaultClientTimeout bounds each request end to end
 // (including reading the response body) when Client.Timeout is zero. It is
 // deliberately generous — a sync XL synthesis can legitimately run for
 // minutes — while still guaranteeing that no call can hang forever the way
@@ -45,13 +45,10 @@ type Client struct {
 	// Base is the server base URL, e.g. "http://127.0.0.1:8577".
 	Base string
 	// HTTP is the underlying client; when set it is used as-is (its own
-	// Timeout included) for non-streaming calls. nil builds one with
-	// Timeout below.
+	// Timeout included). nil builds one with Timeout below.
 	HTTP *http.Client
-	// Timeout bounds each non-streaming request end to end when HTTP is
-	// nil: 0 means DefaultClientTimeout, negative disables the bound.
-	// Streaming requests are exempt — an NDJSON stream legitimately stays
-	// open for the whole job — and are governed by their context instead.
+	// Timeout bounds each request end to end when HTTP is nil: 0 means
+	// DefaultClientTimeout, negative disables the bound.
 	Timeout time.Duration
 	// MaxRetries is the transient-failure retry budget for idempotent
 	// requests: 0 means DefaultMaxRetries, negative disables retries.
@@ -75,16 +72,6 @@ func (c *Client) http() *http.Client {
 		t = 0
 	}
 	return &http.Client{Timeout: t}
-}
-
-// streamHTTP is the client for NDJSON streams: no overall timeout (the
-// stream lives as long as the job; ctx cancels it), sharing the configured
-// transport when one was given.
-func (c *Client) streamHTTP() *http.Client {
-	if c.HTTP != nil {
-		return &http.Client{Transport: c.HTTP.Transport}
-	}
-	return &http.Client{}
 }
 
 // apiError is the decoded JSON error envelope of a non-2xx response.
@@ -274,54 +261,6 @@ func (c *Client) SubmitAsync(ctx context.Context, kind string, req *Request) (*J
 	return &info, nil
 }
 
-// Stream submits req and follows its NDJSON progress stream, calling fn for
-// every event. It returns the terminal event's result-bearing job snapshot
-// reconstructed from the stream. Cancelling ctx aborts the stream, which
-// cancels the job server-side. Streams are never retried — a broken stream
-// may have cancelled the job — and are exempt from Client.Timeout.
-func (c *Client) Stream(ctx context.Context, kind string, req *Request, fn func(Event)) (*Event, error) {
-	data, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+"/"+kind+"?mode=stream", bytes.NewReader(data))
-	if err != nil {
-		return nil, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := c.streamHTTP().Do(hreq)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return nil, decodeErr(resp)
-	}
-	dec := json.NewDecoder(resp.Body)
-	var last Event
-	for {
-		var ev Event
-		if err := dec.Decode(&ev); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return nil, err
-		}
-		last = ev
-		if fn != nil {
-			fn(ev)
-		}
-	}
-	switch last.Event {
-	case string(StateDone), string(StateFailed), string(StateCancelled):
-		return &last, nil
-	case "":
-		return nil, fmt.Errorf("serve: empty event stream")
-	default:
-		return nil, fmt.Errorf("serve: stream ended without a terminal event (last %q)", last.Event)
-	}
-}
-
 // Job fetches a job snapshot by ID.
 func (c *Client) Job(ctx context.Context, id string) (*JobInfo, error) {
 	var info JobInfo
@@ -353,10 +292,4 @@ func (c *Client) Stats(ctx context.Context) (*Stats, error) {
 // Health checks GET /healthz.
 func (c *Client) Health(ctx context.Context) error {
 	return c.do(ctx, http.MethodGet, "/healthz", nil, nil, true)
-}
-
-// Ready checks GET /readyz: nil when the daemon accepts new work, an
-// *apiError (503) while draining or saturated.
-func (c *Client) Ready(ctx context.Context) error {
-	return c.do(ctx, http.MethodGet, "/readyz", nil, nil, false)
 }

@@ -19,6 +19,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -403,14 +404,21 @@ func TestClusterSecretRejected(t *testing.T) {
 }
 
 // newFakePeerNode boots a real node n1 whose one peer, n2, is a stand-in:
-// it answers /readyz and hands /internal/region to region. n1 runs one
-// local executor, so a region its peer fails still completes; tune, when
-// non-nil, adjusts n1's cluster config before boot.
+// it answers /readyz and hands /internal/region to region. n1 boots with
+// no local executor and starts one when the first region reaches the
+// stand-in, so every run dispatches to it at least once, and a region the
+// stand-in fails still completes locally; tune, when non-nil, adjusts n1's
+// cluster config before boot.
 func newFakePeerNode(t *testing.T, tune func(*ClusterConfig), region http.HandlerFunc) *testClusterNode {
 	t.Helper()
+	origin := make(chan *clusterNode, 1)
+	var first sync.Once
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /readyz", func(http.ResponseWriter, *http.Request) {})
-	mux.HandleFunc("POST /internal/region", region)
+	mux.HandleFunc("POST /internal/region", func(w http.ResponseWriter, r *http.Request) {
+		first.Do(func() { (<-origin).startLocalExecutor() })
+		region(w, r)
+	})
 	fake := httptest.NewServer(mux)
 	t.Cleanup(fake.Close)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -422,12 +430,13 @@ func newFakePeerNode(t *testing.T, tune func(*ClusterConfig), region http.Handle
 		NodeID: "n1", Peers: peers,
 		ProbeInterval:  100 * time.Millisecond,
 		Cooldown:       200 * time.Millisecond,
-		LocalExecutors: 1,
+		LocalExecutors: -1,
 	}
 	if tune != nil {
 		tune(cc)
 	}
 	srv := NewServer(Config{MaxRunning: 4, MaxQueued: 32, Cluster: cc})
+	origin <- srv.Queue().cluster
 	hs := &http.Server{Handler: srv.Handler()}
 	go hs.Serve(ln)
 	node := &testClusterNode{id: "n1", url: peers[0].URL, srv: srv, hs: hs, client: NewClient(peers[0].URL)}
@@ -435,17 +444,41 @@ func newFakePeerNode(t *testing.T, tune func(*ClusterConfig), region http.Handle
 	return node
 }
 
+// startLocalExecutor adds one local region executor to a node booted with
+// LocalExecutors -1. It must run before the node closes.
+func (c *clusterNode) startLocalExecutor() {
+	c.wg.Add(1)
+	go c.localExecutor()
+}
+
 // runPartitionedC4 runs partitioned C4 on node's queue directly (no
 // routing) and requires it to finish, bit-identical to a direct run,
 // within limit.
 func runPartitionedC4(t *testing.T, node *testClusterNode, limit time.Duration) {
 	t.Helper()
-	req := &Request{Design: "C4", IncludeSinkDelays: true,
+	awaitPartitionedC4(t, node, submitPartitionedC4(t, node), limit)
+}
+
+// partitionedC4 is the request runPartitionedC4 submits.
+func partitionedC4() *Request {
+	return &Request{Design: "C4", IncludeSinkDelays: true,
 		Options: OptionsSpec{PartitionMaxSinks: 300}}
-	job, err := node.srv.Queue().Submit(req, KindSynthesize)
+}
+
+// submitPartitionedC4 submits partitioned C4 to node's queue directly.
+func submitPartitionedC4(t *testing.T, node *testClusterNode) *Job {
+	t.Helper()
+	job, err := node.srv.Queue().Submit(partitionedC4(), KindSynthesize)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return job
+}
+
+// awaitPartitionedC4 requires a submitted partitioned C4 job to finish,
+// bit-identical to a direct run, within limit.
+func awaitPartitionedC4(t *testing.T, node *testClusterNode, job *Job, limit time.Duration) {
+	t.Helper()
 	select {
 	case <-job.Done():
 	case <-time.After(limit):
@@ -455,7 +488,7 @@ func runPartitionedC4(t *testing.T, node *testClusterNode, limit time.Duration) 
 	if info.State != StateDone {
 		t.Fatalf("job state %s (%s)", info.State, info.Error)
 	}
-	requireSameMetrics(t, "partitioned via "+node.id, info.Result, req)
+	requireSameMetrics(t, "partitioned via "+node.id, info.Result, partitionedC4())
 }
 
 // hungRegion is a /internal/region handler that reads the request and
@@ -614,7 +647,10 @@ func TestClusterBadRegionReply(t *testing.T) {
 
 // TestClusterFaultyPeerReoffered: with every region failing on one peer,
 // the origin counts dispatch errors, re-offers, and still returns a
-// bit-identical result; the faulty peer serves nothing.
+// bit-identical result; the faulty peer serves nothing. Until the faulty
+// peer has failed once, the origin runs no local executor and the healthy
+// peer is out of its rotation (draining), so the faulty peer is the only
+// claimant of the first region.
 func TestClusterFaultyPeerReoffered(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-node end-to-end run")
@@ -622,7 +658,7 @@ func TestClusterFaultyPeerReoffered(t *testing.T) {
 	nodes := newTestCluster(t, 3, func(i int, cfg *Config) {
 		switch i {
 		case 0:
-			cfg.Cluster.LocalExecutors = 1
+			cfg.Cluster.LocalExecutors = -1
 		case 2:
 			reg, err := fault.Parse("error@core.route:every=1", 1)
 			if err != nil {
@@ -631,12 +667,37 @@ func TestClusterFaultyPeerReoffered(t *testing.T) {
 			cfg.Faults = reg
 		}
 	})
-	runPartitionedC4(t, nodes[0], 20*time.Second)
-	if e := nodes[0].srv.Queue().cluster.dispatchErrs.Load(); e == 0 {
+	origin := nodes[0].srv.Queue().cluster
+	nodes[1].srv.Drain()
+	waitUntil(t, "the origin takes the draining peer out of rotation", func() bool {
+		for _, p := range origin.peers.Snapshot() {
+			if p.ID == nodes[1].id {
+				return !p.Healthy
+			}
+		}
+		return false
+	})
+	job := submitPartitionedC4(t, nodes[0])
+	waitUntil(t, "a dispatch to the faulty peer fails", func() bool { return origin.dispatchErrs.Load() > 0 })
+	nodes[1].srv.draining.Store(false)
+	origin.startLocalExecutor()
+	awaitPartitionedC4(t, nodes[0], job, 20*time.Second)
+	if e := origin.dispatchErrs.Load(); e == 0 {
 		t.Fatal("origin counted no dispatch errors against the faulty peer")
 	}
 	if s := nodes[2].srv.Queue().Stats().Cluster.RegionsServed; s != 0 {
 		t.Fatalf("faulty peer served %d regions", s)
+	}
+}
+
+// waitUntil polls cond every 5 ms and fails the test if it does not hold
+// within 10 s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -114,7 +115,7 @@ func TestMetricFamiliesGolden(t *testing.T) {
 		"go_heap_objects",
 		"go_heap_sys_bytes",
 	}
-	got := obs.FamilyNames(scrape(t, ts))
+	got := familyNames(scrape(t, ts))
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("exported families changed:\n got %v\nwant %v", got, want)
 	}
@@ -394,4 +395,29 @@ func TestMetricsDisabled(t *testing.T) {
 	if info.Result == nil || len(info.Result.Phases) == 0 {
 		t.Error("phases missing with metrics disabled (the tracer is always on)")
 	}
+}
+
+// familyNames reduces a ParseText sample map to its distinct family names,
+// sorted: the label section is dropped and the histogram series suffixes
+// (_bucket, _sum, _count) collapse into their base family.
+func familyNames(samples map[string]float64) []string {
+	set := make(map[string]bool)
+	for name := range samples {
+		if i := strings.IndexByte(name, '{'); i >= 0 {
+			name = name[:i]
+		}
+		for _, suf := range []string{"_bucket", "_sum", "_count"} {
+			if base := strings.TrimSuffix(name, suf); base != name {
+				name = base
+				break
+			}
+		}
+		set[name] = true
+	}
+	out := make([]string, 0, len(set))
+	for name := range set {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
 }

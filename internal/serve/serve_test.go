@@ -1,9 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"sync"
@@ -468,4 +472,68 @@ func TestCacheLRU(t *testing.T) {
 	if st.Entries != 2 || st.Evictions != 1 {
 		t.Fatalf("stats %+v", st)
 	}
+}
+
+// Stream submits req and follows its NDJSON progress stream, calling fn for
+// every event. It returns the terminal event's result-bearing job snapshot
+// reconstructed from the stream. Cancelling ctx aborts the stream, which
+// cancels the job server-side. Streams are never retried — a broken stream
+// may have cancelled the job — and are exempt from Client.Timeout.
+func (c *Client) Stream(ctx context.Context, kind string, req *Request, fn func(Event)) (*Event, error) {
+	data, err := json.Marshal(req)
+	if err != nil {
+		return nil, err
+	}
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+"/"+kind+"?mode=stream", bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	hreq.Header.Set("Content-Type", "application/json")
+	resp, err := c.streamHTTP().Do(hreq)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode/100 != 2 {
+		return nil, decodeErr(resp)
+	}
+	dec := json.NewDecoder(resp.Body)
+	var last Event
+	for {
+		var ev Event
+		if err := dec.Decode(&ev); err != nil {
+			if err == io.EOF {
+				break
+			}
+			return nil, err
+		}
+		last = ev
+		if fn != nil {
+			fn(ev)
+		}
+	}
+	switch last.Event {
+	case string(StateDone), string(StateFailed), string(StateCancelled):
+		return &last, nil
+	case "":
+		return nil, fmt.Errorf("serve: empty event stream")
+	default:
+		return nil, fmt.Errorf("serve: stream ended without a terminal event (last %q)", last.Event)
+	}
+}
+
+// streamHTTP is the client for NDJSON streams: no overall timeout (the
+// stream lives as long as the job; ctx cancels it), sharing the configured
+// transport when one was given.
+func (c *Client) streamHTTP() *http.Client {
+	if c.HTTP != nil {
+		return &http.Client{Transport: c.HTTP.Transport}
+	}
+	return &http.Client{}
+}
+
+// Ready checks GET /readyz: nil when the daemon accepts new work, an
+// *apiError (503) while draining or saturated.
+func (c *Client) Ready(ctx context.Context) error {
+	return c.do(ctx, http.MethodGet, "/readyz", nil, nil, false)
 }

@@ -81,9 +81,6 @@ func (n *Network) Grow(extra int) {
 // Len returns the number of nodes including the root.
 func (n *Network) Len() int { return len(n.parent) }
 
-// Parent returns the parent node id of i (-1 for the root).
-func (n *Network) Parent(i int) int { return int(n.parent[i]) }
-
 func (n *Network) add(parent int, res, cap float64, buf int32) int {
 	n.checkParent(parent)
 	id := len(n.parent)
@@ -186,15 +183,11 @@ func (n *Network) stageLoads() []float64 {
 	return load
 }
 
-// Delays returns the Elmore delay from the root source to every node.
-// Buffer nodes report the delay at their OUTPUT (input arrival + gate
-// delay); wire nodes report the delay at the node itself.
-func (n *Network) Delays() []float64 {
-	return n.DelaysInto(nil)
-}
-
-// DelaysInto is Delays writing into dst (grown as needed), so arena-backed
-// callers evaluate without allocating the result.
+// DelaysInto writes the Elmore delay from the root source to every node
+// into dst (grown as needed), so arena-backed callers evaluate without
+// allocating the result. Buffer nodes report the delay at their OUTPUT
+// (input arrival + gate delay); wire nodes report the delay at the node
+// itself.
 func (n *Network) DelaysInto(dst []float64) []float64 {
 	load := n.stageLoads()
 	nn := len(n.parent)

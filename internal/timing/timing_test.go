@@ -261,3 +261,9 @@ func TestNetworkPanicsOnBadParent(t *testing.T) {
 	n := NewNetwork(0)
 	n.AddWire(5, 1, 1)
 }
+
+// Delays is DelaysInto into a fresh slice.
+func (n *Network) Delays() []float64 { return n.DelaysInto(nil) }
+
+// Parent returns the parent node id of i (-1 for the root).
+func (n *Network) Parent(i int) int { return int(n.parent[i]) }
