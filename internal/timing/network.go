@@ -46,17 +46,11 @@ type Network struct {
 	slew []float64
 }
 
-// NewNetwork returns a network containing only the root driver node (id 0):
-// an ideal source whose internal resistance rootRes is applied as a series
-// term on stage 0.
-func NewNetwork(rootRes float64) *Network {
-	n := &Network{}
-	n.Reset(rootRes)
-	return n
-}
-
-// Reset rewinds the network to a lone root driver, keeping every lane's
-// capacity so a scratch-resident Network relowers trees allocation-free.
+// Reset rewinds the network to a lone root driver (node 0): an ideal source
+// whose internal resistance rootRes is applied as a series term on stage 0.
+// Every lane keeps its capacity, so a scratch-resident Network relowers
+// trees allocation-free. A zero Network needs a Reset before its first
+// node.
 func (n *Network) Reset(rootRes float64) {
 	n.parent = append(n.parent[:0], -1)
 	n.res = append(n.res[:0], rootRes)
@@ -66,7 +60,7 @@ func (n *Network) Reset(rootRes float64) {
 	n.kidsOK = false
 }
 
-// Grow pre-sizes the node lanes for n.Len()+extra nodes.
+// Grow pre-sizes the node lanes for extra more nodes.
 func (n *Network) Grow(extra int) {
 	need := len(n.parent) + extra
 	if cap(n.parent) >= need {
@@ -77,9 +71,6 @@ func (n *Network) Grow(extra int) {
 	n.capv = append(make([]float64, 0, need), n.capv...)
 	n.bufOf = append(make([]int32, 0, need), n.bufOf...)
 }
-
-// Len returns the number of nodes including the root.
-func (n *Network) Len() int { return len(n.parent) }
 
 func (n *Network) add(parent int, res, cap float64, buf int32) int {
 	n.checkParent(parent)

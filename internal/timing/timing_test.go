@@ -262,6 +262,16 @@ func TestNetworkPanicsOnBadParent(t *testing.T) {
 	n.AddWire(5, 1, 1)
 }
 
+// NewNetwork returns a network holding only its root driver.
+func NewNetwork(rootRes float64) *Network {
+	n := &Network{}
+	n.Reset(rootRes)
+	return n
+}
+
+// Len returns the number of nodes including the root.
+func (n *Network) Len() int { return len(n.parent) }
+
 // Delays is DelaysInto into a fresh slice.
 func (n *Network) Delays() []float64 { return n.DelaysInto(nil) }
 
