@@ -274,7 +274,7 @@ type rcBuilder interface {
 // subtree to b, which must hold only the root driver (node 0), records each
 // tree vertex's node in netOf (len >= t.Len()), and reports each sink's pin
 // node through emit, in preorder. When plant is non-nil, every unbuffered
-// vertex below root passes its arrival node through it, and its children
+// centroid below root passes its arrival node through it, and its children
 // hang from the node plant returns (the what-if model's buffer slots).
 //
 // Lowering rules per edge (parent → child), following the delay models of
@@ -323,7 +323,7 @@ func lowerTree(t *ctree.Tree, root int, tc *tech.Tech, b rcBuilder, netOf []int,
 			}
 			if n.BufferAtNode {
 				at = b.AddBuffer(at, 0, buf)
-			} else if plant != nil {
+			} else if plant != nil && n.Kind == ctree.KindCentroid {
 				at = plant(c, at)
 			}
 			netOf[c] = at

@@ -136,9 +136,6 @@ func (w *WhatIf) build(t *ctree.Tree, tc *tech.Tech) {
 		w.sinkNet = append(w.sinkNet, int32(node))
 		w.sinkIdx = append(w.sinkIdx, int32(sinkIdx))
 	}, func(id, at int) int {
-		if t.Nodes[id].Kind != ctree.KindCentroid {
-			return at
-		}
 		slot := w.addNode(at, 0, 0, wiSlot)
 		w.slotOf[id] = int32(slot)
 		return slot
