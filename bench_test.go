@@ -420,6 +420,13 @@ func BenchmarkSubstrates(b *testing.B) {
 			}
 		}
 	})
+	// The what-if build skew refinement and monolithic ECO pay for: one
+	// lowering with slots plus the committed state's full pass.
+	b.Run("whatif", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			eval.ReleaseWhatIf(eval.NewWhatIf(annotated, tc))
+		}
+	})
 }
 
 // BenchmarkParallelSynthesize measures the end-to-end flow at one worker

@@ -1,9 +1,10 @@
 // Package eval extracts the paper's reported metrics from a finished clock
 // tree: latency (max source-to-sink delay), skew (max-min), buffer and nTSV
-// counts, and clock wirelength. It builds a staged RC network from the
-// tree's wiring annotations and evaluates it with the Elmore model (the
+// counts, and clock wirelength. It lowers the tree's wiring annotations into
+// a staged RC network (network.go) and times it with the Elmore model (the
 // optimization model) or the NLDM+slew model (the paper's evaluation model,
-// Sec. IV-A).
+// Sec. IV-A). The incremental what-if model (whatif.go) embeds the same
+// network, so every evaluation path reads one set of RC lanes.
 package eval
 
 import (
@@ -61,20 +62,12 @@ func New(tc *tech.Tech, mode Mode) *Evaluator {
 	return e
 }
 
-// sinkPair records one sink's network node during lowering.
-type sinkPair struct {
-	sinkIdx int // original sink index
-	node    int // network node carrying the sink pin
-}
-
-// evalScratch is the per-evaluation working set: the RC network, the
-// tree-vertex → network-node map and the delay/slew result lanes. It lives
-// in evalPool and is fully rewound per evaluation, so steady-state Evaluate
-// calls allocate only the Metrics that escape to the caller.
+// evalScratch is the per-evaluation working set: the RC network and the
+// delay/slew result lanes. It lives in evalPool and is fully rewound per
+// evaluation, so steady-state Evaluate calls allocate only the Metrics that
+// escape to the caller.
 type evalScratch struct {
-	net    timing.Network
-	netOf  []int
-	pairs  []sinkPair
+	net    network
 	delays []float64
 	slews  []float64
 }
@@ -153,9 +146,9 @@ func EvaluateViews(ctx context.Context, t *ctree.Tree, views []*Evaluator, worke
 			return
 		}
 		if lanes != nil {
-			lane := make([]float64, len(s.pairs))
-			for k, p := range s.pairs {
-				lane[k] = s.delays[p.node]
+			lane := make([]float64, len(s.net.sinkNet))
+			for k, node := range s.net.sinkNet {
+				lane[k] = s.delays[node]
 			}
 			lanes[i] = lane
 		}
@@ -197,138 +190,54 @@ func maxSpread(lanes [][]float64) float64 {
 // measure is the evaluation body Evaluate, EvaluateViews and SummarizeRegion
 // share: it lowers t under e's technology into s, times the network, and
 // fills m's per-sink fields (SinkDelays, Latency, Skew and, in NLDM mode,
-// MaxSlew), returning the sink delay extremes. The network, its delays and
-// the sink pairs stay in s until s goes back to the pool. It rejects a tree
-// whose sink nodes repeat a sink index, which ctree.Validate admits: its
-// delay map would silently hold fewer sinks than the tree.
+// MaxSlew), returning the sink delay extremes. The network and its delays
+// stay in s until s goes back to the pool. It rejects a tree whose sink
+// nodes repeat a sink index, which ctree.Validate admits: its delay map
+// would silently hold fewer sinks than the tree.
 func (e *Evaluator) measure(s *evalScratch, t *ctree.Tree, m *Metrics) (lo, hi float64, err error) {
-	s.lower(t, t.Root(), e.tc)
-	if len(s.pairs) == 0 {
+	net := &s.net
+	net.lower(t, t.Root(), e.tc, false)
+	if len(net.sinkNet) == 0 {
 		return 0, 0, fmt.Errorf("eval: tree has no sinks")
 	}
 	if e.mode == NLDM {
-		s.delays = s.net.DelaysNLDMInto(s.delays, e.InputSlew, e.tbl)
+		s.delays = net.delaysNLDMInto(s.delays, e.InputSlew, e.tbl)
 	} else {
-		s.delays = s.net.DelaysInto(s.delays)
+		s.delays = net.delaysInto(s.delays)
 	}
-	m.SinkDelays = make(map[int]float64, len(s.pairs))
+	m.SinkDelays = make(map[int]float64, len(net.sinkNet))
 	lo, hi = math.Inf(1), math.Inf(-1)
-	for _, p := range s.pairs {
-		d := s.delays[p.node]
-		m.SinkDelays[p.sinkIdx] = d
+	for k, node := range net.sinkNet {
+		d := s.delays[node]
+		m.SinkDelays[int(net.sinkIdx[k])] = d
 		lo = math.Min(lo, d)
 		hi = math.Max(hi, d)
 	}
-	if len(m.SinkDelays) < len(s.pairs) {
+	if len(m.SinkDelays) < len(net.sinkNet) {
 		return 0, 0, fmt.Errorf("eval: %d sink nodes carry only %d distinct sink indices",
-			len(s.pairs), len(m.SinkDelays))
+			len(net.sinkNet), len(m.SinkDelays))
 	}
 	m.Latency = hi
 	m.Skew = hi - lo
 	if e.mode == NLDM {
-		s.slews = s.net.SlewsInto(s.slews, e.InputSlew, e.tbl)
-		for _, p := range s.pairs {
-			m.MaxSlew = math.Max(m.MaxSlew, s.slews[p.node])
+		s.slews = net.slewsInto(s.slews, e.InputSlew, e.tbl)
+		for _, node := range net.sinkNet {
+			m.MaxSlew = math.Max(m.MaxSlew, s.slews[node])
 		}
 	}
 	return lo, hi, nil
 }
 
 // DownstreamCap returns the capacitance an unbuffered node id drives: the
-// root-stage load of id's subtree, lowered by lowerTree from id. Wire caps
-// by side, nTSV caps and sink pin caps count, and each buffer, node-level or
-// mid-edge, shields everything below it behind its input cap. The ECO
-// engine uses it to re-legalize graft points: a spliced leaf net that
-// outgrew the drive budget gets a shielding buffer. A node buffer at id
-// would be the whole root stage, so the caller checks BufferAtNode first.
+// root-stage load of id's subtree, lowered from id. Wire caps by side, nTSV
+// caps and sink pin caps count, and each buffer, node-level or mid-edge,
+// shields everything below it behind its input cap. The ECO engine uses it
+// to re-legalize graft points: a spliced leaf net that outgrew the drive
+// budget gets a shielding buffer. A node buffer at id would be the whole
+// root stage, so the caller checks BufferAtNode first.
 func DownstreamCap(t *ctree.Tree, id int, tc *tech.Tech) float64 {
 	s := getEvalScratch()
 	defer evalPool.Put(s)
-	s.lower(t, id, tc)
-	return s.net.SourceLoad()
-}
-
-// lower rebuilds the scratch network and sink pairs from root's subtree of
-// t, reusing every lane from the previous evaluation.
-func (s *evalScratch) lower(t *ctree.Tree, root int, tc *tech.Tech) {
-	s.net.Reset(tc.Buf.DriveRes)
-	s.net.Grow(t.Len() + t.Len()/2)
-	s.netOf = arena.Grow(s.netOf, t.Len())
-	s.pairs = s.pairs[:0]
-	lowerTree(t, root, tc, &s.net, s.netOf, func(sinkIdx, node int) {
-		s.pairs = append(s.pairs, sinkPair{sinkIdx: sinkIdx, node: node})
-	}, nil)
-}
-
-// rcBuilder is what lowerTree appends RC elements to: *timing.Network, or
-// the what-if model's lanes (whatIfLanes). Each call adds one node below
-// parent and returns its id.
-type rcBuilder interface {
-	AddWire(parent int, res, cap float64) int
-	AddBuffer(parent int, res float64, b tech.Buffer) int
-}
-
-// lowerTree is the one place the evaluator turns tree edges into R and C.
-// Evaluate, EvaluateViews, SummarizeRegion, TopDelays, DownstreamCap and the
-// what-if model all lower through it. It appends the RC elements of root's
-// subtree to b, which must hold only the root driver (node 0), records each
-// tree vertex's node in netOf (len >= t.Len()), and reports each sink's pin
-// node through emit, in preorder. When plant is non-nil, every unbuffered
-// centroid below root passes its arrival node through it, and its children
-// hang from the node plant returns (the what-if model's buffer slots).
-//
-// Lowering rules per edge (parent → child), following the delay models of
-// Sec. II-B: a front/back wire is a series resistance with its cap at the
-// downstream node (L-model); a mid-edge buffer splits the edge into two
-// halves around a buffer element; an nTSV is a series resistance with its
-// cap at its downstream node. A node-level buffer (BufferAtNode) is placed
-// between the edge's arrival and the node's children. The clock root drives
-// stage 0 through the buffer's drive resistance (root driver).
-func lowerTree(t *ctree.Tree, root int, tc *tech.Tech, b rcBuilder, netOf []int, emit func(sinkIdx, node int), plant func(id, at int) int) {
-	front, back, tsv, buf := tc.Front(), tc.Back(), tc.TSV, tc.Buf
-	netOf[root] = 0
-	if t.Nodes[root].BufferAtNode {
-		netOf[root] = b.AddBuffer(0, 0, buf)
-	}
-	var below func(id int)
-	below = func(id int) {
-		for _, c := range t.Nodes[id].Children {
-			n := &t.Nodes[c]
-			parent := netOf[id]
-			length := t.EdgeLen(c)
-			w := n.Wiring
-			var at int
-			switch {
-			case n.Kind == ctree.KindSink:
-				// Leaf-net star branch: front wire (L-model: wire cap at
-				// the far node) terminated by the sink pin cap.
-				at = b.AddWire(parent, front.UnitRes*length, front.UnitCap*length+tc.SinkCap)
-				emit(n.SinkIdx, at)
-			case w.BufMid:
-				h := length / 2
-				upw := b.AddWire(parent, front.UnitRes*h, front.UnitCap*h)
-				bufn := b.AddBuffer(upw, 0, buf)
-				at = b.AddWire(bufn, front.UnitRes*h, front.UnitCap*h)
-			case w.WireSide == ctree.Back:
-				at = parent
-				if w.TSVUp {
-					at = b.AddWire(at, tsv.Res, tsv.Cap)
-				}
-				at = b.AddWire(at, back.UnitRes*length, back.UnitCap*length)
-				if w.TSVDown {
-					at = b.AddWire(at, tsv.Res, tsv.Cap)
-				}
-			default: // plain front wire
-				at = b.AddWire(parent, front.UnitRes*length, front.UnitCap*length)
-			}
-			if n.BufferAtNode {
-				at = b.AddBuffer(at, 0, buf)
-			} else if plant != nil && n.Kind == ctree.KindCentroid {
-				at = plant(c, at)
-			}
-			netOf[c] = at
-			below(c)
-		}
-	}
-	below(root)
+	s.net.lower(t, id, tc, false)
+	return s.net.sourceLoad()
 }

@@ -16,7 +16,7 @@ func (w *WhatIf) FullPass(extra int32, dst []float64) (latency, skew float64) {
 	load, d := refLoad, refD
 	latency, skew = w.evalFull(extra, load, d)
 	if dst != nil {
-		src := w.rootRes * load[0]
+		src := w.res[0] * load[0]
 		for k, nn := range w.sinkNet {
 			dst[w.sinkIdx[k]] = d[nn] + src
 		}
@@ -34,7 +34,7 @@ func (w *WhatIf) ShieldOf(slot int32) (b int32, kind string, below int) {
 	switch {
 	case b == 0:
 		kind = "root"
-	case w.kind[b] == wiBuf:
+	case w.kind[b] == bufNode:
 		kind = "buffer"
 	default:
 		kind = "slot"

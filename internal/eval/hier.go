@@ -60,24 +60,24 @@ func (e *Evaluator) SummarizeRegion(t *ctree.Tree) (*RegionEval, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &RegionEval{RootLoad: s.net.SourceLoad(), MaxDelay: hi, MinDelay: lo, Metrics: m}, nil
+	return &RegionEval{RootLoad: s.net.sourceLoad(), MaxDelay: hi, MinDelay: lo, Metrics: m}, nil
 }
 
 // TopDelays returns, per region index, the tap arrival time (ps) in the top
 // (stitch) tree: input arrival plus the tap buffer's intrinsic delay,
 // excluding its drive term over the region load. The region-local delays
 // carry that term as their root-driver contribution, so arrival + d_ij is
-// the exact merged-tree sink delay. The top tree lowers through lowerTree
-// into a pooled scratch, so every legal edge pattern (front or back wire,
-// nTSVs, mid-edge and node buffers) composes exactly. taps maps top-tree
-// node ids to region indices; each region has exactly one tap, a childless
-// node carrying a BufferAtNode (the shield the composition needs), which the
-// network models unloaded.
+// the exact merged-tree sink delay. The top tree lowers through
+// network.lower into a pooled scratch, so every legal edge pattern (front
+// or back wire, nTSVs, mid-edge and node buffers) composes exactly. taps
+// maps top-tree node ids to region indices; each region has exactly one
+// tap, a childless node carrying a BufferAtNode (the shield the composition
+// needs), which the network models unloaded.
 func (e *Evaluator) TopDelays(top *ctree.Tree, taps map[int]int, regions []*RegionEval) ([]float64, error) {
 	s := getEvalScratch()
 	defer evalPool.Put(s)
-	s.lower(top, top.Root(), e.tc)
-	s.delays = s.net.DelaysInto(s.delays)
+	s.net.lower(top, top.Root(), e.tc, false)
+	s.delays = s.net.delaysInto(s.delays)
 	out := make([]float64, len(regions))
 	tapped := make([]bool, len(regions))
 	for id := range top.Nodes {
@@ -97,7 +97,7 @@ func (e *Evaluator) TopDelays(top *ctree.Tree, taps map[int]int, regions []*Regi
 			return nil, fmt.Errorf("eval: region %d has two taps in the top tree", ri)
 		}
 		tapped[ri] = true
-		out[ri] = s.delays[s.netOf[id]]
+		out[ri] = s.delays[s.net.netOf[id]]
 	}
 	for ri, ok := range tapped {
 		if !ok {

@@ -44,37 +44,20 @@ import (
 // Trial and Commit re-time in one workspace embedded in the model, so a
 // model serves one caller at a time.
 type WhatIf struct {
-	parent    []int32
+	network           // lowered with a slot at every unbuffered centroid
 	end       []int32 // end of each node's pre-order subtree range
-	res       []float64
-	capv      []float64
-	kind      []uint8 // wire / fixed buffer / toggleable slot
 	committed []bool  // slot state (committed buffers)
-
-	buf     tech.Buffer
-	rootRes float64
-
-	sinkNet []int32 // network node of each sink record, increasing
-	sinkIdx []int32 // original sink index of each sink record
-	slotOf  map[int]int32
 
 	// The committed state: node loads and delays, the root driver's
 	// source term, and sink-arrival extrema by sink record, pre[k] over
 	// records [0, k) and suf[k] over [k, K).
-	load, d  []float64
+	cload, d []float64
 	src      float64
 	pre, suf []extent
 	sc       whatIfScratch // Trial's and Commit's re-timing workspace
 
-	netOf   []int     // lowering scratch, reused across builds
 	sinkDst []float64 // per-sink delay scratch (EvaluateWhatIf)
 }
-
-const (
-	wiWire uint8 = iota
-	wiBuf
-	wiSlot
-)
 
 // extent is the lowest and highest of a set of sink arrival times.
 type extent struct{ lo, hi float64 }
@@ -102,15 +85,15 @@ type whatIfScratch struct {
 	pload []float64 // their loads with the trial slot switched on
 }
 
-// NewWhatIf lowers the annotated tree once through lowerTree and plants a
-// toggleable buffer slot at every centroid that does not already carry a
-// node buffer. The tree must already be valid (the caller's initial
-// Evaluate checks that). The model (lanes, slot map and workspace) is
-// recycled from a package pool; hand it back with ReleaseWhatIf when done.
+// NewWhatIf lowers the annotated tree once, with a toggleable buffer slot
+// at every centroid that does not already carry a node buffer. The tree
+// must already be valid (the caller's initial Evaluate checks that). The
+// model (lanes and workspace) is recycled from a package pool; hand it back
+// with ReleaseWhatIf when done.
 func NewWhatIf(t *ctree.Tree, tc *tech.Tech) *WhatIf {
 	w := whatIfPool.Get()
 	if w == nil {
-		w = &WhatIf{slotOf: make(map[int]int32)}
+		w = &WhatIf{}
 	}
 	w.build(t, tc)
 	return w
@@ -122,24 +105,7 @@ func ReleaseWhatIf(w *WhatIf) { whatIfPool.Put(w) }
 
 // build (re)lowers the tree into the model, rewinding every lane.
 func (w *WhatIf) build(t *ctree.Tree, tc *tech.Tech) {
-	w.buf, w.rootRes = tc.Buf, tc.Buf.DriveRes
-	w.parent = w.parent[:0]
-	w.res = w.res[:0]
-	w.capv = w.capv[:0]
-	w.kind = w.kind[:0]
-	w.sinkNet = w.sinkNet[:0]
-	w.sinkIdx = w.sinkIdx[:0]
-	clear(w.slotOf)
-	w.addNode(-1, 0, 0, wiWire) // node 0: root driver
-	w.netOf = arena.Grow(w.netOf, t.Len())
-	lowerTree(t, t.Root(), tc, (*whatIfLanes)(w), w.netOf, func(sinkIdx, node int) {
-		w.sinkNet = append(w.sinkNet, int32(node))
-		w.sinkIdx = append(w.sinkIdx, int32(sinkIdx))
-	}, func(id, at int) int {
-		slot := w.addNode(at, 0, 0, wiSlot)
-		w.slotOf[id] = int32(slot)
-		return slot
-	})
+	w.lower(t, t.Root(), tc, true)
 	n := len(w.parent)
 	w.committed = arena.GrowZero(w.committed, n)
 	// Children have larger ids than their parents, so one backward sweep
@@ -153,39 +119,18 @@ func (w *WhatIf) build(t *ctree.Tree, tc *tech.Tech) {
 			w.end[p] = w.end[i]
 		}
 	}
-	w.load = arena.Grow(w.load, n)
+	w.cload = arena.Grow(w.cload, n)
 	w.d = arena.Grow(w.d, n)
 	w.sc.d = arena.Grow(w.sc.d, n)
-	w.evalFull(-1, w.load, w.d)
-	w.src = w.rootRes * w.load[0]
+	w.evalFull(-1, w.cload, w.d)
+	w.src = w.res[0] * w.cload[0]
 	w.refreshExtents()
-}
-
-func (w *WhatIf) addNode(parent int, res, capv float64, kind uint8) int {
-	id := len(w.parent)
-	w.parent = append(w.parent, int32(parent))
-	w.res = append(w.res, res)
-	w.capv = append(w.capv, capv)
-	w.kind = append(w.kind, kind)
-	return id
-}
-
-// whatIfLanes is the rcBuilder the model lowers through: lowerTree's wires
-// and fixed buffers land in the model's lanes.
-type whatIfLanes WhatIf
-
-func (l *whatIfLanes) AddWire(parent int, res, capv float64) int {
-	return (*WhatIf)(l).addNode(parent, res, capv, wiWire)
-}
-
-func (l *whatIfLanes) AddBuffer(parent int, res float64, b tech.Buffer) int {
-	return (*WhatIf)(l).addNode(parent, res, b.InputCap, wiBuf)
 }
 
 // SlotOf returns the slot node of a centroid tree node, or -1 when the
 // centroid already carries a fixed buffer.
 func (w *WhatIf) SlotOf(treeNode int) int32 {
-	if s, ok := w.slotOf[treeNode]; ok {
+	if s := w.netOf[treeNode]; w.kind[s] == slotNode {
 		return s
 	}
 	return -1
@@ -200,10 +145,10 @@ func (w *WhatIf) Commit(slot int32) {
 	w.committed[slot] = true
 	sc := &w.sc
 	if b := w.retime(slot, sc, w.d); b == 0 {
-		w.src = w.rootRes * sc.pload[len(sc.pload)-1]
+		w.src = w.res[0] * sc.pload[len(sc.pload)-1]
 	}
 	for k, p := range sc.path {
-		w.load[p] = sc.pload[k]
+		w.cload[p] = sc.pload[k]
 	}
 	w.refreshExtents()
 }
@@ -227,11 +172,12 @@ func (w *WhatIf) refreshExtents() {
 	}
 }
 
-// CommittedTreeNodes returns the tree node ids of all committed slots.
+// CommittedTreeNodes returns the tree node ids of all committed slots, in
+// increasing id.
 func (w *WhatIf) CommittedTreeNodes() []int {
 	var out []int
-	for id, s := range w.slotOf {
-		if w.committed[s] {
+	for id, s := range w.netOf {
+		if w.kind[s] == slotNode && w.committed[s] {
 			out = append(out, id)
 		}
 	}
@@ -239,7 +185,7 @@ func (w *WhatIf) CommittedTreeNodes() []int {
 }
 
 // EvaluateWhatIf computes the tree's full Metrics through one flat WhatIf
-// pass instead of Evaluate's staged network, skipping the structural
+// pass instead of Evaluate's staged timing passes, skipping the structural
 // re-validation walk. It exists for incremental (ECO) re-synthesis, where
 // the tree is a splice of already-validated pieces and the evaluation is
 // the tail of the hot path: the spliced structure is correct by
@@ -297,7 +243,7 @@ func (w *WhatIf) Trial(slot int32) (latency, skew float64) {
 	b := w.retime(slot, sc, sc.d)
 	src := w.src
 	if b == 0 {
-		src = w.rootRes * sc.pload[len(sc.pload)-1]
+		src = w.res[0] * sc.pload[len(sc.pload)-1]
 	}
 	// Sink records are in pre-order too: b's sinks are one run of them.
 	k0, _ := slices.BinarySearch(w.sinkNet, b)
@@ -336,7 +282,7 @@ func (w *WhatIf) retime(slot int32, sc *whatIfScratch, d []float64) int32 {
 			case c == child:
 				l += childLoad
 			default:
-				l += w.load[c]
+				l += w.cload[c]
 			}
 		}
 		shield := p == 0 || w.active(p, -1)
@@ -359,7 +305,7 @@ func (w *WhatIf) retime(slot int32, sc *whatIfScratch, d []float64) int32 {
 	}
 	j--
 	for i := b + 1; i < w.end[b]; i++ {
-		l := w.load[i]
+		l := w.cload[i]
 		if j >= 0 && i == sc.path[j] {
 			l = sc.pload[j]
 			j--
@@ -373,9 +319,9 @@ func (w *WhatIf) retime(slot int32, sc *whatIfScratch, d []float64) int32 {
 // committed slot, or the trial slot extra (-1 for none).
 func (w *WhatIf) active(i, extra int32) bool {
 	switch w.kind[i] {
-	case wiBuf:
+	case bufNode:
 		return true
-	case wiSlot:
+	case slotNode:
 		return w.committed[i] || i == extra
 	}
 	return false
@@ -425,7 +371,7 @@ func (w *WhatIf) evalFull(extra int32, load, d []float64) (latency, skew float64
 	for i := int32(1); i < int32(n); i++ {
 		d[i] = w.arrival(d[w.parent[i]], i, load[i], w.active(i, extra))
 	}
-	src := w.rootRes * load[0]
+	src := w.res[0] * load[0]
 	e := emptyExtent
 	for _, nn := range w.sinkNet {
 		e = e.with(d[nn] + src)

@@ -86,7 +86,10 @@ func TestRequestKeyPinned(t *testing.T) {
 	}{
 		{"design", KindSynthesize, "7c3246eb39e57926cc204e3a45846f3adfd8be620c9ee0b6c6c9e78593b4c41d",
 			&Request{Design: "C3"}},
-		{"design+options+corners", KindSynthesize, "285f5b69258eb203f2738349f889f2a7668a05c640a3773edc45ba4bcb8a8fa1",
+		// Single-side synthesis ignores the fanout threshold, so this
+		// form hashes it as 0: the pin is the v5 key this request had
+		// at fanout_threshold 0, which synthesizes the same tree.
+		{"design+options+corners", KindSynthesize, "d5e4ed849d9e78289f88bc40fad8b2a6184fe4fa20352d4d2ecc660e765beb4f",
 			&Request{Design: "C2", Seed: 3,
 				Options: OptionsSpec{Mode: "single", FanoutThreshold: 150, Alpha: 0.5, Beta: 0.3, Gamma: 0.2,
 					SkipRefine: true, SelectMinLatency: true, DiversePruning: true, MaxPerSide: 6, UseFlatDME: true,

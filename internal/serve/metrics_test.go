@@ -291,6 +291,35 @@ func TestResultPhases(t *testing.T) {
 	}
 }
 
+// TestDSEPhasesCountPoints: a DSE sweep reports each finished threshold as
+// a point event, so the result's sweep row counts points and no spans, and
+// the per-phase duration histogram gets no sweep series.
+func TestDSEPhasesCountPoints(t *testing.T) {
+	_, client, ts, _ := newMetricsServer(t, Config{MaxRunning: 1})
+	thresholds := []int{8, 16, 32}
+	info, err := client.DSE(context.Background(), &Request{Design: "C1", Thresholds: thresholds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Result == nil {
+		t.Fatalf("dse job carries no result: %+v", info)
+	}
+	var sweep []obs.PhaseTotal
+	for _, pt := range info.Result.Phases {
+		if pt.Phase == "sweep" {
+			sweep = append(sweep, pt)
+		}
+	}
+	if want := (obs.PhaseTotal{Phase: "sweep", Points: len(thresholds)}); len(sweep) != 1 || sweep[0] != want {
+		t.Fatalf("sweep rows %+v, want [%+v] (phases %+v)", sweep, want, info.Result.Phases)
+	}
+	for name := range scrape(t, ts) {
+		if strings.HasPrefix(name, "dscts_phase_duration_seconds") && strings.Contains(name, `phase="sweep"`) {
+			t.Errorf("scrape has a sweep phase-duration series: %s", name)
+		}
+	}
+}
+
 // TestVersionEndpointAndStats covers the build-identity satellite: GET
 // /version, the /stats uptime/version fields, and the result stamp.
 func TestVersionEndpointAndStats(t *testing.T) {

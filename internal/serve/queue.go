@@ -334,17 +334,16 @@ func (j *Job) append(ev Event) {
 }
 
 func (j *Job) progress(p core.Progress) {
-	// The flow's event grammar maps onto the tracer directly: Done closes a
-	// span (the engine-measured Elapsed preferred over wall-clock), a
-	// positive Total is a point event (sweep point, region, corner,
-	// cluster), anything else opens a span.
+	// The flow's event grammar maps onto the tracer directly: a positive
+	// Total is a point event (region, corner, cluster, and the DSE sweep
+	// point, which also says Done), any other Done closes a span with its
+	// engine-measured Elapsed, and a phase start carries nothing the
+	// totals need.
 	switch {
-	case p.Done:
-		j.trace.End(string(p.Phase), p.Elapsed)
 	case p.Total > 0:
 		j.trace.Point(string(p.Phase))
-	default:
-		j.trace.Begin(string(p.Phase))
+	case p.Done:
+		j.trace.End(string(p.Phase), p.Elapsed)
 	}
 	j.append(Event{
 		Event: "phase", JobID: j.id,

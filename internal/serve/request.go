@@ -462,12 +462,14 @@ func (r *Request) Key(kind string) string {
 	// Options hash as the engine applies them, so requests that synthesize
 	// the same tree share one entry: mode "" is "double", all-zero weights
 	// are the paper's defaults, MaxPerSide <= 0 is the DP's default cap and
-	// FanoutThreshold <= 0 is full mode.
+	// FanoutThreshold <= 0 is full mode. Single-side synthesis ignores the
+	// fanout threshold and a DSE sweep overwrites it at every point, so
+	// both hash it as 0.
 	o := r.Options
 	if o.Mode == "" {
 		o.Mode = "double"
 	}
-	if o.FanoutThreshold < 0 {
+	if o.FanoutThreshold < 0 || o.Mode == "single" || kind == KindDSE {
 		o.FanoutThreshold = 0
 	}
 	if o.Alpha == 0 && o.Beta == 0 && o.Gamma == 0 {
@@ -489,10 +491,12 @@ func (r *Request) Key(kind string) string {
 	wb(o.UseFlatDME)
 	// The partition section is always encoded (zeros when absent): the
 	// options change the synthesized tree, so they are part of the result
-	// identity. The strategy string is canonicalized to "kd" when empty.
+	// identity. The strategy string is canonicalized to "kd" when empty,
+	// and when MaxSinks is 0: partitioning is then off, so no strategy
+	// applies.
 	wi(int64(o.PartitionMaxSinks))
 	strat := o.PartitionStrategy
-	if strat == "" {
+	if strat == "" || o.PartitionMaxSinks == 0 {
 		strat = "kd"
 	}
 	ws(strat)

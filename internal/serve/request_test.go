@@ -2,52 +2,68 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"reflect"
 	"testing"
 
 	"dscts/internal/core"
+	"dscts/internal/dse"
 )
 
 // TestRequestKeyDefaultSpellings pins that option spellings the engine
-// treats alike share one cache key, and that they really do synthesize
-// identical trees: a shared key is only sound if the results are equal.
+// treats alike share one cache key, and that they really do produce
+// identical results: a shared key is only sound if the results are equal.
 func TestRequestKeyDefaultSpellings(t *testing.T) {
 	req := func(o OptionsSpec) *Request { return &Request{Design: "C1", Options: o} }
+	dseReq := func(o OptionsSpec) *Request { return &Request{Design: "C1", Options: o, Thresholds: []int{8, 40}} }
+	// run executes the job body the request resolves to.
+	run := func(r *Request, kind string) any {
+		t.Helper()
+		rv, err := r.resolve(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kind == KindDSE {
+			pts, err := dse.SweepFanoutContext(context.Background(), rv.root, rv.sinks, rv.tc, r.Thresholds, rv.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return pts
+		}
+		o, err := core.Synthesize(rv.root, rv.sinks, rv.tc, rv.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []any{o.Tree.Nodes, o.Metrics}
+	}
 	ref := req(OptionsSpec{})
-	refKey := ref.Key(KindSynthesize)
-	rv, err := ref.resolve(KindSynthesize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := core.Synthesize(rv.root, rv.sinks, rv.tc, rv.opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, o := range []OptionsSpec{
-		{Mode: "double"},
-		{Alpha: 1, Beta: 10, Gamma: 1},
-		{MaxPerSide: -3},
-		{MaxPerSide: 48},
-		{FanoutThreshold: -1},
+	single := req(OptionsSpec{Mode: "single"})
+	for _, c := range []struct {
+		kind     string
+		ref, alt *Request
+	}{
+		{KindSynthesize, ref, req(OptionsSpec{Mode: "double"})},
+		{KindSynthesize, ref, req(OptionsSpec{Alpha: 1, Beta: 10, Gamma: 1})},
+		{KindSynthesize, ref, req(OptionsSpec{MaxPerSide: -3})},
+		{KindSynthesize, ref, req(OptionsSpec{MaxPerSide: 48})},
+		{KindSynthesize, ref, req(OptionsSpec{FanoutThreshold: -1})},
+		// Single-side synthesis ignores the fanout threshold.
+		{KindSynthesize, single, req(OptionsSpec{Mode: "single", FanoutThreshold: 8})},
+		// With partitioning off, no strategy applies.
+		{KindSynthesize, ref, req(OptionsSpec{PartitionStrategy: "grid"})},
+		// A DSE sweep overwrites the fanout threshold at every point.
+		{KindDSE, dseReq(OptionsSpec{}), dseReq(OptionsSpec{FanoutThreshold: 20})},
 	} {
-		r := req(o)
-		if r.Key(KindSynthesize) != refKey {
-			t.Errorf("%+v: key differs from the default spelling", o)
+		if c.alt.Key(c.kind) != c.ref.Key(c.kind) {
+			t.Errorf("%s %+v: key differs from %+v", c.kind, c.alt.Options, c.ref.Options)
+			continue
 		}
-		rv, err := r.resolve(KindSynthesize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := core.Synthesize(rv.root, rv.sinks, rv.tc, rv.opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Tree.Nodes, want.Tree.Nodes) || !reflect.DeepEqual(got.Metrics, want.Metrics) {
-			t.Errorf("%+v: shares the default key but synthesizes a different tree", o)
+		if !reflect.DeepEqual(run(c.alt, c.kind), run(c.ref, c.kind)) {
+			t.Errorf("%s %+v: shares the key of %+v but produces a different result", c.kind, c.alt.Options, c.ref.Options)
 		}
 	}
-	if req(OptionsSpec{Alpha: 2, Beta: 10, Gamma: 1}).Key(KindSynthesize) == refKey {
+	if req(OptionsSpec{Alpha: 2, Beta: 10, Gamma: 1}).Key(KindSynthesize) == ref.Key(KindSynthesize) {
 		t.Error("weights 2/10/1 share the default key")
 	}
 }
@@ -79,7 +95,13 @@ func TestKeyCoversEveryField(t *testing.T) {
 		"explicit": {"explicit", KindSynthesize, func() *Request { return &Request{Root: &XY{1, 2}, Sinks: []XY{{3, 4}}} }},
 		"dse":      {"dse", KindDSE, func() *Request { return &Request{Design: "C1", Thresholds: []int{8}} }},
 		"eco":      {"eco", KindECO, func() *Request { return &Request{Design: "C1", Delta: &DeltaSpec{Remove: []int{3}}} }},
+		"partitioned": {"partitioned", KindSynthesize, func() *Request {
+			return &Request{Design: "C1", Options: OptionsSpec{PartitionMaxSinks: 300}}
+		}},
 	}
+	// appliesIn names the forms a field is checked on, by its full name;
+	// any other field is checked on its parent's forms, or at the top
+	// level on the design form.
 	appliesIn := map[string][]string{
 		"Seed":       {"design", "xl"},
 		"Root":       {"explicit"},
@@ -87,6 +109,8 @@ func TestKeyCoversEveryField(t *testing.T) {
 		"XLSinks":    {"xl"},
 		"Thresholds": {"dse"},
 		"Delta":      {"eco"},
+		// The strategy only applies with partitioning on.
+		"Options.PartitionStrategy": {"partitioned"},
 	}
 
 	// check perturbs the value field() selects on each form and compares
@@ -119,14 +143,13 @@ func TestKeyCoversEveryField(t *testing.T) {
 				continue
 			}
 			sfs := fs
-			if sfs == nil {
-				sfs = []form{forms["design"]}
-				if names, ok := appliesIn[sf.Name]; ok {
-					sfs = nil
-					for _, n := range names {
-						sfs = append(sfs, forms[n])
-					}
+			if names, ok := appliesIn[name]; ok {
+				sfs = nil
+				for _, n := range names {
+					sfs = append(sfs, forms[n])
 				}
+			} else if sfs == nil {
+				sfs = []form{forms["design"]}
 			}
 			sub := func(r *Request) reflect.Value { return field(r).Field(i) }
 			switch sf.Type {

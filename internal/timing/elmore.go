@@ -1,8 +1,9 @@
-// Package timing implements the delay models of the paper: the classic
-// L-type Elmore wire model (Sec. II-B, Eqs. (1)-(2)), the linear buffer gate
-// model used during optimization, PERI slew propagation ([34] in the paper)
-// and NLDM-style lookup tables ([32]) used for final evaluation, plus a
-// general staged RC-network evaluator for full clock trees.
+// Package timing implements the delay models of the paper that the
+// optimizer evaluates in closed form: the classic L-type Elmore wire model
+// and its nTSV patterns (Sec. II-B, Eqs. (1)-(2)), used by the buffer and
+// nTSV DP, and the NLDM-style lookup tables ([32]) used for final
+// evaluation. Whole clock trees are timed by internal/eval's staged RC
+// network, which applies these tables and PERI slew propagation ([34]).
 //
 // In the L-type model a wire segment of length L on a layer with unit
 // resistance r and unit capacitance c is a series resistance rL followed by

@@ -42,6 +42,13 @@ func SynthesizeNLDM(b tech.Buffer) *NLDM {
 	return t
 }
 
+// defaultOutSlew is the linear output-slew model the table is built
+// around.
+func defaultOutSlew(b tech.Buffer, load float64) float64 {
+	const ln9 = 2.1972245773362196
+	return ln9 * b.DriveRes * (load + 0.5)
+}
+
 // Delay returns the interpolated cell delay for the given input slew (ps)
 // and output load (fF).
 func (t *NLDM) Delay(slew, load float64) float64 {

@@ -75,102 +75,6 @@ func TestWireDelayCapBasics(t *testing.T) {
 	}
 }
 
-func TestNetworkSingleWire(t *testing.T) {
-	// root --R=2-- node(C=3) : delay = 2*3 = 6.
-	n := NewNetwork(0)
-	id := n.AddWire(0, 2, 3)
-	d := n.Delays()
-	if math.Abs(d[id]-6) > 1e-12 {
-		t.Fatalf("delay = %v, want 6", d[id])
-	}
-}
-
-func TestNetworkChainMatchesHandElmore(t *testing.T) {
-	// root -R1- a(C1) -R2- b(C2): d(a)=R1(C1+C2), d(b)=d(a)+R2·C2.
-	n := NewNetwork(0)
-	a := n.AddWire(0, 1.5, 2)
-	b := n.AddWire(a, 2.5, 4)
-	d := n.Delays()
-	wantA := 1.5 * (2 + 4)
-	wantB := wantA + 2.5*4
-	if math.Abs(d[a]-wantA) > 1e-12 || math.Abs(d[b]-wantB) > 1e-12 {
-		t.Fatalf("chain delays %v/%v want %v/%v", d[a], d[b], wantA, wantB)
-	}
-}
-
-func TestNetworkBufferShielding(t *testing.T) {
-	tc := asap7()
-	buf := tc.Buf
-	// root -R- buf -0- bigload(C). Upstream resistance must see only the
-	// buffer input cap, not the big load.
-	n := NewNetwork(0)
-	bid := n.AddBuffer(0, 10, buf)
-	n.AddWire(bid, 0, 100)
-	d := n.Delays()
-	want := 10*buf.InputCap + buf.Delay(100)
-	if math.Abs(d[bid]-want) > 1e-9 {
-		t.Fatalf("buffer output delay %v want %v", d[bid], want)
-	}
-}
-
-func TestNetworkBranchSkew(t *testing.T) {
-	// Symmetric branches must have zero skew; lengthening one branch's
-	// resistance must slow only that branch.
-	n := NewNetwork(0)
-	tr := n.AddWire(0, 1, 1)
-	l1 := n.AddWire(tr, 2, 1)
-	l2 := n.AddWire(tr, 2, 1)
-	d := n.Delays()
-	if math.Abs(d[l1]-d[l2]) > 1e-12 {
-		t.Fatalf("symmetric skew %v", d[l1]-d[l2])
-	}
-	n2 := NewNetwork(0)
-	tr2 := n2.AddWire(0, 1, 1)
-	a := n2.AddWire(tr2, 2, 1)
-	b := n2.AddWire(tr2, 5, 1)
-	d2 := n2.Delays()
-	if d2[b] <= d2[a] {
-		t.Fatalf("longer branch not slower: %v vs %v", d2[a], d2[b])
-	}
-	// Shared trunk: both branch delays include trunk res × total cap.
-	wantShared := 1.0 * (1 + 1 + 1)
-	if math.Abs((d2[a]-2*1)-wantShared) > 1e-12 {
-		t.Errorf("trunk term wrong: %v", d2[a])
-	}
-}
-
-func TestNetworkRootResistance(t *testing.T) {
-	n := NewNetwork(3)
-	a := n.AddWire(0, 0, 2)
-	d := n.Delays()
-	if math.Abs(d[a]-3*2) > 1e-12 {
-		t.Fatalf("root res term = %v, want 6", d[a])
-	}
-}
-
-func TestSlewMonotoneAlongPath(t *testing.T) {
-	n := NewNetwork(0)
-	a := n.AddWire(0, 1, 2)
-	b := n.AddWire(a, 1, 2)
-	c := n.AddWire(b, 1, 2)
-	s := n.SlewsInto(nil, 5, nil)
-	if !(s[a] >= 5 && s[b] >= s[a] && s[c] >= s[b]) {
-		t.Fatalf("wire slew must degrade monotonically: %v", s)
-	}
-}
-
-func TestSlewBufferRestores(t *testing.T) {
-	tc := asap7()
-	n := NewNetwork(0)
-	a := n.AddWire(0, 50, 20) // badly degraded slew
-	bid := n.AddBuffer(a, 0, tc.Buf)
-	sink := n.AddWire(bid, 1, 1)
-	s := n.SlewsInto(nil, 5, nil)
-	if s[sink] >= s[a] {
-		t.Fatalf("buffer should restore slew: before %v after %v", s[a], s[sink])
-	}
-}
-
 func TestNLDMInterpolation(t *testing.T) {
 	tbl := SynthesizeNLDM(asap7().Buf)
 	if err := tbl.Validate(); err != nil {
@@ -232,48 +136,3 @@ func TestNLDMValidateErrors(t *testing.T) {
 		t.Error("row mismatch should fail")
 	}
 }
-
-func TestDelaysNLDMCloseToElmoreForSmallSlew(t *testing.T) {
-	tc := asap7()
-	tbl := SynthesizeNLDM(tc.Buf)
-	n := NewNetwork(0)
-	a := n.AddWire(0, 2, 5)
-	bid := n.AddBuffer(a, 1, tc.Buf)
-	s := n.AddWire(bid, 2, 3)
-	el := n.Delays()
-	nl := n.DelaysNLDMInto(nil, 2, tbl)
-	// With tiny input slew the table reduces to the linear model within the
-	// synthesized slew penalty (0.15·slew) and curvature terms.
-	if math.Abs(el[s]-nl[s]) > 0.15*20+0.002*64*64 {
-		t.Fatalf("NLDM diverges from Elmore: %v vs %v", el[s], nl[s])
-	}
-	if nl[s] <= 0 || el[s] <= 0 {
-		t.Fatal("non-positive delays")
-	}
-}
-
-func TestNetworkPanicsOnBadParent(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	n := NewNetwork(0)
-	n.AddWire(5, 1, 1)
-}
-
-// NewNetwork returns a network holding only its root driver.
-func NewNetwork(rootRes float64) *Network {
-	n := &Network{}
-	n.Reset(rootRes)
-	return n
-}
-
-// Len returns the number of nodes including the root.
-func (n *Network) Len() int { return len(n.parent) }
-
-// Delays is DelaysInto into a fresh slice.
-func (n *Network) Delays() []float64 { return n.DelaysInto(nil) }
-
-// Parent returns the parent node id of i (-1 for the root).
-func (n *Network) Parent(i int) int { return int(n.parent[i]) }
