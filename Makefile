@@ -1,14 +1,14 @@
 # Tier-1 verification and benchmarking entry points.
 #
 #   make ci          - build + vet + test + fuzz smoke (what the roadmap calls tier-1)
-#   make race        - race detector on the determinism + corner + service + ECO + what-if suites and every golden pin
+#   make race        - race detector on the determinism + corner + service + store + ECO + what-if suites and every golden pin
 #   make perfbench-test - vet + unit tests of the benchmark module (perfbench/, its own go.mod)
 #   make fuzz        - 10s fuzz smoke per fuzz target (DEF, LEF, request decoder, store read path, DP merge)
 #   make golden      - golden-metrics regression suite (make golden-update re-pins)
 #   make staticcheck - pinned staticcheck over the whole tree (fetches the tool)
 #   make vulncheck   - pinned govulncheck over the whole tree (fetches the tool)
 #   make smoke       - the Go-only CLI smoke suite (what CI runs, minus the XL job)
-#   make bench       - the substrate, parallel-engine, partition, split, sign-off and refinement benchmarks
+#   make bench       - the substrate, parallel-engine, partition, split, sign-off and refinement benchmarks, plus the request key and result checksum
 #   make report      - regenerate BENCH_parallel.json (the allocation baseline)
 #   make chaos       - 30s seeded fault-injection soak under -race; the run asserts its own contract
 #   make cluster     - 3-node in-process cluster run; the run asserts its own contract
@@ -44,7 +44,7 @@ ci: build vet test fuzz
 
 race:
 	$(GO) test -race -count=1 -run 'Determinism|Parallel|Corner|Partition|ECO|Golden' .
-	$(GO) test -race -count=1 ./internal/serve/
+	$(GO) test -race -count=1 ./internal/serve/ ./internal/store/
 	$(GO) test -race -count=1 ./internal/corner/
 	$(GO) test -race -count=1 ./internal/core/ ./internal/partition/ ./internal/eco/
 	$(GO) test -race -count=1 ./internal/eval/ ./internal/refine/
@@ -108,6 +108,7 @@ eco:
 
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkSubstrates|BenchmarkParallelSynthesize|BenchmarkPartitionSynthesize|BenchmarkSplit|BenchmarkCornerSignoff|BenchmarkFig11SkewRefinement' -benchmem .
+	$(GO) test -run xxx -bench 'BenchmarkRequestKey|BenchmarkResultChecksum' -benchmem ./internal/serve/
 
 # Pinned to GOMAXPROCS=1: CI's allocs-gate re-measures at GOMAXPROCS=1,
 # and `cismoke allocs` refuses reports recorded at different gomaxprocs.

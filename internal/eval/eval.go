@@ -63,13 +63,12 @@ func New(tc *tech.Tech, mode Mode) *Evaluator {
 }
 
 // evalScratch is the per-evaluation working set: the RC network and the
-// delay/slew result lanes. It lives in evalPool and is fully rewound per
+// delay result lane. It lives in evalPool and is fully rewound per
 // evaluation, so steady-state Evaluate calls allocate only the Metrics that
 // escape to the caller.
 type evalScratch struct {
 	net    network
 	delays []float64
-	slews  []float64
 }
 
 // evalPool and whatIfPool recycle evaluation scratch and WhatIf models
@@ -220,9 +219,9 @@ func (e *Evaluator) measure(s *evalScratch, t *ctree.Tree, m *Metrics) (lo, hi f
 	m.Latency = hi
 	m.Skew = hi - lo
 	if e.mode == NLDM {
-		s.slews = net.slewsInto(s.slews, e.InputSlew, e.tbl)
+		// delaysNLDMInto left every node's slew in the network's lane.
 		for _, node := range net.sinkNet {
-			m.MaxSlew = math.Max(m.MaxSlew, s.slews[node])
+			m.MaxSlew = math.Max(m.MaxSlew, net.slew[node])
 		}
 	}
 	return lo, hi, nil

@@ -1,5 +1,11 @@
 package eval
 
+import (
+	"math"
+
+	"dscts/internal/ctree"
+)
+
 // refLoad and refD are FullPass's lanes, reused across calls.
 var refLoad, refD []float64
 
@@ -40,4 +46,20 @@ func (w *WhatIf) ShieldOf(slot int32) (b int32, kind string, below int) {
 		kind = "slot"
 	}
 	return b, kind, len(sc.path) - 1
+}
+
+// SlewReference lowers t as Evaluate does, runs the NLDM delay pass and
+// holds the slew lane it leaves to the slewsInto reference. It returns the
+// first node where the two differ (-1 when none) and the reference's worst
+// sink slew.
+func (e *Evaluator) SlewReference(t *ctree.Tree) (mismatch int, maxSlew float64) {
+	s := getEvalScratch()
+	defer evalPool.Put(s)
+	s.net.lower(t, t.Root(), e.tc, false)
+	s.delays = s.net.delaysNLDMInto(s.delays, e.InputSlew, e.tbl)
+	ref := s.net.slewsInto(nil, e.InputSlew, e.tbl)
+	for _, node := range s.net.sinkNet {
+		maxSlew = math.Max(maxSlew, ref[node])
+	}
+	return slewMismatch(&s.net, e.InputSlew, e.tbl), maxSlew
 }

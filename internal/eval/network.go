@@ -291,42 +291,13 @@ func (n *network) delaysInto(dst []float64) []float64 {
 	return d
 }
 
-// elmoreSeg returns the per-segment Elmore step used for slew degradation:
-// the local RC time constant of the element that feeds node i.
-func (n *network) elmoreSeg(i int, load []float64) float64 {
-	visible := load[i]
-	if n.kind[i] == bufNode {
-		visible = n.buf.InputCap
-	}
-	return n.res[i] * visible
-}
-
-// slewsInto writes the transition time at every node into dst (grown as
-// needed), using PERI propagation (slew_out² = slew_in² + step²) with wire
-// step = ln9 · Elmore of the segment, and buffer output slew from tbl.
-func (n *network) slewsInto(dst []float64, inputSlew float64, tbl *timing.NLDM) []float64 {
-	load := n.stageLoads()
-	nn := len(n.parent)
-	s := arena.GrowZero(dst, nn)
-	s[0] = inputSlew
-	const ln9 = 2.1972245773362196
-	for i := 1; i < nn; i++ {
-		up := s[n.parent[i]]
-		step := ln9 * n.elmoreSeg(i, load)
-		at := math.Sqrt(up*up + step*step)
-		if n.kind[i] == bufNode {
-			at = tbl.Slew(at, load[i])
-		}
-		s[i] = at
-	}
-	return s
-}
-
 // delaysNLDMInto writes per-node delays into dst (grown as needed), using
 // NLDM gate lookup for buffers (delay depends on input slew and load) and
 // Elmore for wires. This is the paper's evaluation mode ("the Elmore delay,
-// the slew model and the NLDM for delay computation", Sec. IV-A). The slew
-// lane rides in internal scratch.
+// the slew model and the NLDM for delay computation", Sec. IV-A). Slews
+// propagate by PERI (slew_out² = slew_in² + step²) with wire step = ln9 ·
+// the segment's Elmore delay, and buffer output slew from tbl; every node's
+// slew stays in n.slew until the next timing pass.
 func (n *network) delaysNLDMInto(dst []float64, inputSlew float64, tbl *timing.NLDM) []float64 {
 	load := n.stageLoads()
 	nn := len(n.parent)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dscts/internal/arena"
 	"dscts/internal/tech"
 	"dscts/internal/timing"
 )
@@ -15,6 +16,50 @@ func newNetwork(rootRes float64) *network {
 	n := &network{}
 	n.reset(tech.ASAP7().Buf, rootRes)
 	return n
+}
+
+// elmoreSeg returns the per-segment Elmore step used for slew degradation:
+// the local RC time constant of the element that feeds node i.
+func (n *network) elmoreSeg(i int, load []float64) float64 {
+	visible := load[i]
+	if n.kind[i] == bufNode {
+		visible = n.buf.InputCap
+	}
+	return n.res[i] * visible
+}
+
+// slewsInto is the stand-alone slew pass that delaysNLDMInto's slew lane is
+// held to bit for bit: it writes the transition time at every node into dst
+// (grown as needed), using PERI propagation (slew_out² = slew_in² + step²)
+// with wire step = ln9 · Elmore of the segment, and buffer output slew from
+// tbl.
+func (n *network) slewsInto(dst []float64, inputSlew float64, tbl *timing.NLDM) []float64 {
+	load := n.stageLoads()
+	nn := len(n.parent)
+	s := arena.GrowZero(dst, nn)
+	s[0] = inputSlew
+	const ln9 = 2.1972245773362196
+	for i := 1; i < nn; i++ {
+		up := s[n.parent[i]]
+		step := ln9 * n.elmoreSeg(i, load)
+		at := math.Sqrt(up*up + step*step)
+		if n.kind[i] == bufNode {
+			at = tbl.Slew(at, load[i])
+		}
+		s[i] = at
+	}
+	return s
+}
+
+// slewMismatch runs the slewsInto reference on n and returns the first node
+// whose value in n's slew lane differs from it in any bit, or -1.
+func slewMismatch(n *network, inputSlew float64, tbl *timing.NLDM) int {
+	for i, want := range n.slewsInto(nil, inputSlew, tbl) {
+		if math.Float64bits(n.slew[i]) != math.Float64bits(want) {
+			return i
+		}
+	}
+	return -1
 }
 
 func TestNetworkSingleWire(t *testing.T) {
@@ -226,6 +271,20 @@ func TestNetworkSlewsSane(t *testing.T) {
 			if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) || v > 1e6 {
 				t.Fatalf("slew %v at node %d", v, i)
 			}
+		}
+	}
+}
+
+// The slew lane delaysNLDMInto leaves in the network equals the slewsInto
+// reference bit for bit on the property tests' random networks.
+func TestNLDMSlewLaneMatchesReference(t *testing.T) {
+	tbl := timing.SynthesizeNLDM(tech.ASAP7().Buf)
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 200; trial++ {
+		n, _ := randomNetwork(rng)
+		n.delaysNLDMInto(nil, 5, tbl)
+		if i := slewMismatch(n, 5, tbl); i >= 0 {
+			t.Fatalf("trial %d: node %d slew lane %v, reference %v", trial, i, n.slew[i], n.slewsInto(nil, 5, tbl)[i])
 		}
 	}
 }

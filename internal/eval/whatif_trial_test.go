@@ -59,6 +59,28 @@ func postInsertion(t *testing.T, id string, seed int64, tc *tech.Tech) (*ctree.T
 	return out.Tree, len(p.Sinks)
 }
 
+// TestNLDMSlewLaneOnSuite: on the post-insertion trees of C1..C5, the slew
+// lane of the NLDM delay pass equals the stand-alone slew reference bit for
+// bit, and Evaluate's MaxSlew is the reference's worst sink slew.
+func TestNLDMSlewLaneOnSuite(t *testing.T) {
+	tc := tech.ASAP7()
+	e := eval.New(tc, eval.NLDM)
+	for _, d := range bench.Suite() {
+		tr, _ := postInsertion(t, d.ID, 1, tc)
+		m, err := e.Evaluate(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		node, want := e.SlewReference(tr)
+		if node >= 0 {
+			t.Errorf("%s: slew lane differs from the reference at node %d", d.ID, node)
+		}
+		if m.MaxSlew != want || m.MaxSlew <= 0 {
+			t.Errorf("%s: MaxSlew %v, reference %v", d.ID, m.MaxSlew, want)
+		}
+	}
+}
+
 func slotsOf(tr *ctree.Tree, w *eval.WhatIf) []int32 {
 	var slots []int32
 	for _, cid := range tr.Centroids() {

@@ -286,6 +286,10 @@ type genScratch struct {
 	mark   []bool     // thinning selection marks
 
 	sols arena.Slab[Solution] // backing store of every dp.sols this worker emits
+
+	// tv is the run's technology view, which generateAll resolves once and
+	// copies into each worker's scratch.
+	tv techView
 }
 
 // takeSols copies src into slab-backed storage.
@@ -299,12 +303,15 @@ func (sc *genScratch) takeSols(src []Solution) []Solution {
 // and concurrent regions all draw from it.
 var genPool arena.Pool[genScratch]
 
-func getGenScratch() *genScratch {
-	if sc := genPool.Get(); sc != nil {
+func getGenScratch(tv *techView) *genScratch {
+	sc := genPool.Get()
+	if sc != nil {
 		sc.sols.Reset()
-		return sc
+	} else {
+		sc = &genScratch{}
 	}
-	return &genScratch{}
+	sc.tv = *tv
+	return sc
 }
 
 // generateAll runs Step 2 over every DP node, concurrently when
@@ -313,12 +320,13 @@ func getGenScratch() *genScratch {
 // ctx aborts the pass between nodes; the success path never consults the
 // context's state beyond a cheap Err poll, so results stay deterministic.
 func generateAll(ctx context.Context, t *ctree.Tree, nodes []dpNode, cfg Config, res *Result) ([]*genScratch, error) {
+	tv := viewOf(cfg.Tech)
 	workers := par.N(cfg.Workers)
 	if workers > len(nodes) {
 		workers = len(nodes)
 	}
 	if workers <= 1 {
-		sc := getGenScratch()
+		sc := getGenScratch(&tv)
 		for i := range nodes {
 			if err := ctx.Err(); err != nil {
 				return []*genScratch{sc}, fmt.Errorf("insert: %w", err)
@@ -359,7 +367,7 @@ func generateAll(ctx context.Context, t *ctree.Tree, nodes []dpNode, cfg Config,
 	}
 	scratches := make([]*genScratch, workers)
 	for w := range scratches {
-		scratches[w] = getGenScratch()
+		scratches[w] = getGenScratch(&tv)
 	}
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -420,6 +428,7 @@ type genCount struct {
 
 // generate runs the merge and insert operations of Step 2 for one DP node.
 func generate(t *ctree.Tree, dp *dpNode, nodes []dpNode, cfg Config, sc *genScratch) (genCount, error) {
+	tv := &sc.tv
 	merged, pairs := mergeChildren(t, dp, nodes, cfg, sc)
 	if len(merged) == 0 {
 		return genCount{}, fmt.Errorf("insert: node %d (tree %d): no merged candidates", dp.treeID, dp.treeID)
@@ -434,8 +443,8 @@ func generate(t *ctree.Tree, dp *dpNode, nodes []dpNode, cfg Config, sc *genScra
 			if p.DownSide() != m.Up {
 				continue // connectivity at the downstream vertex
 			}
-			upCap, maxD, minD, ok := transfer(p, cfg.Tech, dp.length, m.Cap, m.MaxD, m.MinD)
-			if !ok || upCap > cfg.Tech.Buf.MaxCap {
+			upCap, maxD, minD, ok := transfer(p, tv, dp.length, m.Cap, m.MaxD, m.MinD)
+			if !ok || upCap > tv.buf.MaxCap {
 				continue
 			}
 			out = append(out, Solution{
@@ -451,7 +460,7 @@ func generate(t *ctree.Tree, dp *dpNode, nodes []dpNode, cfg Config, sc *genScra
 	c := genCount{solutions: len(out), merged: pairs}
 	if len(dp.sols) == 0 {
 		return c, fmt.Errorf("insert: node for tree edge %d has no feasible solutions (edge length %.2f µm, load %.2f fF, max cap %.2f fF)",
-			dp.treeID, dp.length, merged[0].Cap, cfg.Tech.Buf.MaxCap)
+			dp.treeID, dp.length, merged[0].Cap, tv.buf.MaxCap)
 	}
 	return c, nil
 }
@@ -475,7 +484,7 @@ func mergeChildren(t *ctree.Tree, dp *dpNode, nodes []dpNode, cfg Config, sc *ge
 		// Leaf DP node: the downstream vertex is a low-level centroid
 		// driving its front-side star leaf net. (With zero-length leaf
 		// nets this reduces to the bare sink load.)
-		load, maxD, minD := leafNetLoad(t, dp.treeID, cfg.Tech)
+		load, maxD, minD := leafNetLoad(t, dp.treeID, &sc.tv)
 		sc.merged = append(sc.merged[:0], Solution{Up: ctree.Front, Cap: load, MaxD: maxD, MinD: minD, left: -1, right: -1})
 		return sc.merged, 0
 	case 1:
@@ -596,8 +605,7 @@ func crossSide(dst, a, b []Solution, a0, a1, b0, b1 int) []Solution {
 
 // leafNetLoad computes the load and internal delays of the star leaf net
 // hanging off centroid node id (front side, L-model).
-func leafNetLoad(t *ctree.Tree, id int, tc *tech.Tech) (load, maxD, minD float64) {
-	front := tc.Front()
+func leafNetLoad(t *ctree.Tree, id int, tv *techView) (load, maxD, minD float64) {
 	minD = math.Inf(1)
 	any := false
 	for _, c := range t.Nodes[id].Children {
@@ -607,8 +615,8 @@ func leafNetLoad(t *ctree.Tree, id int, tc *tech.Tech) (load, maxD, minD float64
 		}
 		any = true
 		l := t.EdgeLen(c)
-		load += timing.WireCap(front, l, tc.SinkCap)
-		d := timing.WireDelay(front, l, tc.SinkCap)
+		load += timing.WireCap(tv.front, l, tv.sinkCap)
+		d := timing.WireDelay(tv.front, l, tv.sinkCap)
 		maxD = math.Max(maxD, d)
 		minD = math.Min(minD, d)
 	}

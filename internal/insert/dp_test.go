@@ -59,9 +59,10 @@ func TestModeAllowed(t *testing.T) {
 
 func TestTransferMatchesPaperEquations(t *testing.T) {
 	tc := tech.ASAP7()
+	tv := viewOf(tc)
 	L, C := 120.0, 8.0
 	// P2 against Eq.-style wire delay.
-	upCap, maxD, _, ok := transfer(PWireF, tc, L, C, 0, 0)
+	upCap, maxD, _, ok := transfer(PWireF, &tv, L, C, 0, 0)
 	front := tc.Front()
 	if !ok || math.Abs(upCap-(front.UnitCap*L+C)) > 1e-12 {
 		t.Errorf("P2 cap = %v", upCap)
@@ -71,7 +72,7 @@ func TestTransferMatchesPaperEquations(t *testing.T) {
 	}
 	// P4 against Eq. (2).
 	back, tsv := tc.Back(), tc.TSV
-	_, maxD4, _, _ := transfer(PNTSV1, tc, L, C, 0, 0)
+	_, maxD4, _, _ := transfer(PNTSV1, &tv, L, C, 0, 0)
 	rb, cb := back.UnitRes, back.UnitCap
 	rt, ct := tsv.Res, tsv.Cap
 	want4 := rb*cb*L*L + (rb*ct+rb*C+rt*cb)*L + rt*(3*ct+2*C)
@@ -79,7 +80,7 @@ func TestTransferMatchesPaperEquations(t *testing.T) {
 		t.Errorf("P4 delay = %v want %v (Eq. 2)", maxD4, want4)
 	}
 	// P1: buffer load constraint.
-	_, _, _, ok = transfer(PBuffer, tc, L, tc.Buf.MaxCap, 0, 0)
+	_, _, _, ok = transfer(PBuffer, &tv, L, tc.Buf.MaxCap, 0, 0)
 	if ok {
 		t.Error("P1 with load above MaxCap must be infeasible")
 	}

@@ -112,40 +112,55 @@ func (m Mode) Allowed(p Pattern) bool {
 	return true
 }
 
+// techView is the part of the technology the DP reads for every (merged
+// candidate, pattern) pair: the front and back evaluation layers, the nTSV,
+// the clock buffer and the sink pin cap. generateAll resolves it once per
+// run into each worker's scratch, because Tech.Front and Tech.Back search
+// the layer list by name.
+type techView struct {
+	front, back tech.Layer
+	tsv         tech.NTSV
+	buf         tech.Buffer
+	sinkCap     float64
+}
+
+func viewOf(tc *tech.Tech) techView {
+	return techView{front: tc.Front(), back: tc.Back(), tsv: tc.TSV, buf: tc.Buf, sinkCap: tc.SinkCap}
+}
+
 // transfer applies pattern p across an edge of length L (µm), transforming
 // the merged downstream state (cap C, path delays maxD/minD measured from
 // the downstream endpoint) into the state at the upstream endpoint.
 // feasible is false when the pattern violates the max-load constraint of
 // the buffer it inserts.
-func transfer(p Pattern, tc *tech.Tech, length, cap, maxD, minD float64) (upCap, upMaxD, upMinD float64, feasible bool) {
-	front, back, tsv, buf := tc.Front(), tc.Back(), tc.TSV, tc.Buf
+func transfer(p Pattern, tv *techView, length, cap, maxD, minD float64) (upCap, upMaxD, upMinD float64, feasible bool) {
 	switch p {
 	case PWireF:
-		d := timing.WireDelay(front, length, cap)
-		return timing.WireCap(front, length, cap), maxD + d, minD + d, true
+		d := timing.WireDelay(tv.front, length, cap)
+		return timing.WireCap(tv.front, length, cap), maxD + d, minD + d, true
 	case PWireB:
-		d := timing.WireDelay(back, length, cap)
-		return timing.WireCap(back, length, cap), maxD + d, minD + d, true
+		d := timing.WireDelay(tv.back, length, cap)
+		return timing.WireCap(tv.back, length, cap), maxD + d, minD + d, true
 	case PBuffer:
 		h := length / 2
-		load := timing.WireCap(front, h, cap) // what the buffer drives
-		if load > buf.MaxCap {
+		load := timing.WireCap(tv.front, h, cap) // what the buffer drives
+		if load > tv.buf.MaxCap {
 			return 0, 0, 0, false
 		}
-		down := timing.WireDelay(front, h, cap)
-		gate := buf.Delay(load)
-		up := timing.WireDelay(front, h, buf.InputCap)
+		down := timing.WireDelay(tv.front, h, cap)
+		gate := tv.buf.Delay(load)
+		up := timing.WireDelay(tv.front, h, tv.buf.InputCap)
 		d := down + gate + up
-		return timing.WireCap(front, h, buf.InputCap), maxD + d, minD + d, true
+		return timing.WireCap(tv.front, h, tv.buf.InputCap), maxD + d, minD + d, true
 	case PNTSV1:
-		d := timing.NTSVOnWireDelay(back, tsv, length, cap)
-		return timing.NTSVOnWireCap(back, tsv, length, cap), maxD + d, minD + d, true
+		d := timing.NTSVOnWireDelay(tv.back, tv.tsv, length, cap)
+		return timing.NTSVOnWireCap(tv.back, tv.tsv, length, cap), maxD + d, minD + d, true
 	case PNTSV2:
-		d := timing.SingleNTSVDownDelay(back, tsv, length, cap)
-		return timing.SingleNTSVDownCap(back, tsv, length, cap), maxD + d, minD + d, true
+		d := timing.SingleNTSVDownDelay(tv.back, tv.tsv, length, cap)
+		return timing.SingleNTSVDownCap(tv.back, tv.tsv, length, cap), maxD + d, minD + d, true
 	case PNTSV3:
-		d := timing.SingleNTSVUpDelay(back, tsv, length, cap)
-		return timing.SingleNTSVUpCap(back, tsv, length, cap), maxD + d, minD + d, true
+		d := timing.SingleNTSVUpDelay(tv.back, tv.tsv, length, cap)
+		return timing.SingleNTSVUpCap(tv.back, tv.tsv, length, cap), maxD + d, minD + d, true
 	}
 	panic("insert: unknown pattern")
 }

@@ -30,12 +30,13 @@ func sanitizeCap(c float64) float64 {
 // Delay through any pattern is strictly increasing in downstream cap.
 func TestTransferMonotoneInCap(t *testing.T) {
 	tc := tech.ASAP7()
+	tv := viewOf(tc)
 	f := func(lRaw, cRaw float64) bool {
 		l := sanitizeLen(lRaw)
 		c := sanitizeCap(cRaw)
 		for p := Pattern(0); int(p) < numPatterns; p++ {
-			_, d1, _, ok1 := transfer(p, tc, l, c, 0, 0)
-			_, d2, _, ok2 := transfer(p, tc, l, c+1, 0, 0)
+			_, d1, _, ok1 := transfer(p, &tv, l, c, 0, 0)
+			_, d2, _, ok2 := transfer(p, &tv, l, c+1, 0, 0)
 			if !ok1 || !ok2 {
 				continue // max-cap rejection is allowed
 			}
@@ -54,12 +55,13 @@ func TestTransferMonotoneInCap(t *testing.T) {
 // buffer pattern, which shields (constant in downstream cap).
 func TestTransferCapShielding(t *testing.T) {
 	tc := tech.ASAP7()
+	tv := viewOf(tc)
 	f := func(lRaw, cRaw float64) bool {
 		l := sanitizeLen(lRaw)
 		c := sanitizeCap(cRaw)
 		for p := Pattern(0); int(p) < numPatterns; p++ {
-			c1, _, _, ok1 := transfer(p, tc, l, c, 0, 0)
-			c2, _, _, ok2 := transfer(p, tc, l, c+1, 0, 0)
+			c1, _, _, ok1 := transfer(p, &tv, l, c, 0, 0)
+			c2, _, _, ok2 := transfer(p, &tv, l, c+1, 0, 0)
 			if !ok1 || !ok2 {
 				continue
 			}
@@ -82,6 +84,7 @@ func TestTransferCapShielding(t *testing.T) {
 // skew below an edge never changes by assigning a pattern to it.
 func TestTransferPreservesSubtreeSkew(t *testing.T) {
 	tc := tech.ASAP7()
+	tv := viewOf(tc)
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 500; i++ {
 		l := rng.Float64()*300 + 0.1
@@ -89,7 +92,7 @@ func TestTransferPreservesSubtreeSkew(t *testing.T) {
 		minD := rng.Float64() * 100
 		maxD := minD + rng.Float64()*50
 		for p := Pattern(0); int(p) < numPatterns; p++ {
-			_, nMax, nMin, ok := transfer(p, tc, l, c, maxD, minD)
+			_, nMax, nMin, ok := transfer(p, &tv, l, c, maxD, minD)
 			if !ok {
 				continue
 			}
@@ -104,11 +107,12 @@ func TestTransferPreservesSubtreeSkew(t *testing.T) {
 // wires (the technology premise).
 func TestBackPatternsWinOnLongWires(t *testing.T) {
 	tc := tech.ASAP7()
+	tv := viewOf(tc)
 	for _, l := range []float64{50, 100, 200, 400} {
 		c := 10.0
-		_, front, _, _ := transfer(PWireF, tc, l, c, 0, 0)
+		_, front, _, _ := transfer(PWireF, &tv, l, c, 0, 0)
 		for _, p := range []Pattern{PWireB, PNTSV1, PNTSV2, PNTSV3} {
-			_, d, _, ok := transfer(p, tc, l, c, 0, 0)
+			_, d, _, ok := transfer(p, &tv, l, c, 0, 0)
 			if !ok {
 				t.Fatalf("%v infeasible at l=%v", p, l)
 			}

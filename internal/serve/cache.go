@@ -2,8 +2,9 @@ package serve
 
 import (
 	"container/list"
-	"encoding/json"
-	"hash/fnv"
+	"fmt"
+	"math"
+	"reflect"
 	"sync"
 	"sync/atomic"
 )
@@ -18,16 +19,16 @@ type CacheStats struct {
 	// Corruptions counts entries whose integrity checksum failed on read;
 	// each was evicted and recomputed instead of served (result cache only).
 	Corruptions int64 `json:"corruptions,omitempty"`
-	// EncodeDrops counts results whose checksum encoding failed at store
-	// time; each was dropped instead of cached under a bogus sum (result
-	// cache only).
+	// EncodeDrops counts results the checksum refused at store time
+	// because they have no JSON encoding (a NaN or infinite float); each
+	// was dropped instead of cached (result cache only).
 	EncodeDrops int64 `json:"encode_drops,omitempty"`
 }
 
 // lru is a content-addressed cache with LRU eviction. Stored values are
 // deterministic functions of their key, so entries never go stale; the only
 // eviction pressure is capacity. Stored values are treated as immutable by
-// all readers. It backs both the result cache (JSON payloads, cheap, many
+// all readers. It backs both the result cache (Results, cheap, many
 // entries) and the ECO base cache (full retained outcomes, heavy, few
 // entries).
 type lru[V any] struct {
@@ -179,7 +180,7 @@ func newCache(maxEntries int) *cache {
 // mutually consistent (see lru.GetChecked).
 func (c *cache) Get(key string) (*Result, bool) {
 	e, ok := c.lru.GetChecked(key, func(e cachedResult) bool {
-		sum, err := checksumResult(e.res)
+		sum, err := sumResult(e.res)
 		return err == nil && sum == e.sum
 	})
 	if !ok {
@@ -188,12 +189,11 @@ func (c *cache) Get(key string) (*Result, bool) {
 	return e.res, true
 }
 
-// Put stores a result with a fresh checksum. A result whose canonical
-// encoding fails — which a well-formed engine result never does — is
-// dropped and counted instead of stored under a checksum over a truncated
-// stream, which a later Get would misreport as a corruption.
+// Put stores a result with a fresh checksum. A result with no JSON
+// encoding — which a well-formed engine result never is — is dropped and
+// counted instead of stored: it could be neither served nor persisted.
 func (c *cache) Put(key string, res *Result) bool {
-	sum, err := checksumResult(res)
+	sum, err := sumResult(res)
 	if err != nil {
 		c.encodeDrops.Add(1)
 		return false
@@ -232,15 +232,140 @@ func (c *cache) Stats() CacheStats {
 	return st
 }
 
-// checksumResult hashes the canonical JSON encoding of a result (FNV-64a).
-// JSON keeps the walk stable (struct order, sorted maps) and exactly covers
-// what a client could ever be served. An encode failure is surfaced, not
-// swallowed: a sum over a truncated stream would be indistinguishable from
-// in-place corruption on the next read.
-func checksumResult(r *Result) (uint64, error) {
-	h := fnv.New64a()
-	if err := json.NewEncoder(h).Encode(r); err != nil {
+// sumResult is the result cache's integrity checksum: a structural hash
+// that walks the Result by reflection instead of encoding it. Struct fields
+// hash in declaration order; a slice or array hashes its length, then its
+// elements; a pointer or interface hashes whether it is nil, then its
+// target; a string hashes its length and bytes; a float its bits; an
+// integer or bool its value. A map hashes its length and the wrapping sum
+// of one mixed hash per (key, value) entry, so Go's random iteration order
+// still gives one sum; map[int]float64 (every SinkDelays) takes a typed
+// fast path.
+//
+// The walk also keeps Put's promise that a cached result encodes. No type
+// reachable from Result has a custom marshaler, so json.Marshal fails on
+// one only for a NaN or infinite float, a map key it cannot spell, or a
+// kind it has no form for (func, chan, complex), and sumResult returns an
+// error on exactly those. An error is surfaced, never summed over: a sum
+// of a partial walk would read as in-place corruption on the next Get.
+func sumResult(r *Result) (uint64, error) {
+	h := hasher(sumSeed)
+	if err := h.walk(reflect.ValueOf(r)); err != nil {
 		return 0, err
 	}
-	return h.Sum64(), nil
+	return uint64(h), nil
+}
+
+// sumSeed is the walk's initial state (the FNV-64 offset basis).
+const sumSeed = 0xcbf29ce484222325
+
+// hasher is the walk's running state. Each word is folded in by a
+// bijective mix, so changing any single word of the walk changes the sum.
+type hasher uint64
+
+func (h *hasher) word(x uint64) { *h = hasher(mix64(uint64(*h) ^ x)) }
+
+// mix64 is the splitmix64 finalizer, a bijection on 64-bit words.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+func finite(f float64) error {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return fmt.Errorf("serve: result float %v has no JSON encoding", f)
+	}
+	return nil
+}
+
+func (h *hasher) walk(v reflect.Value) error {
+	switch v.Kind() {
+	case reflect.Bool:
+		b := uint64(0)
+		if v.Bool() {
+			b = 1
+		}
+		h.word(b)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		h.word(uint64(v.Int()))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		h.word(v.Uint())
+	case reflect.Float32, reflect.Float64:
+		if err := finite(v.Float()); err != nil {
+			return err
+		}
+		h.word(math.Float64bits(v.Float()))
+	case reflect.String:
+		s := v.String()
+		h.word(uint64(len(s)))
+		for i := 0; i < len(s); i++ {
+			h.word(uint64(s[i]))
+		}
+	case reflect.Pointer, reflect.Interface:
+		if v.IsNil() {
+			h.word(0)
+			return nil
+		}
+		h.word(1)
+		return h.walk(v.Elem())
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if err := h.walk(v.Field(i)); err != nil {
+				return err
+			}
+		}
+	case reflect.Slice, reflect.Array:
+		h.word(uint64(v.Len()))
+		for i := 0; i < v.Len(); i++ {
+			if err := h.walk(v.Index(i)); err != nil {
+				return err
+			}
+		}
+	case reflect.Map:
+		acc, err := mapSum(v)
+		if err != nil {
+			return err
+		}
+		h.word(uint64(v.Len()))
+		h.word(acc)
+	default:
+		return fmt.Errorf("serve: result field of type %s has no JSON encoding", v.Type())
+	}
+	return nil
+}
+
+// mapSum is the order-independent part of a map's hash: the wrapping sum
+// of one mixed hash per entry.
+func mapSum(v reflect.Value) (uint64, error) {
+	var acc uint64
+	if m, ok := v.Interface().(map[int]float64); ok {
+		for k, f := range m {
+			if err := finite(f); err != nil {
+				return 0, err
+			}
+			acc += mix64(mix64(uint64(k)) ^ math.Float64bits(f))
+		}
+		return acc, nil
+	}
+	switch v.Type().Key().Kind() {
+	case reflect.String,
+		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+	default:
+		return 0, fmt.Errorf("serve: result map key of type %s has no JSON encoding", v.Type().Key())
+	}
+	for it := v.MapRange(); it.Next(); {
+		e := hasher(sumSeed)
+		if err := e.walk(it.Key()); err != nil {
+			return 0, err
+		}
+		if err := e.walk(it.Value()); err != nil {
+			return 0, err
+		}
+		acc += mix64(uint64(e))
+	}
+	return acc, nil
 }

@@ -13,10 +13,12 @@ import (
 // This file is the queue's bridge to the disk persistence tier
 // (internal/store). The store is payload-agnostic — it moves checksummed
 // byte blobs — so everything format-shaped lives here: cached Results
-// persist as their canonical JSON (the same encoding the integrity checksum
-// covers), retained ECO base outcomes persist as gob snapshots. Writes are
-// fire-and-forget behind the in-memory caches; reads happen exactly once,
-// at NewQueue, to warm-start the caches before the first submission.
+// persist as their canonical JSON, retained ECO base outcomes persist as
+// gob snapshots. Writes are fire-and-forget behind the in-memory caches:
+// the queue hands the store an encoder over the immutable cached value, and
+// the store's writer goroutine runs it, off the running slot.
+// Reads happen exactly once, at NewQueue, to warm-start the caches before
+// the first submission.
 
 // warmStart reloads persisted entries into the in-memory caches. Entries
 // that fail to decode are reported corrupt to the store (which counts and
@@ -56,37 +58,28 @@ func (q *Queue) warmStart() {
 		"skipped_io", s.WarmSkippedIO)
 }
 
-// persistResult writes a freshly computed result behind the in-memory
-// cache. Best-effort and non-blocking: a full write-behind queue drops the
-// entry (counted by the store), costing a cold miss after the next restart.
+// persistResult writes a freshly cached result behind the in-memory cache.
+// Best-effort and non-blocking: a full write-behind queue drops the entry
+// (counted by the store), costing a cold miss after the next restart. The
+// store's writer encodes res, which is safe because a cached Result is
+// never mutated; cache.Put has already refused any result JSON cannot
+// encode.
 func (q *Queue) persistResult(key string, res *Result) {
-	st := q.cfg.Store
-	if st == nil {
-		return
+	if st := q.cfg.Store; st != nil {
+		st.Put(store.KindResult, key, func() ([]byte, error) { return json.Marshal(res) })
 	}
-	payload, err := json.Marshal(res)
-	if err != nil {
-		// Unreachable for a result the cache accepted: cache.Put already
-		// proved the canonical encoding works.
-		q.log.Warn("result not persisted: encode failed", "error", err)
-		return
-	}
-	st.Put(store.KindResult, key, payload)
 }
 
 // persistBase snapshots a retained base outcome so POST /eco survives a
-// restart without re-synthesizing its base.
+// restart without re-synthesizing its base. The store's writer encodes out
+// while later ECO jobs read it: both only read, since an ECO run clones the
+// retained tree before splicing it.
 func (q *Queue) persistBase(key string, out *core.Outcome) {
 	st := q.cfg.Store
 	if st == nil || out == nil || out.Retained == nil {
 		return
 	}
-	payload, err := encodeBaseOutcome(out)
-	if err != nil {
-		q.log.Warn("eco base not persisted: encode failed", "error", err)
-		return
-	}
-	st.Put(store.KindBase, key, payload)
+	st.Put(store.KindBase, key, func() ([]byte, error) { return encodeBaseOutcome(out) })
 }
 
 // storeStats snapshots the persistence tier for GET /stats; nil when

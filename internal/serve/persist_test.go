@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"dscts/internal/core"
@@ -165,7 +168,7 @@ func TestPersistMalformedBaseIsAMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.Put(store.KindBase, key, payload)
+	st.Put(store.KindBase, key, func() ([]byte, error) { return payload, nil })
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +242,7 @@ func TestPersistUndecodablePayloadRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.Put(store.KindResult, "not-a-result", []byte("plain text, valid checksum"))
+	st.Put(store.KindResult, "not-a-result", func() ([]byte, error) { return []byte("plain text, valid checksum"), nil })
 	st.Flush()
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -319,4 +322,82 @@ func TestBaseOutcomeGobRoundTrip(t *testing.T) {
 	if _, err := decodeBaseOutcome(payload[:len(payload)/2]); err == nil {
 		t.Error("truncated snapshot decoded")
 	}
+}
+
+// TestPersistedBytesUnchanged: the store's writer persists exactly
+// json.Marshal of the Result the cache serves, for a multi-corner result,
+// an ECO result and the ECO's base, so a store written before the encode
+// moved onto the writer warm-starts unchanged.
+func TestPersistedBytesUnchanged(t *testing.T) {
+	p := startPersisted(t, t.TempDir(), nil)
+	ctx := context.Background()
+	if _, err := p.client.Synthesize(ctx, &Request{Design: "C1", Corners: []string{"slow", "typ", "fast"}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.client.ECO(ctx, &Request{Design: "C4", Delta: &DeltaSpec{Move: []MoveSpec{{Sink: 0, X: 40, Y: 40}}}}); err != nil {
+		t.Fatal(err)
+	}
+	p.st.Flush()
+	blobs := 0
+	p.st.Load(store.KindResult, func(key string, payload []byte) bool {
+		blobs++
+		e, ok := p.s.Queue().cache.lru.Peek(key)
+		if !ok {
+			t.Errorf("persisted key %.16s… is not cached", key)
+			return true
+		}
+		want, err := json.Marshal(e.res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(payload, want) {
+			t.Errorf("key %.16s…: persisted %d bytes differ from json.Marshal's %d", key, len(payload), len(want))
+		}
+		return true
+	})
+	if blobs != 3 {
+		t.Errorf("%d result blobs persisted, want 3 (corners, eco, eco base)", blobs)
+	}
+	noWriteLoss(t, "daemon", p.st.Stats())
+}
+
+// TestPersistEncodeRacesHits serves hits on a key while the store's writer
+// encodes the same cached Result. The hits return the Result itself (sink
+// delays included), so under -race this shows the writer's encode, the
+// hit's checksum and the response encode only ever read it.
+func TestPersistEncodeRacesHits(t *testing.T) {
+	p := startPersisted(t, t.TempDir(), nil)
+	ctx := context.Background()
+	req := &Request{Design: "C4", Corners: []string{"slow", "typ", "fast"}, IncludeSinkDelays: true}
+	if _, err := p.client.Synthesize(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	key := req.Key(KindSynthesize)
+	e, ok := p.s.Queue().cache.lru.Peek(key)
+	if !ok {
+		t.Fatal("result not cached")
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				info, err := p.client.Synthesize(ctx, req)
+				if err != nil || !info.CacheHit {
+					t.Errorf("hit %d: err %v, cache hit %v", i, err, err == nil && info.CacheHit)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 20; i++ {
+		p.s.Queue().persistResult(key, e.res)
+	}
+	wg.Wait()
+	p.st.Flush()
+	if st := p.st.Stats(); st.Writes != 21 {
+		t.Errorf("%d writes, want 21 (the miss and 20 re-persists)", st.Writes)
+	}
+	noWriteLoss(t, "daemon", p.st.Stats())
 }

@@ -52,8 +52,8 @@ func FuzzStoreOpen(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	s.Put(KindResult, fuzzResultKey, []byte(`{"latency_ps":1}`))
-	s.Put(KindBase, fuzzBaseKey, []byte("gob snapshot bytes"))
+	s.Put(KindResult, fuzzResultKey, encoded([]byte(`{"latency_ps":1}`)))
+	s.Put(KindBase, fuzzBaseKey, encoded([]byte("gob snapshot bytes")))
 	if err := s.Close(); err != nil {
 		f.Fatal(err)
 	}

@@ -5,8 +5,9 @@
 //
 // The store is deliberately payload-agnostic — it persists opaque byte
 // blobs under (kind, key) — so it knows nothing about the serve package's
-// JSON results or gob-encoded base outcomes. serve marshals, store
-// persists, and warm-start hands the bytes back for serve to decode.
+// JSON results or gob-encoded base outcomes. serve hands Put an encoder,
+// the writer runs it and persists the bytes, and warm-start hands the
+// bytes back for serve to decode.
 //
 // On-disk layout under the configured directory:
 //
@@ -22,11 +23,12 @@
 // not fatal — the store falls back to scanning the blob directories and
 // rebuilds the index from the surviving files.
 //
-// Writes are write-behind: Put enqueues and returns immediately, a single
-// writer goroutine persists entries via temp-file-plus-rename and appends
-// the index record. A full write queue drops the entry (and counts the
-// drop) instead of stalling the job path — the disk tier is an
-// accelerator, never a dependency.
+// Writes are write-behind: Put enqueues an encoder and returns
+// immediately, and a single writer goroutine runs it, persists the bytes
+// via temp-file-plus-rename and appends the index record. The encode
+// therefore costs the job path nothing. A full write queue drops the entry
+// (and counts the drop) instead of stalling the job path — the disk tier
+// is an accelerator, never a dependency.
 package store
 
 import (
@@ -87,7 +89,8 @@ type Config struct {
 // Open.
 type Stats struct {
 	// Writes counts blobs persisted; WriteErrors counts persist attempts
-	// that failed (the entry is lost from disk, never from memory).
+	// whose encode or write failed (the entry is lost from disk, never
+	// from memory).
 	Writes      int64 `json:"writes"`
 	WriteErrors int64 `json:"write_errors,omitempty"`
 	// Dropped counts writes discarded because the write-behind queue was
@@ -132,10 +135,10 @@ type kindState struct {
 }
 
 type writeOp struct {
-	kind    string
-	key     string
-	payload []byte
-	flush   chan struct{} // non-nil: barrier op, close when reached
+	kind   string
+	key    string
+	encode func() ([]byte, error)
+	flush  chan struct{} // non-nil: barrier op, close when reached
 }
 
 // Store is a content-addressed write-behind blob store. All methods are
@@ -337,17 +340,19 @@ func encodeIndexRecord(kind string, digest [32]byte, rec indexRecord) []byte {
 	return out
 }
 
-// Sum is the integrity checksum the store verifies payloads with (FNV-64a,
-// matching the serve cache's scheme).
+// Sum is the integrity checksum the store verifies payloads with: FNV-64a
+// over the payload bytes.
 func Sum(payload []byte) uint64 {
 	h := fnv.New64a()
 	h.Write(payload)
 	return h.Sum64()
 }
 
-// Put enqueues a blob for write-behind persistence. It never blocks: a
-// full queue or a closed store drops the write and counts it.
-func (s *Store) Put(kind, key string, payload []byte) {
+// Put enqueues a blob for write-behind persistence. The writer goroutine
+// calls encode once to produce the payload, so encode must only read state
+// that no one mutates after the call. Put never blocks: a full queue or a
+// closed store drops the write and counts it, without calling encode.
+func (s *Store) Put(kind, key string, encode func() ([]byte, error)) {
 	if _, ok := s.kinds[kind]; !ok || key == "" {
 		return
 	}
@@ -358,7 +363,7 @@ func (s *Store) Put(kind, key string, payload []byte) {
 		return
 	}
 	select {
-	case s.ch <- writeOp{kind: kind, key: key, payload: payload}:
+	case s.ch <- writeOp{kind: kind, key: key, encode: encode}:
 		s.pending.Add(1)
 	default:
 		s.dropped.Add(1)
@@ -409,7 +414,11 @@ func (s *Store) writer() {
 			continue
 		}
 		s.pending.Add(-1)
-		if err := s.persist(op); err != nil {
+		payload, err := op.encode()
+		if err == nil {
+			err = s.persist(op.kind, op.key, payload)
+		}
+		if err != nil {
 			s.writeErr.Add(1)
 			s.log.Warn("store: write failed", "kind", op.kind, "error", err)
 			continue
@@ -420,13 +429,13 @@ func (s *Store) writer() {
 
 // persist writes one blob atomically (temp file + rename), appends its
 // index record and enforces the per-kind capacity bound.
-func (s *Store) persist(op writeOp) error {
-	ks := s.kinds[op.kind]
-	digest := keyDigest(op.key)
-	rec := indexRecord{sum: Sum(op.payload), size: uint64(len(op.payload)), nano: time.Now().UnixNano()}
+func (s *Store) persist(kind, key string, payload []byte) error {
+	ks := s.kinds[kind]
+	digest := keyDigest(key)
+	rec := indexRecord{sum: Sum(payload), size: uint64(len(payload)), nano: time.Now().UnixNano()}
 
-	blob := encodeBlob(op.key, rec.sum, op.payload)
-	path := s.blobPath(op.kind, digest)
+	blob := encodeBlob(key, rec.sum, payload)
+	path := s.blobPath(kind, digest)
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, blob, 0o644); err != nil {
 		return err
@@ -440,7 +449,7 @@ func (s *Store) persist(op writeOp) error {
 	defer s.mu.Unlock()
 	ks.entries[digest] = rec
 	if s.indexF != nil {
-		if _, err := s.indexF.Write(encodeIndexRecord(op.kind, digest, rec)); err != nil {
+		if _, err := s.indexF.Write(encodeIndexRecord(kind, digest, rec)); err != nil {
 			s.log.Warn("store: index append failed", "error", err)
 		}
 	}
@@ -456,7 +465,7 @@ func (s *Store) persist(op writeOp) error {
 			}
 		}
 		delete(ks.entries, oldest)
-		os.Remove(s.blobPath(op.kind, oldest))
+		os.Remove(s.blobPath(kind, oldest))
 	}
 	return nil
 }

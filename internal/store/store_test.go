@@ -1,10 +1,12 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 func openT(t *testing.T, dir string, mut func(*Config)) *Store {
@@ -19,6 +21,11 @@ func openT(t *testing.T, dir string, mut func(*Config)) *Store {
 	}
 	t.Cleanup(func() { s.Close() })
 	return s
+}
+
+// encoded is an encoder that returns p as the payload.
+func encoded(p []byte) func() ([]byte, error) {
+	return func() ([]byte, error) { return p, nil }
 }
 
 // loadAll drains Load into a map, accepting every entry.
@@ -36,9 +43,9 @@ func loadAll(s *Store, kind string) map[string]string {
 func TestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir, nil)
-	s.Put(KindResult, "ka", []byte(`{"a":1}`))
-	s.Put(KindResult, "kb", []byte(`{"b":2}`))
-	s.Put(KindBase, "ka", []byte("base-payload")) // same key, different kind
+	s.Put(KindResult, "ka", encoded([]byte(`{"a":1}`)))
+	s.Put(KindResult, "kb", encoded([]byte(`{"b":2}`)))
+	s.Put(KindBase, "ka", encoded([]byte("base-payload"))) // same key, different kind
 	s.Flush()
 
 	st := s.Stats()
@@ -75,7 +82,7 @@ func TestLoadOldestFirst(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir, nil)
 	for i := 0; i < 5; i++ {
-		s.Put(KindResult, fmt.Sprintf("k%d", i), []byte{byte(i)})
+		s.Put(KindResult, fmt.Sprintf("k%d", i), encoded([]byte{byte(i)}))
 		s.Flush() // one at a time, so write timestamps are strictly ordered
 	}
 	s.Close()
@@ -111,7 +118,7 @@ func mustOneBlob(t *testing.T, dir, subdir string) string {
 func TestCorruptBlobSkippedAndDeleted(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir, nil)
-	s.Put(KindResult, "victim", []byte("payload-to-corrupt"))
+	s.Put(KindResult, "victim", encoded([]byte("payload-to-corrupt")))
 	s.Flush()
 	s.Close()
 
@@ -146,7 +153,7 @@ func TestCorruptBlobSkippedAndDeleted(t *testing.T) {
 func TestVersionMismatchSkipped(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir, nil)
-	s.Put(KindResult, "old-format", []byte("payload"))
+	s.Put(KindResult, "old-format", encoded([]byte("payload")))
 	s.Flush()
 	s.Close()
 
@@ -179,8 +186,8 @@ func TestVersionMismatchSkipped(t *testing.T) {
 func TestCallbackRejectCountsCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir, nil)
-	s.Put(KindResult, "good", []byte("ok"))
-	s.Put(KindResult, "undecodable", []byte("not json"))
+	s.Put(KindResult, "good", encoded([]byte("ok")))
+	s.Put(KindResult, "undecodable", encoded([]byte("not json")))
 	s.Flush()
 	s.Close()
 
@@ -208,7 +215,7 @@ func TestCapacityEvictsOldest(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir, func(c *Config) { c.MaxResults = 3 })
 	for i := 0; i < 5; i++ {
-		s.Put(KindResult, fmt.Sprintf("k%d", i), []byte{byte(i)})
+		s.Put(KindResult, fmt.Sprintf("k%d", i), encoded([]byte{byte(i)}))
 		s.Flush()
 	}
 	if st := s.Stats(); st.ResultEntries != 3 {
@@ -233,8 +240,8 @@ func TestCapacityEvictsOldest(t *testing.T) {
 func TestOverwriteSameKey(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir, nil)
-	s.Put(KindResult, "k", []byte("v1"))
-	s.Put(KindResult, "k", []byte("v2"))
+	s.Put(KindResult, "k", encoded([]byte("v1")))
+	s.Put(KindResult, "k", encoded([]byte("v2")))
 	s.Flush()
 	if st := s.Stats(); st.ResultEntries != 1 || st.Writes != 2 {
 		t.Fatalf("stats %+v, want 1 entry from 2 writes", st)
@@ -253,7 +260,7 @@ func TestPutAfterCloseDrops(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s.Put(KindResult, "late", []byte("x"))
+	s.Put(KindResult, "late", encoded([]byte("x")))
 	s.Flush() // no-op, must not hang
 	if st := s.Stats(); st.Dropped != 1 || st.Writes != 0 {
 		t.Errorf("stats %+v, want exactly 1 dropped write", st)
@@ -267,8 +274,8 @@ func TestPutAfterCloseDrops(t *testing.T) {
 // as is a put with an empty key.
 func TestUnknownKindIgnored(t *testing.T) {
 	s := openT(t, t.TempDir(), nil)
-	s.Put("wrong", "k", []byte("x"))
-	s.Put(KindResult, "", []byte("x"))
+	s.Put("wrong", "k", encoded([]byte("x")))
+	s.Put(KindResult, "", encoded([]byte("x")))
 	s.Flush()
 	s.Load("wrong", func(string, []byte) bool { t.Error("callback for unknown kind"); return true })
 	if st := s.Stats(); st.Writes != 0 || st.Dropped != 0 {
@@ -281,8 +288,8 @@ func TestUnknownKindIgnored(t *testing.T) {
 func TestIndexRebuiltFromBlobs(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir, nil)
-	s.Put(KindResult, "a", []byte("pa"))
-	s.Put(KindBase, "b", []byte("pb"))
+	s.Put(KindResult, "a", encoded([]byte("pa")))
+	s.Put(KindBase, "b", encoded([]byte("pb")))
 	s.Flush()
 	s.Close()
 	if err := os.Remove(filepath.Join(dir, "index.bin")); err != nil {
@@ -303,7 +310,7 @@ func TestIndexRebuiltFromBlobs(t *testing.T) {
 func TestVanishedBlobDropped(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir, nil)
-	s.Put(KindResult, "gone", []byte("x"))
+	s.Put(KindResult, "gone", encoded([]byte("x")))
 	s.Flush()
 	s.Close()
 	if err := os.Remove(mustOneBlob(t, dir, "results")); err != nil {
@@ -319,13 +326,52 @@ func TestVanishedBlobDropped(t *testing.T) {
 	}
 }
 
-// TestSumMatchesFNV pins the integrity checksum: FNV-64a, the serve cache's
-// scheme, so the two tiers can cross-check each other's encodings.
+// TestSumMatchesFNV pins the integrity checksum: FNV-64a over the payload
+// bytes, the sum every blob header and index record written so far holds.
 func TestSumMatchesFNV(t *testing.T) {
 	if got, want := Sum([]byte("")), uint64(0xcbf29ce484222325); got != want {
 		t.Errorf("Sum(\"\") = %#x, want FNV-64a offset basis %#x", got, want)
 	}
 	if Sum([]byte("a")) == Sum([]byte("b")) {
 		t.Error("distinct payloads share a checksum")
+	}
+}
+
+// TestPutEncodesOnWriter: Put returns at once and the writer runs the
+// encoder, so a slow encode never holds up the caller. A write that finds
+// the queue full is dropped without its encoder ever running, an encode
+// error counts as a write error and persists nothing, and Flush waits for
+// every write enqueued before it.
+func TestPutEncodesOnWriter(t *testing.T) {
+	s := openT(t, t.TempDir(), func(c *Config) { c.QueueDepth = 1 })
+	started, release := make(chan struct{}), make(chan struct{})
+	put := make(chan struct{})
+	go func() {
+		s.Put(KindResult, "slow", func() ([]byte, error) {
+			close(started)
+			<-release
+			return []byte("v"), nil
+		})
+		close(put)
+	}()
+	select {
+	case <-put:
+	case <-time.After(10 * time.Second):
+		close(release)
+		t.Fatal("Put waited for its encoder")
+	}
+	<-started // the writer holds "slow", so the queue is empty
+	s.Put(KindResult, "bad", func() ([]byte, error) { return nil, errors.New("no encoding") })
+	s.Put(KindResult, "dropped", func() ([]byte, error) {
+		t.Error("the encoder of a dropped write ran")
+		return nil, nil
+	})
+	close(release)
+	s.Flush()
+	if st := s.Stats(); st.Writes != 1 || st.WriteErrors != 1 || st.Dropped != 1 || st.Pending != 0 {
+		t.Errorf("stats %+v, want 1 write, 1 write error, 1 dropped, none pending", st)
+	}
+	if got := loadAll(s, KindResult); len(got) != 1 || got["slow"] != "v" {
+		t.Errorf("persisted %v, want only slow=v", got)
 	}
 }
