@@ -3,12 +3,12 @@
 #   make ci          - build + vet + test + fuzz smoke (what the roadmap calls tier-1)
 #   make race        - race detector on the determinism + corner + service + store + ECO + what-if suites and every golden pin
 #   make perfbench-test - vet + unit tests of the benchmark module (perfbench/, its own go.mod)
-#   make fuzz        - 10s fuzz smoke per fuzz target (DEF, LEF, request decoder, store read path, DP merge)
+#   make fuzz        - 10s fuzz smoke per fuzz target (DEF, LEF, request decoder, result payload, store read path, DP merge)
 #   make golden      - golden-metrics regression suite (make golden-update re-pins)
 #   make staticcheck - pinned staticcheck over the whole tree (fetches the tool)
 #   make vulncheck   - pinned govulncheck over the whole tree (fetches the tool)
 #   make smoke       - the Go-only CLI smoke suite (what CI runs, minus the XL job)
-#   make bench       - the substrate, parallel-engine, partition, split, sign-off and refinement benchmarks, plus the request key and result checksum
+#   make bench       - the substrate, parallel-engine, partition, split, sign-off and refinement benchmarks, plus the request key, result checksum and result payload codec
 #   make report      - regenerate BENCH_parallel.json (the allocation baseline)
 #   make chaos       - 30s seeded fault-injection soak under -race; the run asserts its own contract
 #   make cluster     - 3-node in-process cluster run; the run asserts its own contract
@@ -60,6 +60,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzParseDEF -fuzztime 10s ./internal/def
 	$(GO) test -run xxx -fuzz FuzzParseLEF -fuzztime 10s ./internal/lef
 	$(GO) test -run xxx -fuzz FuzzRequestDecode -fuzztime 10s ./internal/serve
+	$(GO) test -run xxx -fuzz FuzzResultPayload -fuzztime 10s ./internal/serve
 	$(GO) test -run xxx -fuzz FuzzStoreOpen -fuzztime 10s ./internal/store
 	$(GO) test -run xxx -fuzz FuzzParetoMerge -fuzztime 10s ./internal/insert
 
@@ -108,7 +109,7 @@ eco:
 
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkSubstrates|BenchmarkParallelSynthesize|BenchmarkPartitionSynthesize|BenchmarkSplit|BenchmarkCornerSignoff|BenchmarkFig11SkewRefinement' -benchmem .
-	$(GO) test -run xxx -bench 'BenchmarkRequestKey|BenchmarkResultChecksum' -benchmem ./internal/serve/
+	$(GO) test -run xxx -bench 'BenchmarkRequestKey|BenchmarkResultChecksum|BenchmarkResultPersist' -benchmem ./internal/serve/
 
 # Pinned to GOMAXPROCS=1: CI's allocs-gate re-measures at GOMAXPROCS=1,
 # and `cismoke allocs` refuses reports recorded at different gomaxprocs.

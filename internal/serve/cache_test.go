@@ -440,20 +440,27 @@ func engineResult(tb testing.TB, q *Queue, req *Request, kind string) *Result {
 	return e.res
 }
 
+type benchResult struct {
+	name string
+	res  *Result
+}
+
+// benchResults are the two large result shapes the result benchmarks time:
+// C1 with slow/typ/fast sign-off and a C3 ECO result.
+func benchResults(b *testing.B, q *Queue) []benchResult {
+	return []benchResult{
+		{"C1-corners", engineResult(b, q, &Request{Design: "C1", Corners: []string{"slow", "typ", "fast"}}, KindSynthesize)},
+		{"C3-eco", engineResult(b, q, &Request{Design: "C3", Delta: &DeltaSpec{Move: []MoveSpec{{Sink: 0, X: 40, Y: 40}}}}, KindECO)},
+	}
+}
+
 // BenchmarkResultChecksum times the result cache's integrity checksum,
 // which every hit and every Put computes under the cache lock: on a C1
 // result with slow/typ/fast sign-off and on a C3 ECO result.
 func BenchmarkResultChecksum(b *testing.B) {
 	q := NewQueue(Config{MaxRunning: 1, Workers: 1})
 	defer q.Close()
-	cases := []struct {
-		name string
-		res  *Result
-	}{
-		{"C1-corners", engineResult(b, q, &Request{Design: "C1", Corners: []string{"slow", "typ", "fast"}}, KindSynthesize)},
-		{"C3-eco", engineResult(b, q, &Request{Design: "C3", Delta: &DeltaSpec{Move: []MoveSpec{{Sink: 0, X: 40, Y: 40}}}}, KindECO)},
-	}
-	for _, c := range cases {
+	for _, c := range benchResults(b, q) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {

@@ -2,18 +2,23 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 
 	"dscts/internal/core"
+	"dscts/internal/eval"
 	"dscts/internal/store"
 )
 
 // This file is the queue's bridge to the disk persistence tier
 // (internal/store). The store is payload-agnostic — it moves checksummed
 // byte blobs — so everything format-shaped lives here: cached Results
-// persist as their canonical JSON, retained ECO base outcomes persist as
+// persist as the JSON of their delay-free view plus one binary lane per
+// sink-delay map (encodeResult), retained ECO base outcomes persist as
 // gob snapshots. Writes are fire-and-forget behind the in-memory caches:
 // the queue hands the store an encoder over the immutable cached value, and
 // the store's writer goroutine runs it, off the running slot.
@@ -31,8 +36,8 @@ func (q *Queue) warmStart() {
 	}
 	var results, bases int
 	st.Load(store.KindResult, func(key string, payload []byte) bool {
-		res := new(Result)
-		if err := json.Unmarshal(payload, res); err != nil {
+		res, err := decodeResult(payload)
+		if err != nil {
 			return false
 		}
 		if !q.cache.Put(key, res) {
@@ -66,8 +71,138 @@ func (q *Queue) warmStart() {
 // encode.
 func (q *Queue) persistResult(key string, res *Result) {
 	if st := q.cfg.Store; st != nil {
-		st.Put(store.KindResult, key, func() ([]byte, error) { return json.Marshal(res) })
+		st.Put(store.KindResult, key, func() ([]byte, error) { return encodeResult(res) })
 	}
+}
+
+// A persisted Result (store format 2) is its delay-free JSON head followed
+// by its per-sink clock arrival times as dense binary lanes:
+//
+//	uint64 n | n bytes: json.Marshal(res.view(false))
+//	per lane: uint64 count (nilLane for a nil map) | count float64 bits
+//
+// There is one lane per SinkDelays map, in laneMetrics order: the top-level
+// Metrics, then each corner's. Lane entry i is sink i's delay, so the maps
+// must be keyed exactly 0..count-1, which every engine result is (ECO
+// removals compact the survivors' indices). All integers and float bits are
+// little-endian. The lanes are copied, not formatted: a C1 slow/typ/fast
+// result takes 142 KB this way and 448 KB as JSON with decimal maps.
+const nilLane = ^uint64(0)
+
+// laneMetrics lists the Metrics whose SinkDelays a payload carries, in
+// lane order. A corner result without Metrics has no response shape
+// (view dereferences it), so it is an error rather than a panic.
+func laneMetrics(r *Result) ([]*eval.Metrics, error) {
+	var ms []*eval.Metrics
+	if r.Metrics != nil {
+		ms = append(ms, r.Metrics)
+	}
+	if r.Corners != nil {
+		for i := range r.Corners.Results {
+			m := r.Corners.Results[i].Metrics
+			if m == nil {
+				return nil, fmt.Errorf("serve: corner result %d has no metrics", i)
+			}
+			ms = append(ms, m)
+		}
+	}
+	return ms, nil
+}
+
+// encodeResult is the store payload of a cached Result. A sink-delay map
+// not keyed exactly 0..n-1 has no lane form and is an error (a counted
+// write error), never a wrong blob.
+func encodeResult(res *Result) ([]byte, error) {
+	ms, err := laneMetrics(res)
+	if err != nil {
+		return nil, err
+	}
+	head, err := json.Marshal(res.view(false))
+	if err != nil {
+		return nil, fmt.Errorf("serve: result head: %w", err)
+	}
+	size := 8 + len(head)
+	for _, m := range ms {
+		size += 8 + 8*len(m.SinkDelays)
+	}
+	buf := make([]byte, 0, size)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(head)))
+	buf = append(buf, head...)
+	for _, m := range ms {
+		if m.SinkDelays == nil {
+			buf = binary.LittleEndian.AppendUint64(buf, nilLane)
+			continue
+		}
+		n := len(m.SinkDelays)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
+		lane := buf[len(buf) : len(buf)+8*n]
+		// n distinct keys, each in [0, n): every slot is written once.
+		for k, d := range m.SinkDelays {
+			if k < 0 || k >= n {
+				return nil, fmt.Errorf("serve: sink delay key %d outside 0..%d", k, n-1)
+			}
+			binary.LittleEndian.PutUint64(lane[8*k:], math.Float64bits(d))
+		}
+		buf = buf[:len(buf)+8*n]
+	}
+	return buf, nil
+}
+
+var errResultPayload = errors.New("serve: malformed result payload")
+
+// decodeResult is the inverse of encodeResult. It accepts only what
+// encodeResult writes: the head must be canonical (re-encoding its view
+// gives the same bytes, so it carries no delay maps of its own), every
+// lane count must fit the bytes left before anything is allocated, and
+// nothing may follow the last lane.
+func decodeResult(payload []byte) (*Result, error) {
+	rest := payload
+	next := func() (uint64, bool) {
+		if len(rest) < 8 {
+			return 0, false
+		}
+		v := binary.LittleEndian.Uint64(rest)
+		rest = rest[8:]
+		return v, true
+	}
+	n, ok := next()
+	if !ok || n > uint64(len(rest)) {
+		return nil, errResultPayload
+	}
+	head := rest[:n]
+	rest = rest[n:]
+	res := new(Result)
+	if err := json.Unmarshal(head, res); err != nil {
+		return nil, fmt.Errorf("%w: %v", errResultPayload, err)
+	}
+	ms, err := laneMetrics(res)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", errResultPayload, err)
+	}
+	if again, err := json.Marshal(res.view(false)); err != nil || !bytes.Equal(again, head) {
+		return nil, fmt.Errorf("%w: head is not the canonical delay-free view", errResultPayload)
+	}
+	for _, m := range ms {
+		count, ok := next()
+		if !ok {
+			return nil, errResultPayload
+		}
+		if count == nilLane {
+			continue
+		}
+		if count > uint64(len(rest)/8) {
+			return nil, fmt.Errorf("%w: lane of %d delays past the end", errResultPayload, count)
+		}
+		m.SinkDelays = make(map[int]float64, count)
+		for i := range int(count) {
+			m.SinkDelays[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest[8*i:]))
+		}
+		rest = rest[8*count:]
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", errResultPayload, len(rest))
+	}
+	return res, nil
 }
 
 // persistBase snapshots a retained base outcome so POST /eco survives a

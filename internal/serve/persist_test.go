@@ -3,10 +3,14 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"maps"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -49,7 +53,9 @@ func (p *persistedServer) stop() {
 
 // TestPersistWarmRestart is the tier's core contract: a restarted daemon
 // serves previously-computed requests as cache hits — including resolving a
-// never-seen ECO delta from the persisted base snapshot.
+// never-seen ECO delta from the persisted base snapshot — and a hit on a
+// persisted slow/typ/fast result with sink delays answers with the cold
+// response's result, byte for byte.
 func TestPersistWarmRestart(t *testing.T) {
 	dir := t.TempDir()
 	req := &Request{Design: "C1"}
@@ -58,6 +64,7 @@ func TestPersistWarmRestart(t *testing.T) {
 		r.Delta = &DeltaSpec{Move: []MoveSpec{{Sink: 0, X: x, Y: x}}}
 		return &r
 	}
+	cornersReq := &Request{Design: "C1", Corners: []string{"slow", "typ", "fast"}, IncludeSinkDelays: true}
 	ctx := context.Background()
 
 	p1 := startPersisted(t, dir, nil)
@@ -70,6 +77,10 @@ func TestPersistWarmRestart(t *testing.T) {
 	}
 	if _, err := p1.client.ECO(ctx, ecoReq(40)); err != nil {
 		t.Fatal(err)
+	}
+	coldHit, cold := postSyncRaw(t, p1.ts.URL, "/synthesize", cornersReq)
+	if coldHit {
+		t.Fatal("first corners request of a fresh store was a cache hit")
 	}
 	p1.stop() // flushes the write-behind tail
 	noWriteLoss(t, "cold process", p1.st.Stats())
@@ -85,6 +96,13 @@ func TestPersistWarmRestart(t *testing.T) {
 	if warm.Result.Metrics.Latency != first.Result.Metrics.Latency ||
 		warm.Result.Metrics.Skew != first.Result.Metrics.Skew {
 		t.Errorf("warm result differs from the original: %+v vs %+v", warm.Result.Metrics, first.Result.Metrics)
+	}
+	warmHit, warmCorners := postSyncRaw(t, p2.ts.URL, "/synthesize", cornersReq)
+	if !warmHit {
+		t.Error("restarted daemon recomputed the persisted corners request")
+	}
+	if !bytes.Equal(warmCorners, cold) {
+		t.Errorf("warm corners result (%d bytes) differs from the cold response's (%d bytes)", len(warmCorners), len(cold))
 	}
 
 	// A delta the first process never saw: only the persisted base snapshot
@@ -105,15 +123,158 @@ func TestPersistWarmRestart(t *testing.T) {
 		t.Fatal("no store section in stats")
 	}
 	// The cold process persisted the C1 result (the base re-put lands on the
-	// same key) and the eco result: 2 result blobs, 1 base snapshot.
-	if st.Store.WarmResults != 2 || st.Store.WarmBases != 1 {
-		t.Errorf("warm start loaded %d results, %d bases; want 2 and 1", st.Store.WarmResults, st.Store.WarmBases)
+	// same key), the eco result and the corners result: 3 result blobs, 1
+	// base snapshot.
+	if st.Store.WarmResults != 3 || st.Store.WarmBases != 1 {
+		t.Errorf("warm start loaded %d results, %d bases; want 3 and 1", st.Store.WarmResults, st.Store.WarmBases)
 	}
 	if skips := st.Store.WarmSkippedCorrupt + st.Store.WarmSkippedVersion + st.Store.WarmSkippedIO; skips != 0 {
 		t.Errorf("%d warm skips over a cleanly closed store: %+v", skips, *st.Store)
 	}
 	p2.stop()
 	noWriteLoss(t, "restarted process", p2.st.Stats())
+}
+
+// postSyncRaw posts req to a sync endpoint and returns whether the job was
+// a cache hit and the raw bytes of its result, as the server wrote them.
+func postSyncRaw(t *testing.T, url, path string, req *Request) (bool, []byte) {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url+path+"?mode=sync", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST %s: status %d", path, resp.StatusCode)
+	}
+	var info struct {
+		CacheHit bool            `json:"cache_hit"`
+		Result   json.RawMessage `json:"result"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+		t.Fatal(err)
+	}
+	return info.CacheHit, info.Result
+}
+
+// TestPersistFormatOneStoreStartsCold: a store written before results
+// persisted in two parts (format 1: every result blob is json.Marshal of
+// the Result) opens with each blob counted as a version skip and deleted.
+// The next request is a miss and computes the same result as before.
+func TestPersistFormatOneStoreStartsCold(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	req := &Request{Design: "C1", Corners: []string{"slow", "typ", "fast"}, IncludeSinkDelays: true}
+
+	p1 := startPersisted(t, dir, nil)
+	first, err := p1.client.Synthesize(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p1.client.ECO(ctx, &Request{Design: "C1", Delta: &DeltaSpec{Move: []MoveSpec{{Sink: 0, X: 40, Y: 40}}}}); err != nil {
+		t.Fatal(err)
+	}
+	p1.stop()
+	noWriteLoss(t, "cold process", p1.st.Stats())
+
+	// Rewrite the directory as format 1 wrote it: version 1 in the index
+	// and every blob header, and each result payload as the Result's JSON.
+	blobs := 0
+	for _, sub := range []string{"results", "bases"} {
+		paths, err := filepath.Glob(filepath.Join(dir, sub, "*.blob"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range paths {
+			rewriteFormatOne(t, path, sub == "results")
+			blobs++
+		}
+	}
+	if blobs != 4 {
+		t.Fatalf("%d blobs persisted, want 4 (corners, eco, eco base result, base snapshot)", blobs)
+	}
+	index := filepath.Join(dir, "index.bin")
+	data, err := os.ReadFile(index)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(data[8:12], 1)
+	if err := os.WriteFile(index, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	p2 := startPersisted(t, dir, nil)
+	ss := p2.s.Queue().Stats().Store
+	if ss.WarmSkippedVersion != int64(blobs) || ss.WarmSkippedCorrupt != 0 || ss.WarmSkippedIO != 0 {
+		t.Errorf("skip accounting %+v, want %d version skips", *ss, blobs)
+	}
+	if ss.WarmResults != 0 || ss.WarmBases != 0 || ss.ResultEntries != 0 || ss.BaseEntries != 0 {
+		t.Errorf("format-1 entries survived: %+v", *ss)
+	}
+	again, err := p2.client.Synthesize(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.CacheHit {
+		t.Error("a format-1 store served a hit")
+	}
+	if a, b := engineJSON(t, again.Result), engineJSON(t, first.Result); !bytes.Equal(a, b) {
+		t.Errorf("recomputed result differs from the original:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// rewriteFormatOne re-stamps a store blob at format version 1. A result
+// payload becomes json.Marshal of the decoded Result, as format 1 wrote it;
+// a base snapshot keeps its gob bytes. The checksum is recomputed, so the
+// version is the blob's only fault.
+func rewriteFormatOne(t *testing.T, path string, result bool) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Blob layout: magic [8], version u32, key length u32, key, payload
+	// length u64, sum u64, payload.
+	keyLen := int(binary.LittleEndian.Uint32(data[12:16]))
+	payload := data[16+keyLen+16:]
+	if result {
+		res, err := decodeResult(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if payload, err = json.Marshal(res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out := append([]byte(nil), data[:16+keyLen]...)
+	binary.LittleEndian.PutUint32(out[8:12], 1)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
+	out = binary.LittleEndian.AppendUint64(out, store.Sum(payload))
+	out = append(out, payload...)
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// engineJSON is the part of a Result the engine computes (metrics with
+// sink delays, corners, DP and refinement counts), without the run's
+// timings, which differ between two runs of one request.
+func engineJSON(t *testing.T, r *Result) []byte {
+	t.Helper()
+	b, err := json.Marshal(struct {
+		Metrics any
+		Corners any
+		DP      any
+		Refine  any
+	}{r.Metrics, r.Corners, r.DP, r.Refine})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // noWriteLoss fails the test when the write-behind tier lost a write: a
@@ -324,17 +485,20 @@ func TestBaseOutcomeGobRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPersistedBytesUnchanged: the store's writer persists exactly
-// json.Marshal of the Result the cache serves, for a multi-corner result,
-// an ECO result and the ECO's base, so a store written before the encode
-// moved onto the writer warm-starts unchanged.
-func TestPersistedBytesUnchanged(t *testing.T) {
+// TestPersistedResultRoundTrip: every result shape the daemon persists (a
+// slow/typ/fast result, an ECO result, that ECO's base and a DSE sweep)
+// decodes from its blob to the Result the cache serves: the same JSON
+// bytes, sink delays included, and the same integrity sum.
+func TestPersistedResultRoundTrip(t *testing.T) {
 	p := startPersisted(t, t.TempDir(), nil)
 	ctx := context.Background()
 	if _, err := p.client.Synthesize(ctx, &Request{Design: "C1", Corners: []string{"slow", "typ", "fast"}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.client.ECO(ctx, &Request{Design: "C4", Delta: &DeltaSpec{Move: []MoveSpec{{Sink: 0, X: 40, Y: 40}}}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.client.DSE(ctx, &Request{Design: "C1", Thresholds: []int{16, 64}}); err != nil {
 		t.Fatal(err)
 	}
 	p.st.Flush()
@@ -346,19 +510,224 @@ func TestPersistedBytesUnchanged(t *testing.T) {
 			t.Errorf("persisted key %.16s… is not cached", key)
 			return true
 		}
+		got, err := decodeResult(payload)
+		if err != nil {
+			t.Errorf("key %.16s…: %v", key, err)
+			return true
+		}
 		want, err := json.Marshal(e.res)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(payload, want) {
-			t.Errorf("key %.16s…: persisted %d bytes differ from json.Marshal's %d", key, len(payload), len(want))
+		if b, err := json.Marshal(got); err != nil || !bytes.Equal(b, want) {
+			t.Errorf("key %.16s…: decoded result encodes to %d bytes (err %v), the cached one to %d", key, len(b), err, len(want))
+		}
+		if a, b := mustSum(t, got), mustSum(t, e.res); a != b {
+			t.Errorf("key %.16s…: decoded result sums to %#x, the cached one to %#x", key, a, b)
 		}
 		return true
 	})
-	if blobs != 3 {
-		t.Errorf("%d result blobs persisted, want 3 (corners, eco, eco base)", blobs)
+	if blobs != 4 {
+		t.Errorf("%d result blobs persisted, want 4 (corners, eco, eco base, dse)", blobs)
 	}
 	noWriteLoss(t, "daemon", p.st.Stats())
+}
+
+func mustSum(t *testing.T, r *Result) uint64 {
+	t.Helper()
+	sum, err := sumResult(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sum
+}
+
+// smallResults are real engine results over a six-sink placement, one per
+// payload shape: slow/typ/fast sign-off (four lanes), a DSE sweep (none)
+// and an ECO (one). They keep the fuzz corpus small.
+func smallResults(tb testing.TB) []*Result {
+	tb.Helper()
+	q := NewQueue(Config{MaxRunning: 1, Workers: 1})
+	defer q.Close()
+	root := &XY{X: 0, Y: 0}
+	sinks := []XY{{X: 10, Y: 20}, {X: 30, Y: 5}, {X: 50, Y: 40}, {X: 5, Y: 45}, {X: 25, Y: 25}, {X: 45, Y: 10}}
+	return []*Result{
+		engineResult(tb, q, &Request{Root: root, Sinks: sinks, Corners: []string{"slow", "typ", "fast"}}, KindSynthesize),
+		engineResult(tb, q, &Request{Root: root, Sinks: sinks, Thresholds: []int{2, 4}}, KindDSE),
+		engineResult(tb, q, &Request{Root: root, Sinks: sinks, Delta: &DeltaSpec{Move: []MoveSpec{{Sink: 0, X: 12, Y: 18}}}}, KindECO),
+	}
+}
+
+// TestResultPayloadNilAndEmptyMaps: a nil sink-delay map and an empty one
+// encode as different JSON (null and {}), so each lane keeps which it was.
+func TestResultPayloadNilAndEmptyMaps(t *testing.T) {
+	res := *smallResults(t)[0]
+	m := *res.Metrics
+	m.SinkDelays = nil
+	res.Metrics = &m
+	rep := *res.Corners
+	rep.Results = slices.Clone(rep.Results)
+	cm := *rep.Results[0].Metrics
+	cm.SinkDelays = map[int]float64{}
+	rep.Results[0].Metrics = &cm
+	res.Corners = &rep
+
+	payload, err := encodeResult(&res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := decodeResult(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(&res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, err := json.Marshal(got); err != nil || !bytes.Equal(b, want) {
+		t.Errorf("decoded result encodes to %d bytes (err %v), want %d", len(b), err, len(want))
+	}
+}
+
+// TestResultPayloadRejects: the decoder refuses every damaged payload
+// before it allocates from a count it cannot back with bytes.
+func TestResultPayloadRejects(t *testing.T) {
+	payload, err := encodeResult(smallResults(t)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeResult(payload); err != nil {
+		t.Fatalf("intact payload: %v", err)
+	}
+	headEnd := 8 + int(binary.LittleEndian.Uint64(payload))
+	withCount := func(count uint64) []byte {
+		b := bytes.Clone(payload)
+		binary.LittleEndian.PutUint64(b[headEnd:], count)
+		return b
+	}
+	fits := uint64(len(payload)-headEnd-8) / 8 // the most delays the bytes after the first count hold
+	for name, bad := range map[string][]byte{
+		"empty":                 nil,
+		"truncated length":      payload[:4],
+		"truncated head":        payload[:headEnd-1],
+		"no lanes":              payload[:headEnd],
+		"truncated lane":        payload[:len(payload)-1],
+		"one trailing byte":     append(bytes.Clone(payload), 0),
+		"head length past end":  binary.LittleEndian.AppendUint64(nil, uint64(len(payload))),
+		"lane one past the end": withCount(fits + 1),
+		"lane count 2^62":       withCount(1 << 62),
+	} {
+		if res, err := decodeResult(bad); err == nil {
+			t.Errorf("%s: decoded %+v", name, res)
+		}
+	}
+	// A head carrying its own delay map is not what the encoder writes.
+	res, err := decodeResult(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withMaps := binary.LittleEndian.AppendUint64(nil, uint64(len(head)))
+	withMaps = append(withMaps, head...)
+	withMaps = append(withMaps, payload[headEnd:]...)
+	if _, err := decodeResult(withMaps); err == nil {
+		t.Error("decoded a head that carries sink-delay maps")
+	}
+}
+
+// TestResultEncodeNonDenseKeys: a sink-delay map not keyed 0..n-1 has no
+// lane form. Persisting it is one counted write error and no blob, never a
+// blob that decodes to other delays.
+func TestResultEncodeNonDenseKeys(t *testing.T) {
+	good := smallResults(t)[0]
+	p := startPersisted(t, t.TempDir(), nil)
+	edits := map[string]func(map[int]float64){
+		"gap":      func(m map[int]float64) { d := m[0]; delete(m, 0); m[len(m)+1] = d },
+		"negative": func(m map[int]float64) { d := m[0]; delete(m, 0); m[-1] = d },
+	}
+	for name, edit := range edits {
+		bad := *good
+		m := *good.Metrics
+		m.SinkDelays = maps.Clone(good.Metrics.SinkDelays)
+		edit(m.SinkDelays)
+		bad.Metrics = &m
+		if _, err := encodeResult(&bad); err == nil {
+			t.Errorf("%s: encoded a map keyed %v", name, slices.Sorted(maps.Keys(m.SinkDelays)))
+		}
+		p.s.Queue().persistResult(name, &bad)
+	}
+	p.st.Flush()
+	if st := p.st.Stats(); st.WriteErrors != int64(len(edits)) || st.Writes != 0 || st.ResultEntries != 0 {
+		t.Errorf("store stats %+v, want %d write errors and nothing written", st, len(edits))
+	}
+}
+
+// FuzzResultPayload feeds the result decoder arbitrary bytes, seeded from
+// real encoded results. It must never panic, never build a delay map
+// longer than the input could hold, and re-encode every payload it accepts
+// to the same bytes: the decoder accepts exactly what the encoder writes.
+func FuzzResultPayload(f *testing.F) {
+	for _, res := range smallResults(f) {
+		payload, err := encodeResult(res)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		res, err := decodeResult(payload)
+		if err != nil {
+			return
+		}
+		ms, err := laneMetrics(res)
+		if err != nil {
+			t.Fatalf("accepted payload has no lane layout: %v", err)
+		}
+		for i, m := range ms {
+			if 8*len(m.SinkDelays) > len(payload) {
+				t.Fatalf("lane %d holds %d delays from a %d-byte payload", i, len(m.SinkDelays), len(payload))
+			}
+		}
+		again, err := encodeResult(res)
+		if err != nil {
+			t.Fatalf("accepted payload does not re-encode: %v", err)
+		}
+		if !bytes.Equal(again, payload) {
+			t.Fatalf("accepted %d bytes re-encode to %d different bytes", len(payload), len(again))
+		}
+	})
+}
+
+// BenchmarkResultPersist times the store writer's encode and warm start's
+// decode of a result payload, on the results BenchmarkResultChecksum sums.
+func BenchmarkResultPersist(b *testing.B) {
+	q := NewQueue(Config{MaxRunning: 1, Workers: 1})
+	defer q.Close()
+	for _, c := range benchResults(b, q) {
+		payload, err := encodeResult(c.res)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name+"/encode", func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := encodeResult(c.res); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(c.name+"/decode", func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := decodeResult(payload); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // TestPersistEncodeRacesHits serves hits on a key while the store's writer

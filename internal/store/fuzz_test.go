@@ -34,6 +34,20 @@ func writeFuzzDir(t testing.TB, dir string, index, result, base []byte) {
 	}
 }
 
+// countBlobs is the number of blob files of both kinds under dir.
+func countBlobs(t testing.TB, dir string) int {
+	t.Helper()
+	n := 0
+	for _, sub := range []string{"results", "bases"} {
+		matches, err := filepath.Glob(filepath.Join(dir, sub, "*.blob"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += len(matches)
+	}
+	return n
+}
+
 // blobName is the file name Put gives a key's blob.
 func blobName(key string) string {
 	d := keyDigest(key)
@@ -42,8 +56,9 @@ func blobName(key string) string {
 
 // FuzzStoreOpen drives the disk tier's read path with arbitrary bytes in
 // every file it reads: Open, Load of both kinds and Close must neither
-// panic nor fail, and every entry present at open must end up loaded or
-// counted as exactly one kind of skip.
+// panic nor fail, and every blob file on disk before Open must end up
+// loaded or counted as exactly one kind of skip, whether Open's reconcile
+// or Load rejected it.
 func FuzzStoreOpen(f *testing.F) {
 	// Seed: a directory written by Put, so the corpus starts from
 	// well-formed files the mutator can damage.
@@ -74,12 +89,11 @@ func FuzzStoreOpen(f *testing.F) {
 	f.Fuzz(func(t *testing.T, index, result, base []byte) {
 		dir := t.TempDir()
 		writeFuzzDir(t, dir, index, result, base)
+		present := int64(countBlobs(t, dir))
 		s, err := Open(Config{Dir: dir})
 		if err != nil {
 			t.Fatalf("open: %v", err)
 		}
-		at := s.Stats()
-		present := at.ResultEntries + at.BaseEntries
 		accept := func(string, []byte) bool { return true }
 		s.Load(KindResult, accept)
 		s.Load(KindBase, accept)
@@ -87,7 +101,12 @@ func FuzzStoreOpen(f *testing.F) {
 		accounted := got.WarmResults + got.WarmBases +
 			got.WarmSkippedCorrupt + got.WarmSkippedVersion + got.WarmSkippedIO
 		if accounted != present {
-			t.Errorf("%d entries at open, but %d loaded + skipped: %+v", present, accounted, got)
+			t.Errorf("%d blob files before open, but %d loaded + skipped: %+v", present, accounted, got)
+		}
+		// No read of a fuzzed file fails for IO reasons, so every skip
+		// deletes its blob.
+		if left := int64(countBlobs(t, dir)); left != got.WarmResults+got.WarmBases {
+			t.Errorf("%d blob files left after %d loads: skipped blobs must be deleted", left, got.WarmResults+got.WarmBases)
 		}
 		if err := s.Close(); err != nil {
 			t.Fatalf("close: %v", err)

@@ -5,9 +5,12 @@
 //
 // The store is deliberately payload-agnostic — it persists opaque byte
 // blobs under (kind, key) — so it knows nothing about the serve package's
-// JSON results or gob-encoded base outcomes. serve hands Put an encoder,
-// the writer runs it and persists the bytes, and warm-start hands the
-// bytes back for serve to decode.
+// result payloads (a JSON head plus binary sink-delay lanes) or
+// gob-encoded base outcomes. serve hands Put an encoder, the writer runs
+// it and persists the bytes, and warm-start hands the bytes back for serve
+// to decode. The format version in every header and in the index changes
+// whenever a payload's layout does, so a directory written at another
+// version is skipped and counted, never misread.
 //
 // On-disk layout under the configured directory:
 //
@@ -19,9 +22,10 @@
 // and an FNV-64a sum over the payload; every index record carries the key
 // digest, the sum and the payload size. Warm-start trusts neither alone: a
 // blob whose header, index record and recomputed sum disagree is skipped,
-// counted and deleted rather than loaded. A missing or corrupt index is
-// not fatal — the store falls back to scanning the blob directories and
-// rebuilds the index from the surviving files.
+// counted and deleted rather than loaded, and so is one whose header Open
+// cannot read. A missing or corrupt index is not fatal — the store falls
+// back to scanning the blob directories and rebuilds the index from the
+// surviving files.
 //
 // Writes are write-behind: Put enqueues an encoder and returns
 // immediately, and a single writer goroutine runs it, persists the bytes
@@ -58,7 +62,7 @@ const (
 const (
 	blobMagic    = "DSCTSBLB"
 	indexMagic   = "DSCTSIDX"
-	formatVer    = 1
+	formatVer    = 2
 	indexRecSize = 64
 	indexHdrSize = 16
 )
@@ -263,7 +267,11 @@ func (s *Store) loadIndex() {
 // reconcile makes the blob directories the ground truth: index records
 // whose file vanished are dropped, and blobs the index never heard of
 // (crash before the index append, or a rebuilt directory) are adopted with
-// the sum and size from their own header.
+// the sum and size from their own header. A blob whose header cannot be
+// read is deleted and counted in one warm-start skip bucket, like any
+// blob Load rejects. A store written at another format version has its
+// index ignored, so every one of its blobs comes through here and counts
+// as a version skip.
 func (s *Store) reconcile() {
 	for kind, ks := range s.kinds {
 		onDisk := map[[32]byte]bool{}
@@ -289,6 +297,7 @@ func (s *Store) reconcile() {
 			if _, sum, size, nano, err := readBlobHeader(filepath.Join(ks.dir, name)); err == nil {
 				ks.entries[digest] = indexRecord{sum: sum, size: size, nano: nano}
 			} else {
+				s.countSkip(err)
 				s.log.Debug("store: dropping unreadable blob", "kind", kind, "file", name, "error", err)
 				os.Remove(filepath.Join(ks.dir, name))
 			}
@@ -612,6 +621,22 @@ func (s *Store) Load(kind string, fn func(key string, payload []byte) bool) {
 		} else {
 			s.warmResults.Add(1)
 		}
+	}
+}
+
+// countSkip files a blob that reconcile could not adopt under its skip
+// reason: another format version, a damaged header (bad magic, a key
+// length out of range, or a file too short for its header), or an IO
+// error.
+func (s *Store) countSkip(err error) {
+	switch {
+	case errors.Is(err, errBadVersion):
+		s.warmVersion.Add(1)
+	case errors.Is(err, errBadMagic), errors.Is(err, errCorrupt),
+		errors.Is(err, io.EOF), errors.Is(err, io.ErrUnexpectedEOF):
+		s.warmCorrupt.Add(1)
+	default:
+		s.warmIO.Add(1)
 	}
 }
 

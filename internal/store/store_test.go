@@ -180,6 +180,60 @@ func TestVersionMismatchSkipped(t *testing.T) {
 	}
 }
 
+// TestWholeStoreOtherVersionCounted: a store written at another format
+// version (index and every blob re-stamped) is ignored by its index, so
+// each blob reaches Open's reconcile. Each must be deleted and counted as
+// a version skip, not dropped silently, and a blob whose header is garbage
+// as a corrupt skip.
+func TestWholeStoreOtherVersionCounted(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir, nil)
+	s.Put(KindResult, "r", encoded([]byte("result payload")))
+	s.Put(KindBase, "b", encoded([]byte("base payload")))
+	s.Flush()
+	s.Close()
+
+	paths := []string{
+		filepath.Join(dir, "index.bin"),
+		mustOneBlob(t, dir, "results"),
+		mustOneBlob(t, dir, "bases"),
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[8] = 0xFE // index and blob headers both put the version after an 8-byte magic
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	garbage := filepath.Join(dir, "results", blobName("garbage"))
+	if err := os.WriteFile(garbage, []byte("not a blob"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r := openT(t, dir, nil)
+	if got := loadAll(r, KindResult); len(got) != 0 {
+		t.Errorf("loaded %v from another format version", got)
+	}
+	if got := loadAll(r, KindBase); len(got) != 0 {
+		t.Errorf("loaded %v from another format version", got)
+	}
+	st := r.Stats()
+	if st.WarmSkippedVersion != 2 || st.WarmSkippedCorrupt != 1 || st.WarmSkippedIO != 0 {
+		t.Errorf("skip accounting %+v, want 2 version skips and 1 corrupt skip", st)
+	}
+	if st.ResultEntries != 0 || st.BaseEntries != 0 {
+		t.Errorf("%d result and %d base entries survive", st.ResultEntries, st.BaseEntries)
+	}
+	for _, path := range append(paths[1:], garbage) {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("skipped blob %s not deleted (stat err %v)", filepath.Base(path), err)
+		}
+	}
+}
+
 // TestCallbackRejectCountsCorrupt: a payload the CALLER cannot decode counts
 // as a corruption and is deleted, exactly like a failed checksum — the store
 // verified bytes, but bytes the cache cannot use are just as poisonous.
