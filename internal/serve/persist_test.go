@@ -558,6 +558,43 @@ func smallResults(tb testing.TB) []*Result {
 	}
 }
 
+// TestResultPayloadEveryField: a Result with every field filled by
+// reflection, its sink-delay maps keyed 0..n-1 as the engine keys them,
+// decodes from its payload to the same JSON bytes and the same sum, so a
+// new Result field cannot drop out of persisted results unnoticed.
+func TestResultPayloadEveryField(t *testing.T) {
+	res := filledResult(t)
+	ms, err := laneMetrics(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range ms {
+		dense := make(map[int]float64, len(m.SinkDelays))
+		for _, k := range slices.Sorted(maps.Keys(m.SinkDelays)) {
+			dense[len(dense)] = m.SinkDelays[k]
+		}
+		m.SinkDelays = dense
+	}
+	payload, err := encodeResult(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := decodeResult(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, err := json.Marshal(got); err != nil || !bytes.Equal(b, want) {
+		t.Errorf("decoded result encodes to %d bytes (err %v), want %d", len(b), err, len(want))
+	}
+	if a, b := mustSum(t, got), mustSum(t, res); a != b {
+		t.Errorf("decoded result sums to %#x, want %#x", a, b)
+	}
+}
+
 // TestResultPayloadNilAndEmptyMaps: a nil sink-delay map and an empty one
 // encode as different JSON (null and {}), so each lane keeps which it was.
 func TestResultPayloadNilAndEmptyMaps(t *testing.T) {
