@@ -3,7 +3,7 @@
 #   make ci          - build + vet + test + fuzz smoke (what the roadmap calls tier-1)
 #   make race        - race detector on the determinism + corner + service + store + ECO + what-if suites and every golden pin
 #   make perfbench-test - vet + unit tests of the benchmark module (perfbench/, its own go.mod)
-#   make fuzz        - 10s fuzz smoke per fuzz target (DEF, LEF, request decoder, result payload, store read path, DP merge)
+#   make fuzz        - 10s fuzz smoke per fuzz target (DEF, LEF, request decoder, result payload, base snapshot, store read path, DP merge)
 #   make golden      - golden-metrics regression suite (make golden-update re-pins)
 #   make staticcheck - pinned staticcheck over the whole tree (fetches the tool)
 #   make vulncheck   - pinned govulncheck over the whole tree (fetches the tool)
@@ -56,13 +56,17 @@ race:
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
+# A worker that finds a new input minimizes it for up to -fuzzminimizetime
+# (60 s by default), which would use up a 10 s smoke run; 1 s keeps it
+# fuzzing.
 fuzz:
-	$(GO) test -run xxx -fuzz FuzzParseDEF -fuzztime 10s ./internal/def
-	$(GO) test -run xxx -fuzz FuzzParseLEF -fuzztime 10s ./internal/lef
-	$(GO) test -run xxx -fuzz FuzzRequestDecode -fuzztime 10s ./internal/serve
-	$(GO) test -run xxx -fuzz FuzzResultPayload -fuzztime 10s ./internal/serve
-	$(GO) test -run xxx -fuzz FuzzStoreOpen -fuzztime 10s ./internal/store
-	$(GO) test -run xxx -fuzz FuzzParetoMerge -fuzztime 10s ./internal/insert
+	$(GO) test -run xxx -fuzz FuzzParseDEF -fuzztime 10s -fuzzminimizetime 1s ./internal/def
+	$(GO) test -run xxx -fuzz FuzzParseLEF -fuzztime 10s -fuzzminimizetime 1s ./internal/lef
+	$(GO) test -run xxx -fuzz FuzzRequestDecode -fuzztime 10s -fuzzminimizetime 1s ./internal/serve
+	$(GO) test -run xxx -fuzz FuzzResultPayload -fuzztime 10s -fuzzminimizetime 1s ./internal/serve
+	$(GO) test -run xxx -fuzz FuzzBaseSnapshot -fuzztime 10s -fuzzminimizetime 1s ./internal/serve
+	$(GO) test -run xxx -fuzz FuzzStoreOpen -fuzztime 10s -fuzzminimizetime 1s ./internal/store
+	$(GO) test -run xxx -fuzz FuzzParetoMerge -fuzztime 10s -fuzzminimizetime 1s ./internal/insert
 
 golden:
 	$(GO) test -run TestGolden .

@@ -162,10 +162,10 @@ func main() {
 			LatencyPS: m.Latency, SkewPS: m.Skew,
 			Buffers: m.Buffers, NTSVs: m.NTSVs, WLum: m.WL,
 			RuntimeS: runtimes{
-				Total: out.TotalTime.Seconds(), Route: out.RouteTime.Seconds(),
-				Insert: out.InsertTime.Seconds(), Refine: out.RefineTime.Seconds(),
-				Partition: out.PartitionTime.Seconds(), Stitch: out.StitchTime.Seconds(),
-				Corners: out.CornersTime.Seconds(),
+				Total: out.TotalTime.Seconds(), Route: seconds(out, core.PhaseRoute),
+				Insert: seconds(out, core.PhaseInsert), Refine: seconds(out, core.PhaseRefine),
+				Partition: seconds(out, core.PhasePartition), Stitch: seconds(out, core.PhaseStitch),
+				Corners: seconds(out, core.PhaseCorners),
 			},
 			DP: dpStats{Nodes: out.DP.Nodes, Solutions: out.DP.Solutions},
 		}
@@ -227,10 +227,10 @@ func main() {
 		fmt.Printf("nTSVs    %d\n", m.NTSVs)
 		fmt.Printf("clk WL   %.1f um (%.3f x1e6 nm)\n", m.WL, m.WL*1000/1e6)
 		fmt.Printf("runtime  %.3fs (route %.3fs, insert %.3fs, refine %.3fs)\n",
-			out.TotalTime.Seconds(), out.RouteTime.Seconds(), out.InsertTime.Seconds(), out.RefineTime.Seconds())
+			out.TotalTime.Seconds(), seconds(out, core.PhaseRoute), seconds(out, core.PhaseInsert), seconds(out, core.PhaseRefine))
 		if len(out.Regions) > 0 {
 			fmt.Printf("partition: %d regions (fan-out %.3fs, stitch %.3fs)\n",
-				len(out.Regions), out.PartitionTime.Seconds(), out.StitchTime.Seconds())
+				len(out.Regions), seconds(out, core.PhasePartition), seconds(out, core.PhaseStitch))
 			for _, r := range out.Regions {
 				fmt.Printf("  region %-3d %7d sinks  lat %8.2f ps  skew %7.2f ps  arrival %8.2f ps  %v\n",
 					r.ID, r.Sinks, r.Latency, r.Skew, r.Arrival, r.Time.Round(time.Millisecond))
@@ -242,7 +242,7 @@ func main() {
 		}
 		fmt.Printf("DP: %d nodes, %d candidate solutions\n", out.DP.Nodes, out.DP.Solutions)
 		if out.Corners != nil {
-			fmt.Printf("corner sign-off (%d corners, %.3fs):\n", len(out.Corners.Results), out.CornersTime.Seconds())
+			fmt.Printf("corner sign-off (%d corners, %.3fs):\n", len(out.Corners.Results), seconds(out, core.PhaseCorners))
 			fmt.Printf("  %-10s %12s %10s\n", "corner", "latency(ps)", "skew(ps)")
 			for _, res := range out.Corners.Results {
 				fmt.Printf("  %-10s %12.3f %10.3f\n", res.Corner.Name, res.Metrics.Latency, res.Metrics.Skew)
@@ -375,6 +375,17 @@ type worstStats struct {
 type xy struct {
 	X float64 `json:"x"`
 	Y float64 `json:"y"`
+}
+
+// seconds is the time o's timing record gives phase ph, in seconds (0 for
+// a phase the run did not record).
+func seconds(o *core.Outcome, ph core.Phase) float64 {
+	for _, p := range o.Phases {
+		if p.Phase == string(ph) {
+			return p.MS / 1e3
+		}
+	}
+	return 0
 }
 
 type runtimes struct {

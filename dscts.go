@@ -114,8 +114,14 @@ const (
 )
 
 // Outcome is a synthesis result: the annotated clock tree, evaluated
-// metrics, DP statistics, the refinement report and per-phase runtimes.
+// metrics, DP statistics, the refinement report and the timing record
+// (Outcome.Phases, one PhaseTotal per phase, plus TotalTime).
 type Outcome = core.Outcome
+
+// PhaseTotal is one row of an Outcome's timing record: a phase's closed
+// spans, point events and summed duration in ms. Route, insert and refine
+// rows sum over the scopes a partitioned or ECO run synthesized.
+type PhaseTotal = core.PhaseTotal
 
 // Metrics are the evaluated clock-tree numbers (latency, skew, buffers,
 // nTSVs, wirelength, per-sink delays).

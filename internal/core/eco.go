@@ -157,8 +157,8 @@ func SynthesizeECO(prev *Outcome, d eco.Delta, opt Options) (*Outcome, error) {
 // and RetainECO — every synthesis knob (mode, weights, partitioning,
 // corners) comes from the retained state, overridden only by the delta's
 // SetCorners/SetTech. Progress reports the re-run under PhaseECO. The
-// returned outcome's DP/Refine statistics cover the re-synthesized scopes
-// only; Dual is not carried.
+// returned outcome's DP statistics and its route, insert and refine rows
+// cover the re-synthesized scopes only; Dual is not carried.
 func SynthesizeECOContext(ctx context.Context, prev *Outcome, d eco.Delta, opt Options) (*Outcome, error) {
 	if prev == nil || prev.Retained == nil {
 		return nil, fmt.Errorf("core: eco: outcome has no retained state (synthesize with Options.RetainECO)")
@@ -346,6 +346,8 @@ func ecoMonolithic(ctx context.Context, prevTree *ctree.Tree, st *ECOState, d ec
 		return nil, fmt.Errorf("core: eco: %w", err)
 	}
 	out := Outcome{DP: &insert.Result{}}
+	var ran int
+	var route, ins, ref time.Duration
 	for k, c := range plan.Clusters {
 		if minis[k] == nil {
 			continue
@@ -353,9 +355,10 @@ func ecoMonolithic(ctx context.Context, prevTree *ctree.Tree, st *ECOState, d ec
 		if _, err := graft(tree, idMap[centroidNode[c]], minis[k].tree, plan.Members[k], -1); err != nil {
 			return nil, fmt.Errorf("core: eco: cluster %d: %w", c, err)
 		}
-		out.RouteTime += minis[k].routeTime
-		out.InsertTime += minis[k].insertTime
-		out.RefineTime += minis[k].refineTime
+		ran++
+		route += minis[k].routeTime
+		ins += minis[k].insertTime
+		ref += minis[k].refineTime
 		out.DP.Nodes += minis[k].dp.Nodes
 		out.DP.Solutions += minis[k].dp.Solutions
 		out.DP.Merged += minis[k].dp.Merged
@@ -371,8 +374,8 @@ func ecoMonolithic(ctx context.Context, prevTree *ctree.Tree, st *ECOState, d ec
 		}
 	}
 	out.Tree = tree
-	out.ECOTime = time.Since(te)
-	knobs.emit(PhaseECO, true, out.ECOTime)
+	out.recordScopes(ran, route, ins, ref, !mini.SkipRefine)
+	knobs.end(&out, PhaseECO, len(plan.Clusters), time.Since(te))
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -384,7 +387,7 @@ func ecoMonolithic(ctx context.Context, prevTree *ctree.Tree, st *ECOState, d ec
 		return nil, fmt.Errorf("core: evaluation: %w", err)
 	}
 	out.Metrics = m
-	knobs.emit(PhaseEval, true, time.Since(t3))
+	knobs.end(&out, PhaseEval, 0, time.Since(t3))
 
 	if len(knobs.Corners) > 0 {
 		if err := signoffCorners(ctx, &out, st.Tech, knobs); err != nil {

@@ -2,7 +2,7 @@
 // hierarchical clock routing (dual-level clustering + hierarchical DME),
 // concurrent buffer & nTSV insertion by multi-objective DP, and skew
 // refinement, returning the annotated clock tree together with evaluated
-// metrics and per-phase runtimes.
+// metrics and a per-phase timing record.
 package core
 
 import (
@@ -189,6 +189,55 @@ func (opt *Options) emit(ph Phase, done bool, elapsed time.Duration) {
 	}
 }
 
+// end closes the one span of ph that took elapsed and reported points
+// point events: it reports the done event to opt.Progress and records the
+// span on out.
+func (opt *Options) end(out *Outcome, ph Phase, points int, elapsed time.Duration) {
+	opt.emit(ph, true, elapsed)
+	out.record(ph, 1, points, elapsed)
+}
+
+// PhaseTotal is one row of an outcome's timing record (Outcome.Phases):
+// one phase's closed spans, point events and summed duration.
+type PhaseTotal struct {
+	Phase string `json:"phase"`
+	// Count is the number of closed spans: 1 for a phase the flow runs
+	// once, or the number of scopes (regions, ECO leaf clusters) whose
+	// route, insert or refine phase ran.
+	Count int `json:"count"`
+	// Points is the number of point events the phase reported: regions or
+	// dirty scopes re-run, corners signed off, DSE sweep points.
+	Points int `json:"points,omitempty"`
+	// MS is the summed span duration, ms. Spans of concurrent scopes add
+	// up as work, not wall-clock.
+	MS float64 `json:"ms"`
+}
+
+// record appends one row to the outcome's timing record: count closed
+// spans of ph that took elapsed in sum and reported points point events.
+// A run records each phase once, when it ends, so the rows are in
+// first-completion order.
+func (o *Outcome) record(ph Phase, count, points int, elapsed time.Duration) {
+	o.Phases = append(o.Phases, PhaseTotal{
+		Phase: string(ph), Count: count, Points: points,
+		MS: float64(elapsed) / float64(time.Millisecond),
+	})
+}
+
+// recordScopes records the route, insert and refine spans of the n scopes
+// a run synthesized, each phase's durations summed; refine only when the
+// scopes ran it.
+func (o *Outcome) recordScopes(n int, route, insert, refine time.Duration, refined bool) {
+	if n == 0 {
+		return
+	}
+	o.record(PhaseRoute, n, 0, route)
+	o.record(PhaseInsert, n, 0, insert)
+	if refined {
+		o.record(PhaseRefine, n, 0, refine)
+	}
+}
+
 // Outcome is the result of a synthesis run.
 type Outcome struct {
 	Tree    *ctree.Tree
@@ -208,18 +257,15 @@ type Outcome struct {
 	// SynthesizeECO; nil unless Options.RetainECO was set.
 	Retained *ECOState
 
-	// Phase runtimes. For a partitioned run RouteTime/InsertTime/
-	// RefineTime sum the per-region phase times (total work, not
-	// wall-clock); PartitionTime and StitchTime are wall-clock. ECOTime is
-	// the wall-clock of an incremental run's dirty-set re-synthesis span.
-	RouteTime     time.Duration
-	InsertTime    time.Duration
-	RefineTime    time.Duration
-	PartitionTime time.Duration
-	StitchTime    time.Duration
-	CornersTime   time.Duration
-	ECOTime       time.Duration
-	TotalTime     time.Duration
+	// Phases is the run's timing record, one row per phase in
+	// first-completion order. Route, insert and refine sum over the scopes
+	// the run synthesized (the whole net, each region, or each dirty ECO
+	// scope), so a partitioned or ECO run's rows are work totals that ran
+	// inside its partition or eco span. A reused region or leaf cluster
+	// adds nothing.
+	Phases []PhaseTotal
+	// TotalTime is the run's wall-clock time.
+	TotalTime time.Duration
 }
 
 // Synthesize runs the full flow on the given clock root and sink placement.
@@ -283,7 +329,7 @@ func SynthesizeContext(ctx context.Context, rootPos geom.Point, sinks []geom.Poi
 		return nil, err
 	}
 	out.Tree, out.Dual, out.DP, out.Refine = st.tree, st.dual, st.dp, st.refine
-	out.RouteTime, out.InsertTime, out.RefineTime = st.routeTime, st.insertTime, st.refineTime
+	out.recordScopes(1, st.routeTime, st.insertTime, st.refineTime, st.refine != nil)
 
 	if err := opt.Faults.Check(ctx, fault.PointEval); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -304,7 +350,7 @@ func SynthesizeContext(ctx context.Context, rootPos geom.Point, sinks []geom.Poi
 		}
 		out.Metrics = m
 	}
-	opt.emit(PhaseEval, true, time.Since(t3))
+	opt.end(out, PhaseEval, 0, time.Since(t3))
 
 	// Multi-corner sign-off: re-evaluate the finished tree per PVT corner.
 	if len(opt.Corners) > 0 {

@@ -216,7 +216,8 @@ func synthesizePartitioned(ctx context.Context, rootPos geom.Point, sinks []geom
 // region that reuse (nil, or indexed by region ID) does not supply, splices
 // the supplied ones in unchanged, and stitches. Each synthesized region
 // reports one Point event under phase, whose done event closes the region
-// work timed from start; a reused region adds no time and no DP counters.
+// work timed from start; a reused region adds no span, no point and no DP
+// counters.
 // The list is canonicalized by region ID first, so any permutation of the
 // same regions produces an identical result (TestRegionOrderInvariance).
 func synthesizeRegions(ctx context.Context, rootPos geom.Point, sinks []geom.Point, tc *tech.Tech, opt Options, regions []partition.Region, reuse []*RegionOut, phase Phase, start time.Time) (*Outcome, error) {
@@ -263,6 +264,7 @@ func synthesizeRegions(ctx context.Context, rootPos geom.Point, sinks []geom.Poi
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	out := &Outcome{Regions: make([]RegionStat, len(regions)), DP: &insert.Result{}}
+	var route, ins, ref time.Duration
 	sums := make([]*eval.RegionEval, len(regions))
 	trees := make([]*ctree.Tree, len(regions))
 	for i, ro := range outs {
@@ -276,20 +278,15 @@ func synthesizeRegions(ctx context.Context, rootPos geom.Point, sinks []geom.Poi
 			Buffers: m.Buffers, NTSVs: m.NTSVs, WL: m.WL, Latency: m.Latency, Skew: m.Skew,
 			Time: took[i],
 		}
-		out.RouteTime += ro.RouteTime
-		out.InsertTime += ro.InsertTime
-		out.RefineTime += ro.RefineTime
+		route += ro.RouteTime
+		ins += ro.InsertTime
+		ref += ro.RefineTime
 		out.DP.Nodes += ro.DPNodes
 		out.DP.Solutions += ro.DPSolutions
 		out.DP.Merged += ro.DPMerged
 	}
-	elapsed := time.Since(start)
-	if phase == PhaseECO {
-		out.ECOTime = elapsed
-	} else {
-		out.PartitionTime = elapsed
-	}
-	opt.emit(phase, true, elapsed)
+	out.recordScopes(len(run), route, ins, ref, !opt.SkipRefine)
+	opt.end(out, phase, len(run), time.Since(start))
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -345,7 +342,7 @@ func fanOut(opt *Options, phase Phase, n int, body func(k, inner int) error) err
 // alike: it stitches the top tree over the region taps, grafts the region
 // trees into one validated clock tree, composes the metrics hierarchically
 // and runs multi-corner sign-off. The caller has already filled
-// out.Regions (region ID order) and the per-phase work times; the region
+// out.Regions (region ID order) and recorded the region work; the region
 // trees are only read, never mutated, so retained trees may be shared
 // across outcomes.
 func stitchAndCompose(ctx context.Context, rootPos geom.Point, regions []partition.Region, trees []*ctree.Tree, sums []*eval.RegionEval, tc *tech.Tech, opt Options, out *Outcome) error {
@@ -391,8 +388,7 @@ func stitchAndCompose(ctx context.Context, rootPos geom.Point, regions []partiti
 		return fmt.Errorf("core: stitched tree invalid: %w", err)
 	}
 	out.Tree = merged
-	out.StitchTime = time.Since(ts)
-	opt.emit(PhaseStitch, true, out.StitchTime)
+	opt.end(out, PhaseStitch, 0, time.Since(ts))
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
@@ -406,7 +402,7 @@ func stitchAndCompose(ctx context.Context, rootPos geom.Point, regions []partiti
 		return fmt.Errorf("core: evaluation: %w", err)
 	}
 	out.Metrics = m
-	opt.emit(PhaseEval, true, time.Since(t3))
+	opt.end(out, PhaseEval, 0, time.Since(t3))
 
 	if len(opt.Corners) > 0 {
 		if err := signoffCorners(ctx, out, tc, opt); err != nil {
@@ -632,7 +628,6 @@ func signoffCorners(ctx context.Context, out *Outcome, tc *tech.Tech, opt Option
 		return fmt.Errorf("core: corners: %w", err)
 	}
 	out.Corners = rep
-	out.CornersTime = time.Since(t4)
-	opt.emit(PhaseCorners, true, out.CornersTime)
+	opt.end(out, PhaseCorners, len(rep.Results), time.Since(t4))
 	return nil
 }

@@ -1,12 +1,10 @@
 // Package obs is the dependency-free observability substrate of the dscts
 // service: a metrics registry (counters, gauges, histograms with
 // exponential latency buckets) rendered in Prometheus text exposition
-// format, a per-job span tracer fed by the flow's progress events, and a
-// Go-runtime collector. It deliberately has no third-party dependencies —
-// the container this repo builds in bakes only the standard library — and
-// its hot-path instruments (Counter.Add, Gauge.Set, Histogram.Observe) are
-// single atomic operations: no locks, no allocations, safe from any
-// goroutine.
+// format, and a Go-runtime collector. It deliberately depends on the
+// standard library only, and its hot-path instruments (Counter.Add,
+// Gauge.Set, Histogram.Observe) are single atomic operations: no locks, no
+// allocations, safe from any goroutine.
 //
 // Measurement honesty: a nil *Registry is a valid no-op. Every constructor
 // on a nil registry returns a nil instrument, and every method of a nil

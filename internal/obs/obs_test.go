@@ -2,11 +2,9 @@ package obs
 
 import (
 	"math"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestNilRegistryIsNoOp(t *testing.T) {
@@ -35,38 +33,6 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil || sb.Len() != 0 {
 		t.Fatalf("nil registry rendered %q, err %v", sb.String(), err)
-	}
-	var tr *Tracer
-	tr.End("route", time.Second)
-	tr.Point("route")
-	if tr.Totals() != nil {
-		t.Fatalf("nil tracer recorded")
-	}
-}
-
-// TestTracerTotals pins the breakdown's shape: phases with closed spans in
-// first-completion order, summing count and ms, then point-only phases by
-// name; every row carries its phase's points.
-func TestTracerTotals(t *testing.T) {
-	tr := NewTracer()
-	tr.Point("sweep")
-	tr.End("route", 2*time.Millisecond)
-	tr.Point("partition")
-	tr.End("partition", 5*time.Millisecond)
-	tr.End("route", time.Millisecond)
-	tr.Point("corners")
-	tr.Point("sweep")
-	want := []PhaseTotal{
-		{Phase: "route", Count: 2, MS: 3},
-		{Phase: "partition", Count: 1, Points: 1, MS: 5},
-		{Phase: "corners", Points: 1},
-		{Phase: "sweep", Points: 2},
-	}
-	if got := tr.Totals(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("totals %+v, want %+v", got, want)
-	}
-	if got := NewTracer().Totals(); got != nil {
-		t.Fatalf("empty tracer totals %+v, want nil", got)
 	}
 }
 

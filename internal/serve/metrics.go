@@ -30,9 +30,9 @@ type metrics struct {
 	// queueWait is time from admission to the runner picking the job up
 	// (executed jobs only — cache hits never wait).
 	queueWait *obs.Histogram
-	// regions accumulates partition regions synthesized; per-phase duration
-	// histograms are created lazily through HistogramOf as phases first
-	// complete.
+	// regions accumulates the partition regions of done jobs that ran;
+	// per-phase duration histograms are created lazily through HistogramOf
+	// as those jobs' records first name a phase.
 	regions *obs.Counter
 }
 
@@ -262,7 +262,7 @@ func newMetrics(reg *obs.Registry, q *Queue) *metrics {
 	m.queueWait = reg.Histogram("dscts_job_queue_wait_seconds",
 		"Time executed jobs spent waiting for a runner.", nil)
 	m.regions = reg.Counter("dscts_regions_total",
-		"Partition regions synthesized by partition-parallel jobs.")
+		"Partition regions synthesized by partition-parallel jobs that finished done.")
 
 	obs.RegisterRuntime(reg)
 	obs.RegisterBuildInfo(reg)
@@ -357,13 +357,15 @@ func CheckMetrics(st Stats, samples map[string]float64) error {
 
 // observeRetired feeds the latency and per-phase histograms from a job that
 // just reached the retention ring (every job passes through exactly once,
-// already terminal). Nil-safe.
+// already terminal). The phase histograms and the region counter read the
+// timing record of a done job that ran: a cache hit replays another job's
+// record, and a failed or cancelled job has none. Nil-safe.
 func (m *metrics) observeRetired(j *Job) {
 	if m == nil {
 		return
 	}
 	j.mu.Lock()
-	state, hit := j.state, j.cacheHit
+	state, hit, res := j.state, j.cacheHit, j.result
 	created, started, finished := j.created, j.started, j.finished
 	j.mu.Unlock()
 	if state == StateDone && !finished.IsZero() {
@@ -376,10 +378,13 @@ func (m *metrics) observeRetired(j *Job) {
 	if !started.IsZero() {
 		m.queueWait.Observe(started.Sub(created).Seconds())
 	}
-	for _, pt := range j.trace.Totals() {
+	if state != StateDone || hit || res == nil {
+		return
+	}
+	for _, pt := range res.Phases {
 		if pt.Count > 0 {
 			m.reg.HistogramOf("dscts_phase_duration_seconds",
-				"Flow phase durations across jobs, engine-measured.",
+				"Flow phase durations across done jobs that ran, from each job's timing record.",
 				nil, obs.L("phase", pt.Phase)).Observe(pt.MS / 1e3)
 		}
 		if pt.Phase == "partition" && pt.Points > 0 {

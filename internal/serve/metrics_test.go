@@ -2,16 +2,19 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 
+	"dscts/internal/core"
 	"dscts/internal/obs"
 )
 
@@ -246,10 +249,10 @@ func TestConcurrentScrapeUnderLoad(t *testing.T) {
 	}
 }
 
-// TestResultPhases asserts the span tracer's accounting: a synthesis result
-// carries its phase breakdown, and the phase durations sum to approximately
-// the job's engine-reported wall time (the flow is phases end to end; only
-// inter-phase glue may fall in the gaps).
+// TestResultPhases asserts the timing record's accounting: a synthesis
+// result carries the engine's record, and the phase durations sum to
+// approximately the job's engine-reported wall time (the flow is phases end
+// to end; only inter-phase glue may fall in the gaps).
 func TestResultPhases(t *testing.T) {
 	_, client, _, _ := newMetricsServer(t, Config{MaxRunning: 1})
 	info, err := client.Synthesize(context.Background(), &Request{Design: "C3"})
@@ -260,7 +263,7 @@ func TestResultPhases(t *testing.T) {
 	if res == nil || len(res.Phases) == 0 {
 		t.Fatalf("result carries no phase breakdown: %+v", info)
 	}
-	seen := map[string]obs.PhaseTotal{}
+	seen := map[string]core.PhaseTotal{}
 	var sum float64
 	for _, pt := range res.Phases {
 		seen[pt.Phase] = pt
@@ -304,19 +307,140 @@ func TestDSEPhasesCountPoints(t *testing.T) {
 	if info.Result == nil {
 		t.Fatalf("dse job carries no result: %+v", info)
 	}
-	var sweep []obs.PhaseTotal
+	var sweep []core.PhaseTotal
 	for _, pt := range info.Result.Phases {
 		if pt.Phase == "sweep" {
 			sweep = append(sweep, pt)
 		}
 	}
-	if want := (obs.PhaseTotal{Phase: "sweep", Points: len(thresholds)}); len(sweep) != 1 || sweep[0] != want {
+	if want := (core.PhaseTotal{Phase: "sweep", Points: len(thresholds)}); len(sweep) != 1 || sweep[0] != want {
 		t.Fatalf("sweep rows %+v, want [%+v] (phases %+v)", sweep, want, info.Result.Phases)
 	}
 	for name := range scrape(t, ts) {
 		if strings.HasPrefix(name, "dscts_phase_duration_seconds") && strings.Contains(name, `phase="sweep"`) {
 			t.Errorf("scrape has a sweep phase-duration series: %s", name)
 		}
+	}
+}
+
+// phaseRow returns the row of phase ph in a result's timing record.
+func phaseRow(t *testing.T, res *Result, ph core.Phase) core.PhaseTotal {
+	t.Helper()
+	for _, p := range res.Phases {
+		if p.Phase == string(ph) {
+			return p
+		}
+	}
+	t.Fatalf("no %s row in phases %+v", ph, res.Phases)
+	return core.PhaseTotal{}
+}
+
+// TestPartitionedJobRecordsRegionPhases: a partitioned job's phases carry
+// its regions' route, insert and refine spans, one per region, and the
+// response has no per-phase *_ms fields. The job's route histogram series
+// and the region counter read that record.
+func TestPartitionedJobRecordsRegionPhases(t *testing.T) {
+	_, _, ts, _ := newMetricsServer(t, Config{MaxRunning: 1, Workers: 2})
+	req := &Request{Design: "C4", Options: OptionsSpec{PartitionMaxSinks: 300}}
+	_, raw := postSyncRaw(t, ts.URL, "/synthesize", req)
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"route_ms", "insert_ms", "refine_ms", "corners_ms", "eco_ms"} {
+		if _, ok := fields[k]; ok {
+			t.Errorf("result carries %s", k)
+		}
+	}
+	var res Result
+	if err := json.Unmarshal(raw, &res); err != nil {
+		t.Fatal(err)
+	}
+	regions := phaseRow(t, &res, core.PhasePartition).Points
+	if regions != 4 {
+		t.Fatalf("partition row has %d points, want 4 regions", regions)
+	}
+	for _, ph := range []core.Phase{core.PhaseRoute, core.PhaseInsert, core.PhaseRefine} {
+		if got := phaseRow(t, &res, ph).Count; got != regions {
+			t.Errorf("%s row counts %d spans, want one per region (%d)", ph, got, regions)
+		}
+	}
+	m := scrape(t, ts)
+	if got := m[`dscts_phase_duration_seconds_count{phase="route"}`]; got != 1 {
+		t.Errorf("route duration count = %v, want 1 (one job)", got)
+	}
+	if got := m["dscts_regions_total"]; got != float64(regions) {
+		t.Errorf("dscts_regions_total = %v, want %d", got, regions)
+	}
+}
+
+// TestColdECORecordFoldsBase: a cold monolithic ECO job's record folds the
+// base run's rows in by phase name, so its route row counts the base run
+// and the one dirty leaf cluster, and its eco row one point per dirty
+// scope. A cache hit replays the record unchanged.
+func TestColdECORecordFoldsBase(t *testing.T) {
+	_, client, _, _ := newMetricsServer(t, Config{MaxRunning: 1})
+	req := &Request{Design: "C4", Delta: &DeltaSpec{Remove: []int{3}}}
+	info, err := client.ECO(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := info.Result
+	if res == nil || res.ECO == nil || res.BaseCacheHit {
+		t.Fatalf("want a cold eco result, got %+v", res)
+	}
+	if res.ECO.DirtyScopes != 1 {
+		t.Fatalf("delta dirtied %d scopes, want 1", res.ECO.DirtyScopes)
+	}
+	if got := phaseRow(t, res, core.PhaseRoute).Count; got != 2 {
+		t.Errorf("route row counts %d spans, want 2 (base run + dirty scope)", got)
+	}
+	if got := phaseRow(t, res, core.PhaseECO).Points; got != res.ECO.DirtyScopes {
+		t.Errorf("eco row has %d points, want dirty_scopes %d", got, res.ECO.DirtyScopes)
+	}
+	again, err := client.ECO(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.CacheHit {
+		t.Fatal("repeat was not a cache hit")
+	}
+	if !reflect.DeepEqual(again.Result.Phases, res.Phases) {
+		t.Errorf("cache hit changed the record:\n%+v\n%+v", again.Result.Phases, res.Phases)
+	}
+}
+
+// TestFoldPhases: folding rows into a record adds up rows of the same
+// phase and appends new phases in first-completion order, leaving the
+// base record as it was.
+func TestFoldPhases(t *testing.T) {
+	base := []core.PhaseTotal{
+		{Phase: "route", Count: 1, MS: 2},
+		{Phase: "insert", Count: 1, MS: 3},
+		{Phase: "eval", Count: 1, MS: 1},
+	}
+	kept := slices.Clone(base)
+	rows := []core.PhaseTotal{
+		{Phase: "route", Count: 2, MS: 0.5},
+		{Phase: "eco", Count: 1, Points: 2, MS: 4},
+		{Phase: "eval", Count: 1, MS: 0.25},
+		{Phase: "corners", Count: 1, Points: 3, MS: 1},
+	}
+	want := []core.PhaseTotal{
+		{Phase: "route", Count: 3, MS: 2.5},
+		{Phase: "insert", Count: 1, MS: 3},
+		{Phase: "eval", Count: 2, MS: 1.25},
+		{Phase: "eco", Count: 1, Points: 2, MS: 4},
+		{Phase: "corners", Count: 1, Points: 3, MS: 1},
+	}
+	if got := foldPhases(base, rows); !reflect.DeepEqual(got, want) {
+		t.Fatalf("fold %+v, want %+v", got, want)
+	}
+	if !reflect.DeepEqual(base, kept) {
+		t.Fatalf("fold modified its base: %+v", base)
+	}
+	if got := foldPhases(nil, nil); got != nil {
+		t.Fatalf("empty fold %+v, want nil", got)
 	}
 }
 
@@ -422,7 +546,7 @@ func TestMetricsDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	if info.Result == nil || len(info.Result.Phases) == 0 {
-		t.Error("phases missing with metrics disabled (the tracer is always on)")
+		t.Error("phases missing with metrics disabled (the record is the engine's)")
 	}
 }
 

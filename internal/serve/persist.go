@@ -75,7 +75,7 @@ func (q *Queue) persistResult(key string, res *Result) {
 	}
 }
 
-// A persisted Result (store format 2) is its delay-free JSON head followed
+// A persisted Result (store format 3) is its delay-free JSON head followed
 // by its per-sink clock arrival times as dense binary lanes:
 //
 //	uint64 n | n bytes: json.Marshal(res.view(false))

@@ -16,6 +16,7 @@ import (
 
 	"dscts/internal/core"
 	"dscts/internal/fault"
+	"dscts/internal/partition"
 	"dscts/internal/store"
 )
 
@@ -166,6 +167,49 @@ func postSyncRaw(t *testing.T, url, path string, req *Request) (bool, []byte) {
 // the Result) opens with each blob counted as a version skip and deleted.
 // The next request is a miss and computes the same result as before.
 func TestPersistFormatOneStoreStartsCold(t *testing.T) {
+	olderStoreStartsCold(t, 1, func(payload []byte) []byte {
+		res, err := decodeResult(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	})
+}
+
+// TestPersistFormatTwoStoreStartsCold: a store written while result heads
+// still carried per-phase *_ms fields (format 2) is a version skip, not
+// corruption. Read at the current format, such a head is not the canonical
+// view of any Result, so without the version bump warm start would count
+// every result blob as corrupt.
+func TestPersistFormatTwoStoreStartsCold(t *testing.T) {
+	olderStoreStartsCold(t, 2, func(payload []byte) []byte {
+		// Format 2 wrote the phase fields just before total_ms.
+		n := binary.LittleEndian.Uint64(payload)
+		head := bytes.Replace(payload[8:8+n], []byte(`"total_ms":`),
+			[]byte(`"route_ms":1.45,"insert_ms":2.5,"refine_ms":0.75,"total_ms":`), 1)
+		if len(head) == int(n) {
+			t.Fatal("result head has no total_ms")
+		}
+		old := binary.LittleEndian.AppendUint64(nil, uint64(len(head)))
+		old = append(append(old, head...), payload[8+n:]...)
+		if _, err := decodeResult(old); err == nil {
+			t.Fatal("a head with route_ms decoded at the current format")
+		}
+		return old
+	})
+}
+
+// olderStoreStartsCold persists a slow/typ/fast result and an ECO (its
+// result, its base's result and the base snapshot), rewrites the directory
+// at format version ver with each result payload passed through
+// oldResult, and restarts over it: every blob must count as a version
+// skip, nothing as corrupt, and the next request must miss and compute the
+// same metrics, corners and sink delays.
+func olderStoreStartsCold(t *testing.T, ver uint32, oldResult func([]byte) []byte) {
 	dir := t.TempDir()
 	ctx := context.Background()
 	req := &Request{Design: "C1", Corners: []string{"slow", "typ", "fast"}, IncludeSinkDelays: true}
@@ -181,8 +225,8 @@ func TestPersistFormatOneStoreStartsCold(t *testing.T) {
 	p1.stop()
 	noWriteLoss(t, "cold process", p1.st.Stats())
 
-	// Rewrite the directory as format 1 wrote it: version 1 in the index
-	// and every blob header, and each result payload as the Result's JSON.
+	// Rewrite the directory as that format wrote it: its version in the
+	// index and every blob header, and each result payload in its layout.
 	blobs := 0
 	for _, sub := range []string{"results", "bases"} {
 		paths, err := filepath.Glob(filepath.Join(dir, sub, "*.blob"))
@@ -190,7 +234,11 @@ func TestPersistFormatOneStoreStartsCold(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, path := range paths {
-			rewriteFormatOne(t, path, sub == "results")
+			var rewrite func([]byte) []byte
+			if sub == "results" {
+				rewrite = oldResult
+			}
+			restampBlob(t, path, ver, rewrite)
 			blobs++
 		}
 	}
@@ -202,7 +250,7 @@ func TestPersistFormatOneStoreStartsCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint32(data[8:12], 1)
+	binary.LittleEndian.PutUint32(data[8:12], ver)
 	if err := os.WriteFile(index, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -213,25 +261,24 @@ func TestPersistFormatOneStoreStartsCold(t *testing.T) {
 		t.Errorf("skip accounting %+v, want %d version skips", *ss, blobs)
 	}
 	if ss.WarmResults != 0 || ss.WarmBases != 0 || ss.ResultEntries != 0 || ss.BaseEntries != 0 {
-		t.Errorf("format-1 entries survived: %+v", *ss)
+		t.Errorf("format-%d entries survived: %+v", ver, *ss)
 	}
 	again, err := p2.client.Synthesize(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if again.CacheHit {
-		t.Error("a format-1 store served a hit")
+		t.Errorf("a format-%d store served a hit", ver)
 	}
 	if a, b := engineJSON(t, again.Result), engineJSON(t, first.Result); !bytes.Equal(a, b) {
 		t.Errorf("recomputed result differs from the original:\n%s\nvs\n%s", a, b)
 	}
 }
 
-// rewriteFormatOne re-stamps a store blob at format version 1. A result
-// payload becomes json.Marshal of the decoded Result, as format 1 wrote it;
-// a base snapshot keeps its gob bytes. The checksum is recomputed, so the
-// version is the blob's only fault.
-func rewriteFormatOne(t *testing.T, path string, result bool) {
+// restampBlob re-stamps a store blob at format version ver, its payload
+// passed through rewrite unless that is nil. The checksum is recomputed, so
+// the version is the blob's only fault.
+func restampBlob(t *testing.T, path string, ver uint32, rewrite func([]byte) []byte) {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -240,21 +287,15 @@ func rewriteFormatOne(t *testing.T, path string, result bool) {
 	// Blob layout: magic [8], version u32, key length u32, key, payload
 	// length u64, sum u64, payload.
 	keyLen := int(binary.LittleEndian.Uint32(data[12:16]))
-	payload := data[16+keyLen+16:]
-	if result {
-		res, err := decodeResult(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if payload, err = json.Marshal(res); err != nil {
-			t.Fatal(err)
-		}
+	p := data[16+keyLen+16:]
+	if rewrite != nil {
+		p = rewrite(p)
 	}
 	out := append([]byte(nil), data[:16+keyLen]...)
-	binary.LittleEndian.PutUint32(out[8:12], 1)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
-	out = binary.LittleEndian.AppendUint64(out, store.Sum(payload))
-	out = append(out, payload...)
+	binary.LittleEndian.PutUint32(out[8:12], ver)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(p)))
+	out = binary.LittleEndian.AppendUint64(out, store.Sum(p))
+	out = append(out, p...)
 	if err := os.WriteFile(path, out, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -734,6 +775,44 @@ func FuzzResultPayload(f *testing.F) {
 		}
 		if !bytes.Equal(again, payload) {
 			t.Fatalf("accepted %d bytes re-encode to %d different bytes", len(payload), len(again))
+		}
+	})
+}
+
+// FuzzBaseSnapshot feeds the base-snapshot decoder arbitrary bytes, seeded
+// from the snapshots of a retained monolithic and a retained partitioned
+// outcome on a 40-sink slice of C1. It must never panic, and any outcome
+// it accepts must encode again.
+func FuzzBaseSnapshot(f *testing.F) {
+	rv, err := (&Request{Design: "C1"}).resolve(KindSynthesize)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, maxSinks := range []int{0, 15} {
+		opt := core.Options{Workers: 1, RetainECO: true, Partition: partition.Options{MaxSinks: maxSinks}}
+		out, err := core.Synthesize(rv.root, rv.sinks[:40], rv.tc, opt)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if (len(out.Regions) > 0) != (maxSinks > 0) {
+			f.Fatalf("max sinks %d ran %d regions", maxSinks, len(out.Regions))
+		}
+		payload, err := encodeBaseOutcome(out)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if _, err := decodeBaseOutcome(payload); err != nil {
+			f.Fatalf("seed snapshot rejected: %v", err)
+		}
+		f.Add(payload)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		out, err := decodeBaseOutcome(payload)
+		if err != nil {
+			return
+		}
+		if _, err := encodeBaseOutcome(out); err != nil {
+			t.Fatalf("accepted snapshot does not re-encode: %v", err)
 		}
 	})
 }

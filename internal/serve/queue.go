@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -92,8 +93,9 @@ type RefineStats struct {
 }
 
 // Result is the JSON result payload of a finished job. Synthesize jobs
-// carry Metrics/DP/Refine; DSE jobs carry Points. Phase times are from the
-// run that produced the result (a cache hit reports the original run's).
+// carry Metrics/DP/Refine; DSE jobs carry Points. Phases and TotalMS are
+// from the run that produced the result (a cache hit reports the original
+// run's).
 type Result struct {
 	Kind    string        `json:"kind"`
 	Design  string        `json:"design"`
@@ -113,21 +115,16 @@ type Result struct {
 	// ECO summarizes an incremental job's dirty set (eco jobs only).
 	ECO *core.ECOStats `json:"eco,omitempty"`
 	// BaseCacheHit reports whether an eco job found its base outcome in
-	// the base cache (false means the base was synthesized first, and its
-	// runtime is excluded from ECOMS but included in TotalMS).
-	BaseCacheHit bool `json:"base_cache_hit,omitempty"`
+	// the base cache (false means the base was synthesized first: its
+	// runtime is included in TotalMS and its rows in Phases).
+	BaseCacheHit bool    `json:"base_cache_hit,omitempty"`
+	TotalMS      float64 `json:"total_ms"`
 
-	RouteMS   float64 `json:"route_ms,omitempty"`
-	InsertMS  float64 `json:"insert_ms,omitempty"`
-	RefineMS  float64 `json:"refine_ms,omitempty"`
-	CornersMS float64 `json:"corners_ms,omitempty"`
-	ECOMS     float64 `json:"eco_ms,omitempty"`
-	TotalMS   float64 `json:"total_ms"`
-
-	// Phases is the traced per-phase breakdown of the run that produced the
-	// result (span counts, point counts, summed durations), in completion
-	// order. Like the *_ms fields, a cache hit reports the original run's.
-	Phases []obs.PhaseTotal `json:"phases,omitempty"`
+	// Phases is the engine's timing record of the run (core.Outcome's
+	// Phases): span counts, point counts and summed durations per phase, in
+	// first-completion order. A cold eco job folds its base run's rows in
+	// by phase name; a DSE job has one point-only sweep row.
+	Phases []core.PhaseTotal `json:"phases,omitempty"`
 	// Version and Revision identify the build that produced the result.
 	Version  string `json:"version,omitempty"`
 	Revision string `json:"revision,omitempty"`
@@ -214,10 +211,6 @@ type Job struct {
 	// queue submissions); it threads through the job's log lines so a
 	// client-reported ID leads straight to the job.
 	reqID string
-	// trace records the job's phase timeline from the progress events; it is
-	// always on (the tracer is a few locked appends per phase) so results
-	// carry their phase breakdown even with metrics disabled.
-	trace *obs.Tracer
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -334,17 +327,6 @@ func (j *Job) append(ev Event) {
 }
 
 func (j *Job) progress(p core.Progress) {
-	// The flow's event grammar maps onto the tracer directly: a positive
-	// Total is a point event (region, corner, cluster, and the DSE sweep
-	// point, which also says Done), any other Done closes a span with its
-	// engine-measured Elapsed, and a phase start carries nothing the
-	// totals need.
-	switch {
-	case p.Total > 0:
-		j.trace.Point(string(p.Phase))
-	case p.Done:
-		j.trace.End(string(p.Phase), p.Elapsed)
-	}
 	j.append(Event{
 		Event: "phase", JobID: j.id,
 		Phase: string(p.Phase), PhaseDone: p.Done, ElapsedMS: ms(p.Elapsed),
@@ -898,8 +880,7 @@ func (q *Queue) submitNew(req *Request, kind string) (*Job, error) {
 		id:   fmt.Sprintf("job-%06d", q.nextID.Add(1)),
 		kind: kind, key: req.Key(kind), req: req,
 		design: design, sinks: sinks,
-		tenant: tenant, class: cls.name,
-		reqID: req.reqID, trace: obs.NewTracer(),
+		tenant: tenant, class: cls.name, reqID: req.reqID,
 		ctx: ctx, cancel: cancel,
 		done: make(chan struct{}), abandon: make(chan struct{}),
 		state: StateQueued, created: time.Now(),
@@ -1292,27 +1273,19 @@ func (q *Queue) execute(job *Job, ctx context.Context) {
 		}
 	case KindDSE:
 		t0 := time.Now()
+		// A sweep's points run with Progress cleared, so the record is
+		// one point-only row: the points it swept.
+		result = &Result{
+			Kind: KindDSE, Design: job.design, Sinks: job.sinks,
+			Version: obs.Build().Version, Revision: obs.Build().Revision,
+			Phases: []core.PhaseTotal{{Phase: string(core.PhaseSweep), Points: len(job.req.Thresholds)}},
+		}
 		if len(rv.opt.Corners) > 0 {
-			var pts []dse.CornerPoint
-			pts, err = dse.SweepFanoutCorners(ctx, rv.root, rv.sinks, rv.tc, job.req.Thresholds, rv.opt.Corners, opt)
-			if err == nil {
-				result = &Result{
-					Kind: KindDSE, Design: job.design, Sinks: job.sinks,
-					Version: obs.Build().Version, Revision: obs.Build().Revision,
-					CornerPoints: pts, TotalMS: ms(time.Since(t0)),
-				}
-			}
-			break
+			result.CornerPoints, err = dse.SweepFanoutCorners(ctx, rv.root, rv.sinks, rv.tc, job.req.Thresholds, rv.opt.Corners, opt)
+		} else {
+			result.Points, err = dse.SweepFanoutContext(ctx, rv.root, rv.sinks, rv.tc, job.req.Thresholds, opt)
 		}
-		var pts []dse.Point
-		pts, err = dse.SweepFanoutContext(ctx, rv.root, rv.sinks, rv.tc, job.req.Thresholds, opt)
-		if err == nil {
-			result = &Result{
-				Kind: KindDSE, Design: job.design, Sinks: job.sinks,
-				Version: obs.Build().Version, Revision: obs.Build().Revision,
-				Points: pts, TotalMS: ms(time.Since(t0)),
-			}
-		}
+		result.TotalMS = ms(time.Since(t0))
 	}
 	q.finishJob(job, ctx, result, err)
 }
@@ -1326,9 +1299,6 @@ func (q *Queue) execute(job *Job, ctx context.Context) {
 func (q *Queue) finishJob(job *Job, runCtx context.Context, res *Result, err error) {
 	switch {
 	case err == nil:
-		// The traced phase breakdown rides with the result into the cache:
-		// like the *_ms fields, a later hit reports the producing run's.
-		res.Phases = job.trace.Totals()
 		if q.cache.Put(job.key, res) {
 			q.persistResult(job.key, res)
 		}
@@ -1383,6 +1353,9 @@ func (q *Queue) runECO(job *Job, ctx context.Context) (*Result, error) {
 	}
 	r := resultFromOutcome(KindECO, job.design, job.sinks, out)
 	r.BaseCacheHit = baseHit
+	if !baseHit {
+		r.Phases = foldPhases(prev.Phases, out.Phases)
+	}
 	r.TotalMS = ms(time.Since(t0)) // include base resolution in the job total
 	return r, nil
 }
@@ -1455,11 +1428,7 @@ func (q *Queue) synthesizeBase(job *Job, ctx context.Context, baseReq *Request, 
 	}
 	q.bases.Put(baseKey, prev)
 	q.persistBase(baseKey, prev)
-	// The base result cached under the base's own key carries the phases
-	// traced so far — exactly the base-run phases, since the ECO splice has
-	// not started yet.
 	baseRes := resultFromOutcome(KindSynthesize, job.design, len(rv.sinks), prev)
-	baseRes.Phases = job.trace.Totals()
 	if q.cache.Put(baseKey, baseRes) {
 		q.persistResult(baseKey, baseRes)
 	}
@@ -1475,9 +1444,8 @@ func resultFromOutcome(kind, design string, sinks int, o *core.Outcome) *Result 
 		Corners: o.Corners,
 		ECO:     o.ECO,
 		DP:      &DPStats{Nodes: o.DP.Nodes, Solutions: o.DP.Solutions},
-		RouteMS: ms(o.RouteTime), InsertMS: ms(o.InsertTime),
-		RefineMS: ms(o.RefineTime), CornersMS: ms(o.CornersTime),
-		ECOMS: ms(o.ECOTime), TotalMS: ms(o.TotalTime),
+		TotalMS: ms(o.TotalTime),
+		Phases:  o.Phases,
 	}
 	if o.Refine != nil {
 		r.Refine = &RefineStats{
@@ -1487,6 +1455,25 @@ func resultFromOutcome(kind, design string, sinks int, o *core.Outcome) *Result 
 		}
 	}
 	return r
+}
+
+// foldPhases returns base's timing record with rows added in by phase
+// name: a phase already in base sums its count, points and time, and a new
+// one appends, so the rows stay in first-completion order. base is not
+// modified.
+func foldPhases(base, rows []core.PhaseTotal) []core.PhaseTotal {
+	out := slices.Clone(base)
+	for _, r := range rows {
+		i := slices.IndexFunc(out, func(p core.PhaseTotal) bool { return p.Phase == r.Phase })
+		if i < 0 {
+			out = append(out, r)
+			continue
+		}
+		out[i].Count += r.Count
+		out[i].Points += r.Points
+		out[i].MS += r.MS
+	}
+	return out
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

@@ -62,7 +62,7 @@ const (
 const (
 	blobMagic    = "DSCTSBLB"
 	indexMagic   = "DSCTSIDX"
-	formatVer    = 2
+	formatVer    = 3
 	indexRecSize = 64
 	indexHdrSize = 16
 )
