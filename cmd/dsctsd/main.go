@@ -37,9 +37,10 @@
 // Finished results and retained ECO bases are written behind the in-memory
 // caches (write-behind, never on the request path) and reloaded on the next
 // start, so a restarted daemon serves previously-computed requests as cache
-// hits — POST /eco bases included. Corrupt or version-mismatched files are
-// skipped, counted and deleted at warm start. Empty (the default) disables
-// persistence.
+// hits — POST /eco bases included. The disk keeps the newest -cache results
+// and 8 ECO bases, as many as the caches hold after a restart. Corrupt or
+// version-mismatched files are skipped, counted and deleted at warm start.
+// Empty (the default) disables persistence.
 //
 // QoS: -qos-classes configures the priority classes as "name:weight,..."
 // (first class is the default; requests pick one with the "class" field).
@@ -99,7 +100,7 @@ func main() {
 		maxRunning = flag.Int("max-running", 4, "jobs executing concurrently")
 		maxQueued  = flag.Int("max-queued", 64, "admitted jobs waiting beyond the running set (admission control)")
 		workers    = flag.Int("workers", 0, "total synthesis worker budget shared by running jobs (0 = all CPUs)")
-		cacheSize  = flag.Int("cache", 128, "result cache capacity (entries, LRU)")
+		cacheSize  = flag.Int("cache", 128, "result cache capacity (entries, LRU); with -cache-dir also the results kept on disk")
 		retain     = flag.Int("retain-jobs", 1024, "finished job records kept for GET /jobs/{id}")
 		jobTimeout = flag.Duration("job-timeout", 0, "per-job running wall-clock deadline (0 = none; requests can shorten it via timeout_ms)")
 		wdGrace    = flag.Duration("watchdog-grace", 0, "how long a cancelled/expired job may keep running before its worker is force-reclaimed (0 = default 2s)")
@@ -165,12 +166,12 @@ func main() {
 		logger.Error("-node-id requires -peers")
 		os.Exit(1)
 	}
-	// The daemon owns the store: opened (and warm-start verified) before the
-	// server exists, closed — flushing the write-behind tail — after the
-	// queue has fully drained.
+	// The daemon owns the store: opened before the server exists (whose
+	// warm start verifies and loads it), closed — flushing the write-behind
+	// tail — after the queue has fully drained.
 	var st *store.Store
 	if *cacheDir != "" {
-		if st, err = store.Open(store.Config{Dir: *cacheDir, Logger: logger}); err != nil {
+		if st, err = store.Open(store.Config{Dir: *cacheDir, MaxResults: *cacheSize, Logger: logger}); err != nil {
 			logger.Error("cannot open -cache-dir", "dir", *cacheDir, "error", err)
 			os.Exit(1)
 		}

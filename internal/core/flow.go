@@ -78,6 +78,12 @@ type Progress struct {
 // quickly: the flow calls them inline.
 type ProgressFunc func(Progress)
 
+// defaultMaxTrunkEdge is the trunk-edge subdivision (µm) a zero
+// Options.MaxTrunkEdge selects: finer than the optimal buffer spacing, so
+// the insertion DP decides where buffers go, and short enough to keep each
+// segment's wire cap well under the buffer budget.
+const defaultMaxTrunkEdge = 40
+
 // Options configures Synthesize.
 type Options struct {
 	// Dual carries the clustering sizes; zero value uses the paper's
@@ -85,7 +91,7 @@ type Options struct {
 	// technology's buffer max load.
 	Dual cluster.DualOptions
 	// MaxTrunkEdge subdivides trunk edges for insertion (µm). Zero uses
-	// a default derived from the buffer max load.
+	// 40 µm.
 	MaxTrunkEdge float64
 	// Mode selects double- or single-side synthesis.
 	Mode SideMode

@@ -98,8 +98,7 @@ func runStages(ctx context.Context, rootPos geom.Point, sinks []geom.Point, tc *
 	}
 	maxEdge := opt.MaxTrunkEdge
 	if maxEdge <= 0 {
-		// Keep per-segment wire cap well under the buffer budget.
-		maxEdge = 40 // µm: finer than the optimal buffer spacing so the DP decides
+		maxEdge = defaultMaxTrunkEdge
 	}
 
 	st := &stages{}
@@ -418,7 +417,7 @@ func stitchAndCompose(ctx context.Context, rootPos geom.Point, regions []partiti
 func stitchTop(rootPos geom.Point, regions []partition.Region, sums []*eval.RegionEval, tc *tech.Tech, opt Options, ev *eval.Evaluator) (*ctree.Tree, map[int]int, error) {
 	maxEdge := opt.MaxTrunkEdge
 	if maxEdge <= 0 {
-		maxEdge = 40
+		maxEdge = defaultMaxTrunkEdge
 	}
 	leaves := make([]dme.Leaf, len(regions))
 	for i, r := range regions {

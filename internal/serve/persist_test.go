@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"maps"
 	"net/http"
 	"net/http/httptest"
@@ -225,8 +226,8 @@ func olderStoreStartsCold(t *testing.T, ver uint32, oldResult func([]byte) []byt
 	p1.stop()
 	noWriteLoss(t, "cold process", p1.st.Stats())
 
-	// Rewrite the directory as that format wrote it: its version in the
-	// index and every blob header, and each result payload in its layout.
+	// Rewrite the directory as that format wrote it: its version in every
+	// blob header, and each result payload in its layout.
 	blobs := 0
 	for _, sub := range []string{"results", "bases"} {
 		paths, err := filepath.Glob(filepath.Join(dir, sub, "*.blob"))
@@ -245,16 +246,6 @@ func olderStoreStartsCold(t *testing.T, ver uint32, oldResult func([]byte) []byt
 	if blobs != 4 {
 		t.Fatalf("%d blobs persisted, want 4 (corners, eco, eco base result, base snapshot)", blobs)
 	}
-	index := filepath.Join(dir, "index.bin")
-	data, err := os.ReadFile(index)
-	if err != nil {
-		t.Fatal(err)
-	}
-	binary.LittleEndian.PutUint32(data[8:12], ver)
-	if err := os.WriteFile(index, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
 	p2 := startPersisted(t, dir, nil)
 	ss := p2.s.Queue().Stats().Store
 	if ss.WarmSkippedVersion != int64(blobs) || ss.WarmSkippedCorrupt != 0 || ss.WarmSkippedIO != 0 {
@@ -457,6 +448,34 @@ func TestPersistUndecodablePayloadRejected(t *testing.T) {
 	}
 	if stats.Cache.Entries != 0 {
 		t.Errorf("%d cache entries warmed from garbage", stats.Cache.Entries)
+	}
+}
+
+// TestPersistRestartFitsCache: at default sizes the store keeps as many
+// results as the cache a restart fills, so a restart after 130 distinct
+// results warm-loads the newest 128 and the cache evicts none of them.
+func TestPersistRestartFitsCache(t *testing.T) {
+	dir := t.TempDir()
+	p1 := startPersisted(t, dir, nil)
+	first, err := p1.client.Synthesize(context.Background(), &Request{Design: "C1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The request persisted one result; 129 more keys make 130.
+	for i := 1; i < 130; i++ {
+		p1.s.Queue().persistResult(fmt.Sprintf("result-%03d", i), first.Result)
+	}
+	p1.stop()
+	noWriteLoss(t, "first process", p1.st.Stats())
+
+	p2 := startPersisted(t, dir, nil)
+	st := p2.s.Queue().Stats()
+	if st.Store.WarmResults != 128 || st.Store.ResultEntries != 128 || st.Cache.Entries != 128 {
+		t.Errorf("warm start loaded %d of %d stored results into %d cache entries, want 128 each",
+			st.Store.WarmResults, st.Store.ResultEntries, st.Cache.Entries)
+	}
+	if st.Cache.Evictions != 0 {
+		t.Errorf("warm start evicted %d results from the cache", st.Cache.Evictions)
 	}
 }
 

@@ -113,38 +113,50 @@ func mustOneBlob(t *testing.T, dir, subdir string) string {
 	return matches[0]
 }
 
-// TestCorruptBlobSkippedAndDeleted: a blob whose payload was flipped on disk
-// is skipped (counted), deleted, and never handed to the caller.
+// TestCorruptBlobSkippedAndDeleted: a blob whose payload was flipped on
+// disk, or that was cut short inside its header, is skipped (counted),
+// deleted, and never handed to the caller.
 func TestCorruptBlobSkippedAndDeleted(t *testing.T) {
-	dir := t.TempDir()
-	s := openT(t, dir, nil)
-	s.Put(KindResult, "victim", encoded([]byte("payload-to-corrupt")))
-	s.Flush()
-	s.Close()
+	for _, tc := range []struct {
+		name   string
+		damage func([]byte) []byte
+	}{
+		// Flip a payload byte; the header stays valid.
+		{"flipped", func(data []byte) []byte { data[len(data)-1] ^= 0xFF; return data }},
+		// Cut inside the key, 4 bytes past the 16-byte fixed header.
+		{"truncated", func(data []byte) []byte { return data[:20] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := openT(t, dir, nil)
+			s.Put(KindResult, "victim", encoded([]byte("payload-to-corrupt")))
+			s.Flush()
+			s.Close()
 
-	path := mustOneBlob(t, dir, "results")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-1] ^= 0xFF // flip a payload byte; header stays valid
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+			path := mustOneBlob(t, dir, "results")
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, tc.damage(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	r := openT(t, dir, nil)
-	if got := loadAll(r, KindResult); len(got) != 0 {
-		t.Errorf("corrupt blob was loaded: %v", got)
-	}
-	st := r.Stats()
-	if st.WarmSkippedCorrupt != 1 || st.WarmResults != 0 {
-		t.Errorf("skip accounting: %+v, want 1 corrupt skip and 0 loads", st)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Errorf("corrupt blob not deleted (stat err %v)", err)
-	}
-	if st.ResultEntries != 0 {
-		t.Errorf("corrupt entry still indexed: %d result entries", st.ResultEntries)
+			r := openT(t, dir, nil)
+			if got := loadAll(r, KindResult); len(got) != 0 {
+				t.Errorf("corrupt blob was loaded: %v", got)
+			}
+			st := r.Stats()
+			if st.WarmSkippedCorrupt != 1 || st.WarmResults != 0 {
+				t.Errorf("skip accounting: %+v, want 1 corrupt skip and 0 loads", st)
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Errorf("corrupt blob not deleted (stat err %v)", err)
+			}
+			if st.ResultEntries != 0 {
+				t.Errorf("corrupt entry still indexed: %d result entries", st.ResultEntries)
+			}
+		})
 	}
 }
 
@@ -181,10 +193,9 @@ func TestVersionMismatchSkipped(t *testing.T) {
 }
 
 // TestWholeStoreOtherVersionCounted: a store written at another format
-// version (index and every blob re-stamped) is ignored by its index, so
-// each blob reaches Open's reconcile. Each must be deleted and counted as
-// a version skip, not dropped silently, and a blob whose header is garbage
-// as a corrupt skip.
+// version (every blob re-stamped) warm-loads nothing. Each blob must be
+// deleted and counted as a version skip, not dropped silently, and a blob
+// whose header is garbage as a corrupt skip.
 func TestWholeStoreOtherVersionCounted(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir, nil)
@@ -194,7 +205,6 @@ func TestWholeStoreOtherVersionCounted(t *testing.T) {
 	s.Close()
 
 	paths := []string{
-		filepath.Join(dir, "index.bin"),
 		mustOneBlob(t, dir, "results"),
 		mustOneBlob(t, dir, "bases"),
 	}
@@ -203,7 +213,7 @@ func TestWholeStoreOtherVersionCounted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		data[8] = 0xFE // index and blob headers both put the version after an 8-byte magic
+		data[8] = 0xFE // the version follows the 8-byte magic
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +237,7 @@ func TestWholeStoreOtherVersionCounted(t *testing.T) {
 	if st.ResultEntries != 0 || st.BaseEntries != 0 {
 		t.Errorf("%d result and %d base entries survive", st.ResultEntries, st.BaseEntries)
 	}
-	for _, path := range append(paths[1:], garbage) {
+	for _, path := range append(paths, garbage) {
 		if _, err := os.Stat(path); !os.IsNotExist(err) {
 			t.Errorf("skipped blob %s not deleted (stat err %v)", filepath.Base(path), err)
 		}
@@ -337,30 +347,8 @@ func TestUnknownKindIgnored(t *testing.T) {
 	}
 }
 
-// TestIndexRebuiltFromBlobs: deleting index.bin loses nothing — reconcile
-// adopts every blob from its own header on the next Open.
-func TestIndexRebuiltFromBlobs(t *testing.T) {
-	dir := t.TempDir()
-	s := openT(t, dir, nil)
-	s.Put(KindResult, "a", encoded([]byte("pa")))
-	s.Put(KindBase, "b", encoded([]byte("pb")))
-	s.Flush()
-	s.Close()
-	if err := os.Remove(filepath.Join(dir, "index.bin")); err != nil {
-		t.Fatal(err)
-	}
-
-	r := openT(t, dir, nil)
-	if got := loadAll(r, KindResult); len(got) != 1 || got["a"] != "pa" {
-		t.Errorf("results after index loss: %v", got)
-	}
-	if got := loadAll(r, KindBase); len(got) != 1 || got["b"] != "pb" {
-		t.Errorf("bases after index loss: %v", got)
-	}
-}
-
-// TestVanishedBlobDropped: an index record whose blob file is gone is
-// reconciled away at Open — the directory is ground truth.
+// TestVanishedBlobDropped: a blob deleted while the store was closed is
+// neither listed by Open nor loaded — the directory is the only record.
 func TestVanishedBlobDropped(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir, nil)
@@ -380,8 +368,139 @@ func TestVanishedBlobDropped(t *testing.T) {
 	}
 }
 
+// TestRewrittenBlobLoads: a key stored again loads from its newer blob.
+// Writing that blob over the old one after Close leaves the directory a
+// crash right after the newer blob's rename leaves; the blob file is the
+// whole record, so nothing of the key is lost.
+func TestRewrittenBlobLoads(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir, nil)
+	s.Put(KindResult, "k", encoded([]byte("v1")))
+	s.Flush()
+	s.Close()
+
+	v2 := []byte("v2, longer than v1")
+	if err := os.WriteFile(mustOneBlob(t, dir, "results"), encodeBlob("k", Sum(v2), v2), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r := openT(t, dir, nil)
+	if got := loadAll(r, KindResult); len(got) != 1 || got["k"] != string(v2) {
+		t.Errorf("loaded %v, want only k=%q", got, v2)
+	}
+	st := r.Stats()
+	if skips := st.WarmSkippedCorrupt + st.WarmSkippedVersion + st.WarmSkippedIO; st.WarmResults != 1 || skips != 0 {
+		t.Errorf("stats %+v, want 1 load and no skips", st)
+	}
+}
+
+// TestBlobUnderOtherNameSkipped: a blob that verifies on its own but sits
+// under another key's file name counts as corrupt and is deleted, and the
+// blob it was copied from still loads.
+func TestBlobUnderOtherNameSkipped(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir, nil)
+	s.Put(KindResult, "a", encoded([]byte("pa")))
+	s.Flush()
+	s.Close()
+
+	src := mustOneBlob(t, dir, "results")
+	data, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := filepath.Join(dir, "results", blobName("b"))
+	if err := os.WriteFile(dst, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r := openT(t, dir, nil)
+	if got := loadAll(r, KindResult); len(got) != 1 || got["a"] != "pa" {
+		t.Errorf("loaded %v, want only a=pa", got)
+	}
+	if st := r.Stats(); st.WarmResults != 1 || st.WarmSkippedCorrupt != 1 || st.ResultEntries != 1 {
+		t.Errorf("stats %+v, want 1 load, 1 corrupt skip and 1 entry left", st)
+	}
+	if _, err := os.Stat(dst); !os.IsNotExist(err) {
+		t.Errorf("misnamed blob not deleted (stat err %v)", err)
+	}
+	if _, err := os.Stat(src); err != nil {
+		t.Errorf("original blob: %v", err)
+	}
+}
+
+// TestLeftoverIndexRemoved: an index.bin left by an earlier version of the
+// store, whatever its bytes, is deleted at Open and changes nothing about
+// what warm-loads.
+func TestLeftoverIndexRemoved(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir, nil)
+	s.Put(KindResult, "a", encoded([]byte("pa")))
+	s.Put(KindBase, "b", encoded([]byte("pb")))
+	s.Flush()
+	s.Close()
+	index := filepath.Join(dir, "index.bin")
+	if err := os.WriteFile(index, []byte("DSCTSIDX and then anything"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r := openT(t, dir, nil)
+	if _, err := os.Stat(index); !os.IsNotExist(err) {
+		t.Errorf("index.bin survived Open (stat err %v)", err)
+	}
+	if got := loadAll(r, KindResult); len(got) != 1 || got["a"] != "pa" {
+		t.Errorf("results: %v", got)
+	}
+	if got := loadAll(r, KindBase); len(got) != 1 || got["b"] != "pb" {
+		t.Errorf("bases: %v", got)
+	}
+	if st := r.Stats(); st.WarmSkippedCorrupt+st.WarmSkippedVersion+st.WarmSkippedIO != 0 {
+		t.Errorf("warm skips with a leftover index: %+v", st)
+	}
+}
+
+// TestLeftoverTempRemoved: a temp file a crash left between write and
+// rename is deleted at Open, without an entry or a skip.
+func TestLeftoverTempRemoved(t *testing.T) {
+	dir := t.TempDir()
+	openT(t, dir, nil).Close()
+	tmp := filepath.Join(dir, "results", blobName("k")+".tmp")
+	if err := os.WriteFile(tmp, []byte("DSCTSBLB, cut short"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r := openT(t, dir, nil)
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Errorf("temp file survived Open (stat err %v)", err)
+	}
+	if got := loadAll(r, KindResult); len(got) != 0 {
+		t.Errorf("loaded %v from a temp file", got)
+	}
+	if st := r.Stats(); st.ResultEntries != 0 || st.WarmSkippedCorrupt+st.WarmSkippedVersion+st.WarmSkippedIO != 0 {
+		t.Errorf("stats %+v, want no entry and no skip", st)
+	}
+}
+
+// TestFailedWriteLeavesNoTemp: a persist whose temp-file write fails counts
+// a write error and removes the temp path. A directory in its place makes
+// the write fail.
+func TestFailedWriteLeavesNoTemp(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir, nil)
+	tmp := filepath.Join(dir, "results", blobName("k")+".tmp")
+	if err := os.Mkdir(tmp, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	s.Put(KindResult, "k", encoded([]byte("v")))
+	s.Flush()
+	if st := s.Stats(); st.WriteErrors != 1 || st.Writes != 0 || st.ResultEntries != 0 {
+		t.Errorf("stats %+v, want 1 write error and no entry", st)
+	}
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Errorf("temp path survived a failed write (stat err %v)", err)
+	}
+}
+
 // TestSumMatchesFNV pins the integrity checksum: FNV-64a over the payload
-// bytes, the sum every blob header and index record written so far holds.
+// bytes, the sum every blob header written so far holds.
 func TestSumMatchesFNV(t *testing.T) {
 	if got, want := Sum([]byte("")), uint64(0xcbf29ce484222325); got != want {
 		t.Errorf("Sum(\"\") = %#x, want FNV-64a offset basis %#x", got, want)
