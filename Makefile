@@ -15,8 +15,10 @@
 #   make eco         - regenerate BENCH_eco.json (full vs incremental re-synthesis)
 #
 # Every benchgen contract run exits nonzero when its report lists a
-# violation. Bench regression gate (used by CI and the nightly workflow):
-#   go run ./cmd/benchgen -compare BENCH_eco.json /tmp/new.json -max-regress 15%
+# violation. One baseline gate, for both committed reports (used by CI and
+# the nightly workflow):
+#   go run ./cmd/benchgen -compare BENCH_parallel.json /tmp/new.json
+#   go run ./cmd/benchgen -compare BENCH_eco.json /tmp/new.json
 
 GO ?= go
 
@@ -80,8 +82,8 @@ staticcheck:
 vulncheck:
 	$(GO) run golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION) ./...
 
-# The Go-only CLI smoke suite: every assertion the workflow runs through
-# cmd/cismoke, so it works on any runner with nothing but a Go toolchain.
+# The Go-only CLI smoke suite, and the one list of these commands: CI's
+# cli smoke job runs this target. It needs nothing but a Go toolchain.
 smoke:
 	$(GO) run ./cmd/dscts -design C4 -json | $(GO) run ./cmd/cismoke synth -sinks 1056
 	$(GO) run ./cmd/dscts -design C3 -corners slow,typ,fast -json | $(GO) run ./cmd/cismoke corners
@@ -104,10 +106,11 @@ chaos:
 cluster:
 	$(GO) run ./cmd/benchgen -load -cluster 3
 
-# One worker at GOMAXPROCS=1: the CI and nightly regression gates compare
-# speedup ratios against this baseline, those ratios are not worker-count
-# invariant, and `benchgen -compare` refuses reports recorded at different
-# gomaxprocs.
+# One worker at GOMAXPROCS=1: the CI and nightly gates compare speedups
+# against this baseline (each the median of full/ECO ratios timed in
+# interleaved pairs), those ratios are not worker-count invariant, and
+# `benchgen -compare` refuses reports recorded at a different goos, goarch
+# or gomaxprocs.
 eco:
 	GOMAXPROCS=1 $(GO) run ./cmd/benchgen -eco-out BENCH_eco.json
 
@@ -116,6 +119,7 @@ bench:
 	$(GO) test -run xxx -bench 'BenchmarkRequestKey|BenchmarkResultChecksum|BenchmarkResultPersist' -benchmem ./internal/serve/
 
 # Pinned to GOMAXPROCS=1: CI's allocs-gate re-measures at GOMAXPROCS=1,
-# and `cismoke allocs` refuses reports recorded at different gomaxprocs.
+# and `benchgen -compare` refuses reports recorded at a different goos,
+# goarch or gomaxprocs.
 report:
 	GOMAXPROCS=1 $(GO) run ./cmd/benchgen -bench -bench-out BENCH_parallel.json

@@ -3,207 +3,170 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"os"
-	"sort"
-	"strconv"
+	"slices"
 	"strings"
 )
 
-// The bench-regression comparator: `benchgen -compare baseline.json
-// new.json -max-regress 15%` walks two ECO reports, pairs their gated
-// indicators by path, and exits nonzero when any regresses past the
-// threshold. Gated indicators are chosen to be meaningful across machines:
+// `benchgen -compare BASE NEW` is the one baseline gate. It reads two
+// reports of one kind that benchgen wrote and fails when NEW regresses
+// past maxRegressPct against BASE, or lacks an entry BASE has:
 //
-//   - speedup (higher is better): a dimensionless ratio of two durations
-//     measured in the SAME run, so it transfers between hosts far better
-//     than raw milliseconds;
-//   - quality metrics (lower is better): *_ps latencies/skews and
-//     *_rel_err — deterministic functions of (code, seed), so any drift is
-//     a real change.
+//   - an allocation report (-bench, BENCH_parallel.json): every baseline
+//     stage's allocs_per_op and bytes_per_op may not grow by more than
+//     maxRegressPct, or by slackAllocs / slackBytes if that is larger. Go's
+//     allocation accounting is the same on any host at one GOMAXPROCS; the
+//     floors keep a near-zero stage from failing on pool-timing jitter.
+//   - an ECO report (-eco-out, BENCH_eco.json): each row's speedup may not
+//     drop, and its latencies, skews and latency gap may not grow. The
+//     speedup is a median of ratios of two durations timed back to back,
+//     so it transfers between runs far better than the raw milliseconds,
+//     which are not gated; the quality indicators are functions of (code,
+//     seed). NEW must hold every baseline row of each design it ran; rows
+//     of the designs it did not run (CI runs C3 only) are not compared.
 //
-// Raw *_ms wall-clock leaves are deliberately NOT gated: comparing
-// absolute times recorded on different hardware only produces noise.
-//
-// Nor are two reports compared whose headers differ in a host field
-// (hostFields): a speedup measured at another GOMAXPROCS is a different
-// workload (the full run parallelizes, a one-cluster ECO barely does), so
-// the gate would measure the setting instead of the code.
+// Two reports whose goos, goarch or gomaxprocs differ are refused: a ratio
+// or an allocation count measured at another GOMAXPROCS is another
+// workload, so the gate would measure the setting instead of the code.
 
-// hostFields are the report header fields two compared reports must share.
-var hostFields = []string{"goos", "goarch", "gomaxprocs"}
+const (
+	maxRegressPct = 15
+	slackAllocs   = 128
+	slackBytes    = 64 << 10
+)
 
-// sameHost returns an error naming the first host field whose value
-// differs between the two parsed reports.
-func sameHost(base, cur any) error {
-	b, _ := base.(map[string]any)
-	c, _ := cur.(map[string]any)
-	for _, f := range hostFields {
-		if bv, cv := fmt.Sprint(b[f]), fmt.Sprint(c[f]); bv != cv {
-			return fmt.Errorf("%s differs: baseline %s, new %s", f, bv, cv)
-		}
-	}
-	return nil
+// comparedReport decodes either kind of report; the other kind's field
+// stays empty.
+type comparedReport struct {
+	header
+	Stages map[string]stageResult `json:"stages"`
+	Rows   []ecoRow               `json:"rows"`
 }
 
-// comparePolicy classifies a leaf key.
-func comparePolicy(key string) (higherBetter, gated bool) {
-	switch {
-	case key == "speedup":
-		return true, true
-	case strings.HasSuffix(key, "_ps") || strings.HasSuffix(key, "_rel_err"):
-		return false, true
-	}
-	return false, false
+// gatedNames labels ecoRow.gated's indicators.
+var gatedNames = [...]string{"speedup", "latency_full_ps", "latency_eco_ps", "skew_full_ps", "skew_eco_ps", "latency_rel_err"}
+
+// gated returns the row's gated indicators, the one that may not drop
+// first and then those that may not grow.
+func (r ecoRow) gated() [len(gatedNames)]float64 {
+	return [...]float64{r.Speedup, r.LatencyFullPS, r.LatencyECOPS, r.SkewFullPS, r.SkewECOPS, r.LatencyRelErr}
 }
 
-// identity labels a row by its identifying fields so rows pair up even
-// when rows were inserted or reordered between the two reports.
-func identity(v any, index int) string {
-	obj, ok := v.(map[string]any)
-	if !ok {
-		return strconv.Itoa(index)
-	}
-	var parts []string
-	for _, k := range []string{"design", "mode", "sinks", "delta_pct"} {
-		if f, ok := obj[k]; ok {
-			parts = append(parts, fmt.Sprintf("%s=%v", k, f))
-		}
-	}
-	if len(parts) == 0 {
-		return strconv.Itoa(index)
-	}
-	return strings.Join(parts, ",")
+// id pairs rows across reports, whatever order they were written in.
+func (r ecoRow) id() string {
+	return fmt.Sprintf("%s/%s/%d sinks/%g%%", r.Design, r.Mode, r.Sinks, r.DeltaPct)
 }
 
-// flattenGated collects every gated numeric leaf, keyed by its path.
-func flattenGated(v any, path string, out map[string]float64) {
-	switch t := v.(type) {
-	case map[string]any:
-		for k, c := range t {
-			p := k
-			if path != "" {
-				p = path + "." + k
-			}
-			if f, ok := c.(float64); ok {
-				if _, gated := comparePolicy(k); gated {
-					out[p] = f
-				}
-				continue
-			}
-			flattenGated(c, p, out)
-		}
-	case []any:
-		for i, c := range t {
-			flattenGated(c, fmt.Sprintf("%s[%s]", path, identity(c, i)), out)
+// compare gates cur against base and returns how many indicators it
+// compared, with an error naming every regression and every missing
+// baseline entry.
+func compare(base, cur *comparedReport) (checked int, err error) {
+	for _, f := range []struct {
+		name      string
+		base, cur any
+	}{
+		{"goos", base.GOOS, cur.GOOS},
+		{"goarch", base.GOARCH, cur.GOARCH},
+		{"gomaxprocs", base.GOMAXPROCS, cur.GOMAXPROCS},
+	} {
+		if f.base != f.cur {
+			return 0, fmt.Errorf("not comparable: %s differs: baseline %v, new %v", f.name, f.base, f.cur)
 		}
 	}
-}
+	var fails []string
+	fail := func(format string, args ...any) { fails = append(fails, fmt.Sprintf(format, args...)) }
 
-type regression struct {
-	path     string
-	old, new float64
-	change   float64 // signed relative change, regression-positive
-}
-
-// compareReports pairs the gated indicators of two parsed reports and
-// returns the regressions beyond maxRegress (a fraction, e.g. 0.15).
-// Indicators present in only one report are skipped: rows come and go as
-// benchmarks evolve, and the gate must not punish adding coverage.
-func compareReports(base, cur any, maxRegress float64) (regs []regression, checked int) {
-	bv, cv := map[string]float64{}, map[string]float64{}
-	flattenGated(base, "", bv)
-	flattenGated(cur, "", cv)
-	paths := make([]string, 0, len(bv))
-	for p := range bv {
-		if _, ok := cv[p]; ok {
-			paths = append(paths, p)
-		}
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		old, now := bv[p], cv[p]
-		key := p
-		if i := strings.LastIndex(p, "."); i >= 0 {
-			key = p[i+1:]
-		}
-		higher, _ := comparePolicy(key)
-		// Both sides negligible: nothing to gate (dormant indicators).
-		if math.Abs(old) < 1e-9 && math.Abs(now) < 1e-9 {
+	for _, name := range slices.Sorted(maps.Keys(base.Stages)) {
+		now, ok := cur.Stages[name]
+		if !ok {
+			fail("MISSING stage %s (regenerate the baseline when a stage is renamed or dropped)", name)
 			continue
 		}
-		checked++
-		den := math.Abs(old)
-		if den < 1e-9 {
-			den = 1e-9
-		}
-		var change float64
-		if higher {
-			change = (old - now) / den // dropped speedup regresses
-		} else {
-			change = (now - old) / den // grown skew/latency/error regresses
-		}
-		if change > maxRegress {
-			regs = append(regs, regression{path: p, old: old, new: now, change: change})
+		was := base.Stages[name]
+		for _, m := range []struct {
+			metric          string
+			was, now, slack int64
+		}{
+			{"allocs_per_op", was.AllocsPerOp, now.AllocsPerOp, slackAllocs},
+			{"bytes_per_op", was.BytesPerOp, now.BytesPerOp, slackBytes},
+		} {
+			checked++
+			if limit := max(m.was+m.was*maxRegressPct/100, m.was+m.slack); m.now > limit {
+				fail("REGRESSION %s %s: %d -> %d (limit %d: +%d%% or +%d)", name, m.metric, m.was, m.now, limit, maxRegressPct, m.slack)
+			}
 		}
 	}
-	return regs, checked
+
+	ran := map[string]bool{}
+	fresh := map[string]ecoRow{}
+	for _, r := range cur.Rows {
+		ran[r.Design] = true
+		fresh[r.id()] = r
+	}
+	for _, was := range base.Rows {
+		if !ran[was.Design] {
+			continue
+		}
+		now, ok := fresh[was.id()]
+		if !ok {
+			fail("MISSING row %s (regenerate the baseline when a row is renamed or dropped)", was.id())
+			continue
+		}
+		w, n := was.gated(), now.gated()
+		for i, name := range gatedNames {
+			if math.Abs(w[i]) < 1e-9 && math.Abs(n[i]) < 1e-9 {
+				continue // dormant on both sides
+			}
+			checked++
+			change := (n[i] - w[i]) / max(math.Abs(w[i]), 1e-9)
+			regress := change
+			if i == 0 {
+				regress = -change // a dropped speedup regresses
+			}
+			if regress > maxRegressPct/100.0 {
+				fail("REGRESSION %s %s: %.4g -> %.4g (%+.1f%%)", was.id(), name, w[i], n[i], 100*change)
+			}
+		}
+	}
+
+	switch {
+	case len(fails) > 0:
+		return checked, fmt.Errorf("%d failure(s) among %d compared indicators:\n  %s", len(fails), checked, strings.Join(fails, "\n  "))
+	case checked == 0:
+		return 0, fmt.Errorf("no comparable indicators")
+	}
+	return checked, nil
 }
 
-// parseMaxRegress accepts "15%" or "0.15".
-func parseMaxRegress(s string) (float64, error) {
-	s = strings.TrimSpace(s)
-	pct := strings.HasSuffix(s, "%")
-	s = strings.TrimSuffix(s, "%")
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil || v < 0 {
-		return 0, fmt.Errorf("benchgen: bad -max-regress %q", s)
-	}
-	if pct {
-		v /= 100
-	}
-	return v, nil
-}
-
-func loadJSON(path string) (any, error) {
+func loadReport(path string) (*comparedReport, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var v any
-	if err := json.Unmarshal(data, &v); err != nil {
+	var rep comparedReport
+	if err := json.Unmarshal(data, &rep); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return v, nil
+	return &rep, nil
 }
 
-// runCompare implements the CLI entry. Returns an error for usage/IO
-// problems; regressions print a table and exit(1) directly.
-func runCompare(basePath, newPath string, maxRegress float64) error {
-	base, err := loadJSON(basePath)
+// runCompare is the -compare entry point.
+func runCompare(basePath, newPath string) error {
+	base, err := loadReport(basePath)
 	if err != nil {
 		return err
 	}
-	cur, err := loadJSON(newPath)
+	cur, err := loadReport(newPath)
 	if err != nil {
 		return err
 	}
-	if err := sameHost(base, cur); err != nil {
-		return fmt.Errorf("%s and %s are not comparable: %w", basePath, newPath, err)
+	checked, err := compare(base, cur)
+	if err != nil {
+		return fmt.Errorf("%s against %s: %w", newPath, basePath, err)
 	}
-	regs, checked := compareReports(base, cur, maxRegress)
-	if checked == 0 {
-		return fmt.Errorf("benchgen: no comparable indicators between %s and %s", basePath, newPath)
-	}
-	fmt.Printf("compared %d indicators (%s vs %s), max regress %.1f%%\n",
-		checked, basePath, newPath, 100*maxRegress)
-	if len(regs) == 0 {
-		fmt.Println("no regressions")
-		return nil
-	}
-	for _, r := range regs {
-		fmt.Printf("REGRESSION %-70s %12.4g -> %-12.4g (%+.1f%%)\n", r.path, r.old, r.new, 100*r.change)
-	}
-	os.Exit(1)
+	fmt.Printf("compared %d indicators (%s against %s), max regress %d%%: no regressions\n",
+		checked, newPath, basePath, maxRegressPct)
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"runtime"
 	"sort"
 	"time"
 
@@ -20,11 +21,8 @@ import (
 // runtime across delta sizes, per design and pipeline mode.
 type ecoReport struct {
 	header
-	Workers int   `json:"workers"`
-	Seed    int64 `json:"seed"`
-	// Reps is the measurement repetition count; every reported time is the
-	// fastest of Reps runs.
-	Reps              int      `json:"reps"`
+	Workers           int      `json:"workers"`
+	Seed              int64    `json:"seed"`
 	PartitionMaxSinks int      `json:"partition_max_sinks"`
 	XLPartitionSinks  int      `json:"xl_partition_sinks,omitempty"`
 	Rows              []ecoRow `json:"rows"`
@@ -36,7 +34,6 @@ type ecoReport struct {
 // barely does).
 const (
 	ecoWorkers     = 1
-	ecoReps        = 3
 	ecoPartition   = 2000  // region capacity of the partitioned C-series rows
 	ecoXLPartition = 50000 // region capacity of the XL rows
 )
@@ -45,7 +42,7 @@ const (
 var ecoPcts = []float64{0.1, 1, 10}
 
 // ecoContract checks that every row is plausible and that, when the run
-// includes C3 at a 1% delta, its best speedup is at least 5x.
+// includes C3 at a 1% delta, its best median speedup is at least 5x.
 func ecoContract(r *ecoReport) []string {
 	v := []string{}
 	if r.Workers < 1 || len(r.Rows) == 0 {
@@ -88,12 +85,17 @@ type ecoRow struct {
 	DirtyScopes int `json:"dirty_scopes"`
 	TotalScopes int `json:"total_scopes"`
 
-	// FullMS re-synthesizes the post-delta placement from scratch; ECOMS
-	// applies the delta incrementally against the retained base. Speedup is
-	// FullMS / ECOMS.
-	FullMS  float64 `json:"full_ms"`
-	ECOMS   float64 `json:"eco_ms"`
-	Speedup float64 `json:"speedup"`
+	// Each of Reps pairs times the incremental run against the retained
+	// base, then a from-scratch re-synthesis of the post-delta placement.
+	// FullMS and ECOMS are the medians of each side; Speedup is the median
+	// of the per-pair ratios full/ECO, and SpeedupQ1 / SpeedupQ3 their
+	// quartiles.
+	Reps      int     `json:"reps"`
+	FullMS    float64 `json:"full_ms"`
+	ECOMS     float64 `json:"eco_ms"`
+	Speedup   float64 `json:"speedup"`
+	SpeedupQ1 float64 `json:"speedup_q1"`
+	SpeedupQ3 float64 `json:"speedup_q3"`
 
 	LatencyFullPS float64 `json:"latency_full_ps"`
 	LatencyECOPS  float64 `json:"latency_eco_ps"`
@@ -151,32 +153,52 @@ func ecoDelta(sinks []geom.Point, die geom.BBox, seed int64, count int) eco.Delt
 	return d
 }
 
-// minTime returns fn's fastest wall-clock over repeated runs: at least
-// `reps` runs, and — like the Go benchmark harness — it keeps repeating a
-// fast fn until minTotal of cumulative measurement has accumulated (capped
-// at maxReps), because a 2 ms measurement needs far more samples than a 5 s
-// one to shed scheduler and GC noise. The regression gate compares the
-// resulting ratios across runs and machines, so their stability is what
-// bounds the gate's false-positive rate.
-func minTime(reps int, fn func() error) (time.Duration, error) {
+// timePairs times the ECO run and the full re-synthesis in pairs, the ECO
+// run first, so both sides of a pair's ratio see the same host state. Each
+// run follows a collection outside its timed span, as testing.B does
+// before each run, so neither side pays for the other's garbage. It takes
+// at least minPairs pairs, more until they add up to pairTotal, and at
+// most maxPairs: a 30 ms pair needs more samples than a 2 s one to shed
+// scheduler noise. It returns the per-pair times in ms and ratios.
+func timePairs(eco, full func() error) (ecoMS, fullMS, ratios []float64, err error) {
 	const (
-		minTotal = 300 * time.Millisecond
-		maxReps  = 25
+		minPairs  = 3
+		maxPairs  = 25
+		pairTotal = time.Second
 	)
-	best := time.Duration(0)
-	total := time.Duration(0)
-	for i := 0; i < reps || (total < minTotal && i < maxReps); i++ {
+	timed := func(fn func() error) (time.Duration, error) {
+		runtime.GC()
 		t0 := time.Now()
-		if err := fn(); err != nil {
-			return 0, err
-		}
-		d := time.Since(t0)
-		total += d
-		if i == 0 || d < best {
-			best = d
-		}
+		err := fn()
+		return time.Since(t0), err
 	}
-	return best, nil
+	var total time.Duration
+	for i := 0; i < minPairs || (total < pairTotal && i < maxPairs); i++ {
+		e, err := timed(eco)
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("eco: %w", err)
+		}
+		f, err := timed(full)
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("full: %w", err)
+		}
+		total += e + f
+		ecoMS, fullMS = append(ecoMS, msOf(e)), append(fullMS, msOf(f))
+		ratios = append(ratios, float64(f)/float64(e))
+	}
+	return ecoMS, fullMS, ratios, nil
+}
+
+// quantile returns the q-quantile of xs by linear interpolation between
+// the closest ranks, sorting xs in place.
+func quantile(xs []float64, q float64) float64 {
+	sort.Float64s(xs)
+	pos := q * float64(len(xs)-1)
+	i := int(pos)
+	if i+1 >= len(xs) {
+		return xs[len(xs)-1]
+	}
+	return xs[i] + (pos-float64(i))*(xs[i+1]-xs[i])
 }
 
 // ecoMeasure runs one (base, delta-size) cell: base synthesis with retained
@@ -205,47 +227,37 @@ func ecoMeasure(rep *ecoReport, design string, root geom.Point, sinks []geom.Poi
 			return fmt.Errorf("%s/%s delta %.3g%%: %w", design, mode, pct, err)
 		}
 
-		var out *core.Outcome
-		ecoTime, err := minTime(ecoReps, func() error {
+		newSinks, _ := eco.Apply(sinks, d)
+		var out, full *core.Outcome
+		ecoMS, fullMS, ratios, err := timePairs(func() error {
 			var err error
 			out, err = core.SynthesizeECO(base, d, core.Options{Workers: ecoWorkers})
 			return err
-		})
-		if err != nil {
-			return fmt.Errorf("%s/%s eco %.3g%%: %w", design, mode, pct, err)
-		}
-		ecoMS := msOf(ecoTime)
-
-		newSinks, _ := eco.Apply(sinks, d)
-		var full *core.Outcome
-		fullTime, err := minTime(ecoReps, func() error {
+		}, func() error {
 			var err error
 			full, err = core.Synthesize(root, newSinks, tc, fullOpt)
 			return err
 		})
 		if err != nil {
-			return fmt.Errorf("%s/%s full %.3g%%: %w", design, mode, pct, err)
+			return fmt.Errorf("%s/%s %.3g%%: %w", design, mode, pct, err)
 		}
-		fullMS := msOf(fullTime)
 
 		row := ecoRow{
 			Design: design, Sinks: len(sinks), Mode: mode,
 			DeltaPct: pct, DeltaSinks: count,
 			Moves: len(d.Move), Adds: len(d.Add), Removes: len(d.Remove),
 			DirtyScopes: out.ECO.DirtyScopes, TotalScopes: out.ECO.TotalScopes,
-			FullMS: fullMS, ECOMS: ecoMS,
+			Reps: len(ratios), FullMS: quantile(fullMS, 0.5), ECOMS: quantile(ecoMS, 0.5),
+			Speedup: quantile(ratios, 0.5), SpeedupQ1: quantile(ratios, 0.25), SpeedupQ3: quantile(ratios, 0.75),
 			LatencyFullPS: full.Metrics.Latency, LatencyECOPS: out.Metrics.Latency,
 			SkewFullPS: full.Metrics.Skew, SkewECOPS: out.Metrics.Skew,
-		}
-		if ecoMS > 0 {
-			row.Speedup = fullMS / ecoMS
 		}
 		if full.Metrics.Latency > 0 {
 			row.LatencyRelErr = math.Abs(out.Metrics.Latency-full.Metrics.Latency) / full.Metrics.Latency
 		}
 		rep.Rows = append(rep.Rows, row)
-		fmt.Fprintf(os.Stderr, "eco: %s/%s %.3g%% (%d sinks): full %.1fms, eco %.1fms (%.1fx), dirty %d/%d\n",
-			design, mode, pct, count, fullMS, ecoMS, row.Speedup, row.DirtyScopes, row.TotalScopes)
+		fmt.Fprintf(os.Stderr, "eco: %s/%s %.3g%% (%d sinks): %d pairs, full %.1fms, eco %.1fms, speedup %.1fx (q1 %.1f, q3 %.1f), dirty %d/%d\n",
+			design, mode, pct, count, row.Reps, row.FullMS, row.ECOMS, row.Speedup, row.SpeedupQ1, row.SpeedupQ3, row.DirtyScopes, row.TotalScopes)
 	}
 	return nil
 }
@@ -258,7 +270,7 @@ func msOf(d time.Duration) float64 { return float64(d) / float64(time.Millisecon
 func runECOBench(path string, designs []string, xlSinks int, seed int64) error {
 	rep := &ecoReport{
 		header:  hostHeader(),
-		Workers: ecoWorkers, Seed: seed, Reps: ecoReps,
+		Workers: ecoWorkers, Seed: seed,
 		PartitionMaxSinks: ecoPartition, XLPartitionSinks: ecoXLPartition,
 	}
 	for _, id := range designs {

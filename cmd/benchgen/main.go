@@ -9,8 +9,7 @@
 // contracts, and exits nonzero when that list is not empty.
 //
 // With -bench it measures the allocation cost of the one-worker engine
-// stages (clustering and DP insertion on C3, synthesis on C3 and C5) for
-// the `cismoke allocs` gate:
+// stages (clustering and DP insertion on C3, synthesis on C3 and C5):
 //
 //	GOMAXPROCS=1 benchgen -bench [-bench-out BENCH_parallel.json]
 //
@@ -31,11 +30,15 @@
 //	benchgen -load -cluster 3
 //	benchgen -load -cluster 3 -chaos default -duration 5m
 //
-// With -eco-out it measures full-vs-incremental (ECO) re-synthesis, and
-// -compare gates a fresh ECO report against the committed baseline:
+// With -eco-out it measures full-vs-incremental (ECO) re-synthesis:
 //
-//	benchgen -eco-out new.json [-eco-designs C3] [-eco-xl 0]
-//	benchgen -compare BENCH_eco.json new.json [-max-regress 15%]
+//	GOMAXPROCS=1 benchgen -eco-out new.json [-eco-designs C3] [-eco-xl 0]
+//
+// With -compare it gates a fresh -bench or -eco-out report against the
+// committed baseline of its kind (compare.go):
+//
+//	benchgen -compare BENCH_parallel.json new.json
+//	benchgen -compare BENCH_eco.json new.json
 package main
 
 import (
@@ -74,22 +77,19 @@ func main() {
 		ecoOut    = flag.String("eco-out", "", "measure full-vs-incremental (ECO) re-synthesis and write the JSON report to this path")
 		ecoDes    = flag.String("eco-designs", "C1,C2,C3,C4,C5", "comma-separated designs for -eco-out")
 		ecoXL     = flag.Int("eco-xl", 500000, "XL placement sink count for -eco-out (0 = skip the XL row)")
+		doCompare = flag.Bool("compare", false, "gate the report NEW against the baseline BASE, given as two arguments after the flags")
 	)
-	// `benchgen -compare baseline.json new.json [-max-regress 15%]` is the
-	// bench-regression gate; it is parsed by hand because the two report
-	// paths are positional between flags, which the flag package rejects.
-	if len(os.Args) > 1 && (os.Args[1] == "-compare" || os.Args[1] == "--compare") {
-		if err := compareCLI(os.Args[2:]); err != nil {
-			fatal(err)
-		}
-		return
-	}
 	flag.Parse()
 	if *doLoad && *debugAddr != "" {
 		go serveDebug(*debugAddr)
 	}
 	var err error
 	switch {
+	case *doCompare && flag.NArg() != 2:
+		fmt.Fprintln(os.Stderr, "benchgen: usage: benchgen -compare BASE NEW")
+		os.Exit(2)
+	case *doCompare:
+		err = runCompare(flag.Arg(0), flag.Arg(1))
 	case *doBench:
 		err = runBench(*benchOut)
 	case *doLoad && *clusterN > 0:
@@ -157,32 +157,6 @@ func splitCSV(csv string) []string {
 		}
 	}
 	return out
-}
-
-// compareCLI parses `-compare base.json new.json [-max-regress P]`.
-func compareCLI(args []string) error {
-	var paths []string
-	maxRegress := 0.15
-	for i := 0; i < len(args); i++ {
-		switch args[i] {
-		case "-max-regress", "--max-regress":
-			if i+1 >= len(args) {
-				return fmt.Errorf("benchgen: -max-regress needs a value")
-			}
-			i++
-			v, err := parseMaxRegress(args[i])
-			if err != nil {
-				return err
-			}
-			maxRegress = v
-		default:
-			paths = append(paths, args[i])
-		}
-	}
-	if len(paths) != 2 {
-		return fmt.Errorf("benchgen: usage: benchgen -compare baseline.json new.json [-max-regress 15%%]")
-	}
-	return runCompare(paths[0], paths[1], maxRegress)
 }
 
 func fatal(err error) {

@@ -21,7 +21,7 @@ type stageResult struct {
 }
 
 // benchReport is BENCH_parallel.json: the allocation baseline that
-// `cismoke allocs` gates fresh runs against. Go's allocation accounting is
+// `benchgen -compare` gates fresh runs against. Go's allocation accounting is
 // machine-transferable at a fixed GOMAXPROCS, unlike wall-clock time.
 type benchReport struct {
 	header

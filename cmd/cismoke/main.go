@@ -1,16 +1,15 @@
 // Command cismoke is the CI assertion checker for output that no Go test
-// reads: the `dscts -json` CLI report, and a fresh allocation report
-// against the committed baseline. Input is a JSON document on stdin (the
-// usual case, piped from `dscts -json`) or a file argument; any violated
-// assertion prints a message and exits nonzero. benchgen's contract runs
-// assert their own reports before they exit, so cismoke reads none of
-// them except the allocation baseline pair.
+// reads: the `dscts -json` CLI report. Input is a JSON document on stdin
+// (the usual case, piped from `dscts -json`) or a file argument; any
+// violated assertion prints a message and exits nonzero. benchgen's
+// contract runs assert their own reports before they exit, and `benchgen
+// -compare` gates them against the committed baselines, so cismoke reads
+// none of them.
 //
 //	dscts -design C4 -json | cismoke synth -sinks 1056
 //	dscts -design C3 -corners slow,typ,fast -json | cismoke corners
 //	dscts -design C4 -partition 300 -json | cismoke partition -max-region 300
 //	dscts -xl 500000 -partition 50000 -json | cismoke xl -sinks 500000
-//	cismoke allocs -max-regress 15 BENCH_parallel.json /tmp/BENCH_parallel_new.json
 package main
 
 import (
@@ -29,8 +28,6 @@ func main() {
 	sub, args := os.Args[1], os.Args[2:]
 	var err error
 	switch sub {
-	case "allocs":
-		err = cmdAllocs(args)
 	case "synth":
 		err = cmdSynth(args)
 	case "corners":
@@ -49,7 +46,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: cismoke {allocs|synth|corners|partition|xl} [flags] [file...]")
+	fmt.Fprintln(os.Stderr, "usage: cismoke {synth|corners|partition|xl} [flags] [file...]")
 	os.Exit(2)
 }
 

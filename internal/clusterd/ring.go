@@ -24,9 +24,10 @@ type ringPoint struct {
 	node string
 }
 
-// DefaultVNodes is the virtual-node count used when the config leaves it
-// zero. 64 points per member keeps the ownership imbalance across a small
-// cluster within a few percent while the ring stays tiny.
+// DefaultVNodes is the virtual-node count per member that serve's ring
+// uses, and NewRing's count when given none. 64 points per member keeps the
+// ownership imbalance across a small cluster within a few percent while
+// the ring stays tiny.
 const DefaultVNodes = 64
 
 // NewRing builds the ring over the given member IDs. The input order is

@@ -3,8 +3,9 @@
 // exponential latency buckets) rendered in Prometheus text exposition
 // format, and a Go-runtime collector. It deliberately depends on the
 // standard library only, and its hot-path instruments (Counter.Add,
-// Gauge.Set, Histogram.Observe) are single atomic operations: no locks, no
-// allocations, safe from any goroutine.
+// Histogram.Observe) are single atomic operations: no locks, no
+// allocations, safe from any goroutine. A gauge is a function read at
+// scrape time (GaugeFunc).
 //
 // Measurement honesty: a nil *Registry is a valid no-op. Every constructor
 // on a nil registry returns a nil instrument, and every method of a nil
@@ -181,49 +182,6 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...L
 		return
 	}
 	r.family(name, help, kindCounter).add(labels, &sample{value: fn})
-}
-
-// Gauge is a settable instantaneous value. Safe on a nil receiver.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.bits.Store(math.Float64bits(v))
-	}
-}
-
-// Add increments by delta (CAS loop; gauges are not hot-path instruments).
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+delta)) {
-			return
-		}
-	}
-}
-
-// Value returns the gauge (0 on nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
-// Gauge registers a settable gauge sample.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	if r == nil {
-		return nil
-	}
-	g := &Gauge{}
-	r.family(name, help, kindGauge).add(labels, &sample{value: g.Value})
-	return g
 }
 
 // GaugeFunc registers a gauge read from fn at scrape time.

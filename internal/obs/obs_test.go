@@ -15,12 +15,6 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	if c.Value() != 0 {
 		t.Fatalf("nil counter value = %d", c.Value())
 	}
-	g := r.Gauge("g", "h")
-	g.Set(3)
-	g.Add(1)
-	if g.Value() != 0 {
-		t.Fatalf("nil gauge value = %v", g.Value())
-	}
 	h := r.Histogram("h_seconds", "h", nil)
 	h.Observe(0.5)
 	if h.Count() != 0 || h.Sum() != 0 {
@@ -42,10 +36,10 @@ func TestCounterGaugeRender(t *testing.T) {
 	c2 := r.Counter("dscts_widgets_total", "Widgets made.", L("kind", "b"))
 	c.Add(3)
 	c2.Inc()
-	g := r.Gauge("dscts_depth", "Queue depth.")
-	g.Set(7)
-	g.Add(-2)
+	depth := 7.0
+	r.GaugeFunc("dscts_depth", "Queue depth.", func() float64 { return depth })
 	r.GaugeFunc("dscts_temp", "From a func.", func() float64 { return 1.5 })
+	depth -= 2 // read at render time, not at registration
 
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
@@ -119,7 +113,6 @@ func TestConcurrentInstruments(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "h")
 	h := r.Histogram("h_seconds", "h", nil)
-	g := r.Gauge("g", "h")
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -128,7 +121,6 @@ func TestConcurrentInstruments(t *testing.T) {
 			for i := 0; i < 1000; i++ {
 				c.Inc()
 				h.Observe(0.001)
-				g.Add(1)
 			}
 		}()
 	}
@@ -140,8 +132,8 @@ func TestConcurrentInstruments(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	if c.Value() != 8000 || h.Count() != 8000 || g.Value() != 8000 {
-		t.Fatalf("counter %d, histogram %d, gauge %v; want 8000 each", c.Value(), h.Count(), g.Value())
+	if c.Value() != 8000 || h.Count() != 8000 {
+		t.Fatalf("counter %d, histogram %d; want 8000 each", c.Value(), h.Count())
 	}
 	if got := h.Sum(); math.Abs(got-8.0) > 1e-9 {
 		t.Fatalf("histogram sum = %v, want 8", got)
@@ -180,7 +172,7 @@ func TestCounterOfAndHistogramOfReuse(t *testing.T) {
 func TestParseRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a_total", "h").Add(42)
-	r.Gauge("b", "h", L("k", "v")).Set(1.25)
+	r.GaugeFunc("b", "h", func() float64 { return 1.25 }, L("k", "v"))
 	h := r.Histogram("c_seconds", "h", []float64{0.1, 1})
 	h.Observe(0.05)
 	h.Observe(2)

@@ -21,8 +21,8 @@ import (
 // the old default (http.DefaultClient, no timeout at all) could.
 const DefaultClientTimeout = 15 * time.Minute
 
-// DefaultMaxRetries is the retry budget for idempotent requests when
-// Client.MaxRetries is zero.
+// DefaultMaxRetries is the transient-failure retry budget for idempotent
+// requests.
 const DefaultMaxRetries = 3
 
 // DefaultRetryBackoff is the base backoff when Client.RetryBackoff is zero;
@@ -50,9 +50,6 @@ type Client struct {
 	// Timeout bounds each request end to end when HTTP is nil: 0 means
 	// DefaultClientTimeout, negative disables the bound.
 	Timeout time.Duration
-	// MaxRetries is the transient-failure retry budget for idempotent
-	// requests: 0 means DefaultMaxRetries, negative disables retries.
-	MaxRetries int
 	// RetryBackoff is the base backoff; 0 means DefaultRetryBackoff.
 	RetryBackoff time.Duration
 }
@@ -118,13 +115,7 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any, ide
 			return err
 		}
 	}
-	retries := c.MaxRetries
-	switch {
-	case retries == 0:
-		retries = DefaultMaxRetries
-	case retries < 0:
-		retries = 0
-	}
+	retries := DefaultMaxRetries
 	if !idempotent {
 		retries = 0
 	}

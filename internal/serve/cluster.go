@@ -55,8 +55,6 @@ type ClusterConfig struct {
 	// Secret, when non-empty, must accompany every /internal/* call (the
 	// X-Dscts-Cluster-Secret header).
 	Secret string
-	// VNodes is the ring's virtual-node count per member (default 64).
-	VNodes int
 	// ProbeInterval / ProbeTimeout drive the /readyz liveness prober
 	// (defaults 2s / 1s).
 	ProbeInterval time.Duration
@@ -78,9 +76,6 @@ type ClusterConfig struct {
 }
 
 func (c ClusterConfig) withDefaults() ClusterConfig {
-	if c.VNodes <= 0 {
-		c.VNodes = clusterd.DefaultVNodes
-	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 2 * time.Second
 	}
@@ -174,7 +169,7 @@ func newClusterNode(cfg ClusterConfig, q *Queue) (*clusterNode, error) {
 	c := &clusterNode{
 		cfg:  cfg,
 		self: self,
-		ring: clusterd.NewRing(ids, cfg.VNodes),
+		ring: clusterd.NewRing(ids, clusterd.DefaultVNodes),
 		peers: clusterd.NewPeerSet(others, clusterd.PeerSetOptions{
 			ProbeInterval: cfg.ProbeInterval,
 			ProbeTimeout:  cfg.ProbeTimeout,

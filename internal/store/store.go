@@ -63,9 +63,10 @@ const (
 	formatVer = 3
 )
 
-// Defaults applied by Open for zero Config fields. The capacities are the
-// sizes of the serve caches a warm start fills, so the disk keeps no blob
-// a restart could not serve.
+// The capacities are the sizes of the serve caches a warm start fills, so
+// the disk keeps no blob a restart could not serve. Open applies
+// DefaultMaxResults and DefaultQueueDepth to zero Config fields; the base
+// tier is always DefaultMaxBases.
 const (
 	DefaultMaxResults = 128 // serve's default result cache (Config.CacheEntries)
 	DefaultMaxBases   = 8   // serve's ECO base cache (ecoBaseEntries)
@@ -76,10 +77,9 @@ const (
 type Config struct {
 	// Dir is the root directory; created if absent.
 	Dir string
-	// MaxResults / MaxBases cap the blob count per kind; the oldest files
-	// are deleted first (the on-disk tier mirrors the in-memory LRUs).
+	// MaxResults caps the result blob count; the oldest files are deleted
+	// first (the on-disk tier mirrors the in-memory LRUs).
 	MaxResults int
-	MaxBases   int
 	// QueueDepth bounds the write-behind buffer; a full buffer drops
 	// writes (counted) instead of blocking the job path.
 	QueueDepth int
@@ -156,17 +156,15 @@ type Store struct {
 }
 
 // Open creates or reopens a store rooted at cfg.Dir, lists the blobs of
-// both kinds with their write times and starts the write-behind writer.
-// It reads no blob; Load verifies each one.
+// both kinds with their write times, deletes each kind's oldest blobs
+// beyond its cap and starts the write-behind writer. It reads no blob;
+// Load verifies each one.
 func Open(cfg Config) (*Store, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("store: Config.Dir is required")
 	}
 	if cfg.MaxResults <= 0 {
 		cfg.MaxResults = DefaultMaxResults
-	}
-	if cfg.MaxBases <= 0 {
-		cfg.MaxBases = DefaultMaxBases
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = DefaultQueueDepth
@@ -175,7 +173,7 @@ func Open(cfg Config) (*Store, error) {
 		log: cfg.Logger,
 		kinds: map[string]*kindState{
 			KindResult: {dir: filepath.Join(cfg.Dir, "results"), max: cfg.MaxResults, entries: map[[32]byte]int64{}},
-			KindBase:   {dir: filepath.Join(cfg.Dir, "bases"), max: cfg.MaxBases, entries: map[[32]byte]int64{}},
+			KindBase:   {dir: filepath.Join(cfg.Dir, "bases"), max: DefaultMaxBases, entries: map[[32]byte]int64{}},
 		},
 		ch: make(chan writeOp, cfg.QueueDepth),
 	}
@@ -187,6 +185,7 @@ func Open(cfg Config) (*Store, error) {
 			return nil, fmt.Errorf("store: %w", err)
 		}
 		ks.list()
+		ks.evict()
 	}
 	// Earlier versions of the store kept a second record of the blobs in
 	// index.bin; nothing reads it, so a leftover one is deleted.
@@ -228,8 +227,25 @@ func (ks *kindState) list() {
 
 func keyDigest(key string) [32]byte { return sha256.Sum256([]byte(key)) }
 
-func (s *Store) blobPath(kind string, digest [32]byte) string {
-	return filepath.Join(s.kinds[kind].dir, hex.EncodeToString(digest[:])+".blob")
+func (ks *kindState) path(digest [32]byte) string {
+	return filepath.Join(ks.dir, hex.EncodeToString(digest[:])+".blob")
+}
+
+// evict deletes the oldest blobs, by (write time, digest), until at most
+// max remain: recency on disk is write recency. Callers hold s.mu, or own
+// the store before Open returns it.
+func (ks *kindState) evict() {
+	for len(ks.entries) > ks.max {
+		var oldest blobAge
+		first := true
+		for d, nano := range ks.entries {
+			if age := (blobAge{nano, d}); first || age.before(oldest) {
+				oldest, first = age, false
+			}
+		}
+		delete(ks.entries, oldest.digest)
+		os.Remove(ks.path(oldest.digest))
+	}
 }
 
 // blobAge places a blob in write order: by write time, ties broken by
@@ -333,7 +349,7 @@ func (s *Store) writer() {
 func (s *Store) persist(kind, key string, payload []byte) error {
 	ks := s.kinds[kind]
 	digest := keyDigest(key)
-	path := s.blobPath(kind, digest)
+	path := ks.path(digest)
 	tmp := path + ".tmp"
 	now := time.Now()
 	err := os.WriteFile(tmp, encodeBlob(key, Sum(payload), payload), 0o644)
@@ -354,19 +370,7 @@ func (s *Store) persist(kind, key string, payload []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ks.entries[digest] = now.UnixNano()
-	// Capacity: evict the oldest blobs beyond the cap, mirroring the
-	// in-memory LRUs' pressure model (recency on disk is write recency).
-	for len(ks.entries) > ks.max {
-		var oldest blobAge
-		first := true
-		for d, nano := range ks.entries {
-			if age := (blobAge{nano, d}); first || age.before(oldest) {
-				oldest, first = age, false
-			}
-		}
-		delete(ks.entries, oldest.digest)
-		os.Remove(s.blobPath(kind, oldest.digest))
-	}
+	ks.evict()
 	return nil
 }
 
@@ -437,8 +441,7 @@ func (s *Store) Load(kind string, fn func(key string, payload []byte) bool) {
 
 	for _, age := range ages {
 		digest := age.digest
-		path := s.blobPath(kind, digest)
-		data, err := os.ReadFile(path)
+		data, err := os.ReadFile(ks.path(digest))
 		if err != nil {
 			s.warmIO.Add(1)
 			s.forget(kind, digest)
@@ -478,7 +481,7 @@ func (s *Store) forget(kind string, digest [32]byte) {
 }
 
 func (s *Store) remove(kind string, digest [32]byte) {
-	os.Remove(s.blobPath(kind, digest))
+	os.Remove(s.kinds[kind].path(digest))
 	s.forget(kind, digest)
 }
 

@@ -274,7 +274,8 @@ func TestCallbackRejectCountsCorrupt(t *testing.T) {
 }
 
 // TestCapacityEvictsOldest: the per-kind cap deletes the oldest blobs first,
-// mirroring the in-memory LRU's pressure model.
+// mirroring the in-memory LRU's pressure model, both on write and when a
+// store is reopened at a smaller cap.
 func TestCapacityEvictsOldest(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir, func(c *Config) { c.MaxResults = 3 })
@@ -296,6 +297,24 @@ func TestCapacityEvictsOldest(t *testing.T) {
 	}
 	if len(got) != 3 {
 		t.Errorf("loaded %d entries, want 3", len(got))
+	}
+	r.Close()
+
+	// Reopened at a cap of 2, Open itself deletes the oldest survivor, so
+	// warm start reads no blob the cache would evict at once.
+	r = openT(t, dir, func(c *Config) { c.MaxResults = 2 })
+	if st := r.Stats(); st.ResultEntries != 2 {
+		t.Fatalf("%d result entries right after Open, want the cap of 2", st.ResultEntries)
+	}
+	got = loadAll(r, KindResult)
+	if len(got) != 2 || got["k3"] != "\x03" || got["k4"] != "\x04" {
+		t.Errorf("loaded %q at a cap of 2, want the two newest, k3 and k4", got)
+	}
+	if _, err := os.Stat(r.kinds[KindResult].path(keyDigest("k2"))); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("oldest blob k2 still on disk after Open at a cap of 2: %v", err)
+	}
+	if st := r.Stats(); st.WarmSkippedCorrupt+st.WarmSkippedVersion+st.WarmSkippedIO != 0 {
+		t.Errorf("trimmed blobs counted as skips: %+v", st)
 	}
 }
 
