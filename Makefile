@@ -1,7 +1,7 @@
 # Tier-1 verification and benchmarking entry points.
 #
 #   make ci          - build + vet + test + fuzz smoke (what the roadmap calls tier-1)
-#   make race        - race detector on the determinism + corner + service + store + ECO + what-if suites and every golden pin
+#   make race        - race detector on the determinism + corner + service + store + ECO + what-if suites, every golden pin, and par.Do with its sweep and placement callers
 #   make perfbench-test - vet + unit tests of the benchmark module (perfbench/, its own go.mod)
 #   make fuzz        - 10s fuzz smoke per fuzz target (DEF, LEF, request decoder, result payload, base snapshot, store read path, DP merge)
 #   make golden      - golden-metrics regression suite (make golden-update re-pins)
@@ -52,6 +52,7 @@ race:
 	$(GO) test -race -count=1 ./internal/eval/ ./internal/refine/
 	$(GO) test -race -count=1 ./internal/cluster/
 	$(GO) test -race -count=1 ./internal/insert/ ./internal/arena/
+	$(GO) test -race -count=1 ./internal/par/ ./internal/dse/ ./internal/bench/
 
 # The benchmark is its own module, so the root `go test ./...` never
 # compiles it; this keeps its calls into the engine building.

@@ -15,6 +15,7 @@ import (
 	"dscts/internal/clusterd"
 	"dscts/internal/fault"
 	"dscts/internal/obs"
+	"dscts/internal/par"
 	"dscts/internal/serve"
 )
 
@@ -167,11 +168,11 @@ func (n *clusterBenchNode) kill() {
 
 // runCluster boots an in-process N-node cluster (real loopback listeners,
 // consistent-hash routing, region dispatch) and runs three phases:
-// (A) routed load — clientConc clients spread over all nodes replaying a
-// shared distinct-request pool; (B) one partitioned XL job on a node with
-// zero local region executors, forcing remote dispatch; (C) kill-one-node —
-// traffic continues across the survivors while a node dies, and every
-// operation must still complete. With a chaos spec, phase A instead soaks
+// (A) routed load — clientConc jobs at a time, job i through node i mod N,
+// replaying a shared distinct-request pool until one fails; (B) one
+// partitioned XL job on a node with zero local region executors, forcing
+// remote dispatch; (C) kill-one-node — traffic continues across the
+// survivors while a node dies, and every operation must still complete. With a chaos spec, phase A instead soaks
 // for the duration with the fault schedule armed on the LAST node only,
 // and phases B/C are skipped. It writes BENCH_cluster.json and fails if the
 // report breaks clusterContract.
@@ -288,37 +289,24 @@ func runCluster(path string, nodeCount int, chaosSpec string, chaosSeed int64, d
 		}
 		rep.Jobs = int(ops.Total)
 	} else {
-		errs := make([]error, jobs)
-		var next int64
-		var wg sync.WaitGroup
-		for w := 0; w < conc; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				home := w % nodeCount
-				client := serve.NewClient(nodes[home].base)
-				for {
-					i := int(atomic.AddInt64(&next, 1)) - 1
-					if i >= jobs {
-						return
-					}
-					info, err := client.Synthesize(context.Background(), pool[i%distinct])
-					if err == nil && info.State != serve.StateDone {
-						err = fmt.Errorf("job %s ended %s (%s)", info.ID, info.State, info.Error)
-					}
-					if err != nil {
-						errs[i] = err
-						continue
-					}
-					perNodeJobs[home].Add(1)
-				}
-			}(w)
+		clients := make([]*serve.Client, nodeCount)
+		for i, n := range nodes {
+			clients[i] = serve.NewClient(n.base)
 		}
-		wg.Wait()
-		for i, err := range errs {
+		err := par.Do(context.Background(), conc, jobs, func(i int) error {
+			home := i % nodeCount
+			info, err := clients[home].Synthesize(context.Background(), pool[i%distinct])
+			if err == nil && info.State != serve.StateDone {
+				err = fmt.Errorf("job %s ended %s (%s)", info.ID, info.State, info.Error)
+			}
 			if err != nil {
 				return fmt.Errorf("cluster load job %d: %w", i, err)
 			}
+			perNodeJobs[home].Add(1)
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 	}
 

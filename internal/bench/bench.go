@@ -8,6 +8,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -280,8 +281,7 @@ func GenerateXL(sinkCount int, seed int64) (*Placement, error) {
 	sigma := side / (2.2 * math.Sqrt(float64(d.Hotspots)))
 	p.Sinks = make([]geom.Point, sinkCount)
 	chunks := (sinkCount + xlChunk - 1) / xlChunk
-	errs := make([]error, chunks)
-	par.ForEach(0, chunks, func(ci int) {
+	err = par.Do(context.TODO(), 0, chunks, func(ci int) error {
 		lo := ci * xlChunk
 		hi := lo + xlChunk
 		if hi > sinkCount {
@@ -300,8 +300,7 @@ func GenerateXL(sinkCount int, seed int64) (*Placement, error) {
 			c = p.Die.Clamp(c)
 			if p.inMacro(c) {
 				if tries++; tries > maxRejectTries {
-					errs[ci] = fmt.Errorf("bench: %s: sink placement rejected %d times in a row", d.Name, tries)
-					return
+					return fmt.Errorf("bench: %s: sink placement rejected %d times in a row", d.Name, tries)
 				}
 				continue
 			}
@@ -309,11 +308,10 @@ func GenerateXL(sinkCount int, seed int64) (*Placement, error) {
 			p.Sinks[i] = c
 			i++
 		}
+		return nil
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	return p, nil
 }

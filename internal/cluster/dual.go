@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 
 	"dscts/internal/arena"
@@ -89,32 +90,32 @@ func DualLevel(sinks []geom.Point, opt DualOptions) (*Dual, error) {
 	// independent. Each concurrent call checks its point staging buffer out
 	// of the scratch pool; KMeans copies the points into its own flat
 	// lanes, so the buffer is free for reuse as soon as the call returns.
-	inner := workers / high.K()
-	if inner < 1 {
-		inner = 1
-	}
-	lowErr := make([]error, high.K())
-	par.ForEach(workers, high.K(), func(h int) {
+	inner := max(1, workers/high.K())
+	err = par.Do(context.TODO(), workers, high.K(), func(h int) error {
 		sb := subPool.Get()
 		if sb == nil {
 			sb = &subBuf{}
 		}
+		defer subPool.Put(sb)
 		sb.pts = arena.Grow(sb.pts, len(high.Members[h]))
 		for i, idx := range high.Members[h] {
 			sb.pts[i] = sinks[idx]
 		}
-		d.Low[h], lowErr[h] = KMeans(sb.pts, Options{
+		var err error
+		if d.Low[h], err = KMeans(sb.pts, Options{
 			TargetSize: opt.LowSize, MaxIter: opt.MaxIter, Seed: opt.Seed + int64(h) + 1, Balance: true,
 			Workers: inner, Brute: opt.Brute,
-		})
-		subPool.Put(sb)
-	})
-	d.Work = high.Work
-	for h, err := range lowErr {
-		if err != nil {
-			return nil, fmt.Errorf("cluster: low level %d: %w", h, err)
+		}); err != nil {
+			return fmt.Errorf("cluster: low level %d: %w", h, err)
 		}
-		d.Work.add(d.Low[h].Work)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	d.Work = high.Work
+	for _, low := range d.Low {
+		d.Work.add(low.Work)
 	}
 
 	// The cap-aware flattening stays sequential: its recursive split seeds

@@ -235,7 +235,7 @@ func synthesizeRegions(ctx context.Context, rootPos geom.Point, sinks []geom.Poi
 		}
 	}
 	took := make([]time.Duration, len(regions))
-	err := fanOut(&opt, phase, len(run), func(k, inner int) error {
+	err := fanOut(ctx, &opt, phase, len(run), func(k, inner int) error {
 		r := regions[run[k]]
 		local := make([]geom.Point, len(r.Sinks))
 		for j, si := range r.Sinks {
@@ -309,10 +309,11 @@ func synthesizeRegions(ctx context.Context, rootPos geom.Point, sinks []geom.Poi
 // schedules them itself (peer dispatchers; capping at the local core count
 // would serialize dispatch, and the extra goroutines just wait on results).
 // Each scope's inner phases get max(1, workers/n). Every finished scope
-// reports one Point event under phase, and the first error in index order
-// is returned. The engine is deterministic in every worker count, so the
-// split affects wall-clock only, never results.
-func fanOut(opt *Options, phase Phase, n int, body func(k, inner int) error) error {
+// reports one Point event under phase. It runs through par.Do: a failed
+// scope or a done ctx starts no further scope. The engine is deterministic
+// in every worker count, so the split affects wall-clock only, never
+// results.
+func fanOut(ctx context.Context, opt *Options, phase Phase, n int, body func(k, inner int) error) error {
 	if n == 0 {
 		return nil
 	}
@@ -322,19 +323,14 @@ func fanOut(opt *Options, phase Phase, n int, body func(k, inner int) error) err
 		outer = n
 	}
 	inner := max(1, workers/n)
-	errs := make([]error, n)
 	var done atomic.Int64
-	par.ForEach(outer, n, func(k int) {
-		if errs[k] = body(k, inner); errs[k] == nil && opt.Progress != nil {
+	return par.Do(ctx, outer, n, func(k int) error {
+		err := body(k, inner)
+		if err == nil && opt.Progress != nil {
 			opt.Progress(Progress{Phase: phase, Point: int(done.Add(1)), Total: n})
 		}
+		return err
 	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // stitchAndCompose is the region pipeline's tail, for full and ECO runs

@@ -159,16 +159,26 @@ func ByName(name string) (Corner, error) {
 	return Corner{}, fmt.Errorf("corner: unknown corner %q (have slow, typ, fast)", name)
 }
 
-// ParseList resolves a comma-separated preset list, e.g. "slow,typ,fast".
-// Duplicate names are rejected: each corner may appear once per sign-off.
+// ParseList resolves a comma-separated preset list, e.g. "slow,typ,fast",
+// through Resolve.
 func ParseList(s string) ([]Corner, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, fmt.Errorf("corner: empty corner list")
 	}
+	names := strings.Split(s, ",")
+	for i := range names {
+		names[i] = strings.TrimSpace(names[i])
+	}
+	return Resolve(names)
+}
+
+// Resolve turns built-in preset names (case-insensitive) into corners, in
+// order. Unknown names and duplicates are rejected: each corner may appear
+// once per sign-off. No names resolve to no corners.
+func Resolve(names []string) ([]Corner, error) {
 	var out []Corner
 	seen := map[string]bool{}
-	for _, part := range strings.Split(s, ",") {
-		name := strings.TrimSpace(part)
+	for _, name := range names {
 		c, err := ByName(name)
 		if err != nil {
 			return nil, err

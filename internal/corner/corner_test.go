@@ -106,6 +106,12 @@ func TestByNameAndParseList(t *testing.T) {
 			t.Errorf("ParseList(%q) accepted", bad)
 		}
 	}
+	if cs, err := Resolve(nil); cs != nil || err != nil {
+		t.Fatalf("Resolve(nil) = %+v, %v; want no corners and no error", cs, err)
+	}
+	if _, err := Resolve([]string{"typ", "TYP"}); err == nil {
+		t.Error("Resolve accepted a repeated name")
+	}
 }
 
 func TestLoadJSON(t *testing.T) {

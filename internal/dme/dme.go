@@ -214,10 +214,6 @@ func mergeMS(a, b *msNode, layer tech.Layer, snaking bool) msNode {
 			core = is.CoreArc()
 		}
 	}
-	if DebugMerge {
-		fmt.Printf("merge: d=%g ea=%g eb=%g dA(ea)=%g dB(eb)=%g msA=%v msB=%v core=%v\n",
-			d, ea, eb, delayA(ea), delayB(eb), a.ms, b.ms, core)
-	}
 	return msNode{
 		ms:      core,
 		cap:     a.cap + b.cap + c*(ea+eb),
@@ -282,6 +278,3 @@ func (t *Tree) Wirelength() float64 {
 	}
 	return wl
 }
-
-// DebugMerge enables merge tracing for development.
-var DebugMerge bool

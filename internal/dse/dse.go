@@ -66,10 +66,12 @@ func SweepFanoutContext(ctx context.Context, root geom.Point, sinks []geom.Point
 }
 
 // sweepFanout is the engine shared by SweepFanoutContext and
-// SweepFanoutCorners: a concurrent threshold sweep with the worker budget
-// split between the fan-out and each point's inner phases (so short
-// sweeps on wide machines still saturate), fail-fast abort, and one
-// PhaseSweep progress event per completed point. Each point's Outcome is
+// SweepFanoutCorners: a concurrent threshold sweep through par.Do, with the
+// worker budget split between the fan-out and each point's inner phases (so
+// short sweeps on wide machines still saturate), and one PhaseSweep
+// progress event per completed point. A failed point or a done ctx starts
+// no further point; which points had already run may then depend on timing,
+// but the success path stays fully deterministic. Each point's Outcome is
 // handed to record(i, o) with i the threshold index; record runs
 // concurrently across points and must only touch index-disjoint state.
 // The corner set is forced on every point — nil for plain sweeps, so a
@@ -80,21 +82,10 @@ func sweepFanout(ctx context.Context, root geom.Point, sinks []geom.Point, tc *t
 		return fmt.Errorf("dse: no thresholds")
 	}
 	workers := par.N(base.Workers)
-	inner := workers / len(thresholds)
-	if inner < 1 {
-		inner = 1
-	}
+	inner := max(1, workers/len(thresholds))
 	progress := base.Progress
 	var completed atomic.Int64
-	errs := make([]error, len(thresholds))
-	// On failure the sweep aborts instead of paying for the remaining
-	// points; which error surfaces may then depend on timing, but the
-	// success path stays fully deterministic.
-	var failed atomic.Bool
-	par.ForEach(workers, len(thresholds), func(i int) {
-		if failed.Load() || ctx.Err() != nil {
-			return
-		}
+	err := par.Do(ctx, workers, len(thresholds), func(i int) error {
 		opt := base
 		opt.FanoutThreshold = thresholds[i]
 		opt.Workers = inner
@@ -102,9 +93,7 @@ func sweepFanout(ctx context.Context, root geom.Point, sinks []geom.Point, tc *t
 		opt.Corners = corners
 		o, err := core.SynthesizeContext(ctx, root, sinks, tc, opt)
 		if err != nil {
-			errs[i] = fmt.Errorf("dse: threshold %d: %w", thresholds[i], err)
-			failed.Store(true)
-			return
+			return fmt.Errorf("threshold %d: %w", thresholds[i], err)
 		}
 		record(i, o)
 		if progress != nil {
@@ -113,14 +102,10 @@ func sweepFanout(ctx context.Context, root geom.Point, sinks []geom.Point, tc *t
 				Point: int(completed.Add(1)), Total: len(thresholds),
 			})
 		}
+		return nil
 	})
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		return fmt.Errorf("dse: %w", err)
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -154,34 +139,14 @@ func Fractions(lo, hi, step float64) []float64 {
 // all CPUs). Result order follows the threshold order regardless of the
 // worker count.
 func SweepFanoutFlip(buffered *ctree.Tree, tc *tech.Tech, thresholds []int, workers int) ([]Point, error) {
-	out := make([]Point, len(thresholds))
-	errs := make([]error, len(thresholds))
-	var failed atomic.Bool
-	par.ForEach(workers, len(thresholds), func(i int) {
-		if failed.Load() {
-			return
-		}
-		th := thresholds[i]
-		tr := buffered.Clone()
-		if _, err := baseline.FanoutFlip(tr, th); err != nil {
-			errs[i] = fmt.Errorf("dse: fanout flip %d: %w", th, err)
-			failed.Store(true)
-			return
-		}
-		m, err := eval.New(tc, eval.Elmore).Evaluate(tr)
-		if err != nil {
-			errs[i] = err
-			failed.Store(true)
-			return
-		}
-		out[i] = fromMetrics("buffered+[7]", float64(th), m)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	params := make([]float64, len(thresholds))
+	for i, th := range thresholds {
+		params[i] = float64(th)
 	}
-	return out, nil
+	return sweepFlip(buffered, tc, "buffered+[7]", "fanout flip", params, workers, func(tr *ctree.Tree, th float64) error {
+		_, err := baseline.FanoutFlip(tr, int(th))
+		return err
+	})
 }
 
 // SweepCriticalFlip applies baseline [6] to clones of a buffered clock tree
@@ -189,32 +154,31 @@ func SweepFanoutFlip(buffered *ctree.Tree, tc *tech.Tech, thresholds []int, work
 // <= 0 means all CPUs). Result order follows the fraction order regardless
 // of the worker count.
 func SweepCriticalFlip(buffered *ctree.Tree, tc *tech.Tech, fractions []float64, workers int) ([]Point, error) {
-	out := make([]Point, len(fractions))
-	errs := make([]error, len(fractions))
-	var failed atomic.Bool
-	par.ForEach(workers, len(fractions), func(i int) {
-		if failed.Load() {
-			return
-		}
-		q := fractions[i]
+	return sweepFlip(buffered, tc, "buffered+[6]", "critical flip", fractions, workers, func(tr *ctree.Tree, q float64) error {
+		_, err := baseline.CriticalFlip(tr, tc, q)
+		return err
+	})
+}
+
+// sweepFlip is the body both baseline sweeps share: for each parameter it
+// flips a fresh clone of the buffered tree, evaluates it and records the
+// point under flow, through par.Do; the first failure stops the sweep.
+func sweepFlip(buffered *ctree.Tree, tc *tech.Tech, flow, knob string, params []float64, workers int, flip func(tr *ctree.Tree, p float64) error) ([]Point, error) {
+	out := make([]Point, len(params))
+	err := par.Do(context.TODO(), workers, len(params), func(i int) error {
 		tr := buffered.Clone()
-		if _, err := baseline.CriticalFlip(tr, tc, q); err != nil {
-			errs[i] = fmt.Errorf("dse: critical flip %g: %w", q, err)
-			failed.Store(true)
-			return
+		if err := flip(tr, params[i]); err != nil {
+			return fmt.Errorf("dse: %s %g: %w", knob, params[i], err)
 		}
 		m, err := eval.New(tc, eval.Elmore).Evaluate(tr)
 		if err != nil {
-			errs[i] = err
-			failed.Store(true)
-			return
+			return err
 		}
-		out[i] = fromMetrics("buffered+[6]", q, m)
+		out[i] = fromMetrics(flow, params[i], m)
+		return nil
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

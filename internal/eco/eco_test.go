@@ -2,6 +2,7 @@ package eco
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"dscts/internal/geom"
@@ -206,5 +207,29 @@ func TestSplitMembersBounded(t *testing.T) {
 	}
 	if len(seen) != len(members) {
 		t.Fatalf("%d of %d members grouped", len(seen), len(members))
+	}
+}
+
+// TestLoadJSON: a delta file's corner names resolve at load, so an unknown
+// or repeated name fails there rather than at Validate.
+func TestLoadJSON(t *testing.T) {
+	d, err := LoadJSON(strings.NewReader(`{"add":[{"x":1,"y":2}],"remove":[3],"corners":["SLOW","typ"]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Add) != 1 || d.Add[0] != geom.Pt(1, 2) || !reflect.DeepEqual(d.Remove, []int{3}) {
+		t.Fatalf("loaded %+v", d)
+	}
+	if len(d.SetCorners) != 2 || d.SetCorners[0].Name != "slow" || d.SetCorners[1].Name != "typ" {
+		t.Fatalf("corners %+v", d.SetCorners)
+	}
+	for _, bad := range []string{
+		`{"corners":["slow","SLOW"]}`,
+		`{"corners":["wat"]}`,
+		`{"rmove":[1]}`,
+	} {
+		if _, err := LoadJSON(strings.NewReader(bad)); err == nil {
+			t.Errorf("LoadJSON(%s) accepted", bad)
+		}
 	}
 }

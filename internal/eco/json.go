@@ -36,8 +36,9 @@ type jsonSpec struct {
 }
 
 // LoadJSON reads a delta spec. Unknown fields are rejected so a typo'd edit
-// cannot silently no-op; corner names resolve against the built-in presets.
-// The returned delta still needs Validate against the base sink count.
+// cannot silently no-op; corner names resolve through corner.Resolve, so an
+// unknown or repeated name fails here. The returned delta still needs
+// Validate against the base sink count.
 func LoadJSON(r io.Reader) (Delta, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -53,12 +54,9 @@ func LoadJSON(r io.Reader) (Delta, error) {
 		d.Move = append(d.Move, Move{Sink: m.Sink, To: geom.Pt(m.X, m.Y)})
 	}
 	d.Remove = spec.Remove
-	for _, name := range spec.Corners {
-		c, err := corner.ByName(name)
-		if err != nil {
-			return Delta{}, fmt.Errorf("eco: %w", err)
-		}
-		d.SetCorners = append(d.SetCorners, c)
+	var err error
+	if d.SetCorners, err = corner.Resolve(spec.Corners); err != nil {
+		return Delta{}, fmt.Errorf("eco: %w", err)
 	}
 	return d, nil
 }

@@ -104,20 +104,17 @@ func (e *Evaluator) Evaluate(t *ctree.Tree) (*Metrics, error) {
 // EvaluateViews evaluates one tree under several technology views: the
 // multi-corner sign-off kernel. It validates the tree and takes its
 // wirelength and resource counts once, then lowers and times it once per
-// view on the worker budget (par.N semantics), checking ctx before each
-// view. It returns each view's Metrics in view order, equal to
-// views[i].Evaluate(t), and the largest per-sink delay spread across the
-// views: the maximum over sinks of that sink's max-minus-min delay, 0 for a
-// single view (which keeps no per-sink lane). onView, when non-nil, is
-// called after each view completes with the completed and total counts; it
-// may be called from several goroutines. A cancelled ctx returns an error
-// wrapping ctx.Err().
+// view on the worker budget through par.Do, so a failed view or a done ctx
+// starts no further view. It returns each view's Metrics in view order,
+// equal to views[i].Evaluate(t), and the largest per-sink delay spread
+// across the views: the maximum over sinks of that sink's max-minus-min
+// delay, 0 for a single view (which keeps no per-sink lane). onView, when
+// non-nil, is called after each view completes with the completed and total
+// counts; it may be called from several goroutines. A cancelled ctx returns
+// an error wrapping ctx.Err().
 func EvaluateViews(ctx context.Context, t *ctree.Tree, views []*Evaluator, workers int, onView func(done, total int)) ([]*Metrics, float64, error) {
 	if len(views) == 0 {
 		return nil, 0, fmt.Errorf("eval: no views to evaluate")
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, 0, fmt.Errorf("eval: %w", err)
 	}
 	if err := t.Validate(); err != nil {
 		return nil, 0, fmt.Errorf("eval: %w", err)
@@ -125,7 +122,6 @@ func EvaluateViews(ctx context.Context, t *ctree.Tree, views []*Evaluator, worke
 	wl := t.Wirelength()
 	buffers, ntsvs := t.Counts()
 	ms := make([]*Metrics, len(views))
-	errs := make([]error, len(views))
 	// lanes[i] holds view i's sink delays in lowering order, which is the
 	// same sink order under every view of one tree.
 	var lanes [][]float64
@@ -133,16 +129,12 @@ func EvaluateViews(ctx context.Context, t *ctree.Tree, views []*Evaluator, worke
 		lanes = make([][]float64, len(views))
 	}
 	var done atomic.Int64
-	par.ForEach(workers, len(views), func(i int) {
-		if ctx.Err() != nil {
-			return
-		}
+	err := par.Do(ctx, workers, len(views), func(i int) error {
 		s := getEvalScratch()
 		defer evalPool.Put(s)
 		m := &Metrics{WL: wl, Buffers: buffers, NTSVs: ntsvs}
 		if _, _, err := views[i].measure(s, t, m); err != nil {
-			errs[i] = err
-			return
+			return err
 		}
 		if lanes != nil {
 			lane := make([]float64, len(s.net.sinkNet))
@@ -155,14 +147,13 @@ func EvaluateViews(ctx context.Context, t *ctree.Tree, views []*Evaluator, worke
 		if onView != nil {
 			onView(int(done.Add(1)), len(views))
 		}
+		return nil
 	})
-	if err := ctx.Err(); err != nil {
-		return nil, 0, fmt.Errorf("eval: %w", err)
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, 0, err
+	if err != nil {
+		if ctx.Err() != nil {
+			return nil, 0, fmt.Errorf("eval: %w", err)
 		}
+		return nil, 0, err
 	}
 	if lanes == nil {
 		return ms, 0, nil

@@ -7,9 +7,13 @@
 // any worker count (including 1) and obtain bit-identical output. The
 // helpers here only distribute work; they deliberately carry no per-item
 // state of their own.
+//
+// Do is the one fan-out for bodies that can fail, so every failed or
+// cancelled loop stops starting items by one rule.
 package par
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -56,6 +60,37 @@ func ForEach(workers, n int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
+}
+
+// Do is ForEach for bodies that can fail. Once an fn has returned an error
+// or ctx is done, no further index starts; indices already running finish.
+// It returns ctx.Err() if ctx is done, else the error of the lowest failed
+// index, else nil. When workers resolves to one (see N) it runs inline in
+// index order, so no index after the first failure runs.
+func Do(ctx context.Context, workers, n int, fn func(i int) error) error {
+	var (
+		stop  atomic.Bool
+		mu    sync.Mutex
+		first = n
+		err   error
+	)
+	ForEach(workers, n, func(i int) {
+		if stop.Load() || ctx.Err() != nil {
+			return
+		}
+		if e := fn(i); e != nil {
+			stop.Store(true)
+			mu.Lock()
+			if i < first {
+				first, err = i, e
+			}
+			mu.Unlock()
+		}
+	})
+	if e := ctx.Err(); e != nil {
+		return e
+	}
+	return err
 }
 
 // Chunks splits [0, n) into contiguous chunks of the given size and runs

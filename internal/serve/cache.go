@@ -117,21 +117,6 @@ func (c *lru[V]) Put(key string, val V) {
 	}
 }
 
-// Remove drops a key if present (corrupted-entry eviction); it counts as an
-// eviction.
-func (c *lru[V]) Remove(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return false
-	}
-	c.ll.Remove(el)
-	delete(c.items, key)
-	c.evictions++
-	return true
-}
-
 // Peek returns the value without touching recency or the hit/miss counters.
 func (c *lru[V]) Peek(key string) (V, bool) {
 	c.mu.Lock()

@@ -12,8 +12,8 @@ import (
 	"dscts/internal/eval"
 )
 
-// TestLRUEdges pins the generic LRU's less-travelled operations: Remove,
-// Peek and the eviction bookkeeping around them.
+// TestLRUEdges pins the generic LRU's less-travelled operations: Peek and
+// the eviction bookkeeping around it.
 func TestLRUEdges(t *testing.T) {
 	l := newLRU[int](2, 128)
 	l.Put("a", 1)
@@ -35,22 +35,14 @@ func TestLRUEdges(t *testing.T) {
 		t.Error("b evicted out of order")
 	}
 
-	// Remove drops a present key (counted as an eviction) and reports an
-	// absent one without counting anything.
-	if !l.Remove("b") {
-		t.Error("Remove(b) = false with b present")
-	}
-	if l.Remove("b") || l.Remove("ghost") {
-		t.Error("Remove of an absent key reported true")
-	}
 	st := l.Stats()
-	if st.Entries != 1 || st.Evictions != 2 {
-		t.Errorf("stats %+v, want 1 entry and 2 evictions (capacity + Remove)", st)
+	if st.Entries != 2 || st.Evictions != 1 {
+		t.Errorf("stats %+v, want 2 entries and 1 eviction (capacity)", st)
 	}
 
-	// A Get after Remove is a clean miss.
-	if _, ok := l.Get("b"); ok {
-		t.Error("removed key still readable")
+	// A Get of the evicted key is a clean miss.
+	if _, ok := l.Get("a"); ok {
+		t.Error("evicted key still readable")
 	}
 	if st := l.Stats(); st.Misses != 1 {
 		t.Errorf("misses = %d, want 1", st.Misses)
@@ -61,8 +53,8 @@ func TestLRUEdges(t *testing.T) {
 	if v, _ := l.Get("c"); v != 30 {
 		t.Errorf("refreshed value = %d, want 30", v)
 	}
-	if st := l.Stats(); st.Entries != 1 {
-		t.Errorf("entries = %d after refreshing the only key, want 1", st.Entries)
+	if st := l.Stats(); st.Entries != 2 || st.Evictions != 1 {
+		t.Errorf("stats %+v after refreshing a key, want 2 entries and 1 eviction", st)
 	}
 }
 

@@ -169,17 +169,9 @@ func (d *DeltaSpec) toDelta() (eco.Delta, error) {
 		out.Move = append(out.Move, eco.Move{Sink: m.Sink, To: geom.Pt(m.X, m.Y)})
 	}
 	out.Remove = d.Remove
-	for _, name := range d.Corners {
-		c, err := corner.ByName(name)
-		if err != nil {
-			return eco.Delta{}, err
-		}
-		out.SetCorners = append(out.SetCorners, c)
-	}
-	if len(out.SetCorners) > 0 {
-		if err := corner.ValidateSet(out.SetCorners); err != nil {
-			return eco.Delta{}, err
-		}
+	var err error
+	if out.SetCorners, err = corner.Resolve(d.Corners); err != nil {
+		return eco.Delta{}, err
 	}
 	return out, nil
 }
@@ -246,10 +238,8 @@ func (r *Request) validate(kind string) (design string, sinks int, err error) {
 	default:
 		return "", 0, fmt.Errorf("unknown mode %q (want \"double\" or \"single\")", r.Options.Mode)
 	}
-	if len(r.Corners) > 0 {
-		if _, err := r.corners(); err != nil {
-			return "", 0, err
-		}
+	if _, err := corner.Resolve(r.Corners); err != nil {
+		return "", 0, err
 	}
 	if kind == KindDSE {
 		if len(r.Thresholds) == 0 {
@@ -337,31 +327,8 @@ func (r *Request) resolve(kind string) (*resolved, error) {
 	out.opt.MaxPerSide = o.MaxPerSide
 	out.opt.UseFlatDME = o.UseFlatDME
 	out.opt.Partition = partition.Options{MaxSinks: o.PartitionMaxSinks, Strategy: o.PartitionStrategy, Macros: macros}
-	if len(r.Corners) > 0 {
-		cs, err := r.corners()
-		if err != nil {
-			return nil, err
-		}
-		out.opt.Corners = cs
-	}
-	return out, nil
-}
-
-// corners resolves the request's corner names against the built-in
-// presets, rejecting unknowns and duplicates.
-func (r *Request) corners() ([]corner.Corner, error) {
-	out := make([]corner.Corner, len(r.Corners))
-	seen := map[string]bool{}
-	for i, name := range r.Corners {
-		c, err := corner.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		if seen[c.Name] {
-			return nil, fmt.Errorf("duplicate corner %q", c.Name)
-		}
-		seen[c.Name] = true
-		out[i] = c
+	if out.opt.Corners, err = corner.Resolve(r.Corners); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
