@@ -8,7 +8,7 @@
 #   make staticcheck - pinned staticcheck over the whole tree (fetches the tool)
 #   make vulncheck   - pinned govulncheck over the whole tree (fetches the tool)
 #   make smoke       - the Go-only CLI smoke suite (what CI runs, minus the XL job)
-#   make bench       - the substrate, parallel-engine, partition, split, sign-off and refinement benchmarks, plus the request key, result checksum and result payload codec
+#   make bench       - the substrate, parallel-engine, partition, split, sign-off and refinement benchmarks, plus the request key, result checksum, result payload codec and cache hit
 #   make report      - regenerate BENCH_parallel.json (the allocation baseline)
 #   make chaos       - 30s seeded fault-injection soak under -race; the run asserts its own contract
 #   make cluster     - 3-node in-process cluster run; the run asserts its own contract
@@ -117,7 +117,7 @@ eco:
 
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkSubstrates|BenchmarkParallelSynthesize|BenchmarkPartitionSynthesize|BenchmarkSplit|BenchmarkCornerSignoff|BenchmarkFig11SkewRefinement' -benchmem .
-	$(GO) test -run xxx -bench 'BenchmarkRequestKey|BenchmarkResultChecksum|BenchmarkResultPersist' -benchmem ./internal/serve/
+	$(GO) test -run xxx -bench 'BenchmarkRequestKey|BenchmarkResultChecksum|BenchmarkResultPersist|BenchmarkCacheHit' -benchmem ./internal/serve/
 
 # Pinned to GOMAXPROCS=1: CI's allocs-gate re-measures at GOMAXPROCS=1,
 # and `benchgen -compare` refuses reports recorded at a different goos,

@@ -325,7 +325,7 @@ func ecoMonolithic(ctx context.Context, prevTree *ctree.Tree, st *ECOState, d ec
 	mini.Corners = nil
 	mini.Progress = nil
 	minis := make([]*stages, len(plan.Clusters))
-	err = fanOut(ctx, &knobs, PhaseECO, len(plan.Clusters), func(k, inner int) error {
+	err = fanOut(ctx, &knobs, PhaseECO, len(plan.Clusters), func(ctx context.Context, k, inner int) error {
 		members := plan.Members[k]
 		if len(members) == 0 {
 			return nil // cluster lost every sink: the centroid stays childless

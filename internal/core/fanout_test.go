@@ -3,7 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"dscts/internal/fault"
 	"dscts/internal/geom"
@@ -88,5 +92,54 @@ func TestFanOutStopsStartingECOClusters(t *testing.T) {
 	}
 	if n := routeStarts(reg); n != 1 {
 		t.Errorf("%d of %d dirty clusters started routing, want 1", n, clean.ECO.DirtyScopes)
+	}
+}
+
+// TestFanOutCancelsRunningScopes: when one scope fails, the scopes already
+// running beside it see their context done with Err context.Canceled, and
+// the call returns the failing scope's error without waiting for them. RegionExec runs every region at once whatever
+// GOMAXPROCS is: region 0 fails as soon as region 1 has started, and
+// region 1 waits for its context.
+func TestFanOutCancelsRunningScopes(t *testing.T) {
+	sinks := clusteredSinks(1000, 5, 400)
+	opt := Options{Workers: 2, Partition: partition.Options{MaxSinks: 600}}
+	regions, err := partition.Split(sinks, opt.Partition)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(regions) != 2 {
+		t.Fatalf("%d regions, want 2", len(regions))
+	}
+	boom := errors.New("region executor failed")
+	var sawErr atomic.Value
+	running := make(chan struct{})
+	opt.RegionExec = func(ctx context.Context, w RegionWork) (*RegionOut, error) {
+		if w.ID == 0 {
+			<-running
+			return nil, boom
+		}
+		close(running)
+		select {
+		case <-ctx.Done():
+			sawErr.Store(fmt.Sprint(ctx.Err()))
+			return nil, ctx.Err()
+		case <-time.After(10 * time.Second):
+			return nil, errors.New("region 1 ran out its wait: nothing cancelled it")
+		}
+	}
+	start := time.Now()
+	_, err = Synthesize(geom.Pt(200, 200), sinks, tech.ASAP7(), opt)
+	took := time.Since(start)
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want region 0's error", err)
+	}
+	if !strings.Contains(err.Error(), "region 0") {
+		t.Errorf("err = %q does not name region 0", err)
+	}
+	if got, want := sawErr.Load(), fmt.Sprint(context.Canceled); got != want {
+		t.Errorf("region 1 saw its context done with Err %v, want %v", got, want)
+	}
+	if took > 5*time.Second {
+		t.Errorf("the call took %v: it waited for region 1", took)
 	}
 }

@@ -235,7 +235,7 @@ func synthesizeRegions(ctx context.Context, rootPos geom.Point, sinks []geom.Poi
 		}
 	}
 	took := make([]time.Duration, len(regions))
-	err := fanOut(ctx, &opt, phase, len(run), func(k, inner int) error {
+	err := fanOut(ctx, &opt, phase, len(run), func(ctx context.Context, k, inner int) error {
 		r := regions[run[k]]
 		local := make([]geom.Point, len(r.Sinks))
 		for j, si := range r.Sinks {
@@ -309,11 +309,17 @@ func synthesizeRegions(ctx context.Context, rootPos geom.Point, sinks []geom.Poi
 // schedules them itself (peer dispatchers; capping at the local core count
 // would serialize dispatch, and the extra goroutines just wait on results).
 // Each scope's inner phases get max(1, workers/n). Every finished scope
-// reports one Point event under phase. It runs through par.Do: a failed
-// scope or a done ctx starts no further scope. The engine is deterministic
-// in every worker count, so the split affects wall-clock only, never
-// results.
-func fanOut(ctx context.Context, opt *Options, phase Phase, n int, body func(k, inner int) error) error {
+// reports one Point event under phase. The engine is deterministic in every
+// worker count, so the split affects wall-clock only, never results.
+//
+// A failed scope decides the call, so it stops the others. It runs through
+// par.Do, so no further scope starts, and body's context, a child of ctx,
+// is cancelled, so the scopes already running stop at their next check.
+// Errors returned once that context is done are consequences, not causes,
+// and are dropped: fanOut returns the failing scope's own error, or
+// ctx.Err() when ctx itself ended. A region executor sees the
+// cancellation as context.Canceled, which charges no peer.
+func fanOut(ctx context.Context, opt *Options, phase Phase, n int, body func(ctx context.Context, k, inner int) error) error {
 	if n == 0 {
 		return nil
 	}
@@ -323,12 +329,21 @@ func fanOut(ctx context.Context, opt *Options, phase Phase, n int, body func(k, 
 		outer = n
 	}
 	inner := max(1, workers/n)
+	scopes, stop := context.WithCancel(ctx)
+	defer stop()
 	var done atomic.Int64
 	return par.Do(ctx, outer, n, func(k int) error {
-		err := body(k, inner)
-		if err == nil && opt.Progress != nil {
-			opt.Progress(Progress{Phase: phase, Point: int(done.Add(1)), Total: n})
+		err := body(scopes, k, inner)
+		switch {
+		case err == nil:
+			if opt.Progress != nil {
+				opt.Progress(Progress{Phase: phase, Point: int(done.Add(1)), Total: n})
+			}
+			return nil
+		case scopes.Err() != nil:
+			return nil
 		}
+		stop()
 		return err
 	})
 }

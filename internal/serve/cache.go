@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"fmt"
 	"math"
+	"math/bits"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -19,9 +20,10 @@ type CacheStats struct {
 	// Corruptions counts entries whose integrity checksum failed on read;
 	// each was evicted and recomputed instead of served (result cache only).
 	Corruptions int64 `json:"corruptions,omitempty"`
-	// EncodeDrops counts results the checksum refused at store time
-	// because they have no JSON encoding (a NaN or infinite float); each
-	// was dropped instead of cached (result cache only).
+	// EncodeDrops counts results refused at store time because they have
+	// no entry form (a NaN or infinite float, or a sink-delay map not
+	// keyed 0..n-1); each was dropped instead of cached (result cache
+	// only).
 	EncodeDrops int64 `json:"encode_drops,omitempty"`
 }
 
@@ -139,51 +141,112 @@ func (c *lru[V]) Stats() CacheStats {
 	}
 }
 
-// cachedResult is one result-cache entry: the immutable result plus the
-// integrity checksum computed at store time.
-type cachedResult struct {
-	res *Result
-	sum uint64
+// entry is one result-cache entry, in the form the store persists (format
+// 3, see encodeEntry): the delay-free head res.view(false), plus one dense
+// lane per SinkDelays map in laneMetrics order, lane[i] holding sink i's
+// delay. A nil lane stands for a nil map and an empty lane for an empty
+// one. sum, computed at Put, covers both parts. An entry is immutable once
+// stored: hits, the miss's job record and the store's writer share its
+// head and lanes read-only.
+type entry struct {
+	head  *Result
+	lanes [][]float64
+	sum   uint64
 }
 
-// cache is the result cache: a checksummed LRU. Every entry's checksum is
-// computed when stored and re-verified on every read; a mismatch means the
-// entry was corrupted in place (injected by the fault harness, or real
-// memory damage once entries live off-heap), so Get evicts it and reports a
-// miss — the caller recomputes instead of serving garbage.
+// newEntry splits res into its head and lanes. A delay map must be keyed
+// exactly 0..n-1, as every engine result is (ECO removals compact the
+// survivors' indices); any other map has no lane form and is an error.
+func newEntry(res *Result) (entry, error) {
+	ms, err := laneMetrics(res)
+	if err != nil {
+		return entry{}, err
+	}
+	lanes := make([][]float64, len(ms))
+	for i, m := range ms {
+		if m.SinkDelays == nil {
+			continue
+		}
+		lane := make([]float64, len(m.SinkDelays))
+		// n distinct keys, each in [0, n): every slot is written once.
+		for k, d := range m.SinkDelays {
+			if k < 0 || k >= len(lane) {
+				return entry{}, fmt.Errorf("serve: sink delay key %d outside 0..%d", k, len(lane)-1)
+			}
+			lane[k] = d
+		}
+		lanes[i] = lane
+	}
+	return entry{head: res.view(false), lanes: lanes}, nil
+}
+
+// result is the entry as a response: the head itself, or with
+// includeSinkDelays a copy whose Metrics carry maps rebuilt from the lanes.
+func (e entry) result(includeSinkDelays bool) *Result {
+	if !includeSinkDelays || len(e.lanes) == 0 {
+		return e.head
+	}
+	return e.head.withDelays(func(i int) map[int]float64 {
+		lane := e.lanes[i]
+		if lane == nil {
+			return nil
+		}
+		m := make(map[int]float64, len(lane))
+		for k, d := range lane {
+			m[k] = d
+		}
+		return m
+	})
+}
+
+// cache is the result cache: a checksummed LRU of entries. Every entry's
+// checksum is computed when stored and re-verified on every read; a
+// mismatch means the entry was corrupted in place (injected by the fault
+// harness, or real memory damage), so Get evicts it and reports a miss —
+// the caller recomputes instead of serving garbage.
 type cache struct {
-	lru         *lru[cachedResult]
+	lru         *lru[entry]
 	encodeDrops atomic.Int64
 }
 
 func newCache(maxEntries int) *cache {
-	return &cache{lru: newLRU[cachedResult](maxEntries, 128)}
+	return &cache{lru: newLRU[entry](maxEntries, 128)}
 }
 
-// Get returns the cached result after verifying its checksum. Verification
-// runs under the LRU lock so the hit/miss/corruption counters stay
-// mutually consistent (see lru.GetChecked).
-func (c *cache) Get(key string) (*Result, bool) {
-	e, ok := c.lru.GetChecked(key, func(e cachedResult) bool {
-		sum, err := sumResult(e.res)
+// Get returns the cached entry after verifying its checksum over the head
+// and every lane word. Verification runs under the LRU lock so the
+// hit/miss/corruption counters stay mutually consistent (see
+// lru.GetChecked).
+func (c *cache) Get(key string) (entry, bool) {
+	return c.lru.GetChecked(key, func(e entry) bool {
+		sum, err := sumEntry(e)
 		return err == nil && sum == e.sum
 	})
-	if !ok {
-		return nil, false
-	}
-	return e.res, true
 }
 
-// Put stores a result with a fresh checksum. A result with no JSON
-// encoding — which a well-formed engine result never is — is dropped and
-// counted instead of stored: it could be neither served nor persisted.
-func (c *cache) Put(key string, res *Result) bool {
-	sum, err := sumResult(res)
+// Put stores res as an entry and returns it. A result with no entry form
+// or no JSON encoding — a delay map not keyed 0..n-1, or a NaN or infinite
+// float — is refused and counted in encode_drops: it could be neither
+// served nor persisted. A well-formed engine result is never refused.
+func (c *cache) Put(key string, res *Result) (entry, bool) {
+	e, err := newEntry(res)
+	if err != nil {
+		c.encodeDrops.Add(1)
+		return entry{}, false
+	}
+	return e, c.add(key, e)
+}
+
+// add stores an entry with a fresh checksum, refusing (and counting) one
+// the checksum walk rejects. Warm start adds decoded entries directly.
+func (c *cache) add(key string, e entry) bool {
+	sum, err := sumEntry(e)
 	if err != nil {
 		c.encodeDrops.Add(1)
 		return false
 	}
-	c.lru.Put(key, cachedResult{res: res, sum: sum})
+	e.sum = sum
+	c.lru.Put(key, e)
 	return true
 }
 
@@ -197,6 +260,8 @@ func (c *cache) Has(key string) bool {
 
 // Corrupt flips the stored checksum of an entry, simulating in-place
 // corruption for the fault harness and tests; the next Get must detect it.
+// It flips the sum, not the data, because the store's writer may still be
+// encoding the entry's head and lanes.
 func (c *cache) Corrupt(key string) bool {
 	e, ok := c.lru.Peek(key)
 	if !ok {
@@ -217,26 +282,33 @@ func (c *cache) Stats() CacheStats {
 	return st
 }
 
-// sumResult is the result cache's integrity checksum: a structural hash
-// that walks the Result by reflection instead of encoding it. Struct fields
-// hash in declaration order; a slice or array hashes its length, then its
-// elements; a pointer or interface hashes whether it is nil, then its
-// target; a string hashes its length and bytes; a float its bits; an
-// integer or bool its value. A map hashes its length and the wrapping sum
-// of one mixed hash per (key, value) entry, so Go's random iteration order
-// still gives one sum; map[int]float64 (every SinkDelays) takes a typed
-// fast path.
+// sumEntry is the result cache's integrity checksum, over every byte a hit
+// serves: a structural walk of the head, then every lane word.
 //
-// The walk also keeps Put's promise that a cached result encodes. No type
-// reachable from Result has a custom marshaler, so json.Marshal fails on
-// one only for a NaN or infinite float, a map key it cannot spell, or a
-// kind it has no form for (func, chan, complex), and sumResult returns an
-// error on exactly those. An error is surfaced, never summed over: a sum
-// of a partial walk would read as in-place corruption on the next Get.
-func sumResult(r *Result) (uint64, error) {
+// The head walk visits the Result by reflection instead of encoding it.
+// Struct fields hash in declaration order; a slice or array hashes its
+// length, then its elements; a pointer or interface hashes whether it is
+// nil, then its target; a string hashes its length and bytes; a float its
+// bits; an integer or bool its value. A head carries no map: its delay
+// maps are nil, and hash like a nil pointer.
+//
+// The walk also keeps Put's promise that a cached entry encodes. No type
+// reachable from Result has a custom marshaler, so json.Marshal of the head
+// fails only on a NaN or infinite float or a kind it has no form for
+// (func, chan, complex), and sumEntry returns an error on exactly those,
+// on a non-nil map in the head, and on a NaN or infinite lane word. An
+// error is surfaced, never summed over: a sum of a partial walk would read
+// as in-place corruption on the next Get.
+func sumEntry(e entry) (uint64, error) {
 	h := hasher(sumSeed)
-	if err := h.walk(reflect.ValueOf(r)); err != nil {
+	if err := h.walk(reflect.ValueOf(e.head)); err != nil {
 		return 0, err
+	}
+	h.word(uint64(len(e.lanes)))
+	for _, lane := range e.lanes {
+		if err := h.lane(lane); err != nil {
+			return 0, err
+		}
 	}
 	return uint64(h), nil
 }
@@ -264,6 +336,59 @@ func finite(f float64) error {
 		return fmt.Errorf("serve: result float %v has no JSON encoding", f)
 	}
 	return nil
+}
+
+// expBits are a float64's exponent bits, all set only in a NaN or an Inf.
+const expBits = 0x7ff0000000000000
+
+// lane folds one delay lane into h: nilLane for a nil lane, else its
+// length, then every word by position. Word i feeds accumulator i mod 4
+// through xxHash64's round (acc += w·p2; acc = rotl(acc, 31)·p1), which is
+// a bijection in w for a fixed acc and in acc for a fixed w, so changing
+// any one word changes its accumulator's end state and with it the sum.
+// The four accumulators let neighbouring words' multiplies overlap; they
+// fold back into h in order.
+func (h *hasher) lane(xs []float64) error {
+	if xs == nil {
+		h.word(nilLane)
+		return nil
+	}
+	h.word(uint64(len(xs)))
+	s := uint64(*h)
+	a0, a1, a2, a3 := s+prime1+prime2, s+prime2, s, s-prime1
+	for ; len(xs) >= 4; xs = xs[4:] {
+		b0, b1 := math.Float64bits(xs[0]), math.Float64bits(xs[1])
+		b2, b3 := math.Float64bits(xs[2]), math.Float64bits(xs[3])
+		if b0&expBits == expBits || b1&expBits == expBits || b2&expBits == expBits || b3&expBits == expBits {
+			for _, f := range xs[:4] {
+				if err := finite(f); err != nil {
+					return err
+				}
+			}
+		}
+		a0, a1, a2, a3 = round(a0, b0), round(a1, b1), round(a2, b2), round(a3, b3)
+	}
+	for _, f := range xs {
+		if err := finite(f); err != nil {
+			return err
+		}
+		a0 = round(a0, math.Float64bits(f))
+	}
+	h.word(a0)
+	h.word(a1)
+	h.word(a2)
+	h.word(a3)
+	return nil
+}
+
+// prime1 and prime2 are xxHash64's first two primes, both odd.
+const (
+	prime1 = 0x9e3779b185ebca87
+	prime2 = 0xc2b2ae3d27d4eb4f
+)
+
+func round(acc, w uint64) uint64 {
+	return bits.RotateLeft64(acc+w*prime2, 31) * prime1
 }
 
 func (h *hasher) walk(v reflect.Value) error {
@@ -296,6 +421,11 @@ func (h *hasher) walk(v reflect.Value) error {
 		}
 		h.word(1)
 		return h.walk(v.Elem())
+	case reflect.Map:
+		if !v.IsNil() {
+			return fmt.Errorf("serve: result head carries a %s; delay maps belong in the lanes", v.Type())
+		}
+		h.word(0)
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
 			if err := h.walk(v.Field(i)); err != nil {
@@ -309,48 +439,8 @@ func (h *hasher) walk(v reflect.Value) error {
 				return err
 			}
 		}
-	case reflect.Map:
-		acc, err := mapSum(v)
-		if err != nil {
-			return err
-		}
-		h.word(uint64(v.Len()))
-		h.word(acc)
 	default:
 		return fmt.Errorf("serve: result field of type %s has no JSON encoding", v.Type())
 	}
 	return nil
-}
-
-// mapSum is the order-independent part of a map's hash: the wrapping sum
-// of one mixed hash per entry.
-func mapSum(v reflect.Value) (uint64, error) {
-	var acc uint64
-	if m, ok := v.Interface().(map[int]float64); ok {
-		for k, f := range m {
-			if err := finite(f); err != nil {
-				return 0, err
-			}
-			acc += mix64(mix64(uint64(k)) ^ math.Float64bits(f))
-		}
-		return acc, nil
-	}
-	switch v.Type().Key().Kind() {
-	case reflect.String,
-		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-	default:
-		return 0, fmt.Errorf("serve: result map key of type %s has no JSON encoding", v.Type().Key())
-	}
-	for it := v.MapRange(); it.Next(); {
-		e := hasher(sumSeed)
-		if err := e.walk(it.Key()); err != nil {
-			return 0, err
-		}
-		if err := e.walk(it.Value()); err != nil {
-			return 0, err
-		}
-		acc += mix64(uint64(e))
-	}
-	return acc, nil
 }

@@ -1,12 +1,16 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"dscts/internal/eval"
@@ -90,7 +94,7 @@ func TestLRUGetCheckedConsistency(t *testing.T) {
 func TestEncodeDropNotCached(t *testing.T) {
 	c := newCache(8)
 	bad := &Result{Kind: KindSynthesize, Design: "C1", Metrics: &eval.Metrics{Latency: math.NaN()}}
-	if c.Put("k", bad) {
+	if _, ok := c.Put("k", bad); ok {
 		t.Fatal("cache accepted an unencodable result")
 	}
 	if _, ok := c.Get("k"); ok {
@@ -105,7 +109,7 @@ func TestEncodeDropNotCached(t *testing.T) {
 	}
 	// A well-formed result on the same key still works.
 	good := &Result{Kind: KindSynthesize, Design: "C1", Metrics: &eval.Metrics{Latency: 1}}
-	if !c.Put("k", good) {
+	if _, ok := c.Put("k", good); !ok {
 		t.Fatal("cache refused a well-formed result")
 	}
 	if _, ok := c.Get("k"); !ok {
@@ -305,98 +309,187 @@ func editsOf(v reflect.Value, path string) []edit {
 
 // filledResult is a Result with every pointer set, every slice and map
 // non-empty and every leaf distinct, found by reflection so that a new
-// field joins the checksum tests without editing them.
+// field joins the checksum tests without editing them. Its sink-delay maps
+// are then keyed 0..n-1, as the engine keys them, so it has an entry form.
 func filledResult(t *testing.T) *Result {
 	res := new(Result)
 	n := 0
 	fill(t, reflect.ValueOf(res).Elem(), "Result", &n)
-	return res
-}
-
-// TestResultSumCoversEveryField: changing any leaf of a fully populated
-// Result, nil-ing any pointer or shortening any slice changes the cache
-// checksum, and map iteration order does not move it.
-func TestResultSumCoversEveryField(t *testing.T) {
-	res := filledResult(t)
-	want, err := sumResult(res)
+	ms, err := laneMetrics(res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 100; i++ {
-		if got, err := sumResult(res); err != nil || got != want {
-			t.Fatalf("sum %d of an unchanged result = %#x (err %v), want %#x", i, got, err, want)
+	for _, m := range ms {
+		dense := make(map[int]float64, len(m.SinkDelays))
+		for _, k := range slices.Sorted(maps.Keys(m.SinkDelays)) {
+			dense[len(dense)] = m.SinkDelays[k]
 		}
+		m.SinkDelays = dense
 	}
-	edits := editsOf(reflect.ValueOf(res).Elem(), "Result")
-	for _, e := range edits {
-		e.apply()
-		got, err := sumResult(res)
-		e.undo()
-		if err != nil {
-			t.Errorf("%s: %v", e.path, err)
-		} else if got == want {
-			t.Errorf("%s: checksum unchanged by the edit", e.path)
-		}
-	}
-	if got, err := sumResult(res); err != nil || got != want {
-		t.Fatalf("sum after undoing every edit = %#x (err %v), want %#x", got, err, want)
-	}
-	t.Logf("%d edits checked", len(edits))
+	return res
 }
 
-// TestResultSumMapRules covers the map walk beyond map[int]float64: one
-// sum whatever the iteration order, a changed entry moves it, and values
-// or keys JSON cannot encode are errors.
+func mustEntry(tb testing.TB, res *Result) entry {
+	tb.Helper()
+	e, err := newEntry(res)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return e
+}
+
+func mustSum(tb testing.TB, e entry) uint64 {
+	tb.Helper()
+	sum, err := sumEntry(e)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sum
+}
+
+// laneEdits lists reversible edits of an entry's lanes: each lane set to
+// nil, emptied and shortened by one, and each bit of each lane word
+// flipped on its own.
+func laneEdits(e entry) []edit {
+	var out []edit
+	for li := range e.lanes {
+		lane := e.lanes[li]
+		undo := func() { e.lanes[li] = lane }
+		path := fmt.Sprintf("lane %d", li)
+		out = append(out,
+			edit{path: path + "=nil", apply: func() { e.lanes[li] = nil }, undo: undo},
+			edit{path: path + "=[]", apply: func() { e.lanes[li] = lane[:0] }, undo: undo})
+		if len(lane) > 0 {
+			out = append(out, edit{path: path + "[:len-1]", apply: func() { e.lanes[li] = lane[:len(lane)-1] }, undo: undo})
+		}
+		for w := range lane {
+			for bit := range 64 {
+				old := lane[w]
+				out = append(out, edit{path: fmt.Sprintf("%s[%d] bit %d", path, w, bit),
+					apply: func() { lane[w] = math.Float64frombits(math.Float64bits(old) ^ 1<<bit) },
+					undo:  func() { lane[w] = old }})
+			}
+		}
+	}
+	return out
+}
+
+// TestResultSumCoversEveryField: the entry checksum covers every byte a hit
+// serves. Changing any leaf of a fully populated head, nil-ing any pointer
+// or shortening any slice changes it, and so does flipping any one bit of
+// any lane word, or nil-ing, emptying or shortening a lane. The lane edits
+// also run on a real slow/typ/fast result.
+func TestResultSumCoversEveryField(t *testing.T) {
+	for i, res := range []*Result{filledResult(t), smallResults(t)[0]} {
+		e := mustEntry(t, res)
+		if len(e.lanes) < 3 {
+			t.Fatalf("%d lanes, want the top-level one and one per corner", len(e.lanes))
+		}
+		want := mustSum(t, e)
+		for i := 0; i < 100; i++ {
+			if got := mustSum(t, e); got != want {
+				t.Fatalf("sum %d of an unchanged entry = %#x, want %#x", i, got, want)
+			}
+		}
+		edits := laneEdits(e)
+		if i == 0 {
+			edits = append(edits, editsOf(reflect.ValueOf(e.head).Elem(), "head")...)
+		}
+		for _, ed := range edits {
+			ed.apply()
+			got, err := sumEntry(e)
+			ed.undo()
+			if err == nil && got == want {
+				t.Errorf("%s: checksum unchanged by the edit", ed.path)
+			}
+		}
+		if got := mustSum(t, e); got != want {
+			t.Fatalf("sum after undoing every edit = %#x, want %#x", got, want)
+		}
+		t.Logf("%d edits checked", len(edits))
+	}
+}
+
+// TestCacheFlippedLaneBitIsAMiss: one flipped bit in a stored entry's lane
+// word is caught by the next Get, which evicts the entry, counts one
+// corruption and reports a miss.
+func TestCacheFlippedLaneBitIsAMiss(t *testing.T) {
+	c := newCache(8)
+	if _, ok := c.Put("k", smallResults(t)[0]); !ok {
+		t.Fatal("cache refused an engine result")
+	}
+	e, _ := c.lru.Peek("k")
+	lane := e.lanes[2]
+	lane[3] = math.Float64frombits(math.Float64bits(lane[3]) ^ 1<<17)
+	if _, ok := c.Get("k"); ok {
+		t.Fatal("an entry with a flipped lane bit was served")
+	}
+	if st := c.Stats(); st.Corruptions != 1 || st.Misses != 1 || st.Hits != 0 || st.Entries != 0 {
+		t.Errorf("stats %+v, want one corruption, one miss and no entry", st)
+	}
+}
+
+// TestResultSumMapRules: a head carries no map. The walk hashes a nil map
+// like a nil pointer and refuses a non-nil one, empty or not, as it
+// refuses a func; an entry whose head still holds its delay maps is
+// refused by the cache and counted as an encode drop.
 func TestResultSumMapRules(t *testing.T) {
 	sum := func(v any) (uint64, error) {
 		h := hasher(sumSeed)
 		err := h.walk(reflect.ValueOf(v))
 		return uint64(h), err
 	}
-	m := map[string][]int{}
-	for i := 0; i < 32; i++ {
-		m[fmt.Sprint("k", i)] = []int{i, i * i}
-	}
-	want, err := sum(m)
+	var nilMap struct{ M map[string]int }
+	var nilPtr struct{ P *int }
+	a, err := sum(nilMap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 100; i++ {
-		if got, _ := sum(m); got != want {
-			t.Fatalf("sum %d = %#x, want %#x", i, got, want)
+	if b, _ := sum(nilPtr); a != b {
+		t.Errorf("a nil map sums to %#x, a nil pointer to %#x", a, b)
+	}
+	for name, v := range map[string]any{
+		"map":       map[string][]int{"k": {1}},
+		"empty map": struct{ M map[int]float64 }{map[int]float64{}},
+		"func":      struct{ F func() }{},
+		"chan":      struct{ C chan int }{},
+	} {
+		if _, err := sum(v); err == nil {
+			t.Errorf("%s summed", name)
 		}
 	}
-	m["k7"][1]++
-	if got, _ := sum(m); got == want {
-		t.Error("changed map value left the sum unchanged")
+	res := smallResults(t)[0]
+	e := mustEntry(t, res)
+	e.head = res
+	c := newCache(8)
+	if c.add("k", e) {
+		t.Error("cache accepted a head that carries its delay maps")
 	}
-	if _, err := sum(map[string]float64{"a": math.Inf(-1)}); err == nil {
-		t.Error("infinite map value summed")
-	}
-	if _, err := sum(map[float64]int{1: 1}); err == nil {
-		t.Error("float map key summed")
-	}
-	if _, err := sum(struct{ F func() }{}); err == nil {
-		t.Error("func field summed")
+	if st := c.Stats(); st.EncodeDrops != 1 || st.Entries != 0 {
+		t.Errorf("stats %+v, want one encode drop and no entry", st)
 	}
 }
 
-// TestResultSumRejectsNonFinite: a NaN or +Inf at any float leaf, map
-// values included, makes json.Marshal fail and makes cache.Put refuse the
-// result, since it could be neither served nor persisted.
+// TestResultSumRejectsNonFinite: a NaN or +Inf at any float leaf, sink
+// delays included, makes json.Marshal fail and makes cache.Put refuse the
+// result, counted in encode_drops, since it could be neither served nor
+// persisted.
 func TestResultSumRejectsNonFinite(t *testing.T) {
 	res := filledResult(t)
 	c := newCache(8)
-	floats := 0
+	floats, delays := 0, 0
 	for _, e := range editsOf(reflect.ValueOf(res).Elem(), "Result") {
 		if e.setFloat == nil {
 			continue
 		}
 		floats++
+		if strings.Contains(e.path, "SinkDelays") {
+			delays++
+		}
 		for _, bad := range []float64{math.NaN(), math.Inf(1)} {
 			e.setFloat(bad)
 			_, jerr := json.Marshal(res)
-			put := c.Put("k", res)
+			_, put := c.Put("k", res)
 			e.undo()
 			if jerr == nil {
 				t.Errorf("%s = %v: json.Marshal succeeded", e.path, bad)
@@ -406,14 +499,73 @@ func TestResultSumRejectsNonFinite(t *testing.T) {
 			}
 		}
 	}
-	if floats == 0 {
-		t.Fatal("no float leaves found")
+	if floats == 0 || delays == 0 {
+		t.Fatalf("%d float leaves, %d of them sink delays; want some of each", floats, delays)
 	}
 	if st := c.Stats(); st.EncodeDrops != int64(2*floats) || st.Entries != 0 {
 		t.Errorf("stats %+v, want %d encode drops and no entry", st, 2*floats)
 	}
-	if !c.Put("k", res) {
+	if _, ok := c.Put("k", res); !ok {
 		t.Error("cache refused the restored, finite result")
+	}
+}
+
+// TestHitServesMissBytes: for one request, a hit's Result JSON equals the
+// miss's byte for byte, with and without include_sink_delays, and an entry
+// answers a result with a nil and an empty delay map as that result's
+// views encode.
+func TestHitServesMissBytes(t *testing.T) {
+	q := NewQueue(Config{MaxRunning: 1, Workers: 1})
+	defer q.Close()
+	for seed, include := range []bool{false, true} {
+		// include_sink_delays is not part of the key: a fresh seed per
+		// setting makes its first request a miss.
+		for _, c := range []struct {
+			req  *Request
+			kind string
+		}{
+			{&Request{Design: "C1", Seed: int64(seed + 1), Corners: []string{"slow", "typ", "fast"}, IncludeSinkDelays: include}, KindSynthesize},
+			{&Request{Design: "C4", Seed: int64(seed + 1), Delta: &DeltaSpec{Move: []MoveSpec{{Sink: 0, X: 40, Y: 40}}}, IncludeSinkDelays: include}, KindECO},
+		} {
+			var got [2][]byte
+			for i := range got {
+				job, err := q.Submit(c.req, c.kind)
+				if err != nil {
+					t.Fatal(err)
+				}
+				<-job.Done()
+				info := job.Info()
+				if info.State != StateDone || info.CacheHit != (i == 1) {
+					t.Fatalf("%s %s include %v run %d: state %s, hit %v", c.kind, c.req.Design, include, i, info.State, info.CacheHit)
+				}
+				if got[i], err = json.Marshal(info.Result); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(got[0], got[1]) {
+				t.Errorf("%s %s include %v: the hit's result (%d bytes) differs from the miss's (%d bytes)",
+					c.kind, c.req.Design, include, len(got[1]), len(got[0]))
+			}
+		}
+	}
+
+	res := nilAndEmptyMaps(t)
+	c := newCache(8)
+	if _, ok := c.Put("k", res); !ok {
+		t.Fatal("cache refused a result with a nil and an empty delay map")
+	}
+	for _, include := range []bool{false, true} {
+		e, ok := c.Get("k")
+		if !ok {
+			t.Fatal("entry not served")
+		}
+		want, err := json.Marshal(res.view(include))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b, err := json.Marshal(e.result(include)); err != nil || !bytes.Equal(b, want) {
+			t.Errorf("include %v: the entry answers %s (err %v), want %s", include, b, err, want)
+		}
 	}
 }
 
@@ -429,7 +581,7 @@ func engineResult(tb testing.TB, q *Queue, req *Request, kind string) *Result {
 	if !ok {
 		tb.Fatalf("%s %s: nothing cached (job %+v)", kind, req.Design, job.Info())
 	}
-	return e.res
+	return e.result(true)
 }
 
 type benchResult struct {
@@ -439,7 +591,7 @@ type benchResult struct {
 
 // benchResults are the two large result shapes the result benchmarks time:
 // C1 with slow/typ/fast sign-off and a C3 ECO result.
-func benchResults(b *testing.B, q *Queue) []benchResult {
+func benchResults(b testing.TB, q *Queue) []benchResult {
 	return []benchResult{
 		{"C1-corners", engineResult(b, q, &Request{Design: "C1", Corners: []string{"slow", "typ", "fast"}}, KindSynthesize)},
 		{"C3-eco", engineResult(b, q, &Request{Design: "C3", Delta: &DeltaSpec{Move: []MoveSpec{{Sink: 0, X: 40, Y: 40}}}}, KindECO)},
@@ -447,17 +599,50 @@ func benchResults(b *testing.B, q *Queue) []benchResult {
 }
 
 // BenchmarkResultChecksum times the result cache's integrity checksum,
-// which every hit and every Put computes under the cache lock: on a C1
-// result with slow/typ/fast sign-off and on a C3 ECO result.
+// which every hit computes under the cache lock and every Put computes
+// once: over the entry of a C1 result with slow/typ/fast sign-off and of a
+// C3 ECO result.
 func BenchmarkResultChecksum(b *testing.B) {
 	q := NewQueue(Config{MaxRunning: 1, Workers: 1})
 	defer q.Close()
 	for _, c := range benchResults(b, q) {
+		e := mustEntry(b, c.res)
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, err := sumResult(c.res); err != nil {
+				if _, err := sumEntry(e); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCacheHit times a cache hit end to end inside the queue:
+// Queue.Submit of a cached request through to Done, on the two requests
+// benchResults caches (C1 with slow/typ/fast sign-off and a C3 ECO delta).
+func BenchmarkCacheHit(b *testing.B) {
+	q := NewQueue(Config{MaxRunning: 1, Workers: 1})
+	defer q.Close()
+	for _, c := range []struct {
+		name string
+		req  *Request
+		kind string
+	}{
+		{"C1-corners", &Request{Design: "C1", Corners: []string{"slow", "typ", "fast"}}, KindSynthesize},
+		{"C3-eco", &Request{Design: "C3", Delta: &DeltaSpec{Move: []MoveSpec{{Sink: 0, X: 40, Y: 40}}}}, KindECO},
+	} {
+		engineResult(b, q, c.req, c.kind)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				job, err := q.Submit(c.req, c.kind)
+				if err != nil {
+					b.Fatal(err)
+				}
+				<-job.Done()
+				if !job.cacheHit {
+					b.Fatal("cached request missed")
 				}
 			}
 		})

@@ -16,11 +16,11 @@ import (
 
 // This file is the queue's bridge to the disk persistence tier
 // (internal/store). The store is payload-agnostic — it moves checksummed
-// byte blobs — so everything format-shaped lives here: cached Results
-// persist as the JSON of their delay-free view plus one binary lane per
-// sink-delay map (encodeResult), retained ECO base outcomes persist as
-// gob snapshots. Writes are fire-and-forget behind the in-memory caches:
-// the queue hands the store an encoder over the immutable cached value, and
+// byte blobs — so everything format-shaped lives here: result-cache
+// entries persist as the JSON of their head plus their delay lanes copied
+// as they are (encodeEntry), retained ECO base outcomes persist as gob
+// snapshots. Writes are fire-and-forget behind the in-memory caches: the
+// queue hands the store an encoder over the immutable cached value, and
 // the store's writer goroutine runs it, off the running slot.
 // Reads happen exactly once, at NewQueue, to warm-start the caches before
 // the first submission.
@@ -36,11 +36,11 @@ func (q *Queue) warmStart() {
 	}
 	var results, bases int
 	st.Load(store.KindResult, func(key string, payload []byte) bool {
-		res, err := decodeResult(payload)
+		e, err := decodeEntry(payload)
 		if err != nil {
 			return false
 		}
-		if !q.cache.Put(key, res) {
+		if !q.cache.add(key, e) {
 			return false
 		}
 		results++
@@ -63,34 +63,32 @@ func (q *Queue) warmStart() {
 		"skipped_io", s.WarmSkippedIO)
 }
 
-// persistResult writes a freshly cached result behind the in-memory cache.
+// persistResult writes a freshly cached entry behind the in-memory cache.
 // Best-effort and non-blocking: a full write-behind queue drops the entry
 // (counted by the store), costing a cold miss after the next restart. The
-// store's writer encodes res, which is safe because a cached Result is
-// never mutated; cache.Put has already refused any result JSON cannot
-// encode.
-func (q *Queue) persistResult(key string, res *Result) {
+// store's writer encodes e, which is safe because a cached entry is never
+// mutated; cache.Put has already refused any result JSON cannot encode.
+func (q *Queue) persistResult(key string, e entry) {
 	if st := q.cfg.Store; st != nil {
-		st.Put(store.KindResult, key, func() ([]byte, error) { return encodeResult(res) })
+		st.Put(store.KindResult, key, func() ([]byte, error) { return encodeEntry(e) })
 	}
 }
 
-// A persisted Result (store format 3) is its delay-free JSON head followed
-// by its per-sink clock arrival times as dense binary lanes:
+// A persisted result (store format 3) is a cache entry as it is in memory:
+// its head's JSON, then its lanes as dense binary words:
 //
-//	uint64 n | n bytes: json.Marshal(res.view(false))
+//	uint64 n | n bytes: json.Marshal(head), head = res.view(false)
 //	per lane: uint64 count (nilLane for a nil map) | count float64 bits
 //
 // There is one lane per SinkDelays map, in laneMetrics order: the top-level
-// Metrics, then each corner's. Lane entry i is sink i's delay, so the maps
-// must be keyed exactly 0..count-1, which every engine result is (ECO
-// removals compact the survivors' indices). All integers and float bits are
+// Metrics, then each corner's. Lane entry i is sink i's delay (cache.Put
+// refuses a map not keyed 0..count-1). All integers and float bits are
 // little-endian. The lanes are copied, not formatted: a C1 slow/typ/fast
 // result takes 142 KB this way and 448 KB as JSON with decimal maps.
 const nilLane = ^uint64(0)
 
-// laneMetrics lists the Metrics whose SinkDelays a payload carries, in
-// lane order. A corner result without Metrics has no response shape
+// laneMetrics lists the Metrics whose SinkDelays an entry holds as lanes,
+// in lane order. A corner result without Metrics has no response shape
 // (view dereferences it), so it is an error rather than a panic.
 func laneMetrics(r *Result) ([]*eval.Metrics, error) {
 	var ms []*eval.Metrics
@@ -109,53 +107,43 @@ func laneMetrics(r *Result) ([]*eval.Metrics, error) {
 	return ms, nil
 }
 
-// encodeResult is the store payload of a cached Result. A sink-delay map
-// not keyed exactly 0..n-1 has no lane form and is an error (a counted
-// write error), never a wrong blob.
-func encodeResult(res *Result) ([]byte, error) {
-	ms, err := laneMetrics(res)
-	if err != nil {
-		return nil, err
-	}
-	head, err := json.Marshal(res.view(false))
+// encodeEntry is the store payload of a cache entry.
+func encodeEntry(e entry) ([]byte, error) {
+	head, err := json.Marshal(e.head)
 	if err != nil {
 		return nil, fmt.Errorf("serve: result head: %w", err)
 	}
 	size := 8 + len(head)
-	for _, m := range ms {
-		size += 8 + 8*len(m.SinkDelays)
+	for _, lane := range e.lanes {
+		size += 8 + 8*len(lane)
 	}
-	buf := make([]byte, 0, size)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(head)))
-	buf = append(buf, head...)
-	for _, m := range ms {
-		if m.SinkDelays == nil {
-			buf = binary.LittleEndian.AppendUint64(buf, nilLane)
-			continue
+	buf := make([]byte, size)
+	binary.LittleEndian.PutUint64(buf, uint64(len(head)))
+	at := 8 + copy(buf[8:], head)
+	for _, lane := range e.lanes {
+		count := uint64(len(lane))
+		if lane == nil {
+			count = nilLane
 		}
-		n := len(m.SinkDelays)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
-		lane := buf[len(buf) : len(buf)+8*n]
-		// n distinct keys, each in [0, n): every slot is written once.
-		for k, d := range m.SinkDelays {
-			if k < 0 || k >= n {
-				return nil, fmt.Errorf("serve: sink delay key %d outside 0..%d", k, n-1)
-			}
-			binary.LittleEndian.PutUint64(lane[8*k:], math.Float64bits(d))
+		binary.LittleEndian.PutUint64(buf[at:], count)
+		at += 8
+		for _, d := range lane {
+			binary.LittleEndian.PutUint64(buf[at:], math.Float64bits(d))
+			at += 8
 		}
-		buf = buf[:len(buf)+8*n]
 	}
 	return buf, nil
 }
 
 var errResultPayload = errors.New("serve: malformed result payload")
 
-// decodeResult is the inverse of encodeResult. It accepts only what
-// encodeResult writes: the head must be canonical (re-encoding its view
+// decodeEntry is the inverse of encodeEntry. It accepts only what
+// encodeEntry writes: the head must be canonical (re-encoding its view
 // gives the same bytes, so it carries no delay maps of its own), every
 // lane count must fit the bytes left before anything is allocated, and
-// nothing may follow the last lane.
-func decodeResult(payload []byte) (*Result, error) {
+// nothing may follow the last lane. The entry it returns has no sum yet;
+// cache.add computes it.
+func decodeEntry(payload []byte) (entry, error) {
 	rest := payload
 	next := func() (uint64, bool) {
 		if len(rest) < 8 {
@@ -167,42 +155,44 @@ func decodeResult(payload []byte) (*Result, error) {
 	}
 	n, ok := next()
 	if !ok || n > uint64(len(rest)) {
-		return nil, errResultPayload
+		return entry{}, errResultPayload
 	}
 	head := rest[:n]
 	rest = rest[n:]
 	res := new(Result)
 	if err := json.Unmarshal(head, res); err != nil {
-		return nil, fmt.Errorf("%w: %v", errResultPayload, err)
+		return entry{}, fmt.Errorf("%w: %v", errResultPayload, err)
 	}
 	ms, err := laneMetrics(res)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", errResultPayload, err)
+		return entry{}, fmt.Errorf("%w: %v", errResultPayload, err)
 	}
 	if again, err := json.Marshal(res.view(false)); err != nil || !bytes.Equal(again, head) {
-		return nil, fmt.Errorf("%w: head is not the canonical delay-free view", errResultPayload)
+		return entry{}, fmt.Errorf("%w: head is not the canonical delay-free view", errResultPayload)
 	}
-	for _, m := range ms {
+	lanes := make([][]float64, len(ms))
+	for i := range lanes {
 		count, ok := next()
 		if !ok {
-			return nil, errResultPayload
+			return entry{}, errResultPayload
 		}
 		if count == nilLane {
 			continue
 		}
 		if count > uint64(len(rest)/8) {
-			return nil, fmt.Errorf("%w: lane of %d delays past the end", errResultPayload, count)
+			return entry{}, fmt.Errorf("%w: lane of %d delays past the end", errResultPayload, count)
 		}
-		m.SinkDelays = make(map[int]float64, count)
-		for i := range int(count) {
-			m.SinkDelays[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest[8*i:]))
+		lane := make([]float64, count)
+		for k := range lane {
+			lane[k] = math.Float64frombits(binary.LittleEndian.Uint64(rest[8*k:]))
 		}
 		rest = rest[8*count:]
+		lanes[i] = lane
 	}
 	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", errResultPayload, len(rest))
+		return entry{}, fmt.Errorf("%w: %d trailing bytes", errResultPayload, len(rest))
 	}
-	return res, nil
+	return entry{head: res, lanes: lanes}, nil
 }
 
 // persistBase snapshots a retained base outcome so POST /eco survives a

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"maps"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -169,11 +170,11 @@ func postSyncRaw(t *testing.T, url, path string, req *Request) (bool, []byte) {
 // The next request is a miss and computes the same result as before.
 func TestPersistFormatOneStoreStartsCold(t *testing.T) {
 	olderStoreStartsCold(t, 1, func(payload []byte) []byte {
-		res, err := decodeResult(payload)
+		e, err := decodeEntry(payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := json.Marshal(res)
+		b, err := json.Marshal(e.result(true))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +198,7 @@ func TestPersistFormatTwoStoreStartsCold(t *testing.T) {
 		}
 		old := binary.LittleEndian.AppendUint64(nil, uint64(len(head)))
 		old = append(append(old, head...), payload[8+n:]...)
-		if _, err := decodeResult(old); err == nil {
+		if _, err := decodeEntry(old); err == nil {
 			t.Fatal("a head with route_ms decoded at the current format")
 		}
 		return old
@@ -463,7 +464,7 @@ func TestPersistRestartFitsCache(t *testing.T) {
 	}
 	// The request persisted one result; 129 more keys make 130.
 	for i := 1; i < 130; i++ {
-		p1.s.Queue().persistResult(fmt.Sprintf("result-%03d", i), first.Result)
+		p1.s.Queue().persistResult(fmt.Sprintf("result-%03d", i), mustEntry(t, first.Result))
 	}
 	p1.stop()
 	noWriteLoss(t, "first process", p1.st.Stats())
@@ -547,7 +548,7 @@ func TestBaseOutcomeGobRoundTrip(t *testing.T) {
 
 // TestPersistedResultRoundTrip: every result shape the daemon persists (a
 // slow/typ/fast result, an ECO result, that ECO's base and a DSE sweep)
-// decodes from its blob to the Result the cache serves: the same JSON
+// decodes from its blob to the entry the cache serves: the same JSON
 // bytes, sink delays included, and the same integrity sum.
 func TestPersistedResultRoundTrip(t *testing.T) {
 	p := startPersisted(t, t.TempDir(), nil)
@@ -570,20 +571,20 @@ func TestPersistedResultRoundTrip(t *testing.T) {
 			t.Errorf("persisted key %.16s… is not cached", key)
 			return true
 		}
-		got, err := decodeResult(payload)
+		got, err := decodeEntry(payload)
 		if err != nil {
 			t.Errorf("key %.16s…: %v", key, err)
 			return true
 		}
-		want, err := json.Marshal(e.res)
+		want, err := json.Marshal(e.result(true))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if b, err := json.Marshal(got); err != nil || !bytes.Equal(b, want) {
-			t.Errorf("key %.16s…: decoded result encodes to %d bytes (err %v), the cached one to %d", key, len(b), err, len(want))
+		if b, err := json.Marshal(got.result(true)); err != nil || !bytes.Equal(b, want) {
+			t.Errorf("key %.16s…: decoded entry encodes to %d bytes (err %v), the cached one to %d", key, len(b), err, len(want))
 		}
-		if a, b := mustSum(t, got), mustSum(t, e.res); a != b {
-			t.Errorf("key %.16s…: decoded result sums to %#x, the cached one to %#x", key, a, b)
+		if sum := mustSum(t, got); sum != e.sum {
+			t.Errorf("key %.16s…: decoded entry sums to %#x, the cached one to %#x", key, sum, e.sum)
 		}
 		return true
 	})
@@ -591,15 +592,6 @@ func TestPersistedResultRoundTrip(t *testing.T) {
 		t.Errorf("%d result blobs persisted, want 4 (corners, eco, eco base, dse)", blobs)
 	}
 	noWriteLoss(t, "daemon", p.st.Stats())
-}
-
-func mustSum(t *testing.T, r *Result) uint64 {
-	t.Helper()
-	sum, err := sumResult(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sum
 }
 
 // smallResults are real engine results over a six-sink placement, one per
@@ -618,28 +610,104 @@ func smallResults(tb testing.TB) []*Result {
 	}
 }
 
-// TestResultPayloadEveryField: a Result with every field filled by
-// reflection, its sink-delay maps keyed 0..n-1 as the engine keys them,
-// decodes from its payload to the same JSON bytes and the same sum, so a
-// new Result field cannot drop out of persisted results unnoticed.
-func TestResultPayloadEveryField(t *testing.T) {
-	res := filledResult(t)
+// encodeFromMaps is the format-3 encoder as it was written over a Result's
+// sink-delay maps, before cache entries held lanes. It is the reference
+// the entry encoder must match byte for byte.
+func encodeFromMaps(res *Result) ([]byte, error) {
 	ms, err := laneMetrics(res)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
+	head, err := json.Marshal(res.view(false))
+	if err != nil {
+		return nil, err
+	}
+	buf := binary.LittleEndian.AppendUint64(nil, uint64(len(head)))
+	buf = append(buf, head...)
 	for _, m := range ms {
-		dense := make(map[int]float64, len(m.SinkDelays))
-		for _, k := range slices.Sorted(maps.Keys(m.SinkDelays)) {
-			dense[len(dense)] = m.SinkDelays[k]
+		if m.SinkDelays == nil {
+			buf = binary.LittleEndian.AppendUint64(buf, nilLane)
+			continue
 		}
-		m.SinkDelays = dense
+		n := len(m.SinkDelays)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
+		for k := range n {
+			d, ok := m.SinkDelays[k]
+			if !ok {
+				return nil, fmt.Errorf("sink delay %d missing", k)
+			}
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(d))
+		}
 	}
-	payload, err := encodeResult(res)
+	return buf, nil
+}
+
+// TestEntryPayloadMatchesMapEncoder: for every result shape of
+// smallResults and benchResults, an entry encodes to the bytes the map
+// encoder writes, so the store stays at format 3; and a store written by
+// the map encoder warm-loads every blob into entries that serve the
+// original results.
+func TestEntryPayloadMatchesMapEncoder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("synthesizes C1 with three corners and a C3 ECO")
+	}
+	q := NewQueue(Config{MaxRunning: 1, Workers: 1})
+	defer q.Close()
+	shapes := smallResults(t)
+	for _, c := range benchResults(t, q) {
+		shapes = append(shapes, c.res)
+	}
+	dir := t.TempDir()
+	st, err := store.Open(store.Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeResult(payload)
+	for i, res := range shapes {
+		want, err := encodeFromMaps(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := encodeEntry(mustEntry(t, res))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("shape %d: the entry encodes to %d bytes, the map encoder to %d", i, len(got), len(want))
+		}
+		st.Put(store.KindResult, fmt.Sprint("shape-", i), func() ([]byte, error) { return want, nil })
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	p := startPersisted(t, dir, nil)
+	if ss := p.s.Queue().Stats().Store; ss.WarmResults != int64(len(shapes)) || ss.WarmSkippedCorrupt != 0 {
+		t.Fatalf("warm start %+v, want %d results and no corrupt skip", *ss, len(shapes))
+	}
+	for i, res := range shapes {
+		e, ok := p.s.Queue().cache.Get(fmt.Sprint("shape-", i))
+		if !ok {
+			t.Fatalf("shape %d not served after warm start", i)
+		}
+		a, _ := json.Marshal(e.result(true))
+		b, _ := json.Marshal(res)
+		if !bytes.Equal(a, b) {
+			t.Errorf("shape %d: the warm entry serves %d bytes, the original %d", i, len(a), len(b))
+		}
+	}
+}
+
+// TestResultPayloadEveryField: a Result with every field filled by
+// reflection decodes from its entry's payload to the same JSON bytes and
+// the same sum, so a new Result field cannot drop out of persisted results
+// unnoticed.
+func TestResultPayloadEveryField(t *testing.T) {
+	res := filledResult(t)
+	e := mustEntry(t, res)
+	payload, err := encodeEntry(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := decodeEntry(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -647,18 +715,18 @@ func TestResultPayloadEveryField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b, err := json.Marshal(got); err != nil || !bytes.Equal(b, want) {
-		t.Errorf("decoded result encodes to %d bytes (err %v), want %d", len(b), err, len(want))
+	if b, err := json.Marshal(got.result(true)); err != nil || !bytes.Equal(b, want) {
+		t.Errorf("decoded entry encodes to %d bytes (err %v), want %d", len(b), err, len(want))
 	}
-	if a, b := mustSum(t, got), mustSum(t, res); a != b {
-		t.Errorf("decoded result sums to %#x, want %#x", a, b)
+	if a, b := mustSum(t, got), mustSum(t, e); a != b {
+		t.Errorf("decoded entry sums to %#x, want %#x", a, b)
 	}
 }
 
-// TestResultPayloadNilAndEmptyMaps: a nil sink-delay map and an empty one
-// encode as different JSON (null and {}), so each lane keeps which it was.
-func TestResultPayloadNilAndEmptyMaps(t *testing.T) {
-	res := *smallResults(t)[0]
+// nilAndEmptyMaps is a slow/typ/fast result whose top-level delay map is
+// nil and whose first corner's is empty.
+func nilAndEmptyMaps(tb testing.TB) *Result {
+	res := *smallResults(tb)[0]
 	m := *res.Metrics
 	m.SinkDelays = nil
 	res.Metrics = &m
@@ -668,32 +736,41 @@ func TestResultPayloadNilAndEmptyMaps(t *testing.T) {
 	cm.SinkDelays = map[int]float64{}
 	rep.Results[0].Metrics = &cm
 	res.Corners = &rep
+	return &res
+}
 
-	payload, err := encodeResult(&res)
+// TestResultPayloadNilAndEmptyMaps: a nil sink-delay map and an empty one
+// encode as different JSON (null and {}), so each lane keeps which it was.
+func TestResultPayloadNilAndEmptyMaps(t *testing.T) {
+	res := nilAndEmptyMaps(t)
+	payload, err := encodeEntry(mustEntry(t, res))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeResult(payload)
+	got, err := decodeEntry(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := json.Marshal(&res)
+	if got.lanes[0] != nil || got.lanes[1] == nil || len(got.lanes[1]) != 0 {
+		t.Errorf("lanes 0 and 1 decode as %v and %v, want nil and empty", got.lanes[0], got.lanes[1])
+	}
+	want, err := json.Marshal(res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b, err := json.Marshal(got); err != nil || !bytes.Equal(b, want) {
-		t.Errorf("decoded result encodes to %d bytes (err %v), want %d", len(b), err, len(want))
+	if b, err := json.Marshal(got.result(true)); err != nil || !bytes.Equal(b, want) {
+		t.Errorf("decoded entry encodes to %d bytes (err %v), want %d", len(b), err, len(want))
 	}
 }
 
 // TestResultPayloadRejects: the decoder refuses every damaged payload
 // before it allocates from a count it cannot back with bytes.
 func TestResultPayloadRejects(t *testing.T) {
-	payload, err := encodeResult(smallResults(t)[0])
+	payload, err := encodeEntry(mustEntry(t, smallResults(t)[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := decodeResult(payload); err != nil {
+	if _, err := decodeEntry(payload); err != nil {
 		t.Fatalf("intact payload: %v", err)
 	}
 	headEnd := 8 + int(binary.LittleEndian.Uint64(payload))
@@ -714,33 +791,33 @@ func TestResultPayloadRejects(t *testing.T) {
 		"lane one past the end": withCount(fits + 1),
 		"lane count 2^62":       withCount(1 << 62),
 	} {
-		if res, err := decodeResult(bad); err == nil {
-			t.Errorf("%s: decoded %+v", name, res)
+		if e, err := decodeEntry(bad); err == nil {
+			t.Errorf("%s: decoded %+v", name, e)
 		}
 	}
 	// A head carrying its own delay map is not what the encoder writes.
-	res, err := decodeResult(payload)
+	e, err := decodeEntry(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	head, err := json.Marshal(res)
+	head, err := json.Marshal(e.result(true))
 	if err != nil {
 		t.Fatal(err)
 	}
 	withMaps := binary.LittleEndian.AppendUint64(nil, uint64(len(head)))
 	withMaps = append(withMaps, head...)
 	withMaps = append(withMaps, payload[headEnd:]...)
-	if _, err := decodeResult(withMaps); err == nil {
+	if _, err := decodeEntry(withMaps); err == nil {
 		t.Error("decoded a head that carries sink-delay maps")
 	}
 }
 
 // TestResultEncodeNonDenseKeys: a sink-delay map not keyed 0..n-1 has no
-// lane form. Persisting it is one counted write error and no blob, never a
-// blob that decodes to other delays.
+// lane form. cache.Put refuses it and counts an encode drop, so no entry
+// exists to serve or persist, never one that holds other delays.
 func TestResultEncodeNonDenseKeys(t *testing.T) {
 	good := smallResults(t)[0]
-	p := startPersisted(t, t.TempDir(), nil)
+	c := newCache(8)
 	edits := map[string]func(map[int]float64){
 		"gap":      func(m map[int]float64) { d := m[0]; delete(m, 0); m[len(m)+1] = d },
 		"negative": func(m map[int]float64) { d := m[0]; delete(m, 0); m[-1] = d },
@@ -751,44 +828,38 @@ func TestResultEncodeNonDenseKeys(t *testing.T) {
 		m.SinkDelays = maps.Clone(good.Metrics.SinkDelays)
 		edit(m.SinkDelays)
 		bad.Metrics = &m
-		if _, err := encodeResult(&bad); err == nil {
-			t.Errorf("%s: encoded a map keyed %v", name, slices.Sorted(maps.Keys(m.SinkDelays)))
+		if _, ok := c.Put(name, &bad); ok {
+			t.Errorf("%s: cached a map keyed %v", name, slices.Sorted(maps.Keys(m.SinkDelays)))
 		}
-		p.s.Queue().persistResult(name, &bad)
 	}
-	p.st.Flush()
-	if st := p.st.Stats(); st.WriteErrors != int64(len(edits)) || st.Writes != 0 || st.ResultEntries != 0 {
-		t.Errorf("store stats %+v, want %d write errors and nothing written", st, len(edits))
+	if st := c.Stats(); st.EncodeDrops != int64(len(edits)) || st.Entries != 0 {
+		t.Errorf("cache stats %+v, want %d encode drops and no entry", st, len(edits))
 	}
 }
 
-// FuzzResultPayload feeds the result decoder arbitrary bytes, seeded from
-// real encoded results. It must never panic, never build a delay map
-// longer than the input could hold, and re-encode every payload it accepts
-// to the same bytes: the decoder accepts exactly what the encoder writes.
+// FuzzResultPayload feeds the entry decoder arbitrary bytes, seeded from
+// real encoded results. It must never panic, never build a lane longer
+// than the input could hold, and re-encode every payload it accepts to the
+// same bytes: the decoder accepts exactly what the encoder writes.
 func FuzzResultPayload(f *testing.F) {
 	for _, res := range smallResults(f) {
-		payload, err := encodeResult(res)
+		payload, err := encodeEntry(mustEntry(f, res))
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(payload)
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		res, err := decodeResult(payload)
+		e, err := decodeEntry(payload)
 		if err != nil {
 			return
 		}
-		ms, err := laneMetrics(res)
-		if err != nil {
-			t.Fatalf("accepted payload has no lane layout: %v", err)
-		}
-		for i, m := range ms {
-			if 8*len(m.SinkDelays) > len(payload) {
-				t.Fatalf("lane %d holds %d delays from a %d-byte payload", i, len(m.SinkDelays), len(payload))
+		for i, lane := range e.lanes {
+			if 8*len(lane) > len(payload) {
+				t.Fatalf("lane %d holds %d delays from a %d-byte payload", i, len(lane), len(payload))
 			}
 		}
-		again, err := encodeResult(res)
+		again, err := encodeEntry(e)
 		if err != nil {
 			t.Fatalf("accepted payload does not re-encode: %v", err)
 		}
@@ -837,19 +908,21 @@ func FuzzBaseSnapshot(f *testing.F) {
 }
 
 // BenchmarkResultPersist times the store writer's encode and warm start's
-// decode of a result payload, on the results BenchmarkResultChecksum sums.
+// decode of an entry's payload, on the entries BenchmarkResultChecksum
+// sums.
 func BenchmarkResultPersist(b *testing.B) {
 	q := NewQueue(Config{MaxRunning: 1, Workers: 1})
 	defer q.Close()
 	for _, c := range benchResults(b, q) {
-		payload, err := encodeResult(c.res)
+		e := mustEntry(b, c.res)
+		payload, err := encodeEntry(e)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Run(c.name+"/encode", func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, err := encodeResult(c.res); err != nil {
+				if _, err := encodeEntry(e); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -857,7 +930,7 @@ func BenchmarkResultPersist(b *testing.B) {
 		b.Run(c.name+"/decode", func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, err := decodeResult(payload); err != nil {
+				if _, err := decodeEntry(payload); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -866,9 +939,10 @@ func BenchmarkResultPersist(b *testing.B) {
 }
 
 // TestPersistEncodeRacesHits serves hits on a key while the store's writer
-// encodes the same cached Result. The hits return the Result itself (sink
-// delays included), so under -race this shows the writer's encode, the
-// hit's checksum and the response encode only ever read it.
+// encodes the same cached entry. The hits return the entry's head and
+// rebuild its sink delays from its lanes, so under -race this shows the
+// writer's encode, the hit's checksum and the response encode only ever
+// read it.
 func TestPersistEncodeRacesHits(t *testing.T) {
 	p := startPersisted(t, t.TempDir(), nil)
 	ctx := context.Background()
@@ -896,7 +970,7 @@ func TestPersistEncodeRacesHits(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 20; i++ {
-		p.s.Queue().persistResult(key, e.res)
+		p.s.Queue().persistResult(key, e)
 	}
 	wg.Wait()
 	p.st.Flush()

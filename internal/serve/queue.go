@@ -130,27 +130,53 @@ type Result struct {
 	Revision string `json:"revision,omitempty"`
 }
 
-// view returns the response shape of the result: a shallow copy whose
-// Metrics (top-level and per-corner) drop the (large) per-sink delay maps
-// unless asked for. The cached Result itself is immutable.
+// view returns the response shape of the result: unless asked for, a
+// shallow copy whose Metrics (top-level and per-corner) drop the (large)
+// per-sink delay maps, or r itself when it carries none, as a cache
+// entry's head does. Results are immutable once built.
 func (r *Result) view(includeSinkDelays bool) *Result {
-	if r == nil || includeSinkDelays || (r.Metrics == nil && r.Corners == nil) {
+	if r == nil || includeSinkDelays || !r.carriesDelays() {
 		return r
 	}
+	return r.withDelays(func(int) map[int]float64 { return nil })
+}
+
+// carriesDelays reports whether any of r's Metrics holds a sink-delay map.
+func (r *Result) carriesDelays() bool {
+	if r.Metrics != nil && r.Metrics.SinkDelays != nil {
+		return true
+	}
+	if r.Corners != nil {
+		for _, c := range r.Corners.Results {
+			if c.Metrics != nil && c.Metrics.SinkDelays != nil {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// withDelays returns a shallow copy of r whose Metrics, the top-level one
+// and then each corner's (laneMetrics order), carry the sink-delay map
+// delays(i) returns for the i-th of them.
+func (r *Result) withDelays(delays func(i int) map[int]float64) *Result {
 	c := *r
+	i := 0
 	if r.Metrics != nil {
 		m := *r.Metrics
-		m.SinkDelays = nil
+		m.SinkDelays = delays(i)
+		i++
 		c.Metrics = &m
 	}
 	if r.Corners != nil {
 		rep := *r.Corners
 		rep.Results = make([]corner.Result, len(r.Corners.Results))
-		for i, res := range r.Corners.Results {
+		for k, res := range r.Corners.Results {
 			m := *res.Metrics
-			m.SinkDelays = nil
+			m.SinkDelays = delays(i)
+			i++
 			res.Metrics = &m
-			rep.Results[i] = res
+			rep.Results[k] = res
 		}
 		c.Corners = &rep
 	}
@@ -370,9 +396,9 @@ func (j *Job) finish(state JobState, res *Result, err error) bool {
 	}
 	j.state = state
 	j.finished = time.Now()
-	// The record keeps only the response view: the cache owns the full
-	// result, and a retained record must not pin its per-sink delay maps
-	// after the cache evicts it.
+	// The record keeps only the response view: the cache keeps the delays
+	// as lanes, and a retained record must not pin a miss's per-sink delay
+	// maps.
 	j.result = res.view(j.req.IncludeSinkDelays)
 	ev := Event{Event: string(state), JobID: j.id, Result: j.result}
 	if err != nil {
@@ -894,12 +920,12 @@ func (q *Queue) submitNew(req *Request, kind string) (*Job, error) {
 	if f := q.cfg.Faults.Fire(fault.PointServeCache); f != nil && f.Kind == fault.Corrupt {
 		q.cache.Corrupt(job.key)
 	}
-	if res, ok := q.cache.Get(job.key); ok {
+	if e, ok := q.cache.Get(job.key); ok {
 		job.cacheHit = true
 		if err := q.admit(job, false); err != nil {
 			return nil, err
 		}
-		q.settle(job, StateDone, res, nil, &q.doneCt)
+		q.settle(job, StateDone, e.result(req.IncludeSinkDelays), nil, &q.doneCt)
 		q.log.Debug("job served from cache",
 			"job", job.id, "kind", kind, "design", design, "sinks", sinks,
 			"request_id", job.reqID)
@@ -1299,8 +1325,8 @@ func (q *Queue) execute(job *Job, ctx context.Context) {
 func (q *Queue) finishJob(job *Job, runCtx context.Context, res *Result, err error) {
 	switch {
 	case err == nil:
-		if q.cache.Put(job.key, res) {
-			q.persistResult(job.key, res)
+		if e, ok := q.cache.Put(job.key, res); ok {
+			q.persistResult(job.key, e)
 		}
 		q.settle(job, StateDone, res, nil, &q.doneCt)
 	case errors.Is(runCtx.Err(), context.DeadlineExceeded) && job.ctx.Err() == nil:
@@ -1429,8 +1455,8 @@ func (q *Queue) synthesizeBase(job *Job, ctx context.Context, baseReq *Request, 
 	q.bases.Put(baseKey, prev)
 	q.persistBase(baseKey, prev)
 	baseRes := resultFromOutcome(KindSynthesize, job.design, len(rv.sinks), prev)
-	if q.cache.Put(baseKey, baseRes) {
-		q.persistResult(baseKey, baseRes)
+	if e, ok := q.cache.Put(baseKey, baseRes); ok {
+		q.persistResult(baseKey, e)
 	}
 	return prev, nil
 }
